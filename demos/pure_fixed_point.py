@@ -14,7 +14,10 @@ from angiosolve import (GridSpec, ModelParams, PhaseField, Schedule,
 
 
 def main():
-    g = GridSpec(dim_x=1, dim_v=1, n_x=64, n_v=64,
+    # 128 points per axis: on 64 the product of the damping coefficient
+    # and the bump aliases past Nyquist at ~1e-11 of the sup, beyond the
+    # round-off the per-step positivity floor may absorb
+    g = GridSpec(dim_x=1, dim_v=1, n_x=128, n_v=128,
                  half_width_x=8.0, half_width_v=8.0)
     x, v = g.x_coords(), g.v_coords()
     vals = np.multiply.outer(np.exp(-(x + 1.0) ** 2), np.exp(-(v - 1.3) ** 2))

@@ -2,9 +2,9 @@
 vessel-tip / chemoattractant diffusion system on periodic boxes, plus an
 invariant-check harness and slow reference solvers for validation."""
 
-from .errors import (AngiosolveError, ConfigurationError, ConvergenceError,
-                     DataError, OracleError, ParameterError, ResolutionError,
-                     ShapeError, SignError)
+from .errors import (AngiosolveError, ConfigurationError, DataError,
+                     OracleError, ParameterError, ResolutionError, ShapeError,
+                     SignError)
 from .grid import (GridSpec, PhaseField, SpatialField, integrate_phase,
                    lq_norm, speed_grid, speed_squared_grid)
 from .harness import (BoundCheck, check_c_bounds, check_comparison,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngiosolveError", "BoundCheck", "CoefficientTrack", "ConfigurationError",
-    "ConvergenceError", "DataError", "GridSpec", "HeatPlan",
+    "DataError", "GridSpec", "HeatPlan",
     "IterationDiagnostics", "ModelParams", "MomentSet", "OracleError",
     "ParameterError", "PhaseField", "ResolutionError", "Scenario", "Schedule",
     "ShapeError", "SignError", "SpatialField", "Trajectory", "VelocityProfile",

@@ -57,9 +57,14 @@ def _run_one(config, overrides, out_root, tol):
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    # a fork-started pool starts every worker at once: never more than
+    # there are scenarios to run or CPUs to run them on
+    workers = min(args.jobs, len(args.configs), os.cpu_count() or 1)
     worst = 0
-    if args.jobs > 1 and len(args.configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_one, cfg, tuple(args.override), args.out, args.tol)
                 for cfg in args.configs
@@ -79,8 +84,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     for config in args.configs:
         scenario = _resolve(config, tuple(args.override))
-        made = realise(scenario)
-        frac = boundary_mass_fraction(made["p0"])
+        frac = boundary_mass_fraction(realise(scenario).p0)
         sys.stdout.write(
             f"{scenario.name}: ok ({scenario.driver} driver, "
             f"{scenario.schedule.n_steps} steps, checks: "
@@ -143,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write snapshots, moment table, report.json and "
                          "summary.txt under DIR/<scenario-name>/")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="run this many scenarios in parallel")
+                    help="run up to this many scenarios in parallel (capped "
+                         "at the scenario and CPU counts)")
     sp.add_argument("--tol", type=float, default=None,
                     help="override the fixed-point tolerance")
     add_overrides(sp)

@@ -33,9 +33,5 @@ class ConfigurationError(AngiosolveError):
     """Inconsistent run setup (misaligned schedules, bad config files, ...)."""
 
 
-class ConvergenceError(AngiosolveError):
-    """An iteration failed to reach its tolerance within its budget."""
-
-
 class OracleError(AngiosolveError):
     """A reference computation could not certify its own accuracy."""

@@ -166,34 +166,38 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise DataError(f"{what} has non-finite entry {values[idx]!r} at cell {idx}")
 
 
-def _apply_sign(values: np.ndarray, sign: int, what: str) -> np.ndarray:
-    """Clamp entries on the wrong side of zero; error beyond the tolerance.
+def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0) -> np.ndarray:
+    """The package's one sign rule: clamp round-off, reject anything worse.
 
-    Returns a (possibly new) array with offending entries set to 0.0.
+    ``sign = +1`` requires ``values >= 0``, ``sign = -1`` requires
+    ``values <= 0``.  Entries on the wrong side of zero by at most
+    ``CLAMP_REL * max(scale, max|values|)`` are set to zero in a new array;
+    anything beyond raises :class:`SignError` naming the worst cell.  When
+    no entry is on the wrong side, ``values`` itself is returned.
     """
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    limit = CLAMP_REL * scale
     if sign > 0:
         worst = float(values.min())
+        if worst >= 0.0:
+            return values
+        limit = CLAMP_REL * max(scale, float(values.max()), -worst)
         if worst < -limit:
             idx = tuple(int(i) for i in np.unravel_index(values.argmin(), values.shape))
             raise SignError(
                 f"{what} must be >= 0: entry {worst:.6e} at cell {idx} "
                 f"is below the clamping tolerance {-limit:.3e}"
             )
-        if worst < 0.0:
-            values = np.where(values < 0.0, 0.0, values)
-    else:
-        worst = float(values.max())
-        if worst > limit:
-            idx = tuple(int(i) for i in np.unravel_index(values.argmax(), values.shape))
-            raise SignError(
-                f"{what} must be <= 0: entry {worst:.6e} at cell {idx} "
-                f"exceeds the clamping tolerance {limit:.3e}"
-            )
-        if worst > 0.0:
-            values = np.where(values > 0.0, 0.0, values)
-    return values
+        return np.maximum(values, 0.0)
+    worst = float(values.max())
+    if worst <= 0.0:
+        return values
+    limit = CLAMP_REL * max(scale, worst, -float(values.min()))
+    if worst > limit:
+        idx = tuple(int(i) for i in np.unravel_index(values.argmax(), values.shape))
+        raise SignError(
+            f"{what} must be <= 0: entry {worst:.6e} at cell {idx} "
+            f"exceeds the clamping tolerance {limit:.3e}"
+        )
+    return np.minimum(values, 0.0)
 
 
 class PhaseField:
@@ -221,7 +225,7 @@ class PhaseField:
             )
         _check_finite(values, "phase field")
         if nonnegative:
-            values = _apply_sign(values, +1, "phase field")
+            values = apply_sign(values, +1, "phase field")
         if values.flags.writeable:
             values = values.copy()
         values.setflags(write=False)
@@ -262,7 +266,7 @@ class SpatialField:
                 raise ParameterError(
                     f"unknown role {role!r}; expected one of {sorted(ROLE_SIGNS)}"
                 )
-            values = _apply_sign(values, ROLE_SIGNS[role], f"{role} field")
+            values = apply_sign(values, ROLE_SIGNS[role], f"{role} field")
         if values.flags.writeable:
             values = values.copy()
         values.setflags(write=False)

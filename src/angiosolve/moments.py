@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import ConfigurationError, ParameterError, ShapeError, SignError
-from .grid import (CLAMP_REL, PhaseField, SpatialField, speed_grid,
+from .errors import ConfigurationError, ParameterError, ShapeError
+from .grid import (PhaseField, SpatialField, apply_sign, speed_grid,
                    speed_squared_grid)
 from .heat import spectral_laplacian
 
@@ -48,6 +48,32 @@ def speed_moment(p: PhaseField) -> SpatialField:
                         time_tag=p.time_tag, role="j")
 
 
+def _first_moment_weights(g) -> list:
+    """One weight lattice per velocity axis: that axis's cell-centre velocity."""
+    v = g.v_coords()
+    weights = []
+    for ax in range(g.dim_v):
+        expand = [1] * g.dim_v
+        expand[ax] = v.size
+        weights.append(np.ascontiguousarray(
+            np.broadcast_to(v.reshape(expand), g.velocity_shape)))
+    return weights
+
+
+def _vector_j(vals: np.ndarray, g, weights) -> tuple:
+    """(unscaled per-axis sums of v_k p, magnitude of the first moment).
+
+    The magnitude carries the cell volume; the components do not.  The
+    fixed-point drivers record the magnitude at every node through this.
+    """
+    v_axes = tuple(range(g.dim_v))
+    comps = [np.tensordot(vals, w, axes=(g.v_axes, v_axes)) for w in weights]
+    sq = None
+    for comp in comps:
+        sq = comp ** 2 if sq is None else sq + comp ** 2
+    return comps, np.sqrt(sq) * g.v_cell_volume
+
+
 def vector_speed_moment(p: PhaseField):
     """First moment vector (integral of v p) and its magnitude.
 
@@ -57,17 +83,10 @@ def vector_speed_moment(p: PhaseField):
     exceeds the scalar speed moment (triangle inequality).
     """
     g = p.grid
-    v = g.v_coords()
-    comps = []
-    sq = None
-    for ax in range(g.dim_v):
-        expand = [1] * g.dim_v
-        expand[ax] = v.size
-        comp = _v_reduce(p, np.broadcast_to(v.reshape(expand), g.velocity_shape))
-        comps.append(SpatialField(g, comp, time_tag=p.time_tag))
-        sq = comp ** 2 if sq is None else sq + comp ** 2
-    mag = SpatialField(g, np.sqrt(sq), time_tag=p.time_tag, role="j")
-    return comps, mag
+    comps, mag = _vector_j(p.values, g, _first_moment_weights(g))
+    return ([SpatialField(g, comp * g.v_cell_volume, time_tag=p.time_tag)
+             for comp in comps],
+            SpatialField(g, mag, time_tag=p.time_tag, role="j"))
 
 
 def second_moment(p: PhaseField) -> SpatialField:
@@ -128,15 +147,7 @@ def accumulate_time_integral(p_tilde_series, dt: float) -> np.ndarray:
         series = np.stack([f.values for f in fields])
     if series.ndim < 2:
         raise ShapeError("series must be (node, *spatial)")
-    worst = float(series.min())
-    if worst < 0.0:
-        limit = CLAMP_REL * float(np.abs(series).max())
-        if worst < -limit:
-            idx = tuple(int(i) for i in np.unravel_index(series.argmin(), series.shape))
-            raise SignError(
-                f"marginal series has entry {worst:.6e} < 0 at (node, cell) {idx}"
-            )
-        series = np.where(series < 0.0, 0.0, series)
+    series = apply_sign(series, +1, "marginal series (leading index: node)")
     return cumulative_trapezoid(series, dx=dt, axis=0, initial=0.0)
 
 

@@ -27,9 +27,8 @@ import numpy as np
 from scipy.interpolate import BarycentricInterpolator
 from scipy.special import lambertw
 
-from .errors import (ConfigurationError, OracleError, ParameterError,
-                     ShapeError, SignError)
-from .grid import CLAMP_REL, GridSpec, PhaseField, SpatialField
+from .errors import ConfigurationError, OracleError, ParameterError, ShapeError
+from .grid import GridSpec, PhaseField, SpatialField, apply_sign
 from .heat import HeatPlan
 from .stepping import CoefficientTrack, Schedule, Trajectory
 
@@ -146,7 +145,7 @@ def duhamel_reference(p0: PhaseField, track: CoefficientTrack, sigma: float,
         return w
 
     f_hat = None
-    if track._f is not None:
+    if track.source is not None:
         f_hat = [fwd(np.broadcast_to(track.source_node(i), shape)) for i in range(n + 1)]
 
     base = []
@@ -287,11 +286,7 @@ def volterra_fundamental(a, sigma: float, grid: GridSpec, t: float,
             a_vals = a.values
         else:
             a_vals = np.asarray(a, dtype=float)
-        worst = float(a_vals.min())
-        if worst < 0.0:
-            if worst < -CLAMP_REL * float(np.abs(a_vals).max()):
-                raise SignError("the oracle requires a nonnegative coefficient")
-            a_vals = np.where(a_vals < 0.0, 0.0, a_vals)
+        a_vals = apply_sign(a_vals, +1, "the oracle's coefficient")
         if a_vals.ndim == grid.dim_x:
             a_vals = a_vals.reshape(grid.spatial_shape + (1,) * grid.dim_v)
         a_vals = np.broadcast_to(a_vals, grid.phase_shape)
@@ -407,14 +402,7 @@ def uniqueness_probe(scenario, seed_a: str = "zero", seed_b: str = "heat",
     from .scenarios import realise  # deferred: scenarios imports drivers
 
     made = realise(scenario)
-    results = []
-    for seed in (seed_a, seed_b):
-        if scenario.driver == "pure":
-            traj, diag = made["run_pure"](tol=tol, init=seed)
-            results.append((traj, None, diag))
-        else:
-            p_traj, c_traj, diag = made["run_coupled"](tol=tol, init=seed)
-            results.append((p_traj, c_traj, diag))
+    results = [made.drive(tol=tol, init=seed) for seed in (seed_a, seed_b)]
     for _, _, diag in results:
         if not diag.converged:
             raise OracleError("a probe run failed to converge; cannot compare seeds")

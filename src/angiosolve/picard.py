@@ -7,11 +7,13 @@ concentration c(t, x):
     dc/dt = d Lap_x c - eta c j,
 
 with alpha(c) = alpha1 c / (c_R + c), rho a fixed Gaussian velocity profile,
-p~ the velocity marginal and j the speed moment of p.  Both drivers freeze
-the nonlocal (and nonlinear) couplings at the previous iterate, solve the
-resulting *linear* damped diffusion problem with :func:`solve_linear`, and
-repeat until successive iterates agree in relative sup norm at every saved
-time.
+p~ the velocity marginal and j the speed moment of p.  One slab loop
+(:func:`_drive`) serves both public drivers: it freezes the nonlocal (and
+nonlinear) couplings at the previous iterate, solves the resulting *linear*
+damped diffusion problem with :func:`solve_linear`, and repeats until
+successive iterates agree in relative sup norm at every saved time.  The
+uncoupled problem (:func:`picard_pure`) is that loop without the attractant;
+:func:`picard_coupled` switches the attractant on.
 
 The iteration only contracts on windows with T * sqrt(M) < 1 (M an a-priori
 bound on the accumulated damping), so long runs are split into slabs of
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, ShapeError, SignError
-from .grid import CLAMP_REL, PhaseField, SpatialField
+from .errors import ConfigurationError, ParameterError, ShapeError
+from .grid import PhaseField, SpatialField, apply_sign
 from .heat import HeatPlan, gaussian_rho
 from .moments import accumulate_time_integral
 from .stepping import CoefficientTrack, Schedule, Trajectory, solve_linear
@@ -126,14 +128,14 @@ def alpha_of_c(c: SpatialField, alpha1: float, c_R: float) -> SpatialField:
 
 
 def _alpha_raw(c_vals: np.ndarray, alpha1: float, c_R: float, what: str) -> np.ndarray:
-    worst = float(c_vals.min())
-    if worst < 0.0:
-        limit = CLAMP_REL * float(np.abs(c_vals).max())
-        if worst < -limit:
-            idx = tuple(int(i) for i in np.unravel_index(c_vals.argmin(), c_vals.shape))
-            raise SignError(f"{what}: concentration {worst:.6e} < 0 at cell {idx}")
-        c_vals = np.where(c_vals < 0.0, 0.0, c_vals)
+    c_vals = apply_sign(c_vals, +1, f"{what} concentration")
     return alpha1 * c_vals / (c_R + c_vals)
+
+
+def _c_step(c_vals, j_vals, eta, dt, plan_x):
+    """exp(-eta j dt/2), exact heat flow over dt, exp(-eta j dt/2) again."""
+    half = np.exp((-0.5 * dt * eta) * j_vals)
+    return half * plan_x.apply(half * c_vals, dt, "spatial")
 
 
 def advance_c(c: SpatialField, j: SpatialField, d: float, eta: float, dt: float,
@@ -150,19 +152,12 @@ def advance_c(c: SpatialField, j: SpatialField, d: float, eta: float, dt: float,
         raise ParameterError(f"eta must be positive, got {eta!r}")
     if c.grid != j.grid:
         raise ShapeError("c and j live on different lattices")
-    j_vals = j.values
-    worst = float(j_vals.min())
-    if worst < 0.0:
-        limit = CLAMP_REL * float(np.abs(j_vals).max())
-        if worst < -limit:
-            raise SignError(f"speed moment has negative entry {worst:.6e}")
-        j_vals = np.where(j_vals < 0.0, 0.0, j_vals)
+    j_vals = apply_sign(j.values, +1, "speed moment")
     if plan is None:
         plan = HeatPlan(c.grid, d, "x")
     elif plan.grid != c.grid or plan.subspace != "x":
         raise ConfigurationError("plan must be a subspace-'x' plan on c's lattice")
-    half = np.exp((-0.5 * float(dt) * float(eta)) * j_vals)
-    out = half * plan.apply(half * c.values, float(dt), "spatial")
+    out = _c_step(c.values, j_vals, float(eta), float(dt), plan)
     return SpatialField(c.grid, out, time_tag=c.time_tag + float(dt), role="c")
 
 
@@ -190,14 +185,13 @@ def slab_partition(n_steps: int, dt: float, sup_m: float):
 
 def _normalise_source(f, grid, n_nodes):
     """-> (constant_array_or_None, list_or_None); validates length/shape."""
+    if isinstance(f, CoefficientTrack):
+        src = f.source
+        if src is None or isinstance(src, np.ndarray):
+            return src, None
+        return None, src
     if f is None:
         return None, None
-    if isinstance(f, CoefficientTrack):
-        if f._f is None:
-            return None, None
-        if f._f_const:
-            return f._f[0], None
-        return None, list(f._f)
     if isinstance(f, PhaseField):
         if f.grid != grid:
             raise ShapeError("source lives on a different lattice")
@@ -229,142 +223,11 @@ def _relative_delta(fields_a, fields_b) -> float:
     return worst / scale
 
 
-def _local_saved_nodes(i0, i1, global_saved, n_steps):
+def _local_saved_nodes(i0, i1, global_saved):
     local = {g - i0 for g in global_saved if i0 <= g <= i1}
     local.add(0)
     local.add(i1 - i0)
     return sorted(local)
-
-
-def _slab_schedule(i0, i1, dt):
-    # stride 1; the drivers pass explicit saved nodes to solve_linear instead
-    return Schedule(t_end=(i1 - i0) * dt, dt=dt, save_stride=1)
-
-
-def picard_pure(p0: PhaseField, f_track, params: ModelParams, schedule: Schedule,
-                k_max: int = 20, tol: float = 1e-8, init: str = "heat"):
-    """Fixed-point run of the uncoupled problem (production switched off).
-
-    Iterates  p_k = solve of  dp/dt = sigma Lap p - gamma A_{k-1} p + f  with
-    A_{k-1}(t) the running integral of the previous iterate's marginal
-    (continued across slabs by the carried offset).  ``init="heat"`` starts
-    from the frozen-offset flow (A_0 = carried offset, so the first iterate
-    of the first slab is the plain heat/source flow); ``init="zero"`` starts
-    from p_1 = 0.
-
-    Returns (Trajectory, IterationDiagnostics).  Non-convergence within
-    ``k_max`` iterates of any slab is flagged, never raised.
-    """
-    if init not in ("heat", "zero"):
-        raise ParameterError(f"init must be 'heat' or 'zero', got {init!r}")
-    if k_max < 2:
-        raise ParameterError("k_max must allow at least two iterates")
-    if not (0.0 < tol < 1.0):
-        raise ParameterError(f"tol must be in (0, 1), got {tol!r}")
-    grid = p0.grid
-    if float(p0.values.min()) < 0.0:
-        p0 = PhaseField(grid, p0.values, time_tag=p0.time_tag, nonnegative=True)
-    gamma = params.gamma
-    dt = schedule.dt
-    n_steps = schedule.n_steps
-    n_nodes = n_steps + 1
-    plan = HeatPlan(grid, params.sigma, "xv")
-
-    f_const, f_list = _normalise_source(f_track, grid, n_nodes)
-
-    # a-priori bound on gamma * sup of any iterate's marginal: the damping
-    # only removes mass, so the source-free heat flow plus accumulated source
-    # dominates every iterate's marginal.
-    sup_pt0 = float((p0.values.sum(axis=grid.v_axes) * grid.v_cell_volume).max())
-    if f_const is not None:
-        f_sup = float((f_const.sum(axis=grid.v_axes) * grid.v_cell_volume).max())
-    elif f_list is not None:
-        f_sup = max(float((f.sum(axis=grid.v_axes) * grid.v_cell_volume).max())
-                    for f in f_list)
-    else:
-        f_sup = 0.0
-    big_m = gamma * (sup_pt0 + schedule.t_end * f_sup)
-
-    edges = slab_partition(n_steps, dt, big_m)
-    global_saved = set(schedule.saved_nodes())
-
-    diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
-    fields, times = [], []
-    pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
-    j_nodes = np.empty_like(pt_nodes)
-    a_offset = np.zeros(grid.spatial_shape)
-    p_slab = p0
-
-    for s in range(len(edges) - 1):
-        i0, i1 = edges[s], edges[s + 1]
-        local_sched = _slab_schedule(i0, i1, dt)
-        local_saved = _local_saved_nodes(i0, i1, global_saved, n_steps)
-        if f_const is not None:
-            f_slab = f_const
-        elif f_list is not None:
-            f_slab = f_list[i0:i1 + 1]
-        else:
-            f_slab = None
-
-        # iterate 1 per slab: either the frozen-offset flow (one real solve,
-        # no delta yet) or the zero density (free).
-        deltas = []
-        traj_k = None
-        converged_slab = False
-        if init == "zero":
-            prev_fields = [np.zeros(grid.phase_shape) for _ in local_saved]
-            prev_marginals = np.zeros((i1 - i0 + 1,) + grid.spatial_shape)
-        else:
-            track1 = CoefficientTrack(local_sched, grid, a=gamma * a_offset,
-                                      f=f_slab, strict=True)
-            traj_k = solve_linear(p_slab, track1, params.sigma, plan=plan,
-                                  record_moments=True, saved_nodes=local_saved)
-            prev_fields = [f.values for f in traj_k.fields]
-            prev_marginals = traj_k.p_tilde_nodes
-        diag.iterations += 1
-        k = 2
-        while k <= k_max:
-            a_nodes = a_offset + accumulate_time_integral(prev_marginals, dt)
-            track = CoefficientTrack(local_sched, grid,
-                                     a=[gamma * a_i for a_i in a_nodes],
-                                     f=f_slab, strict=True)
-            traj_k = solve_linear(p_slab, track, params.sigma, plan=plan,
-                                  record_moments=True, saved_nodes=local_saved)
-            diag.iterations += 1
-            cur_fields = [f.values for f in traj_k.fields]
-            delta = _relative_delta(cur_fields, prev_fields)
-            deltas.append(delta)
-            if delta <= tol:
-                converged_slab = True
-                break
-            prev_fields = cur_fields
-            prev_marginals = traj_k.p_tilde_nodes
-            k += 1
-        diag.deltas_p.append(deltas)
-        diag.deltas_c.append([])
-        diag.driving_deltas.append(list(deltas))
-        diag.k_per_slab.append(k if converged_slab else k_max)
-        if not converged_slab:
-            diag.converged = False
-
-        # stitch only the schedule's own saved nodes: slab edges are an
-        # implementation detail and must not leak extra snapshots
-        for pos, node in enumerate(local_saved):
-            g_node = i0 + node
-            if g_node not in global_saved or (s > 0 and node == 0):
-                continue
-            fields.append(traj_k.fields[pos])
-            times.append(traj_k.times[pos])
-        pt_nodes[i0:i1 + 1] = traj_k.p_tilde_nodes
-        j_nodes[i0:i1 + 1] = traj_k.j_nodes
-        a_offset = a_offset + accumulate_time_integral(traj_k.p_tilde_nodes, dt)[-1]
-        p_slab = traj_k.fields[-1]
-
-    a_nodes_global = accumulate_time_integral(pt_nodes, dt)
-    aux = {"a_nodes": a_nodes_global}
-    traj = Trajectory(times, fields, node_times=schedule.times(),
-                      p_tilde_nodes=pt_nodes, j_nodes=j_nodes, aux=aux)
-    return traj, diag
 
 
 def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
@@ -396,27 +259,215 @@ def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
     chat_nodes[0] = chat
     for i in range(n_local):
         j_mid = 0.5 * (j_loc[i] + j_loc[i + 1])
-        half = np.exp((-0.5 * dt * eta) * j_mid)
-        c = half * plan_x.apply(half * c, dt, "spatial")
-        scale = float(np.abs(c).max())
-        worst = float(c.min())
-        if worst < -CLAMP_REL * scale:
-            raise SignError(f"concentration went negative ({worst:.3e}) at node {i + 1}")
-        if worst < 0.0:
-            c = np.where(c < 0.0, 0.0, c)
+        c = apply_sign(_c_step(c, j_mid, eta, dt, plan_x), +1,
+                       f"concentration at node {i + 1}")
         chat = c - c_inf_loc[i + 1]
-        worst_hat = float(chat.max())
-        if worst_hat > CLAMP_REL * max(scale, float(np.abs(chat).max())):
-            raise SignError(
-                f"depletion went positive ({worst_hat:.3e}) at node {i + 1}: "
-                "consumption should only ever lower c below its far field"
-            )
-        if worst_hat > 0.0:
-            chat = np.where(chat > 0.0, 0.0, chat)
+        # consumption only ever lowers c below its far field
+        clamped = apply_sign(chat, -1, f"depletion at node {i + 1}",
+                             scale=float(c.max()))
+        if clamped is not chat:
+            chat = clamped
             c = c_inf_loc[i + 1] + chat
         c_nodes[i + 1] = c
         chat_nodes[i + 1] = chat
     return c_nodes, chat_nodes
+
+
+def _drive(p0, c0, f, params, schedule, k_max, tol, init):
+    """The slab-restarted fixed point behind both public drivers.
+
+    Per slab, iterate k solves the linear problem with coefficient
+    gamma A_{k-1} (A the running integral of the previous iterate's
+    marginal, continued across slabs by the carried offset) and source f,
+    until successive iterates agree to ``tol`` at every saved time.  Passing
+    ``c0`` couples the attractant in (``f`` is then None): the coefficient
+    gains -alpha(c_{k-1}) rho(v), c_k is marched with the current speed
+    moment j_k, and the c change joins the stopping rule.
+
+    Returns (p_trajectory, c_trajectory or None, diagnostics).
+    """
+    if init not in ("heat", "zero"):
+        raise ParameterError(f"init must be 'heat' or 'zero', got {init!r}")
+    if k_max < 2:
+        raise ParameterError("k_max must allow at least two iterates")
+    if not (0.0 < tol < 1.0):
+        raise ParameterError(f"tol must be in (0, 1), got {tol!r}")
+    coupled = c0 is not None
+    grid = p0.grid
+    if coupled and c0.grid != grid:
+        raise ShapeError("p0 and c0 live on different lattices")
+    if float(p0.values.min()) < 0.0:
+        p0 = PhaseField(grid, p0.values, time_tag=p0.time_tag, nonnegative=True)
+    gamma, eta, dt = params.gamma, params.eta, schedule.dt
+    n_steps = schedule.n_steps
+    n_nodes = n_steps + 1
+    plan = HeatPlan(grid, params.sigma, "xv")
+    f_const, f_list = _normalise_source(f, grid, n_nodes)
+
+    rho_v, speed_mode, alpha_rate = None, None, 0.0
+    if coupled:
+        if c0.role != "c":
+            c0 = SpatialField(grid, c0.values, time_tag=c0.time_tag, role="c")
+        v0 = params.v0 if len(params.v0) == grid.dim_v else params.v0 * grid.dim_v
+        if len(v0) != grid.dim_v:
+            raise ConfigurationError(
+                f"v0 has {len(params.v0)} components for a dim_v={grid.dim_v} lattice"
+            )
+        rho = gaussian_rho(grid, params.epsilon, v0)
+        rho_v = rho.values
+        alpha_rate = params.alpha1 * rho.sup_norm
+        speed_mode = "vector" if params.use_vector_j else None
+        plan_x = HeatPlan(grid, params.d, "x")
+        chat_slab = np.zeros(grid.spatial_shape)
+        cinf_start = c0.values
+
+    # a-priori bound on gamma * sup of any iterate's marginal: the damping
+    # only removes mass, so the heat flow plus accumulated source, grown at
+    # the production ceiling, dominates every iterate's marginal
+    def sup_marginal(arr):
+        return float((arr.sum(axis=grid.v_axes) * grid.v_cell_volume).max())
+
+    sup_pt0 = sup_marginal(p0.values)
+    if f_const is not None:
+        f_sup = sup_marginal(f_const)
+    elif f_list is not None:
+        f_sup = max(sup_marginal(arr) for arr in f_list)
+    else:
+        f_sup = 0.0
+    big_m = gamma * (sup_pt0 + schedule.t_end * f_sup) * math.exp(alpha_rate * schedule.t_end)
+
+    edges = slab_partition(n_steps, dt, big_m)
+    global_saved = set(schedule.saved_nodes())
+
+    diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
+    p_fields, c_fields, chat_saved, cinf_saved, times = [], [], [], [], []
+    pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
+    j_nodes = np.empty_like(pt_nodes)
+    a_offset = np.zeros(grid.spatial_shape)
+    p_slab = p0
+
+    for s in range(len(edges) - 1):
+        i0, i1 = edges[s], edges[s + 1]
+        n_local = i1 - i0
+        # stride 1: solve_linear gets the slab's saved nodes explicitly
+        local_sched = Schedule(t_end=n_local * dt, dt=dt, save_stride=1)
+        local_saved = _local_saved_nodes(i0, i1, global_saved)
+        f_slab = f_const if f_list is None else f_list[i0:i1 + 1]
+        if coupled:
+            c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
+
+        # iterate 1 per slab: the zero density (the construction's seed;
+        # free) or the frozen-offset flow (one real solve, no delta yet)
+        if init == "zero":
+            prev_fields = [np.zeros(grid.phase_shape) for _ in local_saved]
+            prev_pt = prev_j = np.zeros((n_local + 1,) + grid.spatial_shape)
+        else:
+            track1 = CoefficientTrack(local_sched, grid, a=gamma * a_offset,
+                                      f=f_slab, strict=True)
+            traj_k = solve_linear(p_slab, track1, params.sigma, plan=plan,
+                                  record_moments=True, saved_nodes=local_saved,
+                                  speed=speed_mode, clamp_saves=True)
+            prev_fields = [fld.values for fld in traj_k.fields]
+            prev_pt, prev_j = traj_k.p_tilde_nodes, traj_k.j_nodes
+        diag.iterations += 1
+        c_prev = c_cur = chat_cur = None
+        if coupled:
+            c_prev, _ = _advance_c_nodes(chat_slab, c_inf_loc, prev_j, eta, dt, plan_x)
+
+        deltas_p, deltas_c, driving = [], [], []
+        converged_slab = False
+        k = 2
+        while k <= k_max:
+            a_nodes = a_offset + accumulate_time_integral(prev_pt, dt)
+            sep_x = None
+            if coupled:
+                sep_x = [-_alpha_raw(c_prev[i], params.alpha1, params.c_R,
+                                     "coupled iterate") for i in range(n_local + 1)]
+            track = CoefficientTrack(local_sched, grid,
+                                     a=[gamma * a_i for a_i in a_nodes], f=f_slab,
+                                     sep_x=sep_x, sep_v=rho_v, strict=not coupled)
+            traj_k = solve_linear(p_slab, track, params.sigma, plan=plan,
+                                  record_moments=True, saved_nodes=local_saved,
+                                  speed=speed_mode, clamp_saves=True)
+            diag.iterations += 1
+            cur_fields = [fld.values for fld in traj_k.fields]
+            delta = _relative_delta(cur_fields, prev_fields)
+            deltas_p.append(delta)
+            if coupled:
+                c_cur, chat_cur = _advance_c_nodes(
+                    chat_slab, c_inf_loc, traj_k.j_nodes, eta, dt, plan_x)
+                d_c = _relative_delta([c_cur[i] for i in local_saved],
+                                      [c_prev[i] for i in local_saved])
+                deltas_c.append(d_c)
+                delta = max(delta, d_c)
+            driving.append(delta)
+            if delta <= tol:
+                converged_slab = True
+                break
+            prev_fields = cur_fields
+            prev_pt = traj_k.p_tilde_nodes
+            c_prev = c_cur
+            k += 1
+
+        diag.deltas_p.append(deltas_p)
+        diag.deltas_c.append(deltas_c)
+        diag.driving_deltas.append(driving)
+        diag.k_per_slab.append(k if converged_slab else k_max)
+        if not converged_slab:
+            diag.converged = False
+
+        # stitch only the schedule's own saved nodes: slab edges are an
+        # implementation detail and must not leak extra snapshots
+        for pos, node in enumerate(local_saved):
+            g_node = i0 + node
+            if g_node not in global_saved or (s > 0 and node == 0):
+                continue
+            # pure runs report the fields' own time tags, coupled runs the
+            # global node times; after a slab restart the two can differ in
+            # the last bit, and the written outputs keep each as it was
+            t = g_node * dt if coupled else traj_k.times[pos]
+            times.append(t)
+            p_fields.append(traj_k.fields[pos])
+            if coupled:
+                c_fields.append(SpatialField(grid, c_cur[node], time_tag=t, role="c"))
+                chat_saved.append(SpatialField(grid, chat_cur[node], time_tag=t,
+                                               role="c_hat"))
+                cinf_saved.append(SpatialField(grid, c_inf_loc[node], time_tag=t,
+                                               role="c_inf"))
+        pt_nodes[i0:i1 + 1] = traj_k.p_tilde_nodes
+        j_nodes[i0:i1 + 1] = traj_k.j_nodes
+        a_offset = a_offset + accumulate_time_integral(traj_k.p_tilde_nodes, dt)[-1]
+        p_slab = traj_k.fields[-1]
+        if coupled:
+            chat_slab = chat_cur[-1]
+            cinf_start = c_inf_loc[-1]
+
+    p_traj = Trajectory(times, p_fields, node_times=schedule.times(),
+                        p_tilde_nodes=pt_nodes, j_nodes=j_nodes,
+                        aux={"a_nodes": accumulate_time_integral(pt_nodes, dt)})
+    c_traj = None
+    if coupled:
+        c_traj = Trajectory(times, c_fields,
+                            aux={"c_hat": chat_saved, "c_inf": cinf_saved})
+    return p_traj, c_traj, diag
+
+
+def picard_pure(p0: PhaseField, f_track, params: ModelParams, schedule: Schedule,
+                k_max: int = 20, tol: float = 1e-8, init: str = "heat"):
+    """Fixed-point run of the uncoupled problem (production switched off).
+
+    Iterates  p_k = solve of  dp/dt = sigma Lap p - gamma A_{k-1} p + f  with
+    A_{k-1}(t) the running integral of the previous iterate's marginal
+    (continued across slabs by the carried offset).  ``init="heat"`` starts
+    from the frozen-offset flow (A_0 = carried offset, so the first iterate
+    of the first slab is the plain heat/source flow); ``init="zero"`` starts
+    from p_1 = 0.
+
+    Returns (Trajectory, IterationDiagnostics).  Non-convergence within
+    ``k_max`` iterates of any slab is flagged, never raised.
+    """
+    p_traj, _, diag = _drive(p0, None, f_track, params, schedule, k_max, tol, init)
+    return p_traj, diag
 
 
 def picard_coupled(p0: PhaseField, c0: SpatialField, params: ModelParams,
@@ -436,147 +487,6 @@ def picard_coupled(p0: PhaseField, c0: SpatialField, params: ModelParams,
     Returns (p_trajectory, c_trajectory, diagnostics); the c trajectory's
     ``aux`` carries the far-field and depletion snapshots at the saved times.
     """
-    if init not in ("heat", "zero"):
-        raise ParameterError(f"init must be 'heat' or 'zero', got {init!r}")
-    if k_max < 2:
-        raise ParameterError("k_max must allow at least two iterates")
-    if not (0.0 < tol < 1.0):
-        raise ParameterError(f"tol must be in (0, 1), got {tol!r}")
-    grid = p0.grid
-    if c0.grid != grid:
-        raise ShapeError("p0 and c0 live on different lattices")
-    if float(p0.values.min()) < 0.0:
-        p0 = PhaseField(grid, p0.values, time_tag=p0.time_tag, nonnegative=True)
-    if c0.role != "c":
-        c0 = SpatialField(grid, c0.values, time_tag=c0.time_tag, role="c")
-
-    v0 = params.v0 if len(params.v0) == grid.dim_v else params.v0 * grid.dim_v
-    if len(v0) != grid.dim_v:
-        raise ConfigurationError(
-            f"v0 has {len(params.v0)} components for a dim_v={grid.dim_v} lattice"
-        )
-    rho = gaussian_rho(grid, params.epsilon, v0)
-    alpha_rate = params.alpha1 * rho.sup_norm
-
-    gamma, eta, dt = params.gamma, params.eta, schedule.dt
-    n_steps = schedule.n_steps
-    plan = HeatPlan(grid, params.sigma, "xv")
-    plan_x = HeatPlan(grid, params.d, "x")
-
-    sup_pt0 = float((p0.values.sum(axis=grid.v_axes) * grid.v_cell_volume).max())
-    big_m = gamma * sup_pt0 * math.exp(alpha_rate * schedule.t_end)
-    edges = slab_partition(n_steps, dt, big_m)
-    global_saved = set(schedule.saved_nodes())
-
-    diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
-    speed_mode = "vector" if params.use_vector_j else None
-
-    p_fields, c_fields, times = [], [], []
-    chat_saved, cinf_saved = [], []
-    n_nodes = n_steps + 1
-    pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
-    j_nodes = np.empty_like(pt_nodes)
-
-    a_offset = np.zeros(grid.spatial_shape)
-    p_slab = p0
-    chat_slab = np.zeros(grid.spatial_shape)
-    cinf_start = c0.values
-
-    for s in range(len(edges) - 1):
-        i0, i1 = edges[s], edges[s + 1]
-        n_local = i1 - i0
-        local_sched = _slab_schedule(i0, i1, dt)
-        local_saved = _local_saved_nodes(i0, i1, global_saved, n_steps)
-        c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
-
-        # iterate 1 per slab: p_1 = 0 (the construction's seed; free) or the
-        # frozen-offset flow for the alternative seeding; c_1 follows its j.
-        if init == "zero":
-            zero_loc = np.zeros((n_local + 1,) + grid.spatial_shape)
-            prev_p_fields = [np.zeros(grid.phase_shape) for _ in local_saved]
-            prev_pt = zero_loc
-            prev_j = zero_loc
-        else:
-            track1 = CoefficientTrack(local_sched, grid, a=gamma * a_offset,
-                                      strict=True)
-            traj1 = solve_linear(p_slab, track1, params.sigma, plan=plan,
-                                 record_moments=True, saved_nodes=local_saved,
-                                 speed=speed_mode)
-            prev_p_fields = [f.values for f in traj1.fields]
-            prev_pt = traj1.p_tilde_nodes
-            prev_j = traj1.j_nodes
-        diag.iterations += 1
-        c_prev_nodes, _ = _advance_c_nodes(chat_slab, c_inf_loc, prev_j, eta, dt, plan_x)
-
-        deltas_p, deltas_c, driving = [], [], []
-        converged_slab = False
-        traj_k = None
-        c_cur_nodes = c_prev_nodes
-        chat_cur_nodes = None
-        k = 2
-        while k <= k_max:
-            a_nodes = a_offset + accumulate_time_integral(prev_pt, dt)
-            sep_x = [-_alpha_raw(c_prev_nodes[i], params.alpha1, params.c_R,
-                                 "coupled iterate") for i in range(n_local + 1)]
-            track = CoefficientTrack(local_sched, grid,
-                                     a=[gamma * a_i for a_i in a_nodes],
-                                     sep_x=sep_x, sep_v=rho.values, strict=False)
-            traj_k = solve_linear(p_slab, track, params.sigma, plan=plan,
-                                  record_moments=True, saved_nodes=local_saved,
-                                  speed=speed_mode, clamp_saves=True)
-            diag.iterations += 1
-            c_cur_nodes, chat_cur_nodes = _advance_c_nodes(
-                chat_slab, c_inf_loc, traj_k.j_nodes, eta, dt, plan_x)
-
-            cur_p_fields = [f.values for f in traj_k.fields]
-            d_p = _relative_delta(cur_p_fields, prev_p_fields)
-            d_c = _relative_delta([c_cur_nodes[i] for i in local_saved],
-                                  [c_prev_nodes[i] for i in local_saved])
-            deltas_p.append(d_p)
-            deltas_c.append(d_c)
-            driving.append(max(d_p, d_c))
-            if driving[-1] <= tol:
-                converged_slab = True
-                break
-            prev_p_fields = cur_p_fields
-            prev_pt = traj_k.p_tilde_nodes
-            prev_j = traj_k.j_nodes
-            c_prev_nodes = c_cur_nodes
-            k += 1
-
-        diag.deltas_p.append(deltas_p)
-        diag.deltas_c.append(deltas_c)
-        diag.driving_deltas.append(driving)
-        diag.k_per_slab.append(k if converged_slab else k_max)
-        if not converged_slab:
-            diag.converged = False
-
-        # stitch only the schedule's own saved nodes (as in the pure driver)
-        for pos, node in enumerate(local_saved):
-            g_node = i0 + node
-            if g_node not in global_saved or (s > 0 and node == 0):
-                continue
-            t = g_node * dt
-            times.append(t)
-            p_fields.append(traj_k.fields[pos])
-            c_fields.append(SpatialField(grid, c_cur_nodes[node], time_tag=t, role="c"))
-            chat_saved.append(SpatialField(grid, chat_cur_nodes[node], time_tag=t,
-                                           role="c_hat"))
-            cinf_saved.append(SpatialField(grid, c_inf_loc[node], time_tag=t,
-                                           role="c_inf"))
-        pt_nodes[i0:i1 + 1] = traj_k.p_tilde_nodes
-        j_nodes[i0:i1 + 1] = traj_k.j_nodes
-
-        a_offset = a_offset + accumulate_time_integral(traj_k.p_tilde_nodes, dt)[-1]
-        p_slab = traj_k.fields[-1]
-        chat_slab = chat_cur_nodes[-1]
-        cinf_start = c_inf_loc[-1]
-
-    a_nodes_global = accumulate_time_integral(pt_nodes, dt)
-    p_traj = Trajectory(times, p_fields, node_times=schedule.times(),
-                        p_tilde_nodes=pt_nodes, j_nodes=j_nodes,
-                        aux={"a_nodes": a_nodes_global, "rho_sup": rho.sup_norm,
-                             "alpha_rate": alpha_rate})
-    c_traj = Trajectory(times, c_fields,
-                        aux={"c_hat": chat_saved, "c_inf": cinf_saved})
-    return p_traj, c_traj, diag
+    if c0 is None:
+        raise ConfigurationError("the coupled driver needs an initial concentration")
+    return _drive(p0, c0, None, params, schedule, k_max, tol, init)

@@ -352,31 +352,40 @@ def load_shipped_scenario(name: str, overrides=()) -> Scenario:
 # realisation and the full checked run
 
 
-def realise(scenario: Scenario) -> dict:
-    """Build the concrete fields and driver closures for a scenario."""
+@dataclass(frozen=True)
+class RealisedScenario:
+    """A scenario's concrete initial fields, ready to drive.
+
+    ``c0`` is None for the pure driver.  :meth:`drive` runs the scenario's
+    fixed point with its configured options (each can be overridden) and
+    returns ``(p_trajectory, c_trajectory or None, diagnostics)``.
+    """
+
+    scenario: Scenario
+    p0: PhaseField
+    c0: SpatialField
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.scenario.grid
+
+    def drive(self, tol=None, init=None, k_max=None):
+        sc, opts = self.scenario, self.scenario.picard
+        kwargs = dict(k_max=k_max or opts["k_max"],
+                      tol=tol if tol is not None else opts["tol"],
+                      init=init or opts["init"])
+        if self.c0 is None:
+            p_traj, diag = picard_pure(self.p0, None, sc.params, sc.schedule, **kwargs)
+            return p_traj, None, diag
+        return picard_coupled(self.p0, self.c0, sc.params, sc.schedule, **kwargs)
+
+
+def realise(scenario: Scenario) -> RealisedScenario:
+    """Build the concrete initial fields for a scenario."""
     grid = scenario.grid
     p0 = build_initial_p(grid, scenario.p_recipe)
     c0 = build_initial_c(grid, scenario.c_recipe) if scenario.driver == "coupled" else None
-    opts = scenario.picard
-
-    def run_pure(tol=None, init=None, k_max=None):
-        return picard_pure(
-            p0, None, scenario.params, scenario.schedule,
-            k_max=k_max or opts["k_max"],
-            tol=tol if tol is not None else opts["tol"],
-            init=init or opts["init"],
-        )
-
-    def run_coupled(tol=None, init=None, k_max=None):
-        return picard_coupled(
-            p0, c0, scenario.params, scenario.schedule,
-            k_max=k_max or opts["k_max"],
-            tol=tol if tol is not None else opts["tol"],
-            init=init or opts["init"],
-        )
-
-    return {"grid": grid, "p0": p0, "c0": c0,
-            "run_pure": run_pure, "run_coupled": run_coupled}
+    return RealisedScenario(scenario, p0, c0)
 
 
 def _semigroup_majorant(p0, times, sigma, rate=0.0) -> Trajectory:
@@ -521,7 +530,7 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
     least one invariant check failed.
     """
     made = realise(scenario)
-    p0 = made["p0"]
+    p0 = made.p0
     warnings = []
     frac = boundary_mass_fraction(p0)
     if frac > 1e-8:
@@ -530,13 +539,8 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
             "the box edge; the periodic wrap may pollute the run"
         )
 
-    if scenario.driver == "coupled":
-        p_traj, c_traj, diag = made["run_coupled"](tol=tol)
-    else:
-        p_traj, diag = made["run_pure"](tol=tol)
-        c_traj = None
-
-    checks = build_checks(scenario, p0, p_traj, c_traj=c_traj, c0=made["c0"])
+    p_traj, c_traj, diag = made.drive(tol=tol)
+    checks = build_checks(scenario, p0, p_traj, c_traj=c_traj, c0=made.c0)
     monotone = diag.deltas_strictly_decreasing()
     if diag.converged and monotone:
         code = EXIT_CHECK_FAILED if any(not c.passed for c in checks) else EXIT_OK

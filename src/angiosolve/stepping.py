@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, ShapeError, SignError
-from .grid import CLAMP_REL, GridSpec, PhaseField, SpatialField, speed_grid
+from .errors import ConfigurationError, ParameterError, ShapeError
+from .grid import GridSpec, PhaseField, SpatialField, apply_sign, speed_grid
 from .heat import HeatPlan
+from .moments import _first_moment_weights, _reduce_raw, _vector_j
 
 
 @dataclass(frozen=True)
@@ -116,16 +117,8 @@ def _sample_values(sample, grid, n_nodes, what, strict):
                     f"{grid.spatial_shape} or {grid.phase_shape}"
                 )
         if strict:
-            worst = float(arr.min())
-            if worst < 0.0:
-                limit = CLAMP_REL * float(np.max(np.abs(arr)))
-                if worst < -limit:
-                    idx = tuple(int(i) for i in np.unravel_index(arr.argmin(), arr.shape))
-                    raise SignError(
-                        f"strict track: {what} sample {k} has entry {worst:.6e} < 0 "
-                        f"at cell {idx}; use strict=False for signed coefficients"
-                    )
-                arr = np.where(arr < 0.0, 0.0, arr)
+            arr = apply_sign(arr, +1, f"strict track: {what} sample {k} "
+                                      "(use strict=False for signed coefficients)")
         out.append(arr)
     return out, single
 
@@ -214,6 +207,14 @@ class CoefficientTrack:
             term = _broadcast_x(s_m, g) * _broadcast_v(self._sep_v, g)
             w = term if w is None else w + term
         return w
+
+    @property
+    def source(self):
+        """The source samples: None, one phase array (constant in time), or
+        the list of node arrays."""
+        if self._f is None:
+            return None
+        return self._f[0] if self._f_const else list(self._f)
 
     def source_node(self, i: int):
         return self._pick(self._f, self._f_const, i)
@@ -314,46 +315,22 @@ def _strang_step(vals, half_factor, plan, dt, f_lo, f_hi):
 def advance_linear(p, a, f, sigma, dt, plan=None, strict=True) -> PhaseField:
     """One splitting step with midpoint coefficient ``a`` and constant source ``f``.
 
-    ``a`` may be a SpatialField (broadcast over velocity), a PhaseField, or
-    None; ``f`` a PhaseField or None, held constant across the step (both
-    endpoint weights use it).  For time-varying data drive
-    :func:`solve_linear` with a :class:`CoefficientTrack` instead.
+    ``a`` may be a scalar, a SpatialField (broadcast over velocity), a
+    PhaseField, or None; ``f`` a scalar, a PhaseField or None, held constant
+    across the step (both endpoint weights use it).  This is a one-step
+    :func:`solve_linear` over a constant :class:`CoefficientTrack`, so
+    ``strict`` means what it means there (``a >= 0`` and ``f >= 0``).
     """
     if not (math.isfinite(float(dt)) and float(dt) > 0.0):
         raise ParameterError(f"dt must be positive, got {dt!r}")
     grid = p.grid
-    if plan is None:
-        plan = HeatPlan(grid, sigma, "xv")
-    elif plan.grid != grid or plan.subspace != "xv":
-        raise ShapeError("plan must be a full phase-space plan on the field's lattice")
     if a is not None and np.isscalar(a):
-        a = SpatialField(grid, np.full(grid.spatial_shape, float(a)),
-                         time_tag=p.time_tag)
+        a = SpatialField(grid, np.full(grid.spatial_shape, float(a)))
     if f is not None and np.isscalar(f):
-        f = PhaseField(grid, np.full(grid.phase_shape, float(f)),
-                       time_tag=p.time_tag)
-    w = None
-    if a is not None:
-        if a.grid != grid:
-            raise ShapeError("coefficient lives on a different lattice")
-        if strict and float(a.values.min()) < 0.0:
-            limit = CLAMP_REL * float(np.max(np.abs(a.values)))
-            if float(a.values.min()) < -limit:
-                raise SignError(
-                    "coefficient has negative entries; pass strict=False for signed problems"
-                )
-        w = a.values if a.values.ndim == grid.dim_x + grid.dim_v else _broadcast_x(a.values, grid)
-    f_arr = None
-    if f is not None:
-        if f.grid != grid or f.values.shape != grid.phase_shape:
-            raise ShapeError("source must be a phase field on the same lattice")
-        f_arr = f.values
-    half = None if w is None else np.exp((-0.5 * dt) * w)
-    out = _strang_step(p.values, half, plan, dt, f_arr, f_arr)
-    nonneg = strict and float(p.values.min()) >= 0.0 and (
-        f_arr is None or float(f_arr.min()) >= 0.0
-    )
-    return PhaseField(grid, out, time_tag=p.time_tag + dt, nonnegative=nonneg)
+        f = PhaseField(grid, np.full(grid.phase_shape, float(f)))
+    sched = Schedule(t_end=float(dt), dt=float(dt))
+    track = CoefficientTrack(sched, grid, a=a, f=f, strict=strict)
+    return solve_linear(p, track, sigma, plan=plan).final
 
 
 def solve_linear(p0, track, sigma, schedule=None, plan=None,
@@ -384,7 +361,9 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None,
         p0 is nonnegative".  When active the marched values are floored at
         zero after every step (the exact flow preserves sign, so anything
         negative is FFT noise and would otherwise compound over long runs),
-        and saved fields carry ``nonnegative=True``.
+        and saved fields carry ``nonnegative=True``.  The floor follows
+        :func:`~angiosolve.grid.apply_sign`: a negative entry beyond the
+        clamping tolerance raises :class:`SignError` naming the step and cell.
 
     Returns
     -------
@@ -419,30 +398,19 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None,
 
     vector_j = isinstance(speed, str) and speed == "vector"
     if record_moments:
-        if speed is None:
+        if vector_j:
+            comps = _first_moment_weights(grid)
+        elif speed is None:
             speed = speed_grid(grid)
-        v_axes = tuple(range(grid.dim_v))
         p_tilde_rec = np.empty((n_steps + 1,) + grid.spatial_shape)
         j_rec = np.empty_like(p_tilde_rec)
-        if vector_j:
-            v1 = grid.v_coords()
-            comps = []
-            for ax in range(grid.dim_v):
-                expand = [1] * grid.dim_v
-                expand[ax] = v1.size
-                comps.append(np.ascontiguousarray(
-                    np.broadcast_to(v1.reshape(expand), grid.velocity_shape)))
 
     def _record(i, vals):
-        p_tilde_rec[i] = vals.sum(axis=grid.v_axes) * grid.v_cell_volume
+        p_tilde_rec[i] = _reduce_raw(vals, grid)
         if vector_j:
-            sq = None
-            for w in comps:
-                comp = np.tensordot(vals, w, axes=(grid.v_axes, v_axes))
-                sq = comp ** 2 if sq is None else sq + comp ** 2
-            j_rec[i] = np.sqrt(sq) * grid.v_cell_volume
+            j_rec[i] = _vector_j(vals, grid, comps)[1]
         else:
-            j_rec[i] = np.tensordot(vals, speed, axes=(grid.v_axes, v_axes)) * grid.v_cell_volume
+            j_rec[i] = _reduce_raw(vals, grid, speed)
 
     vals = p0.values
     t0 = p0.time_tag
@@ -465,7 +433,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None,
         f_hi = track.source_node(i + 1)
         vals = _strang_step(vals, half, plan, dt, f_lo, f_hi)
         if clamp:
-            vals = np.maximum(vals, 0.0)
+            vals = apply_sign(vals, +1, f"marched density at step {i + 1}")
         if record_moments:
             _record(i + 1, vals)
         if (i + 1) in saved:
@@ -492,9 +460,7 @@ def heat_upper_solution(p0, f_track, sigma, schedule) -> Trajectory:
     if isinstance(f_track, CoefficientTrack):
         if f_track.schedule != schedule:
             raise ConfigurationError("source track schedule differs from the requested one")
-        f = f_track._f if f_track._f is None else (
-            f_track._f[0] if f_track._f_const else list(f_track._f)
-        )
+        f = f_track.source
     else:
         f = f_track
     track = CoefficientTrack(schedule, p0.grid, a=None, f=f, strict=True)

@@ -40,24 +40,24 @@ def grid64():
 def zero_fix():
     sc = load_shipped_scenario("zero")
     made = realise(sc)
-    traj, diag = made["run_pure"]()
-    return {"scenario": sc, "p0": made["p0"], "traj": traj, "diag": diag}
+    traj, _, diag = made.drive()
+    return {"scenario": sc, "p0": made.p0, "traj": traj, "diag": diag}
 
 
 @pytest.fixture(scope="session")
 def pure_fix():
     sc = load_shipped_scenario("pure-gaussian")
     made = realise(sc)
-    traj, diag = made["run_pure"]()
-    return {"scenario": sc, "p0": made["p0"], "traj": traj, "diag": diag}
+    traj, _, diag = made.drive()
+    return {"scenario": sc, "p0": made.p0, "traj": traj, "diag": diag}
 
 
 @pytest.fixture(scope="session")
 def coupled_fix():
     sc = load_shipped_scenario("coupled-ramp")
     made = realise(sc)
-    p_traj, c_traj, diag = made["run_coupled"]()
-    return {"scenario": sc, "p0": made["p0"], "c0": made["c0"],
+    p_traj, c_traj, diag = made.drive()
+    return {"scenario": sc, "p0": made.p0, "c0": made.c0,
             "p_traj": p_traj, "c_traj": c_traj, "diag": diag}
 
 
@@ -65,6 +65,6 @@ def coupled_fix():
 def smoke_fix():
     sc = load_shipped_scenario("coupled-smoke-2d")
     made = realise(sc)
-    p_traj, c_traj, diag = made["run_coupled"]()
-    return {"scenario": sc, "p0": made["p0"], "c0": made["c0"],
+    p_traj, c_traj, diag = made.drive()
+    return {"scenario": sc, "p0": made.p0, "c0": made.c0,
             "p_traj": p_traj, "c_traj": c_traj, "diag": diag}

@@ -315,11 +315,11 @@ def test_criterion_12_alpha_lipschitz():
 def test_criterion_13_coupling_switch_off():
     base = ("params.alpha1=0.0",)
     made_c = realise(load_shipped_scenario("coupled-ramp", overrides=base))
-    p_c, _, diag_c = made_c["run_coupled"]()
+    p_c, _, diag_c = made_c.drive()
     made_p = realise(load_shipped_scenario(
         "coupled-ramp",
         overrides=base + ("scenario.driver=pure", "checks.names=positivity")))
-    p_p, diag_p = made_p["run_pure"]()
+    p_p, _, diag_p = made_p.drive()
     scale = max(float(np.abs(f.values).max()) for f in p_p.fields)
     dev = max(float(np.abs(a.values - b.values).max())
               for a, b in zip(p_c.fields, p_p.fields)) / scale

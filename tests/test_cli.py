@@ -3,9 +3,11 @@
 import json
 import shutil
 import subprocess
+from concurrent.futures import Future
 
 import pytest
 
+from angiosolve import cli
 from angiosolve.cli import main
 
 from test_scenarios import _PURE_TEXT
@@ -78,6 +80,45 @@ def test_run_parallel_jobs(capsys, tiny_cfg):
     out = capsys.readouterr().out
     assert "scenario zero (pure driver)" in out
     assert "scenario tiny (pure driver)" in out
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_run_jobs_capped_by_scenarios_and_cpus(capsys, monkeypatch, tiny_cfg):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert main(["run", "zero", tiny_cfg, "--jobs", "8"]) == 0  # 2 scenarios
+    assert main(["run", "zero", tiny_cfg, "zero", tiny_cfg, "--jobs", "8"]) == 0
+    assert _RecordingPool.sizes == [2, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert main(["run", "zero", tiny_cfg, "--jobs", "2"]) == 0  # runs inline
+    assert _RecordingPool.sizes == [2, 3]
+    assert capsys.readouterr().out.count("exit code: 0") == 8
+
+
+def test_run_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        assert main(["run", "zero", "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_run_returns_worst_exit_code(capsys, tiny_cfg):

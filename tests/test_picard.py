@@ -1,11 +1,14 @@
 """Fixed-point drivers against closed-form nonlinear solutions."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import cosh, sqrt
 
+from angiosolve import picard
 from angiosolve import (
     ConfigurationError,
     GridSpec,
@@ -159,6 +162,58 @@ def test_slab_partition_windows():
     assert slab_partition(10, 0.1, 1.2) == [0, 4, 8, 10]
     # absurdly strong damping still leaves one step per slab
     assert slab_partition(10, 0.1, 1e9) == list(range(11))
+
+
+# The discrete fixed point is defined node by node, so it cannot depend on
+# where the slabs are cut: any partition whose slabs are no longer than the
+# paper's contraction window must converge to the same run.  The shared slab
+# loop (and any cheaper slab policy) relies on this.
+_PARTITION_TOL = 1e-9
+_PAPER_MAX = 15  # longest drawn slab; both paper windows below are >= this
+
+
+@pytest.fixture(scope="module")
+def paper_partition_runs():
+    g = GridSpec(dim_x=1, dim_v=1, n_x=64, n_v=64, half_width_x=8.0, half_width_v=8.0)
+    p0, c0 = _flat_in_x(g), _c_bump(g)
+    params = _params(gamma=9.0)
+    sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
+    pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL)
+    p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL)
+    for diag in (d_pure, d_c):
+        assert diag.converged
+        assert round(diag.slab_edges[1] / sched.dt) >= _PAPER_MAX
+    return (p0, c0, params, sched), pure, (p_c, c_c)
+
+
+def _max_relative_gap(a, b):
+    np.testing.assert_allclose(a.times, b.times, rtol=0, atol=1e-12)
+    scale = max(float(np.abs(f.values).max()) for f in b.fields)
+    return max(float(np.abs(x.values - y.values).max())
+               for x, y in zip(a.fields, b.fields)) / scale
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(1, _PAPER_MAX), min_size=1, max_size=6))
+def test_fixed_point_does_not_depend_on_slab_partition(paper_partition_runs, lengths):
+    (p0, c0, params, sched), pure_ref, (p_ref, c_ref) = paper_partition_runs
+
+    def partition(n_steps, dt, sup_m):
+        edges = [0]
+        for length in itertools.cycle(lengths):
+            if edges[-1] == n_steps:
+                return edges
+            edges.append(min(n_steps, edges[-1] + length))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(picard, "slab_partition", partition)
+        pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL)
+        p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL)
+    assert d_pure.converged and d_c.converged
+    assert len(d_pure.k_per_slab) == len(partition(sched.n_steps, sched.dt, 0.0)) - 1
+    assert _max_relative_gap(pure, pure_ref) <= 10 * _PARTITION_TOL
+    assert _max_relative_gap(p_c, p_ref) <= 10 * _PARTITION_TOL
+    assert _max_relative_gap(c_c, c_ref) <= 10 * _PARTITION_TOL
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from angiosolve import (CoefficientTrack, ConfigurationError, HeatPlan,
                         ParameterError, PhaseField, Schedule, ShapeError,
-                        advance_linear, heat_step, heat_upper_solution,
-                        integrate_phase, solve_linear)
+                        SignError, advance_linear, heat_step,
+                        heat_upper_solution, integrate_phase, solve_linear)
 
 from conftest import gaussian_phase, small_grid
 
@@ -163,6 +163,27 @@ def test_solve_linear_records_moment_nodes(grid64):
     # moments are nonnegative throughout
     assert traj.p_tilde_nodes.min() >= 0.0
     assert traj.j_nodes.min() >= 0.0
+
+
+def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch):
+    # the per-step floor may only absorb round-off: a heat step that comes
+    # back with an entry of -1e-3 * sup must stop the march at that cell
+    p0 = gaussian_phase(grid64)
+    track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid64)
+    clean = HeatPlan.apply
+    calls = []
+
+    def faulty(self, values, tau, kind):
+        out = clean(self, values, tau, kind)
+        calls.append(tau)
+        if len(calls) == 3:
+            out = out.copy()
+            out[17, 40] = -1e-3 * float(out.max())
+        return out
+
+    monkeypatch.setattr(HeatPlan, "apply", faulty)
+    with pytest.raises(SignError, match=r"step 3 .*cell \(17, 40\)"):
+        solve_linear(p0, track, SIGMA)
 
 
 def test_heat_upper_solution_no_source_is_heat(grid64):
