@@ -21,22 +21,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import AngiosolveError, ConfigurationError
-from .scenarios import (EXIT_CONFIG, boundary_mass_fraction, format_summary,
-                        load_scenario, load_shipped_scenario, realise,
-                        run_scenario, shipped_scenarios)
-
-_CHECK_DOC = (
-    ("positivity", "density stays nonnegative at every saved time"),
-    ("comparison", "density stays below its production-envelope heat flow"),
-    ("gronwall", "L^q norms of density and second moment respect their "
-                 "exponential envelopes (q = 1, 2, inf)"),
-    ("energy", "squared L^2 norm plus accumulated dissipation stays below "
-               "the initial energy plus source work"),
-    ("speed_bound", "speed moment obeys j <= R p~ + m / R for each weight R"),
-    ("c_bounds", "concentration stays within [0, sup c0] and the depletion "
-                 "term stays nonpositive (coupled runs only)"),
-)
-
+from .scenarios import (CHECKS, EXIT_CONFIG, boundary_mass_fraction,
+                        format_summary, load_scenario, load_shipped_scenario,
+                        realise, run_scenario, shipped_scenarios)
 
 def _resolve(config: str, overrides):
     if os.path.exists(config):
@@ -98,8 +85,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_list_checks(_args) -> int:
-    width = max(len(name) for name, _ in _CHECK_DOC)
-    for name, doc in _CHECK_DOC:
+    width = max(len(name) for name in CHECKS)
+    for name, (doc, _) in CHECKS.items():
         sys.stdout.write(f"{name.ljust(width)}  {doc}\n")
     return 0
 

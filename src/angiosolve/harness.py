@@ -259,17 +259,17 @@ def check_c_bounds(c_traj, c0, tol: float = 1e-12, diffusivity: float = None,
     if sup_c0 <= 0.0:
         sup_c0 = 1.0
     chat_fields = c_traj.aux.get("c_hat")
-    plan = None
+    t0 = float(c_traj.times[0])
     if chat_fields is None:
         if diffusivity is None:
             raise ConfigurationError(
                 "no depletion snapshots in the trajectory; pass diffusivity "
                 "so the far field can be recomputed"
             )
-        plan = HeatPlan(c0.grid, diffusivity, "x")
-    t0 = float(c_traj.times[0])
+        far_field = HeatPlan(c0.grid, diffusivity, "x").apply_each(
+            c0.values, [t - t0 for t in c_traj.times], "spatial")
     slacks, cells = [], []
-    for k, (t, f) in enumerate(zip(c_traj.times, c_traj.fields)):
+    for k, f in enumerate(c_traj.fields):
         vals = f.values
         # (1) c >= 0
         i_min = int(vals.argmin())
@@ -278,10 +278,7 @@ def check_c_bounds(c_traj, c0, tol: float = 1e-12, diffusivity: float = None,
         i_max = int(vals.argmax())
         s2 = (sup_c0 - float(vals.flat[i_max])) / sup_c0
         # (3) depletion <= 0
-        if chat_fields is not None:
-            chat = chat_fields[k].values
-        else:
-            chat = vals - plan.apply(c0.values, t - t0, "spatial")
+        chat = vals - next(far_field) if chat_fields is None else chat_fields[k].values
         i_hat = int(chat.argmax())
         s3 = -float(chat.flat[i_hat]) / sup_c0
         options = [

@@ -10,7 +10,10 @@ application for tau + tau' up to round-off.
 
 A :class:`HeatPlan` fixes the lattice, the diffusivity and the subspace the
 Laplacian acts on ("xv" for the full phase Laplacian, "x" or "v" for the
-partial ones) and caches the multiplier arrays per step size.
+partial ones).  It lays out each field kind it serves once (shape,
+transformed axes, |k|^2) and keeps one multiplier per kind: the last step
+size asked for, which is the one the steppers reuse.  This module is the only
+user of the FFT; every other module transforms through a plan.
 """
 
 from __future__ import annotations
@@ -26,13 +29,6 @@ from .grid import GridSpec, PhaseField, SpatialField
 _SUBSPACES = ("xv", "x", "v")
 
 
-def _axis_wavenumbers(n: int, spacing: float, halved: bool) -> np.ndarray:
-    """Angular wavenumbers 2*pi*f for one axis (real-transform layout if halved)."""
-    if halved:
-        return 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
-    return 2.0 * math.pi * np.fft.fftfreq(n, d=spacing)
-
-
 def _k_squared(shape, axes, spacings, halved_last: bool = True) -> np.ndarray:
     """|k|^2 over the transformed axes, broadcastable to the spectral array.
 
@@ -44,7 +40,8 @@ def _k_squared(shape, axes, spacings, halved_last: bool = True) -> np.ndarray:
     k2 = None
     for pos, ax in enumerate(axes):
         halved = halved_last and pos == len(axes) - 1
-        k = _axis_wavenumbers(shape[ax], spacings[pos], halved)
+        freq = np.fft.rfftfreq if halved else np.fft.fftfreq
+        k = 2.0 * math.pi * freq(shape[ax], d=spacings[pos])
         expand = [1] * ndim
         expand[ax] = k.size
         term = (k ** 2).reshape(expand)
@@ -53,7 +50,7 @@ def _k_squared(shape, axes, spacings, halved_last: bool = True) -> np.ndarray:
 
 
 class HeatPlan:
-    """Reusable multiplier table for one (grid, diffusivity, subspace) triple.
+    """Heat semigroup and its FFT for one (grid, diffusivity, subspace) triple.
 
     Parameters
     ----------
@@ -74,59 +71,80 @@ class HeatPlan:
         self.grid = grid
         self.diffusivity = float(diffusivity)
         self.subspace = subspace
-        self._k2 = {}
-        self._mult = {}
+        axes, spacings = (), ()
+        if subspace != "v":
+            axes, spacings = grid.x_axes, (grid.h_x,) * grid.dim_x
+        if subspace != "x":
+            axes, spacings = axes + grid.v_axes, spacings + (grid.h_v,) * grid.dim_v
+        shapes = {"phase": grid.phase_shape}
+        if subspace == "x":
+            shapes["spatial"] = grid.spatial_shape
+        # kind -> (shape of one field, transformed axes counted from the end
+        # so that stacks transform alike, their lengths, |k|^2)
+        self._layouts = {}
+        for kind, shape in shapes.items():
+            ends = tuple(ax - len(shape) for ax in axes)
+            self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends),
+                                   _k_squared(shape, ends, spacings))
+        self._mult = {}   # kind -> (tau, multiplier) of the last request
 
     def _layout(self, kind: str):
-        """(shape, transformed axes, spacings) for a field kind."""
-        g = self.grid
-        if kind == "phase":
-            shape = g.phase_shape
-            if self.subspace == "xv":
-                axes = g.x_axes + g.v_axes
-                spacings = (g.h_x,) * g.dim_x + (g.h_v,) * g.dim_v
-            elif self.subspace == "x":
-                axes = g.x_axes
-                spacings = (g.h_x,) * g.dim_x
-            else:
-                axes = g.v_axes
-                spacings = (g.h_v,) * g.dim_v
-        elif kind == "spatial":
-            if self.subspace != "x":
-                raise ShapeError(
-                    f"a subspace-{self.subspace!r} plan cannot act on a spatial field"
-                )
-            shape = g.spatial_shape
-            axes = tuple(range(g.dim_x))
-            spacings = (g.h_x,) * g.dim_x
-        else:  # pragma: no cover - internal misuse
-            raise ParameterError(f"unknown field kind {kind!r}")
-        return shape, axes, spacings
+        if kind in self._layouts:
+            return self._layouts[kind]
+        if kind == "spatial":
+            raise ShapeError(f"a subspace-{self.subspace!r} plan cannot act on "
+                             "a spatial field")
+        raise ParameterError(f"unknown field kind {kind!r}")
+
+    def forward(self, values: np.ndarray, kind: str) -> np.ndarray:
+        """Real FFT of one field, or of a stack of fields on a leading axis."""
+        shape, axes, _, _ = self._layout(kind)
+        if values.shape[values.ndim - len(shape):] != shape:
+            raise ShapeError(f"array shape {values.shape} does not match plan lattice {shape}")
+        return np.fft.rfftn(values, axes=axes)
+
+    def inverse(self, spec: np.ndarray, kind: str) -> np.ndarray:
+        """Inverse of :meth:`forward` (stacks included)."""
+        _, axes, sizes, _ = self._layout(kind)
+        return np.fft.irfftn(spec, s=sizes, axes=axes)
 
     def multiplier(self, tau: float, kind: str) -> np.ndarray:
-        """exp(-sigma |k|^2 tau) laid out for the spectral array of ``kind``."""
-        key = (float(tau), kind)
-        mult = self._mult.get(key)
-        if mult is None:
-            if kind not in self._k2:
-                shape, axes, spacings = self._layout(kind)
-                self._k2[kind] = _k_squared(shape, axes, spacings)
-            mult = np.exp(-self.diffusivity * float(tau) * self._k2[kind])
-            mult.setflags(write=False)
-            self._mult[key] = mult
+        """exp(-sigma |k|^2 tau) laid out for the spectral array of ``kind``.
+
+        Only the last one of each kind is kept (memory bounded by the
+        lattice); callers reusing many times keep their own list.
+        """
+        tau = float(tau)
+        last = self._mult.get(kind)
+        if last is not None and last[0] == tau:
+            return last[1]
+        mult = np.exp(-self.diffusivity * tau * self._layout(kind)[3])
+        mult.setflags(write=False)
+        self._mult[kind] = (tau, mult)
         return mult
 
     def apply(self, values: np.ndarray, tau: float, kind: str) -> np.ndarray:
         """Heat flow on a raw array (hot path; no field wrapping)."""
         if tau == 0.0:
             return values
-        shape, axes, _ = self._layout(kind)
-        if values.shape != shape:
-            raise ShapeError(f"array shape {values.shape} does not match plan lattice {shape}")
-        spec = np.fft.rfftn(values, axes=axes)
+        spec = self.forward(values, kind)
         spec *= self.multiplier(tau, kind)
-        sizes = tuple(shape[ax] for ax in axes)
-        return np.fft.irfftn(spec, s=sizes, axes=axes)
+        return self.inverse(spec, kind)
+
+    def apply_each(self, values: np.ndarray, taus, kind: str):
+        """Yield the heat flow of one array for each time in ``taus``.
+
+        The array is transformed once and inverted once per time, with the
+        same bits :meth:`apply` gives; a time of 0 yields ``values`` itself.
+        """
+        spec = None
+        for tau in taus:
+            if tau == 0.0:
+                yield values
+                continue
+            if spec is None:
+                spec = self.forward(values, kind)
+            yield self.inverse(spec * self.multiplier(tau, kind), kind)
 
 
 def heat_step(field, tau: float, plan: HeatPlan):

@@ -2,7 +2,9 @@
 
 Nothing here shares discretisation machinery with the production stepper
 beyond the exact spectral heat flow (which is a closed-form multiplier, not
-a scheme):
+a scheme).  The two integral-form referees transform through the same
+:class:`HeatPlan` as the stepper (its ``forward``/``inverse`` and
+``multiplier``), so the FFT layout lives in one place:
 
 * :func:`fd_reference` -- explicit finite differences with a central-stencil
   Laplacian, first order in its own (tiny) time step and second order in h.
@@ -30,6 +32,7 @@ from scipy.special import lambertw
 from .errors import ConfigurationError, OracleError, ParameterError, ShapeError
 from .grid import GridSpec, PhaseField, SpatialField, apply_sign
 from .heat import HeatPlan
+from .picard import _relative_delta
 from .stepping import CoefficientTrack, Schedule, Trajectory
 
 
@@ -126,17 +129,8 @@ def duhamel_reference(p0: PhaseField, track: CoefficientTrack, sigma: float,
     dt = schedule.dt
     n = schedule.n_steps
     plan = HeatPlan(grid, sigma, "xv")
-    shape, axes, _ = plan._layout("phase")
-    sizes = tuple(shape[ax] for ax in axes)
-
-    def fwd(arr):
-        return np.fft.rfftn(arr, axes=axes)
-
-    def back(spec):
-        return np.fft.irfftn(spec, s=sizes, axes=axes)
-
     mult = [plan.multiplier(l * dt, "phase") for l in range(n + 1)]
-    p0_hat = fwd(p0.values)
+    p0_hat = plan.forward(p0.values, "phase")
 
     # trapezoid weights on 0..j: dt/2 at both ends, dt inside
     def weights(j):
@@ -146,7 +140,8 @@ def duhamel_reference(p0: PhaseField, track: CoefficientTrack, sigma: float,
 
     f_hat = None
     if track.source is not None:
-        f_hat = [fwd(np.broadcast_to(track.source_node(i), shape)) for i in range(n + 1)]
+        f_hat = [plan.forward(np.broadcast_to(track.source_node(i), grid.phase_shape),
+                              "phase") for i in range(n + 1)]
 
     base = []
     for j in range(n + 1):
@@ -159,11 +154,11 @@ def duhamel_reference(p0: PhaseField, track: CoefficientTrack, sigma: float,
 
     a_nodes = [track.coefficient_node(i) for i in range(n + 1)]
     has_a = any(a is not None for a in a_nodes)
-    p = [back(b) for b in base]
+    p = [plan.inverse(b, "phase") for b in base]
     if has_a:
         for sweep in range(max_sweeps):
             q_hat = [
-                fwd(a_nodes[i] * p[i]) if a_nodes[i] is not None else None
+                None if a_nodes[i] is None else plan.forward(a_nodes[i] * p[i], "phase")
                 for i in range(n + 1)
             ]
             worst = 0.0
@@ -175,7 +170,7 @@ def duhamel_reference(p0: PhaseField, track: CoefficientTrack, sigma: float,
                 for i in range(j + 1):
                     if q_hat[i] is not None:
                         acc -= w[i] * (mult[j - i] * q_hat[i])
-                pj = back(acc)
+                pj = plan.inverse(acc, "phase")
                 worst = max(worst, float(np.abs(pj - p[j]).max()))
                 new_p.append(pj)
             p = new_p
@@ -292,19 +287,17 @@ def volterra_fundamental(a, sigma: float, grid: GridSpec, t: float,
         a_vals = np.broadcast_to(a_vals, grid.phase_shape)
 
     plan = HeatPlan(grid, sigma, "xv")
-    shape, axes, _ = plan._layout("phase")
-    sizes = tuple(shape[ax] for ax in axes)
 
     delta = np.zeros(grid.phase_shape)
     delta[source_cell] = 1.0 / grid.cell_volume
-    delta_hat = np.fft.rfftn(delta, axes=axes)
+    delta_hat = plan.forward(delta, "phase")
 
     def g_delta(tau_batch):
         """G(tau) delta for a 1-D array of times, batched."""
         out = np.empty((len(tau_batch),) + grid.phase_shape)
         for idx, tau in enumerate(tau_batch):
-            out[idx] = np.fft.irfftn(plan.multiplier(float(tau), "phase") * delta_hat,
-                                     s=sizes, axes=axes)
+            out[idx] = plan.inverse(plan.multiplier(float(tau), "phase") * delta_hat,
+                                    "phase")
         return out
 
     # Chebyshev-Lobatto collocation times on [0, t] (ascending, tau_0 = 0)
@@ -341,13 +334,11 @@ def volterra_fundamental(a, sigma: float, grid: GridSpec, t: float,
             interp = BarycentricInterpolator(tau, r_nodes, axis=0)
             r_at_s = interp(s_all)
             gamma_s = g_delta_s - r_at_s
-            q_hat = np.fft.rfftn(a_vals * gamma_s,
-                                 axes=tuple(ax + 1 for ax in axes))
+            q_hat = plan.forward(a_vals * gamma_s, "phase")
             r_new = np.zeros_like(r_nodes)
             for q in range(len(s_all)):
                 j = int(owner[q])
-                r_new[j] += w_all[q] * np.fft.irfftn(lag_mult[q] * q_hat[q],
-                                                     s=sizes, axes=axes)
+                r_new[j] += w_all[q] * plan.inverse(lag_mult[q] * q_hat[q], "phase")
             worst = float(np.abs(r_new - r_nodes).max())
             scale = float(np.abs(g_delta_tau - r_new).max()) or 1.0
             r_nodes = r_new
@@ -407,12 +398,6 @@ def uniqueness_probe(scenario, seed_a: str = "zero", seed_b: str = "heat",
         if not diag.converged:
             raise OracleError("a probe run failed to converge; cannot compare seeds")
     (pa, ca, _), (pb, cb, _) = results
-    worst = 0.0
-    scale_p = max(float(np.abs(f.values).max()) for f in pa.fields + pb.fields) or 1.0
-    for fa, fb in zip(pa.fields, pb.fields):
-        worst = max(worst, float(np.abs(fa.values - fb.values).max()) / scale_p)
-    if ca is not None:
-        scale_c = max(float(np.abs(f.values).max()) for f in ca.fields + cb.fields) or 1.0
-        for fa, fb in zip(ca.fields, cb.fields):
-            worst = max(worst, float(np.abs(fa.values - fb.values).max()) / scale_c)
-    return worst
+    pairs = [(pa, pb)] if ca is None else [(pa, pb), (ca, cb)]
+    return max(_relative_delta([f.values for f in ta.fields],
+                               [f.values for f in tb.fields]) for ta, tb in pairs)

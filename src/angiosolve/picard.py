@@ -127,6 +127,17 @@ def alpha_of_c(c: SpatialField, alpha1: float, c_R: float) -> SpatialField:
     return SpatialField(c.grid, vals, time_tag=c.time_tag, role="alpha_of_c")
 
 
+def velocity_profile(grid, params: ModelParams):
+    """The model's rho_eps on the lattice; a scalar v0 is repeated per
+    velocity axis, any other length must match dim_v."""
+    v0 = params.v0 if len(params.v0) == grid.dim_v else params.v0 * grid.dim_v
+    if len(v0) != grid.dim_v:
+        raise ConfigurationError(
+            f"v0 has {len(params.v0)} components for a dim_v={grid.dim_v} lattice"
+        )
+    return gaussian_rho(grid, params.epsilon, v0)
+
+
 def _alpha_raw(c_vals: np.ndarray, alpha1: float, c_R: float, what: str) -> np.ndarray:
     c_vals = apply_sign(c_vals, +1, f"{what} concentration")
     return alpha1 * c_vals / (c_R + c_vals)
@@ -237,10 +248,8 @@ def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
     exact, so evaluating each node in one shot composes exactly with the
     previous slabs.
     """
-    out = np.empty((n_local + 1,) + c_start_vals.shape)
-    for i in range(n_local + 1):
-        out[i] = plan_x.apply(c_start_vals, i * dt, "spatial")
-    return out
+    taus = [i * dt for i in range(n_local + 1)]
+    return np.stack(list(plan_x.apply_each(c_start_vals, taus, "spatial")))
 
 
 def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
@@ -308,12 +317,7 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     if coupled:
         if c0.role != "c":
             c0 = SpatialField(grid, c0.values, time_tag=c0.time_tag, role="c")
-        v0 = params.v0 if len(params.v0) == grid.dim_v else params.v0 * grid.dim_v
-        if len(v0) != grid.dim_v:
-            raise ConfigurationError(
-                f"v0 has {len(params.v0)} components for a dim_v={grid.dim_v} lattice"
-            )
-        rho = gaussian_rho(grid, params.epsilon, v0)
+        rho = velocity_profile(grid, params)
         rho_v = rho.values
         alpha_rate = params.alpha1 * rho.sup_norm
         speed_mode = "vector" if params.use_vector_j else None
@@ -422,10 +426,9 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             g_node = i0 + node
             if g_node not in global_saved or (s > 0 and node == 0):
                 continue
-            # pure runs report the fields' own time tags, coupled runs the
-            # global node times; after a slab restart the two can differ in
-            # the last bit, and the written outputs keep each as it was
-            t = g_node * dt if coupled else traj_k.times[pos]
+            # the fields' own tags (slab start + local node * dt), which
+            # after a slab restart can differ from g_node * dt in the last bit
+            t = traj_k.times[pos]
             times.append(t)
             p_fields.append(traj_k.fields[pos])
             if coupled:

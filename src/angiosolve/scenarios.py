@@ -31,14 +31,25 @@ from .grid import GridSpec, PhaseField, SpatialField, lq_norm
 from .harness import (check_c_bounds, check_comparison, check_energy,
                       check_gronwall, check_positivity, check_speed_bound,
                       write_report)
-from .heat import HeatPlan, gaussian_rho
+from .heat import HeatPlan
 from .moments import moments_of, second_moment, velocity_marginal
-from .picard import ModelParams, _alpha_raw, picard_coupled, picard_pure
+from .picard import (ModelParams, _alpha_raw, picard_coupled, picard_pure,
+                     velocity_profile)
 from .snapshots import save_field, write_moment_table
 from .stepping import Schedule, Trajectory
 
-CHECK_NAMES = ("positivity", "comparison", "gronwall", "energy",
-               "speed_bound", "c_bounds")
+# name -> (one-line doc, coupled driver only); a scenario naming none runs all it can
+CHECKS = {
+    "positivity": ("density stays nonnegative at every saved time", False),
+    "comparison": ("density stays below its production-envelope heat flow", False),
+    "gronwall": ("L^q norms of density and second moment respect their "
+                 "exponential envelopes (q = 1, 2, inf)", False),
+    "energy": ("squared L^2 norm plus accumulated dissipation stays below "
+               "the initial energy plus source work", False),
+    "speed_bound": ("speed moment obeys j <= R p~ + m / R for each weight R", False),
+    "c_bounds": ("concentration stays within [0, sup c0] and the depletion "
+                 "term stays nonpositive (coupled runs only)", True),
+}
 
 
 @dataclass(frozen=True)
@@ -306,14 +317,15 @@ def load_scenario(source, overrides=()) -> Scenario:
         ck = _section(parser, "checks", required=False)
         names = tuple(
             tok.strip() for tok in ck.get("names", "").replace(",", " ").split()
-        ) or _default_checks(driver)
+        ) or tuple(n for n, (_, coupled_only) in CHECKS.items()
+                   if driver == "coupled" or not coupled_only)
         for n in names:
-            if n not in CHECK_NAMES:
+            if n not in CHECKS:
                 raise ConfigurationError(
-                    f"unknown check {n!r} (available: {', '.join(CHECK_NAMES)})"
+                    f"unknown check {n!r} (available: {', '.join(CHECKS)})"
                 )
-        if "c_bounds" in names and driver != "coupled":
-            raise ConfigurationError("check 'c_bounds' needs the coupled driver")
+            if CHECKS[n][1] and driver != "coupled":
+                raise ConfigurationError(f"check {n!r} needs the coupled driver")
     except KeyError as exc:
         raise ConfigurationError(f"scenario file is missing required key {exc}") from exc
     except ValueError as exc:
@@ -322,11 +334,6 @@ def load_scenario(source, overrides=()) -> Scenario:
     return Scenario(name=name, driver=driver, grid=grid, params=params,
                     schedule=schedule, p_recipe=p_recipe, c_recipe=c_recipe,
                     picard=picard, checks=names)
-
-
-def _default_checks(driver):
-    base = ("positivity", "comparison", "gronwall", "energy", "speed_bound")
-    return base + ("c_bounds",) if driver == "coupled" else base
 
 
 def shipped_scenarios() -> dict:
@@ -392,9 +399,9 @@ def _semigroup_majorant(p0, times, sigma, rate=0.0) -> Trajectory:
     """exp(rate*t) * heat(p0, t) at the given times (exact semigroup)."""
     plan = HeatPlan(p0.grid, sigma, "xv")
     t0 = float(times[0])
+    flows = plan.apply_each(p0.values, [float(t - t0) for t in times], "phase")
     fields = []
-    for t in times:
-        vals = plan.apply(p0.values, float(t - t0), "phase")
+    for t, vals in zip(times, flows):
         if rate:
             vals = math.exp(rate * (t - t0)) * vals
         fields.append(PhaseField(p0.grid, vals, time_tag=float(t)))
@@ -420,8 +427,10 @@ def build_checks(scenario: Scenario, p0, p_traj, c_traj=None, c0=None) -> list:
     params = scenario.params
     grid = scenario.grid
     out = []
-    rho_sup = (math.pi * params.epsilon) ** (-grid.dim_v / 2.0)
-    rate = params.alpha1 * rho_sup if scenario.driver == "coupled" else 0.0
+    rho, rate = None, 0.0
+    if scenario.driver == "coupled":
+        rho = velocity_profile(grid, params)
+        rate = params.alpha1 * rho.sup_norm
     for name in scenario.checks:
         if name == "positivity":
             out.append(check_positivity(p_traj))
@@ -451,9 +460,6 @@ def build_checks(scenario: Scenario, p0, p_traj, c_traj=None, c0=None) -> list:
                     name=f"gronwall_m_{tag}"))
         elif name == "energy":
             if scenario.driver == "coupled":
-                rho = gaussian_rho(grid, params.epsilon,
-                                   params.v0 if len(params.v0) == grid.dim_v
-                                   else params.v0 * grid.dim_v)
                 f_fields = []
                 for pf, cf in zip(p_traj.fields, c_traj.fields):
                     alpha = _alpha_raw(cf.values, params.alpha1, params.c_R,

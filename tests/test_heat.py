@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from angiosolve import (GridSpec, HeatPlan, ParameterError, PhaseField,
-                        ResolutionError, SpatialField, gaussian_rho,
+                        ResolutionError, ShapeError, SpatialField, gaussian_rho,
                         gradient_energy, heat_step, integrate_phase, lq_norm,
                         spectral_laplacian)
 
@@ -86,6 +87,48 @@ def test_spatial_fields_use_x_plan(grid64):
     out = heat_step(c, 1.0, HeatPlan(grid64, 0.05, "x"))
     expect = periodized_gaussian(grid64.x_coords(), 0.0, 1.1, 8.0)
     assert np.max(np.abs(out.values - expect)) < 1e-10 * expect.max()
+
+
+@pytest.mark.parametrize("subspace, kind", [("xv", "phase"), ("x", "phase"),
+                                             ("x", "spatial")])
+def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
+    # a stack transforms in one call with the same bits as one field at a
+    # time, and reusing one spectrum for many times matches apply per time
+    plan = HeatPlan(grid64, SIGMA, subspace)
+    shape = grid64.phase_shape if kind == "phase" else grid64.spatial_shape
+    stack = np.random.default_rng(7).random((3,) + shape)
+    flowed = plan.inverse(plan.forward(stack, kind) * plan.multiplier(0.3, kind), kind)
+    for k in range(3):
+        np.testing.assert_array_equal(flowed[k], plan.apply(stack[k], 0.3, kind))
+    field = stack[0]
+    each = list(plan.apply_each(field, [0.0, 0.1, 0.3], kind))
+    assert each[0] is field and plan.apply(field, 0.0, kind) is field
+    np.testing.assert_array_equal(each[1], plan.apply(field, 0.1, kind))
+    np.testing.assert_array_equal(each[2], flowed[0])
+    with pytest.raises(ShapeError):
+        plan.forward(np.zeros((3, 5)), kind)
+
+
+def test_plan_keeps_one_multiplier_per_kind(grid64):
+    # 500 distinct step sizes must not pile up 500 spectral arrays
+    plan = HeatPlan(grid64, SIGMA, "x")
+    phase_bytes = plan.multiplier(0.0, "phase").nbytes
+    spatial_bytes = plan.multiplier(0.0, "spatial").nbytes
+    full = HeatPlan(grid64, SIGMA, "xv")
+    full_bytes = full.multiplier(0.0, "phase").nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 501):
+            full.multiplier(i * 1e-3, "phase")
+            plan.multiplier(i * 1e-3, "phase")
+            plan.multiplier(i * 1e-3, "spatial")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= full_bytes + phase_bytes + spatial_bytes + 4096
+    last = full.multiplier(0.5, "phase")
+    assert full.multiplier(0.5, "phase") is last   # the step size in use is reused
 
 
 def test_gaussian_rho_mass_symmetry_and_guards(grid64):

@@ -396,6 +396,19 @@ def test_picard_coupled_decomposition_and_signs(grid64):
     assert float(c_traj.aux["c_hat"][-1].values.min()) < -1e-4
 
 
+def test_coupled_stitching_reports_the_fields_own_time_tags(coupled_fix):
+    # after a slab restart slab start + i*dt and node*dt can differ in the
+    # last bit; the saved times, the p and c snapshots and the aux snapshots
+    # all carry the one value the marched fields hold
+    p_traj, c_traj = coupled_fix["p_traj"], coupled_fix["c_traj"]
+    assert len(coupled_fix["diag"].k_per_slab) == 3
+    for k, pf in enumerate(p_traj.fields):
+        assert p_traj.times[k] == pf.time_tag
+        assert c_traj.times[k] == c_traj.fields[k].time_tag == pf.time_tag
+        assert c_traj.aux["c_hat"][k].time_tag == pf.time_tag
+        assert c_traj.aux["c_inf"][k].time_tag == pf.time_tag
+
+
 def test_picard_coupled_vector_moment_mode(grid64):
     # switching the consumption to the vector first moment changes c
     # (the magnitude is strictly below the speed moment for spread data)
