@@ -86,7 +86,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_list_checks(_args) -> int:
     width = max(len(name) for name in CHECKS)
-    for name, (doc, _) in CHECKS.items():
+    for name, (doc, _, _) in CHECKS.items():
         sys.stdout.write(f"{name.ljust(width)}  {doc}\n")
     return 0
 

@@ -66,8 +66,10 @@ def _finish(name, anchor, tol, times, slacks, cells) -> BoundCheck:
     )
 
 
-def _cell_of(index_flat, shape):
-    return tuple(int(i) for i in np.unravel_index(int(index_flat), shape))
+def _extreme(arr, which):
+    """(value, cell) of the first minimal (``"min"``) or maximal entry."""
+    k = int(arr.argmin() if which == "min" else arr.argmax())
+    return float(arr.flat[k]), tuple(int(i) for i in np.unravel_index(k, arr.shape))
 
 
 def check_positivity(traj, tol: float = 1e-12,
@@ -80,10 +82,9 @@ def check_positivity(traj, tol: float = 1e-12,
     scale = max(float(np.abs(f.values).max()) for f in traj.fields) or 1.0
     slacks, cells = [], []
     for f in traj.fields:
-        vals = f.values
-        k = int(vals.argmin())
-        slacks.append(float(vals.flat[k]) / scale)
-        cells.append(_cell_of(k, vals.shape))
+        low, cell = _extreme(f.values, "min")
+        slacks.append(low / scale)
+        cells.append(cell)
     return _finish(
         name,
         "nonnegative initial data propagate to nonnegative solutions",
@@ -108,10 +109,9 @@ def check_comparison(traj, majorant_traj, tol: float = 1e-10,
         scale = max(float(np.abs(f.values).max()) for f in traj.fields) or 1.0
     slacks, cells = [], []
     for f, g in zip(traj.fields, majorant_traj.fields):
-        gap = g.values - f.values
-        k = int(gap.argmin())
-        slacks.append(float(gap.flat[k]) / scale)
-        cells.append(_cell_of(k, gap.shape))
+        low, cell = _extreme(g.values - f.values, "min")
+        slacks.append(low / scale)
+        cells.append(cell)
     return _finish(
         name,
         anchor or "monotone comparison: the flow with the larger data and "
@@ -138,7 +138,7 @@ def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
             slacks.append(0.0 if norm == 0.0 else -np.inf)
         else:
             slacks.append((bound - norm) / bound)
-        cells.append(_cell_of(np.abs(f.values).argmax(), f.values.shape))
+        cells.append(_extreme(np.abs(f.values), "max")[1])
     return _finish(
         name,
         f"integral-inequality envelope: L^{q} norm grows at most like "
@@ -192,9 +192,7 @@ def check_energy(traj, f_fields, sigma: float, tol: float = None,
         else:
             tol = 1e-10
     slacks = res / scale
-    cells = [
-        _cell_of(np.abs(f.values).argmax(), f.values.shape) for f in traj.fields
-    ]
+    cells = [_extreme(np.abs(f.values), "max")[1] for f in traj.fields]
     return _finish(
         name,
         "L2 energy balance with spectral gradients: damping only removes "
@@ -230,11 +228,9 @@ def check_speed_bound(moment_sets, tol: float = 1e-10,
                 if not R > 0.0:
                     raise ParameterError(f"R must be positive, got {R!r}")
                 bound = R * pt + m / R
-            gap = bound - j
-            k = int(gap.argmin())
-            if float(gap.flat[k]) < worst:
-                worst = float(gap.flat[k])
-                cell = _cell_of(k, gap.shape)
+            low, low_cell = _extreme(bound - j, "min")
+            if low < worst:
+                worst, cell = low, low_cell
         times.append(ms.time_tag)
         slacks.append(worst / scale)
         cells.append(cell)
@@ -271,20 +267,14 @@ def check_c_bounds(c_traj, c0, tol: float = 1e-12, diffusivity: float = None,
     slacks, cells = [], []
     for k, f in enumerate(c_traj.fields):
         vals = f.values
-        # (1) c >= 0
-        i_min = int(vals.argmin())
-        s1 = float(vals.flat[i_min]) / sup_c0
-        # (2) c <= sup c0
-        i_max = int(vals.argmax())
-        s2 = (sup_c0 - float(vals.flat[i_max])) / sup_c0
-        # (3) depletion <= 0
+        low, low_cell = _extreme(vals, "min")          # (1) c >= 0
+        high, high_cell = _extreme(vals, "max")        # (2) c <= sup c0
         chat = vals - next(far_field) if chat_fields is None else chat_fields[k].values
-        i_hat = int(chat.argmax())
-        s3 = -float(chat.flat[i_hat]) / sup_c0
+        dep, dep_cell = _extreme(chat, "max")          # (3) depletion <= 0
         options = [
-            (s1, _cell_of(i_min, vals.shape)),
-            (s2, _cell_of(i_max, vals.shape)),
-            (s3, _cell_of(i_hat, chat.shape)),
+            (low / sup_c0, low_cell),
+            ((sup_c0 - high) / sup_c0, high_cell),
+            (-dep / sup_c0, dep_cell),
         ]
         s, cell = min(options, key=lambda sc: sc[0])
         slacks.append(s)

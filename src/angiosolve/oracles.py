@@ -15,7 +15,8 @@ a scheme).  The two integral-form referees transform through the same
 * :func:`volterra_fundamental` -- Chebyshev collocation / Gauss quadrature
   solve of the fundamental solution of dp/dt = sigma Lap p - a(x) p from a
   lattice delta, accurate to quadrature precision (far below 1e-8) on the
-  tiny grids it accepts, plus a Gaussian-envelope fit of the result.
+  tiny grids it accepts, plus a Gaussian-envelope fit of the result; it is
+  deterministic (closed-form interpolation weights, no global RNG draw).
 * :func:`uniqueness_probe` -- reruns a scenario's fixed point from two
   different seeds and reports how far apart the converged answers land.
 """
@@ -327,11 +328,14 @@ def volterra_fundamental(a, sigma: float, grid: GridSpec, t: float,
         lag_mult = [plan.multiplier(float(tau[owner[q]] - s_all[q]), "phase")
                     for q in range(len(s_all))]
         r_nodes = np.zeros((n_nodes,) + grid.phase_shape)
+        # closed-form Chebyshev-Lobatto weights: scipy's own ones draw on numpy's global RNG
+        wi = np.where((i == 0) | (i == n_nodes - 1), 0.5, 1.0) * (-1.0) ** i
+        interp = BarycentricInterpolator(tau, axis=0, wi=wi)
         history = []
         sweeps = 0
         for sweep in range(1, max_sweeps + 1):
             sweeps = sweep
-            interp = BarycentricInterpolator(tau, r_nodes, axis=0)
+            interp.set_yi(r_nodes)
             r_at_s = interp(s_all)
             gamma_s = g_delta_s - r_at_s
             q_hat = plan.forward(a_vals * gamma_s, "phase")

@@ -346,7 +346,6 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
     p_fields, c_fields, chat_saved, cinf_saved, times = [], [], [], [], []
     pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
-    j_nodes = np.empty_like(pt_nodes)
     a_offset = np.zeros(grid.spatial_shape)
     p_slab = p0
 
@@ -438,7 +437,6 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
                 cinf_saved.append(SpatialField(grid, c_inf_loc[node], time_tag=t,
                                                role="c_inf"))
         pt_nodes[i0:i1 + 1] = traj_k.p_tilde_nodes
-        j_nodes[i0:i1 + 1] = traj_k.j_nodes
         a_offset = a_offset + accumulate_time_integral(traj_k.p_tilde_nodes, dt)[-1]
         p_slab = traj_k.fields[-1]
         if coupled:
@@ -446,7 +444,6 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             cinf_start = c_inf_loc[-1]
 
     p_traj = Trajectory(times, p_fields, node_times=schedule.times(),
-                        p_tilde_nodes=pt_nodes, j_nodes=j_nodes,
                         aux={"a_nodes": accumulate_time_integral(pt_nodes, dt)})
     c_traj = None
     if coupled:

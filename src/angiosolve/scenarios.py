@@ -22,6 +22,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -36,20 +37,7 @@ from .moments import moments_of, second_moment, velocity_marginal
 from .picard import (ModelParams, _alpha_raw, picard_coupled, picard_pure,
                      velocity_profile)
 from .snapshots import save_field, write_moment_table
-from .stepping import Schedule, Trajectory
-
-# name -> (one-line doc, coupled driver only); a scenario naming none runs all it can
-CHECKS = {
-    "positivity": ("density stays nonnegative at every saved time", False),
-    "comparison": ("density stays below its production-envelope heat flow", False),
-    "gronwall": ("L^q norms of density and second moment respect their "
-                 "exponential envelopes (q = 1, 2, inf)", False),
-    "energy": ("squared L^2 norm plus accumulated dissipation stays below "
-               "the initial energy plus source work", False),
-    "speed_bound": ("speed moment obeys j <= R p~ + m / R for each weight R", False),
-    "c_bounds": ("concentration stays within [0, sup c0] and the depletion "
-                 "term stays nonpositive (coupled runs only)", True),
-}
+from .stepping import Schedule, Trajectory, _broadcast_v, _broadcast_x
 
 
 @dataclass(frozen=True)
@@ -113,6 +101,19 @@ def _gauss_1d(coords, centre, variance, half_width, spacing):
     return _periodized(profile, coords, half_width)
 
 
+def _gauss_factors(coords, centres, variance, half_width, spacing) -> list:
+    """One Gaussian factor per axis of a block, centred at ``centres[i]``."""
+    return [_gauss_1d(coords, c, variance, half_width, spacing) for c in centres]
+
+
+def _fold_outer(factors):
+    """Separable product of 1-D factors, folded left to right."""
+    vals = factors[0]
+    for fac in factors[1:]:
+        vals = np.multiply.outer(vals, fac)
+    return vals
+
+
 def build_initial_p(grid: GridSpec, recipe: dict) -> PhaseField:
     """Phase-density recipe lookup; see module docstring."""
     kind = recipe.get("recipe", "zero")
@@ -127,17 +128,11 @@ def build_initial_p(grid: GridSpec, recipe: dict) -> PhaseField:
     mass = float(recipe.get("mass", 1.0))
     if mass < 0.0:
         raise ConfigurationError(f"mass must be >= 0, got {mass!r}")
-    x = grid.x_coords()
-    v = grid.v_coords()
-    factors = [_gauss_1d(x, cx[i], var_x, grid.half_width_x, grid.h_x)
-               for i in range(grid.dim_x)]
-    factors += [_gauss_1d(v, cv[i], var_v, grid.half_width_v, grid.h_v)
-                for i in range(grid.dim_v)]
-    vals = factors[0]
-    for fac in factors[1:]:
-        vals = np.multiply.outer(vals, fac)
-    vals = vals * mass
-    return PhaseField(grid, vals, nonnegative=True)
+    factors = (
+        _gauss_factors(grid.x_coords(), cx, var_x, grid.half_width_x, grid.h_x)
+        + _gauss_factors(grid.v_coords(), cv, var_v, grid.half_width_v, grid.h_v)
+    )
+    return PhaseField(grid, _fold_outer(factors) * mass, nonnegative=True)
 
 
 def build_initial_c(grid: GridSpec, recipe: dict) -> SpatialField:
@@ -149,13 +144,9 @@ def build_initial_c(grid: GridSpec, recipe: dict) -> SpatialField:
         cx = _per_axis(recipe.get("center_x", 0.0), grid.dim_x, "center_x")
         var_x = float(recipe.get("variance_x", 0.25))
         mass = float(recipe.get("mass", 1.0))
-        x = grid.x_coords()
-        factors = [_gauss_1d(x, cx[i], var_x, grid.half_width_x, grid.h_x)
-                   for i in range(grid.dim_x)]
-        vals = factors[0]
-        for fac in factors[1:]:
-            vals = np.multiply.outer(vals, fac)
-        return SpatialField(grid, mass * vals, role="c")
+        factors = _gauss_factors(grid.x_coords(), cx, var_x,
+                                 grid.half_width_x, grid.h_x)
+        return SpatialField(grid, mass * _fold_outer(factors), role="c")
     if kind != "plateau_ramp":
         raise ConfigurationError(f"unknown concentration recipe {kind!r}")
     k_inf = float(recipe.get("k_inf", 1.0))
@@ -179,10 +170,7 @@ def build_initial_c(grid: GridSpec, recipe: dict) -> SpatialField:
             * (1.0 + np.tanh((hi - x) / width))
 
     ramp = _periodized(profile, grid.x_coords(), grid.half_width_x)
-    vals = ramp
-    for _ in range(grid.dim_x - 1):
-        vals = np.multiply.outer(vals, ramp)
-    return SpatialField(grid, k_inf * vals, role="c")
+    return SpatialField(grid, k_inf * _fold_outer([ramp] * grid.dim_x), role="c")
 
 
 def boundary_mass_fraction(p0: PhaseField, cells: int = 3) -> float:
@@ -250,7 +238,6 @@ def load_scenario(source, overrides=()) -> Scenario:
         if hasattr(source, "read"):
             parser.read_file(source)
         else:
-            text = None
             try:
                 with open(source, "r") as fh:
                     text = fh.read()
@@ -317,7 +304,7 @@ def load_scenario(source, overrides=()) -> Scenario:
         ck = _section(parser, "checks", required=False)
         names = tuple(
             tok.strip() for tok in ck.get("names", "").replace(",", " ").split()
-        ) or tuple(n for n, (_, coupled_only) in CHECKS.items()
+        ) or tuple(n for n, (_, coupled_only, _) in CHECKS.items()
                    if driver == "coupled" or not coupled_only)
         for n in names:
             if n not in CHECKS:
@@ -395,87 +382,117 @@ def realise(scenario: Scenario) -> RealisedScenario:
     return RealisedScenario(scenario, p0, c0)
 
 
-def _semigroup_majorant(p0, times, sigma, rate=0.0) -> Trajectory:
-    """exp(rate*t) * heat(p0, t) at the given times (exact semigroup)."""
-    plan = HeatPlan(p0.grid, sigma, "xv")
+@dataclass(frozen=True)
+class _FinishedRun:
+    """A finished run as the check evaluators read it (``rho`` None if pure);
+    each evaluator calls the harness through this module's globals, and what
+    it derives from the run is freed when it returns."""
+
+    scenario: Scenario
+    p0: PhaseField
+    p_traj: Trajectory
+    c_traj: Trajectory
+    c0: SpatialField
+    rho: SpatialField
+    rate: float  # production ceiling alpha1 * sup rho
+
+    @cached_property
+    def moments(self) -> list:
+        """One MomentSet per saved p snapshot, taken once for every check."""
+        return [moments_of(f) for f in self.p_traj.fields]
+
+
+def _eval_positivity(run):
+    return [check_positivity(run.p_traj)]
+
+
+def _eval_comparison(run):
+    """p against exp(rate*t) * heat(p0, t), the exact semigroup majorant."""
+    p0, times = run.p0, run.p_traj.times
     t0 = float(times[0])
-    flows = plan.apply_each(p0.values, [float(t - t0) for t in times], "phase")
-    fields = []
-    for t, vals in zip(times, flows):
-        if rate:
-            vals = math.exp(rate * (t - t0)) * vals
-        fields.append(PhaseField(p0.grid, vals, time_tag=float(t)))
-    return Trajectory(times, fields)
+    flows = HeatPlan(p0.grid, run.scenario.params.sigma, "xv").apply_each(
+        p0.values, [float(t - t0) for t in times], "phase")
+    maj = Trajectory(times, [
+        PhaseField(p0.grid, math.exp(run.rate * (t - t0)) * vals if run.rate else vals,
+                   time_tag=float(t))
+        for t, vals in zip(times, flows)])
+    anchor = (
+        "production-envelope comparison: p stays below "
+        "exp(alpha1*sup_rho*t) times the heat flow of p0"
+        if run.rho is not None else
+        "damping only removes density: p stays below the plain heat "
+        "flow of p0"
+    )
+    return [check_comparison(run.p_traj, maj, anchor=anchor)]
 
 
-def _envelope_hypothesis(p0):
-    """The m-envelope needs ||p~0||_q <= ||m0||_q for q in {1, 2, inf}."""
-    pt0 = velocity_marginal(p0)
-    m0 = second_moment(p0)
-    for q in (1, 2, np.inf):
-        if lq_norm(pt0, q) > lq_norm(m0, q) * (1.0 + 1e-12):
-            raise ConfigurationError(
-                "the second-moment envelope check needs initial data with "
-                "mean square speed >= 1 (||p~0||_q <= ||m0||_q); shift the "
-                "velocity centre or widen the velocity profile"
-            )
-    return m0
+def _eval_gronwall(run):
+    """Envelopes of p, p~ and m; the m one needs ||p~0||_q <= ||m0||_q."""
+    pt0, m0 = velocity_marginal(run.p0), second_moment(run.p0)
+    norms = ((1, "q1"), (2, "q2"), (np.inf, "qinf"))
+    if any(lq_norm(pt0, q) > lq_norm(m0, q) * (1.0 + 1e-12) for q, _ in norms):
+        raise ConfigurationError(
+            "the second-moment envelope check needs initial data with "
+            "mean square speed >= 1 (||p~0||_q <= ||m0||_q); shift the "
+            "velocity centre or widen the velocity profile"
+        )
+    pt_traj = Trajectory(run.p_traj.times, [ms.p_tilde for ms in run.moments])
+    m_traj = Trajectory(run.p_traj.times, [ms.m for ms in run.moments])
+    m_rate = run.rate + 2.0 * run.scenario.params.sigma * run.scenario.grid.dim_v
+    out = []
+    for q, tag in norms:
+        out += [check_gronwall(run.p_traj, run.rate, q, name=f"gronwall_p_{tag}"),
+                check_gronwall(pt_traj, run.rate, q, name=f"gronwall_pt_{tag}"),
+                check_gronwall(m_traj, m_rate, q, norm0=lq_norm(m0, q),
+                               name=f"gronwall_m_{tag}")]
+    return out
+
+
+def _eval_energy(run):
+    """Energy balance; a coupled run's source is alpha(c) rho(v) p."""
+    params, grid = run.scenario.params, run.scenario.grid
+    f_fields = None
+    if run.rho is not None:
+        rho_v, f_fields = _broadcast_v(run.rho.values, grid), []
+        for pf, cf in zip(run.p_traj.fields, run.c_traj.fields):
+            alpha = _alpha_raw(cf.values, params.alpha1, params.c_R, "energy source")
+            f_fields.append(PhaseField(grid, _broadcast_x(alpha, grid) * rho_v * pf.values,
+                                       time_tag=pf.time_tag))
+    return [check_energy(run.p_traj, f_fields, params.sigma)]
+
+
+def _eval_speed_bound(run):
+    return [check_speed_bound(run.moments)]
+
+
+def _eval_c_bounds(run):
+    return [check_c_bounds(run.c_traj, run.c0, diffusivity=run.scenario.params.d)]
+
+
+# name -> (one-line doc, coupled driver only, evaluator); naming none runs all it can
+CHECKS = {
+    "positivity": ("density stays nonnegative at every saved time", False,
+                   _eval_positivity),
+    "comparison": ("density stays below its production-envelope heat flow", False,
+                   _eval_comparison),
+    "gronwall": ("L^q norms of density and second moment respect their "
+                 "exponential envelopes (q = 1, 2, inf)", False, _eval_gronwall),
+    "energy": ("squared L^2 norm plus accumulated dissipation stays below "
+               "the initial energy plus source work", False, _eval_energy),
+    "speed_bound": ("speed moment obeys j <= R p~ + m / R for each weight R", False,
+                    _eval_speed_bound),
+    "c_bounds": ("concentration stays within [0, sup c0] and the depletion "
+                 "term stays nonpositive (coupled runs only)", True, _eval_c_bounds),
+}
 
 
 def build_checks(scenario: Scenario, p0, p_traj, c_traj=None, c0=None) -> list:
     """Evaluate the scenario's configured checks on a finished run."""
-    params = scenario.params
-    grid = scenario.grid
-    out = []
-    rho, rate = None, 0.0
-    if scenario.driver == "coupled":
-        rho = velocity_profile(grid, params)
-        rate = params.alpha1 * rho.sup_norm
-    for name in scenario.checks:
-        if name == "positivity":
-            out.append(check_positivity(p_traj))
-        elif name == "comparison":
-            maj = _semigroup_majorant(p0, p_traj.times, params.sigma, rate)
-            anchor = (
-                "production-envelope comparison: p stays below "
-                "exp(alpha1*sup_rho*t) times the heat flow of p0"
-                if scenario.driver == "coupled" else
-                "damping only removes density: p stays below the plain heat "
-                "flow of p0"
-            )
-            out.append(check_comparison(p_traj, maj, anchor=anchor))
-        elif name == "gronwall":
-            m0 = _envelope_hypothesis(p0)
-            m_traj = Trajectory(p_traj.times,
-                                [second_moment(f) for f in p_traj.fields])
-            pt_traj = Trajectory(p_traj.times,
-                                 [velocity_marginal(f) for f in p_traj.fields])
-            m_rate = rate + 2.0 * params.sigma * grid.dim_v
-            for q, tag in ((1, "q1"), (2, "q2"), (np.inf, "qinf")):
-                out.append(check_gronwall(p_traj, rate, q, name=f"gronwall_p_{tag}"))
-                out.append(check_gronwall(pt_traj, rate, q,
-                                          name=f"gronwall_pt_{tag}"))
-                out.append(check_gronwall(
-                    m_traj, m_rate, q, norm0=lq_norm(m0, q),
-                    name=f"gronwall_m_{tag}"))
-        elif name == "energy":
-            if scenario.driver == "coupled":
-                f_fields = []
-                for pf, cf in zip(p_traj.fields, c_traj.fields):
-                    alpha = _alpha_raw(cf.values, params.alpha1, params.c_R,
-                                       "energy source")
-                    prod = (alpha.reshape(grid.spatial_shape + (1,) * grid.dim_v)
-                            * rho.values.reshape((1,) * grid.dim_x + grid.velocity_shape)
-                            * pf.values)
-                    f_fields.append(PhaseField(grid, prod, time_tag=pf.time_tag))
-            else:
-                f_fields = None
-            out.append(check_energy(p_traj, f_fields, params.sigma))
-        elif name == "speed_bound":
-            out.append(check_speed_bound([moments_of(f) for f in p_traj.fields]))
-        elif name == "c_bounds":
-            out.append(check_c_bounds(c_traj, c0, diffusivity=params.d))
-    return out
+    coupled = scenario.driver == "coupled"
+    rho = velocity_profile(scenario.grid, scenario.params) if coupled else None
+    rate = scenario.params.alpha1 * rho.sup_norm if coupled else 0.0
+    run = _FinishedRun(scenario, p0, p_traj, c_traj, c0, rho, rate)
+    return [check for name in scenario.checks for check in CHECKS[name][2](run)]
 
 
 # --------------------------------------------------------------------------

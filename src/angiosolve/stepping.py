@@ -177,10 +177,6 @@ class CoefficientTrack:
     def constant_coefficient(self) -> bool:
         return self._a_const and self._sep_x_const
 
-    @property
-    def constant_source(self) -> bool:
-        return self._f_const
-
     def _pick(self, samples, const, i):
         if samples is None:
             return None
@@ -193,18 +189,21 @@ class CoefficientTrack:
         tracks return the node array itself (no copy, so callers may key
         caches on identity).
         """
+        return self._assemble(self._mid(self._a, self._a_const, i),
+                              self._mid(self._sep_x, self._sep_x_const, i))
+
+    def _mid(self, samples, const, i):
+        lo, hi = self._pick(samples, const, i), self._pick(samples, const, i + 1)
+        return lo if hi is lo else 0.5 * (lo + hi)
+
+    def _assemble(self, a, s):
+        """a (phase or position array) plus s(x) sep_v(v); either may be None."""
         g = self.grid
-        a_lo = self._pick(self._a, self._a_const, i)
-        a_hi = self._pick(self._a, self._a_const, i + 1)
         w = None
-        if a_lo is not None:
-            a_m = a_lo if a_hi is a_lo else 0.5 * (a_lo + a_hi)
-            w = a_m if a_m.ndim == g.dim_x + g.dim_v else _broadcast_x(a_m, g)
-        if self._sep_x is not None:
-            s_lo = self._pick(self._sep_x, self._sep_x_const, i)
-            s_hi = self._pick(self._sep_x, self._sep_x_const, i + 1)
-            s_m = s_lo if s_hi is s_lo else 0.5 * (s_lo + s_hi)
-            term = _broadcast_x(s_m, g) * _broadcast_v(self._sep_v, g)
+        if a is not None:
+            w = a if a.ndim == g.dim_x + g.dim_v else _broadcast_x(a, g)
+        if s is not None:
+            term = _broadcast_x(s, g) * _broadcast_v(self._sep_v, g)
             w = term if w is None else w + term
         return w
 
@@ -221,16 +220,8 @@ class CoefficientTrack:
 
     def coefficient_node(self, i: int):
         """Full coefficient at node i as a phase-broadcastable array."""
-        g = self.grid
-        a_i = self._pick(self._a, self._a_const, i)
-        w = None
-        if a_i is not None:
-            w = a_i if a_i.ndim == g.dim_x + g.dim_v else _broadcast_x(a_i, g)
-        if self._sep_x is not None:
-            s_i = self._pick(self._sep_x, self._sep_x_const, i)
-            term = _broadcast_x(s_i, g) * _broadcast_v(self._sep_v, g)
-            w = term if w is None else w + term
-        return w
+        return self._assemble(self._pick(self._a, self._a_const, i),
+                              self._pick(self._sep_x, self._sep_x_const, i))
 
     def _interp(self, t: float, node_of, constant: bool):
         sched = self.schedule

@@ -210,6 +210,24 @@ def test_volterra_bump_coefficient_is_certified():
     assert float((envelope - vals).min()) >= -1e-10 * float(envelope.max())
 
 
+def test_volterra_is_independent_of_the_global_seed():
+    # the interpolation weights are fixed in closed form, so the numpy
+    # global RNG (which scipy would draw a product order from) cannot move
+    # the result, not even in the last bit
+    g = _tiny_grid()
+    a = 1.5 * np.exp(-g.x_coords() ** 2 / 0.5)
+    state = np.random.get_state()
+    try:
+        fields = []
+        for seed in (0, 1, 2):
+            np.random.seed(seed)
+            fields.append(volterra_fundamental(a, 0.3, g, 0.4).field.values)
+    finally:
+        np.random.set_state(state)
+    np.testing.assert_array_equal(fields[0], fields[1])
+    np.testing.assert_array_equal(fields[0], fields[2])
+
+
 def test_volterra_validation():
     g = _tiny_grid()
     with pytest.raises(ParameterError):

@@ -4,19 +4,22 @@ orchestration (exit codes, artifacts, warnings)."""
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from angiosolve import ConfigurationError, PhaseField, ResolutionError
+from angiosolve import ConfigurationError, PhaseField, ResolutionError, moments
 from angiosolve.grid import GridSpec, integrate_phase
 from angiosolve.scenarios import (
     boundary_mass_fraction,
+    build_checks,
     build_initial_c,
     build_initial_p,
     format_summary,
     load_scenario,
     load_shipped_scenario,
+    realise,
     run_scenario,
     shipped_scenarios,
 )
@@ -285,6 +288,48 @@ def test_envelope_hypothesis_is_guarded():
                           "checks.names=gronwall"))
     with pytest.raises(ConfigurationError, match="mean square speed"):
         run_scenario(sc)
+
+
+@pytest.fixture(scope="module")
+def short_coupled():
+    """coupled-ramp cut to 20 steps, every node saved: (scenario, made, p, c)."""
+    sc = load_shipped_scenario("coupled-ramp", overrides=(
+        "schedule.t_end=0.02", "schedule.save_stride=1"))
+    made = realise(sc)
+    p_traj, c_traj, diag = made.drive()
+    assert diag.converged
+    return sc, made, p_traj, c_traj
+
+
+def test_checks_take_each_snapshots_moments_once(short_coupled, monkeypatch):
+    sc, made, p_traj, c_traj = short_coupled
+    reduce_raw, calls = moments._reduce_raw, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return reduce_raw(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "_reduce_raw", counted)
+    build_checks(sc, made.p0, p_traj, c_traj=c_traj, c0=made.c0)
+    # p~, j and m of every saved snapshot, shared by gronwall and
+    # speed_bound, plus p~0 and m0 for the envelope hypothesis
+    assert len(p_traj) == 21
+    assert len(calls) == 3 * len(p_traj) + 2
+
+
+def test_checks_hold_one_derived_trajectory_at_a_time(short_coupled):
+    # the comparison majorant and the energy sources are each as large as
+    # the saved p trajectory; only one may be alive at any moment
+    sc, made, p_traj, c_traj = short_coupled
+    traj_bytes = sum(f.values.nbytes for f in p_traj.fields)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_checks(sc, made.p0, p_traj, c_traj=c_traj, c0=made.c0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traj_bytes, (peak, traj_bytes)
 
 
 def test_format_summary_lines():
