@@ -10,8 +10,7 @@ from .grid import (GridSpec, PhaseField, SpatialField, integrate_phase,
 from .harness import (BoundCheck, check_c_bounds, check_comparison,
                       check_energy, check_gronwall, check_positivity,
                       check_speed_bound, write_report)
-from .heat import (HeatPlan, VelocityProfile, gaussian_rho, gradient_energy,
-                   heat_step, spectral_laplacian)
+from .heat import HeatPlan, VelocityProfile, gaussian_rho, heat_step
 from .moments import (MomentSet, accumulate_time_integral, marginal_residual,
                       moments_of, second_moment, second_moment_residual,
                       speed_moment, vector_speed_moment, velocity_marginal)
@@ -39,12 +38,12 @@ __all__ = [
     "build_initial_c", "build_initial_p", "check_c_bounds",
     "check_comparison", "check_energy", "check_gronwall", "check_positivity",
     "check_speed_bound", "duhamel_reference", "fd_reference", "field_to_csv",
-    "gaussian_rho", "gradient_energy", "heat_step", "heat_upper_solution",
+    "gaussian_rho", "heat_step", "heat_upper_solution",
     "integrate_phase", "load_field", "load_scenario", "load_shipped_scenario",
     "lq_norm", "marginal_residual", "moments_of", "picard_coupled",
     "picard_pure", "realise", "run_scenario", "save_field", "second_moment",
     "second_moment_residual", "shipped_scenarios", "slab_partition",
-    "solve_linear", "spectral_laplacian", "speed_grid", "speed_moment",
+    "solve_linear", "speed_grid", "speed_moment",
     "speed_squared_grid", "uniqueness_probe", "vector_speed_moment",
     "velocity_marginal", "volterra_fundamental", "write_moment_table",
     "write_report",

@@ -8,9 +8,12 @@ centres on a uniform lattice.  Two container types carry data:
 * :class:`SpatialField` -- reduced quantities (marginals, moments,
   concentrations, running integrals) on the position lattice only.
 
-Both are immutable: values are validated once at construction (finiteness,
-shape, and -- when requested -- sign up to a relative clamping tolerance)
-and the underlying array is made read-only.
+Both share one validated base: each names its lattice ``kind`` ("phase" or
+"spatial", the strings :class:`~angiosolve.heat.HeatPlan` lays out by) and
+its cell volume, so code that serves both reads the field instead of its
+class.  Both are immutable: values are validated once at construction
+(finiteness, shape, and -- when requested -- sign up to a relative clamping
+tolerance) and the underlying array is made read-only.
 """
 
 from __future__ import annotations
@@ -127,6 +130,14 @@ class GridSpec:
         """Phase-space cell volume h_x^dim_x * h_v^dim_v."""
         return self.x_cell_volume * self.v_cell_volume
 
+    def shape_of(self, kind: str) -> tuple:
+        """Array shape of a ``"phase"`` or a ``"spatial"`` field."""
+        return self.phase_shape if kind == "phase" else self.spatial_shape
+
+    def cell_volume_of(self, kind: str) -> float:
+        """Cell volume of the lattice a ``"phase"``/``"spatial"`` field lives on."""
+        return self.cell_volume if kind == "phase" else self.x_cell_volume
+
     def x_coords(self) -> np.ndarray:
         """Cell-centre coordinates along one position axis."""
         return -self.half_width_x + self.h_x * np.arange(self.n_x)
@@ -200,7 +211,53 @@ def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0) -> 
     return np.minimum(values, 0.0)
 
 
-class PhaseField:
+class _Field:
+    """Validated, read-only sample of one field kind on the lattice of ``grid``.
+
+    ``kind`` names the lattice with the :class:`~angiosolve.heat.HeatPlan`'s
+    own strings: ``"phase"`` (x and v) or ``"spatial"`` (x only).  Values are
+    checked once (shape, finiteness, and optionally a sign up to the clamping
+    tolerance) and stored as a read-only array.
+    """
+
+    __slots__ = ("grid", "values", "time_tag")
+    kind = None
+
+    def _validate(self, grid, values, time_tag, sign, what):
+        values = np.asarray(values, dtype=float)
+        shape = grid.shape_of(self.kind)
+        if values.shape != shape:
+            raise ShapeError(
+                f"{self.kind} field shape {values.shape} does not match lattice {shape}"
+            )
+        _check_finite(values, f"{self.kind} field")
+        if sign:
+            values = apply_sign(values, sign, what)
+        if values.flags.writeable:
+            values = values.copy()
+        values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "time_tag", float(time_tag))
+
+    @property
+    def cell_volume(self) -> float:
+        """Volume of one cell of the field's own lattice."""
+        return self.grid.cell_volume_of(self.kind)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        role = getattr(self, "role", None)
+        tag = f", role={role}" if role else ""
+        return (
+            f"{type(self).__name__}(t={self.time_tag:g}, shape={self.values.shape}{tag}, "
+            f"sup={float(np.max(np.abs(self.values))):.6g})"
+        )
+
+
+class PhaseField(_Field):
     """Immutable density sample p(x, v) on the phase lattice of ``grid``.
 
     Parameters
@@ -214,36 +271,18 @@ class PhaseField:
         are clamped to zero and anything below that raises :class:`SignError`.
     """
 
-    __slots__ = ("grid", "values", "time_tag")
+    __slots__ = ()
+    kind = "phase"
 
     def __init__(self, grid, values, time_tag=0.0, nonnegative=False):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.phase_shape:
-            raise ShapeError(
-                f"phase field shape {values.shape} does not match lattice "
-                f"{grid.phase_shape}"
-            )
-        _check_finite(values, "phase field")
-        if nonnegative:
-            values = apply_sign(values, +1, "phase field")
-        if values.flags.writeable:
-            values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "time_tag", float(time_tag))
+        self._validate(grid, values, time_tag, +1 if nonnegative else 0, "phase field")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseField is immutable")
-
-    def __repr__(self):
-        return (
-            f"PhaseField(t={self.time_tag:g}, shape={self.values.shape}, "
-            f"sup={float(np.max(np.abs(self.values))):.6g})"
-        )
+    def like(self, values, time_tag):
+        """A phase field holding ``values``; it carries no sign constraint."""
+        return PhaseField(self.grid, values, time_tag)
 
 
-class SpatialField:
+class SpatialField(_Field):
     """Immutable sample of a reduced quantity on the position lattice.
 
     ``role`` selects a sign convention from :data:`ROLE_SIGNS` (for example
@@ -251,47 +290,20 @@ class SpatialField:
     clamping tolerance); ``None`` places no constraint.
     """
 
-    __slots__ = ("grid", "values", "time_tag", "role")
+    __slots__ = ("role",)
+    kind = "spatial"
 
     def __init__(self, grid, values, time_tag=0.0, role=None):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.spatial_shape:
-            raise ShapeError(
-                f"spatial field shape {values.shape} does not match lattice "
-                f"{grid.spatial_shape}"
+        if role is not None and role not in ROLE_SIGNS:
+            raise ParameterError(
+                f"unknown role {role!r}; expected one of {sorted(ROLE_SIGNS)}"
             )
-        _check_finite(values, "spatial field")
-        if role is not None:
-            if role not in ROLE_SIGNS:
-                raise ParameterError(
-                    f"unknown role {role!r}; expected one of {sorted(ROLE_SIGNS)}"
-                )
-            values = apply_sign(values, ROLE_SIGNS[role], f"{role} field")
-        if values.flags.writeable:
-            values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "time_tag", float(time_tag))
+        self._validate(grid, values, time_tag, ROLE_SIGNS.get(role, 0), f"{role} field")
         object.__setattr__(self, "role", role)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SpatialField is immutable")
-
-    def __repr__(self):
-        tag = f", role={self.role}" if self.role else ""
-        return (
-            f"SpatialField(t={self.time_tag:g}, shape={self.values.shape}{tag}, "
-            f"sup={float(np.max(np.abs(self.values))):.6g})"
-        )
-
-
-def _field_cell_volume(field) -> float:
-    if isinstance(field, PhaseField):
-        return field.grid.cell_volume
-    if isinstance(field, SpatialField):
-        return field.grid.x_cell_volume
-    raise DataError(f"expected PhaseField or SpatialField, got {type(field).__name__}")
+    def like(self, values, time_tag):
+        """A spatial field holding ``values`` under this field's role."""
+        return SpatialField(self.grid, values, time_tag, role=self.role)
 
 
 def integrate_phase(field) -> float:
@@ -300,7 +312,7 @@ def integrate_phase(field) -> float:
     For a :class:`PhaseField` this is the total mass over the phase box;
     a :class:`SpatialField` integrates over the position box only.
     """
-    return float(field.values.sum()) * _field_cell_volume(field)
+    return float(field.values.sum()) * field.cell_volume
 
 
 def lq_norm(field, q) -> float:
@@ -315,7 +327,7 @@ def lq_norm(field, q) -> float:
     q = float(q)
     if not q >= 1.0:
         raise ParameterError(f"q must be >= 1 or inf, got {q!r}")
-    vol = _field_cell_volume(field)
+    vol = field.cell_volume
     if q == 1.0:
         return float(np.sum(np.abs(vals))) * vol
     if q == 2.0:

@@ -21,7 +21,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigurationError, ParameterError
 from .grid import lq_norm
-from .heat import HeatPlan, gradient_energy
+from .heat import HeatPlan
 
 
 @dataclass
@@ -149,7 +149,8 @@ def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
 
 def _energy_terms(traj, f_fields, sigma):
     e = np.array([lq_norm(f, 2) ** 2 for f in traj.fields])
-    d = np.array([gradient_energy(f) for f in traj.fields])
+    plan = HeatPlan(traj.grid, sigma, "xv")
+    d = np.array([plan.gradient_energy(f.values, "phase") for f in traj.fields])
     if f_fields is None:
         fw = np.zeros(len(traj))
     else:

@@ -11,9 +11,13 @@ application for tau + tau' up to round-off.
 A :class:`HeatPlan` fixes the lattice, the diffusivity and the subspace the
 Laplacian acts on ("xv" for the full phase Laplacian, "x" or "v" for the
 partial ones).  It lays out each field kind it serves once (shape,
-transformed axes, |k|^2) and keeps one multiplier per kind: the last step
-size asked for, which is the one the steppers reuse.  This module is the only
-user of the FFT; every other module transforms through a plan.
+transformed axes, |k|^2 on the real-transform layout) and keeps one
+multiplier per kind: the last step size asked for, which is the one the
+steppers reuse.  The same layout serves the semigroup's generator and its
+Dirichlet form: :meth:`HeatPlan.laplacian` and
+:meth:`HeatPlan.gradient_energy`.  The plan's ``forward``/``inverse`` are the
+only FFT calls in the package and its layouts hold the only |k|^2; every
+other module transforms through a plan.
 """
 
 from __future__ import annotations
@@ -24,23 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ResolutionError, ShapeError
-from .grid import GridSpec, PhaseField, SpatialField
+from .grid import GridSpec
 
 _SUBSPACES = ("xv", "x", "v")
 
 
-def _k_squared(shape, axes, spacings, halved_last: bool = True) -> np.ndarray:
+def _k_squared(shape, axes, spacings) -> np.ndarray:
     """|k|^2 over the transformed axes, broadcastable to the spectral array.
 
     ``axes`` are the transformed axes of an array of the given (physical)
-    shape; with ``halved_last`` the final transformed axis uses the
-    real-transform layout (rfftn), otherwise the full layout (fftn).
+    shape; the final one is halved, as in the real transform (rfftn).
     """
     ndim = len(shape)
     k2 = None
     for pos, ax in enumerate(axes):
-        halved = halved_last and pos == len(axes) - 1
-        freq = np.fft.rfftfreq if halved else np.fft.fftfreq
+        freq = np.fft.rfftfreq if pos == len(axes) - 1 else np.fft.fftfreq
         k = 2.0 * math.pi * freq(shape[ax], d=spacings[pos])
         expand = [1] * ndim
         expand[ax] = k.size
@@ -76,13 +78,11 @@ class HeatPlan:
             axes, spacings = grid.x_axes, (grid.h_x,) * grid.dim_x
         if subspace != "x":
             axes, spacings = axes + grid.v_axes, spacings + (grid.h_v,) * grid.dim_v
-        shapes = {"phase": grid.phase_shape}
-        if subspace == "x":
-            shapes["spatial"] = grid.spatial_shape
         # kind -> (shape of one field, transformed axes counted from the end
         # so that stacks transform alike, their lengths, |k|^2)
         self._layouts = {}
-        for kind, shape in shapes.items():
+        for kind in ("phase", "spatial") if subspace == "x" else ("phase",):
+            shape = grid.shape_of(kind)
             ends = tuple(ax - len(shape) for ax in axes)
             self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends),
                                    _k_squared(shape, ends, spacings))
@@ -146,26 +146,40 @@ class HeatPlan:
                 spec = self.forward(values, kind)
             yield self.inverse(spec * self.multiplier(tau, kind), kind)
 
+    def laplacian(self, values: np.ndarray, kind: str) -> np.ndarray:
+        """Spectral Laplacian over the plan's subspace (not a time stepper)."""
+        spec = self.forward(values, kind)
+        spec *= -self._layout(kind)[3]
+        return self.inverse(spec, kind)
+
+    def gradient_energy(self, values: np.ndarray, kind: str) -> float:
+        """Integral of |grad f|^2 over the field's lattice, the gradient taken
+        in the plan's subspace (spectral; exact for lattice-representable data
+        by Parseval)."""
+        _, axes, sizes, k2 = self._layout(kind)
+        spec = self.forward(values, kind)
+        power = k2 * (spec.real ** 2 + spec.imag ** 2)
+        # each interior column of the halved axis stands for the pair +-k
+        inner = [slice(None)] * power.ndim
+        inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)
+        total = float(power.sum()) + float(power[tuple(inner)].sum())
+        # the transform is unnormalised: sum_k |fhat|^2 = N * sum_cells |f|^2
+        return total * self.grid.cell_volume_of(kind) / math.prod(sizes)
+
 
 def heat_step(field, tau: float, plan: HeatPlan):
     """Advance a field by the exact periodic heat flow for a time tau >= 0.
 
     Returns a new field of the same kind with ``time_tag`` advanced by tau;
-    the role of a spatial field is preserved (so sign conventions are
-    re-checked on the output).
+    a phase result carries no sign constraint, and the role of a spatial
+    field is preserved (so sign conventions are re-checked on the output).
     """
     if not (math.isfinite(float(tau)) and float(tau) >= 0.0):
         raise ParameterError(f"tau must be a finite nonnegative time, got {tau!r}")
     if field.grid != plan.grid:
         raise ShapeError("field and plan live on different lattices")
     tau = float(tau)
-    if isinstance(field, PhaseField):
-        out = plan.apply(field.values, tau, "phase")
-        return PhaseField(field.grid, out, time_tag=field.time_tag + tau)
-    if isinstance(field, SpatialField):
-        out = plan.apply(field.values, tau, "spatial")
-        return SpatialField(field.grid, out, time_tag=field.time_tag + tau, role=field.role)
-    raise ShapeError(f"expected PhaseField or SpatialField, got {type(field).__name__}")
+    return field.like(plan.apply(field.values, tau, field.kind), field.time_tag + tau)
 
 
 @dataclass(frozen=True)
@@ -224,37 +238,3 @@ def gaussian_rho(grid: GridSpec, epsilon: float, v0=0.0) -> VelocityProfile:
     mass = float(values.sum()) * grid.v_cell_volume
     return VelocityProfile(values=values, epsilon=epsilon, v0=tuple(v0_arr),
                            sup_norm=peak, mass=mass)
-
-
-def spectral_laplacian(values: np.ndarray, spacings) -> np.ndarray:
-    """Periodic spectral Laplacian over all axes of ``values``.
-
-    ``spacings`` gives the lattice spacing per axis.  Used by the residual
-    diagnostics; not a time stepper.
-    """
-    values = np.asarray(values, dtype=float)
-    axes = tuple(range(values.ndim))
-    spec = np.fft.rfftn(values, axes=axes)
-    k2 = _k_squared(values.shape, axes, tuple(spacings))
-    spec *= -k2
-    return np.fft.irfftn(spec, s=values.shape, axes=axes)
-
-
-def gradient_energy(field) -> float:
-    """Integral of |grad f|^2 over the field's own lattice (spectral, exact
-    for lattice-representable data by Parseval)."""
-    if isinstance(field, PhaseField):
-        g = field.grid
-        spacings = (g.h_x,) * g.dim_x + (g.h_v,) * g.dim_v
-        vol = g.cell_volume
-    elif isinstance(field, SpatialField):
-        g = field.grid
-        spacings = (g.h_x,) * g.dim_x
-        vol = g.x_cell_volume
-    else:
-        raise ShapeError(f"expected PhaseField or SpatialField, got {type(field).__name__}")
-    vals = field.values
-    spec = np.fft.fftn(vals)
-    k2 = _k_squared(vals.shape, tuple(range(vals.ndim)), spacings, halved_last=False)
-    # fftn is unnormalised: sum_k |fhat|^2 = N * sum_cells |f|^2.
-    return float(np.sum(k2 * (spec.real ** 2 + spec.imag ** 2)) * vol / vals.size)

@@ -23,7 +23,7 @@ from scipy.integrate import cumulative_trapezoid
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import (PhaseField, SpatialField, apply_sign, speed_grid,
                    speed_squared_grid)
-from .heat import spectral_laplacian
+from .heat import HeatPlan
 
 
 def _reduce_raw(vals: np.ndarray, g, weight=None) -> np.ndarray:
@@ -174,7 +174,7 @@ def _residual(traj, track, sigma, weight, creation_rate):
     times = traj.times
     delta = _uniform_spacing(times)
     dt = track.schedule.dt
-    spacings = (g.h_x,) * g.dim_x
+    plan = HeatPlan(g, sigma, "x")
     reduced = [_v_reduce(f, weight) for f in traj.fields]
     marginals = [_v_reduce(f) for f in traj.fields]
     scale = max(float(np.abs(r).max()) for r in reduced) or 1.0
@@ -182,7 +182,7 @@ def _residual(traj, track, sigma, weight, creation_rate):
     for k in range(1, len(traj) - 1):
         node = int(round((times[k] - times[0]) / dt))
         dmdt = (reduced[k + 1] - reduced[k - 1]) / (2.0 * delta)
-        res = dmdt - sigma * spectral_laplacian(reduced[k], spacings)
+        res = dmdt - sigma * plan.laplacian(reduced[k], "spatial")
         if creation_rate:
             res -= creation_rate * marginals[k]
         w_arr = track.coefficient_node(node)

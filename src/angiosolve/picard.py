@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import PhaseField, SpatialField, apply_sign
 from .heat import HeatPlan, gaussian_rho
-from .moments import accumulate_time_integral
+from .moments import _reduce_raw, accumulate_time_integral
 from .stepping import CoefficientTrack, Schedule, Trajectory, solve_linear
 
 
@@ -194,32 +194,6 @@ def slab_partition(n_steps: int, dt: float, sup_m: float):
     return edges
 
 
-def _normalise_source(f, grid, n_nodes):
-    """-> (constant_array_or_None, list_or_None); validates length/shape."""
-    if isinstance(f, CoefficientTrack):
-        src = f.source
-        if src is None or isinstance(src, np.ndarray):
-            return src, None
-        return None, src
-    if f is None:
-        return None, None
-    if isinstance(f, PhaseField):
-        if f.grid != grid:
-            raise ShapeError("source lives on a different lattice")
-        return f.values, None
-    items = list(f)
-    if len(items) != n_nodes:
-        raise ConfigurationError(
-            f"source series has {len(items)} samples, schedule has {n_nodes} nodes"
-        )
-    out = []
-    for k, item in enumerate(items):
-        if not isinstance(item, PhaseField) or item.grid != grid:
-            raise ShapeError(f"source sample {k} must be a PhaseField on the run lattice")
-        out.append(item.values)
-    return None, out
-
-
 def _relative_delta(fields_a, fields_b) -> float:
     """max_t sup|a - b| over the shared saved times, relative to the larger
     of the two trajectories' sup norms (0/0 -> 0)."""
@@ -311,16 +285,20 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     n_steps = schedule.n_steps
     n_nodes = n_steps + 1
     plan = HeatPlan(grid, params.sigma, "xv")
-    f_const, f_list = _normalise_source(f, grid, n_nodes)
+    if not isinstance(f, CoefficientTrack):
+        f = CoefficientTrack(schedule, grid, f=f)
+    elif f.schedule != schedule:
+        raise ConfigurationError("source track schedule differs from the requested one")
+    source = f.source
 
-    rho_v, speed_mode, alpha_rate = None, None, 0.0
+    rho_v, record, alpha_rate = None, "p_tilde", 0.0
     if coupled:
         if c0.role != "c":
             c0 = SpatialField(grid, c0.values, time_tag=c0.time_tag, role="c")
         rho = velocity_profile(grid, params)
         rho_v = rho.values
         alpha_rate = params.alpha1 * rho.sup_norm
-        speed_mode = "vector" if params.use_vector_j else None
+        record = "vector_j" if params.use_vector_j else "j"
         plan_x = HeatPlan(grid, params.d, "x")
         chat_slab = np.zeros(grid.spatial_shape)
         cinf_start = c0.values
@@ -329,15 +307,15 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     # only removes mass, so the heat flow plus accumulated source, grown at
     # the production ceiling, dominates every iterate's marginal
     def sup_marginal(arr):
-        return float((arr.sum(axis=grid.v_axes) * grid.v_cell_volume).max())
+        return float(_reduce_raw(arr, grid).max())
 
     sup_pt0 = sup_marginal(p0.values)
-    if f_const is not None:
-        f_sup = sup_marginal(f_const)
-    elif f_list is not None:
-        f_sup = max(sup_marginal(arr) for arr in f_list)
-    else:
+    if source is None:
         f_sup = 0.0
+    elif isinstance(source, list):
+        f_sup = max(sup_marginal(arr) for arr in source)
+    else:
+        f_sup = sup_marginal(source)
     big_m = gamma * (sup_pt0 + schedule.t_end * f_sup) * math.exp(alpha_rate * schedule.t_end)
 
     edges = slab_partition(n_steps, dt, big_m)
@@ -355,7 +333,7 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         # stride 1: solve_linear gets the slab's saved nodes explicitly
         local_sched = Schedule(t_end=n_local * dt, dt=dt, save_stride=1)
         local_saved = _local_saved_nodes(i0, i1, global_saved)
-        f_slab = f_const if f_list is None else f_list[i0:i1 + 1]
+        f_slab = source[i0:i1 + 1] if isinstance(source, list) else source
         if coupled:
             c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
 
@@ -368,8 +346,8 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             track1 = CoefficientTrack(local_sched, grid, a=gamma * a_offset,
                                       f=f_slab, strict=True)
             traj_k = solve_linear(p_slab, track1, params.sigma, plan=plan,
-                                  record_moments=True, saved_nodes=local_saved,
-                                  speed=speed_mode, clamp_saves=True)
+                                  record=record, saved_nodes=local_saved,
+                                  clamp_saves=True)
             prev_fields = [fld.values for fld in traj_k.fields]
             prev_pt, prev_j = traj_k.p_tilde_nodes, traj_k.j_nodes
         diag.iterations += 1
@@ -390,8 +368,8 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
                                      a=[gamma * a_i for a_i in a_nodes], f=f_slab,
                                      sep_x=sep_x, sep_v=rho_v, strict=not coupled)
             traj_k = solve_linear(p_slab, track, params.sigma, plan=plan,
-                                  record_moments=True, saved_nodes=local_saved,
-                                  speed=speed_mode, clamp_saves=True)
+                                  record=record, saved_nodes=local_saved,
+                                  clamp_saves=True)
             diag.iterations += 1
             cur_fields = [fld.values for fld in traj_k.fields]
             delta = _relative_delta(cur_fields, prev_fields)
@@ -462,6 +440,10 @@ def picard_pure(p0: PhaseField, f_track, params: ModelParams, schedule: Schedule
     from the frozen-offset flow (A_0 = carried offset, so the first iterate
     of the first slab is the plain heat/source flow); ``init="zero"`` starts
     from p_1 = 0.
+
+    ``f_track`` is the source f: None, one PhaseField (constant in time), one
+    sample per schedule node, or a CoefficientTrack on ``schedule`` itself;
+    anything else raises ConfigurationError or ShapeError.
 
     Returns (Trajectory, IterationDiagnostics).  Non-convergence within
     ``k_max`` iterates of any slab is flagged, never raised.

@@ -40,12 +40,13 @@ def save_field(field, path) -> None:
     if not isinstance(field, (PhaseField, SpatialField)):
         raise ShapeError(f"expected PhaseField or SpatialField, got {type(field).__name__}")
     g = field.grid
-    if isinstance(field, PhaseField):
-        header = _HEADER.pack(MAGIC, g.dim_x, g.dim_v, g.n_x, g.n_v,
-                              g.half_width_x, g.half_width_v, field.time_tag)
+    # a spatial field has no velocity lattice, so its header records none
+    if field.kind == "phase":
+        v_lattice = (g.dim_v, g.n_v, g.half_width_v)
     else:
-        header = _HEADER.pack(MAGIC, g.dim_x, 0, g.n_x, 0,
-                              g.half_width_x, 0.0, field.time_tag)
+        v_lattice = (0, 0, 0.0)
+    header = _HEADER.pack(MAGIC, g.dim_x, v_lattice[0], g.n_x, v_lattice[1],
+                          g.half_width_x, v_lattice[2], field.time_tag)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
@@ -97,12 +98,9 @@ def load_field(path, grid: GridSpec = None):
 def field_to_csv(field, path) -> None:
     """One row per lattice point: cell-centre coordinates, then the value."""
     g = field.grid
-    if isinstance(field, PhaseField):
-        axes = [g.x_coords()] * g.dim_x + [g.v_coords()] * g.dim_v
-        names = [f"x{i}" for i in range(g.dim_x)] + [f"v{i}" for i in range(g.dim_v)]
-    else:
-        axes = [g.x_coords()] * g.dim_x
-        names = [f"x{i}" for i in range(g.dim_x)]
+    dim_v = g.dim_v if field.kind == "phase" else 0
+    axes = [g.x_coords()] * g.dim_x + [g.v_coords()] * dim_v
+    names = [f"x{i}" for i in range(g.dim_x)] + [f"v{i}" for i in range(dim_v)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names + ["value"])

@@ -252,11 +252,13 @@ class CoefficientTrack:
 class Trajectory:
     """Snapshots of one evolution at selected times, plus node-level series.
 
-    ``fields[k]`` is the saved field at ``times[k]``.  When the producing
-    solver recorded them, ``node_times`` / ``p_tilde_nodes`` / ``j_nodes``
-    hold the velocity marginal and speed moment at *every* schedule node
-    (stacked arrays, leading axis = node).  ``aux`` carries solver-specific
-    extras (depletion snapshots, far-field fields, ...).
+    ``fields[k]`` is the saved field at ``times[k]``.  ``node_times`` lists
+    every schedule node when the producing solver recorded node series;
+    ``p_tilde_nodes`` then holds the velocity marginal at every node, and
+    ``j_nodes`` the speed moment (scalar, or the magnitude of the vector
+    moment) when that was asked for too (stacked arrays, leading axis =
+    node; None when not recorded).  ``aux`` carries solver-specific extras
+    (depletion snapshots, far-field fields, ...).
     """
 
     def __init__(self, times, fields, node_times=None, p_tilde_nodes=None,
@@ -324,9 +326,8 @@ def advance_linear(p, a, f, sigma, dt, plan=None, strict=True) -> PhaseField:
     return solve_linear(p, track, sigma, plan=plan).final
 
 
-def solve_linear(p0, track, sigma, schedule=None, plan=None,
-                 record_moments=False, speed=None, saved_nodes=None,
-                 clamp_saves=None) -> Trajectory:
+def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
+                 saved_nodes=None, clamp_saves=None) -> Trajectory:
     """March the splitting scheme across a whole schedule.
 
     Parameters
@@ -339,11 +340,11 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None,
         is passed and equal.
     sigma : float
         Phase-space diffusivity.
-    record_moments : bool
-        Also record the velocity marginal and the speed moment at every node
-        (needed by the fixed-point drivers); ``speed`` can inject a custom
-        weight lattice for the moment (defaults to |v| of the cell centres)
-        or the string ``"vector"`` for the magnitude of the vector moment.
+    record : {None, "p_tilde", "j", "vector_j"}
+        What to record at every node besides the saved fields (the
+        fixed-point drivers read these): nothing, the velocity marginal, the
+        marginal and the speed moment (weight |v| of the cell centres), or
+        the marginal and the magnitude of the vector first moment.
     saved_nodes : sequence of int, optional
         Override of the schedule's saved nodes (must contain 0 and the final
         node); the fixed-point drivers use this to pin slab boundaries.
@@ -387,27 +388,26 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None,
                 "saved_nodes must contain 0 and the final node and stay in range"
             )
 
-    vector_j = isinstance(speed, str) and speed == "vector"
-    if record_moments:
-        if vector_j:
-            comps = _first_moment_weights(grid)
-        elif speed is None:
-            speed = speed_grid(grid)
+    if record not in (None, "p_tilde", "j", "vector_j"):
+        raise ParameterError(
+            f"record must be None, 'p_tilde', 'j' or 'vector_j', got {record!r}")
+    if record is not None:
         p_tilde_rec = np.empty((n_steps + 1,) + grid.spatial_shape)
-        j_rec = np.empty_like(p_tilde_rec)
+        j_rec = None if record == "p_tilde" else np.empty_like(p_tilde_rec)
+        weights = _first_moment_weights(grid) if record == "vector_j" else speed_grid(grid)
 
     def _record(i, vals):
         p_tilde_rec[i] = _reduce_raw(vals, grid)
-        if vector_j:
-            j_rec[i] = _vector_j(vals, grid, comps)[1]
-        else:
-            j_rec[i] = _reduce_raw(vals, grid, speed)
+        if record == "j":
+            j_rec[i] = _reduce_raw(vals, grid, weights)
+        elif record == "vector_j":
+            j_rec[i] = _vector_j(vals, grid, weights)[1]
 
     vals = p0.values
     t0 = p0.time_tag
     fields = [PhaseField(grid, vals, time_tag=t0, nonnegative=clamp)]
     times = [t0]
-    if record_moments:
+    if record is not None:
         _record(0, vals)
 
     half_const = None
@@ -425,7 +425,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None,
         vals = _strang_step(vals, half, plan, dt, f_lo, f_hi)
         if clamp:
             vals = apply_sign(vals, +1, f"marched density at step {i + 1}")
-        if record_moments:
+        if record is not None:
             _record(i + 1, vals)
         if (i + 1) in saved:
             t = t0 + (i + 1) * dt
@@ -433,7 +433,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None,
             times.append(t)
 
     kwargs = {}
-    if record_moments:
+    if record is not None:
         kwargs = dict(node_times=t0 + schedule.times(), p_tilde_nodes=p_tilde_rec,
                       j_nodes=j_rec)
     return Trajectory(times, fields, **kwargs)

@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import sys
 from concurrent.futures import Future
 
 import pytest
@@ -162,5 +163,13 @@ def test_bad_inputs_exit_2(capsys):
 def test_console_script_smoke():
     proc = subprocess.run(["angiosolve", "describe", "pure-gaussian"],
                           capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "name: pure-gaussian" in proc.stdout
+
+
+def test_module_entry_smoke():
+    # the module's __main__ path, which an installed console script shares
+    proc = subprocess.run([sys.executable, "-m", "angiosolve.cli", "describe",
+                           "pure-gaussian"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "name: pure-gaussian" in proc.stdout

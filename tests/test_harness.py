@@ -145,6 +145,16 @@ def test_energy_identity_on_free_flow(runs):
     assert float(np.abs(check.slacks).max()) <= check.tolerance
 
 
+def test_energy_check_uses_the_plans_real_layout(runs, monkeypatch):
+    # the gradient energy is the heat plan's own Dirichlet form: no second,
+    # full complex transform layout may be built for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the energy check called np.fft.fftn")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    assert check_energy(runs["damped"], None, SIGMA).passed
+
+
 def test_energy_inequality_on_damped_flow(runs):
     check = check_energy(runs["damped"], None, SIGMA)
     assert check.passed

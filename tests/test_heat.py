@@ -6,8 +6,7 @@ import pytest
 
 from angiosolve import (GridSpec, HeatPlan, ParameterError, PhaseField,
                         ResolutionError, ShapeError, SpatialField, gaussian_rho,
-                        gradient_energy, heat_step, integrate_phase, lq_norm,
-                        spectral_laplacian)
+                        heat_step, integrate_phase, lq_norm)
 
 from conftest import gaussian_phase, small_grid
 
@@ -154,7 +153,7 @@ def test_spectral_laplacian_eigenmode(grid64):
     k = 2.0 * math.pi * 3 / 16.0
     x = grid64.x_coords()
     f = np.sin(k * x)
-    lap = spectral_laplacian(f, (grid64.h_x,))
+    lap = HeatPlan(grid64, SIGMA, "x").laplacian(f, "spatial")
     np.testing.assert_allclose(lap, -k * k * f, atol=1e-12 * k * k)
 
 
@@ -165,7 +164,8 @@ def test_gradient_energy_parseval(grid64):
     vals = amp * np.sin(k * grid64.x_coords())
     f = SpatialField(grid64, vals)
     expect = amp ** 2 * k ** 2 * 16.0 / 2.0
-    assert gradient_energy(f) == pytest.approx(expect, rel=1e-12)
+    energy = HeatPlan(grid64, SIGMA, "x").gradient_energy(f.values, f.kind)
+    assert energy == pytest.approx(expect, rel=1e-12)
 
 
 def test_gradient_energy_phase_field_both_axes():
@@ -176,4 +176,38 @@ def test_gradient_energy_phase_field_both_axes():
     f = PhaseField(g, vals)
     # cross terms vanish; each mode contributes amp^2 k^2 vol/2
     expect = (kx ** 2 + kv ** 2) * (16.0 * 16.0) / 2.0
-    assert gradient_energy(f) == pytest.approx(expect, rel=1e-12)
+    energy = HeatPlan(g, SIGMA, "xv").gradient_energy(f.values, f.kind)
+    assert energy == pytest.approx(expect, rel=1e-12)
+
+
+def _full_layout_reference(field):
+    """Laplacian and gradient energy over all axes of the field on the full
+    complex layout (fftn), with |k|^2 built here from the lattice spacings."""
+    g, vals = field.grid, field.values
+    spacings = ((g.h_x,) * g.dim_x + (g.h_v,) * g.dim_v)[:vals.ndim]
+    spec = np.fft.fftn(vals)
+    k2 = np.zeros(vals.shape)
+    for ax, h in enumerate(spacings):
+        k = 2.0 * math.pi * np.fft.fftfreq(vals.shape[ax], d=h)
+        expand = [1] * vals.ndim
+        expand[ax] = k.size
+        k2 = k2 + (k ** 2).reshape(expand)
+    lap = np.fft.ifftn(-k2 * spec).real
+    energy = float(np.sum(k2 * np.abs(spec) ** 2)) * field.cell_volume / vals.size
+    return lap, energy
+
+
+@pytest.mark.parametrize("dims,kind", [((1, 1), "phase"), ((2, 2), "phase"),
+                                       ((1, 1), "spatial"), ((2, 2), "spatial")])
+def test_plan_matches_full_layout_reference(dims, kind):
+    g = small_grid(16, *dims)
+    rng = np.random.default_rng(7)
+    field = (PhaseField if kind == "phase" else SpatialField)(
+        g, rng.standard_normal(g.shape_of(kind)))
+    plan = HeatPlan(g, SIGMA, "xv" if kind == "phase" else "x")
+    lap_ref, energy_ref = _full_layout_reference(field)
+    lap = plan.laplacian(field.values, field.kind)
+    np.testing.assert_allclose(lap, lap_ref, rtol=0.0,
+                               atol=1e-14 * float(np.abs(lap_ref).max()))
+    assert plan.gradient_energy(field.values, field.kind) == pytest.approx(
+        energy_ref, rel=1e-14)

@@ -10,6 +10,7 @@ from math import cosh, sqrt
 
 from angiosolve import picard
 from angiosolve import (
+    CoefficientTrack,
     ConfigurationError,
     GridSpec,
     HeatPlan,
@@ -328,6 +329,43 @@ def test_picard_pure_validation(grid64):
         picard_pure(p0, [p0] * 3, _params(), sched)  # 11 nodes expected
     with pytest.raises(ShapeError):
         picard_pure(p0, [None] * 11, _params(), sched)
+
+
+def test_picard_pure_rejects_a_source_track_of_another_schedule(grid64):
+    # a track's samples belong to its own nodes: read on another schedule
+    # they would be a different source
+    p0 = _flat_in_x(grid64)
+    sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
+    f = gaussian_phase(grid64, mass=0.3)
+    coarse = CoefficientTrack(Schedule(t_end=0.5, dt=0.05), grid64, f=f)
+    with pytest.raises(ConfigurationError):
+        picard_pure(p0, coarse, _params(), sched)
+    longer = CoefficientTrack(Schedule(t_end=0.8, dt=0.01), grid64, f=[f] * 81)
+    with pytest.raises(ConfigurationError):
+        picard_pure(p0, longer, _params(), sched)
+
+
+def test_pure_run_takes_one_reduction_per_recorded_node(grid64, monkeypatch):
+    # the pure driver reads only the marginal at each node, so the stepper
+    # takes no speed moment there
+    from angiosolve import stepping
+    counts = {"reductions": 0, "nodes": 0}
+    reduce_raw, solve = stepping._reduce_raw, picard.solve_linear
+
+    def counting_reduce(*args, **kwargs):
+        counts["reductions"] += 1
+        return reduce_raw(*args, **kwargs)
+
+    def counting_solve(p0, track, *args, **kwargs):
+        counts["nodes"] += track.schedule.n_steps + 1
+        return solve(p0, track, *args, **kwargs)
+
+    monkeypatch.setattr(stepping, "_reduce_raw", counting_reduce)
+    monkeypatch.setattr(picard, "solve_linear", counting_solve)
+    sched = Schedule(t_end=0.2, dt=0.01, save_stride=10)
+    _, diag = picard_pure(_flat_in_x(grid64), None, _params(), sched)
+    assert diag.converged
+    assert counts["reductions"] == counts["nodes"] > 0
 
 
 # --------------------------------------------------------------------------

@@ -153,8 +153,8 @@ def test_solve_linear_separable_track_matches_dense(grid64):
 def test_solve_linear_records_moment_nodes(grid64):
     p0 = gaussian_phase(grid64)
     sched = Schedule(t_end=0.1, dt=0.01, save_stride=5)
-    traj = solve_linear(p0, CoefficientTrack(sched, grid64), SIGMA,
-                        record_moments=True)
+    track = CoefficientTrack(sched, grid64)
+    traj = solve_linear(p0, track, SIGMA, record="j")
     assert traj.p_tilde_nodes.shape == (11,) + grid64.spatial_shape
     assert traj.j_nodes.shape == (11,) + grid64.spatial_shape
     # node 0 must be the initial marginal
@@ -163,6 +163,16 @@ def test_solve_linear_records_moment_nodes(grid64):
     # moments are nonnegative throughout
     assert traj.p_tilde_nodes.min() >= 0.0
     assert traj.j_nodes.min() >= 0.0
+    # the other records: the marginal alone, the vector moment, nothing
+    only_pt = solve_linear(p0, track, SIGMA, record="p_tilde")
+    np.testing.assert_array_equal(only_pt.p_tilde_nodes, traj.p_tilde_nodes)
+    assert only_pt.j_nodes is None
+    vector = solve_linear(p0, track, SIGMA, record="vector_j")
+    assert np.all(vector.j_nodes <= traj.j_nodes * (1 + 1e-12))
+    plain = solve_linear(p0, track, SIGMA)
+    assert plain.node_times is None and plain.p_tilde_nodes is None
+    with pytest.raises(ParameterError):
+        solve_linear(p0, track, SIGMA, record="speed")
 
 
 def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch):
