@@ -3,7 +3,9 @@
 The density obeys  dp/dt = sigma Lap p - gamma * A(t,x) * p  where
 A(t,x) = int_0^t ptilde(s,x) ds  is built from the solution's own past.
 The driver freezes A from the previous iterate, solves the resulting
-linear problem, and repeats; this script prints the contraction at work.
+linear problem, and repeats; A does not depend on v, so the iterates are
+marginals, marched on the position lattice, and each slab marches the
+density once at the end.  This script prints the contraction at work.
 Run as ``python3 demos/pure_fixed_point.py``.
 """
 
@@ -36,10 +38,12 @@ def main():
     print(" slab's converged state and carry its accumulated integral)\n")
 
     for s, deltas in enumerate(diag.deltas_p):
-        print(f"slab {s}: iterate-to-iterate sup deviations")
+        print(f"slab {s}: iterate-to-iterate sup deviations of the marginal")
         for k, d in enumerate(deltas, start=2):
             print(f"  iterate {k}: {d:.3e}")
-    print(f"converged: {diag.converged} after {diag.iterations} linear solves\n")
+    print(f"converged: {diag.converged} after {diag.iterations} iterates "
+          f"({diag.x_step_solves} position-lattice and "
+          f"{diag.phase_step_solves} phase-lattice steps)\n")
 
     print("the converged run, with its memory coefficient:")
     a_nodes = traj.aux["a_nodes"]

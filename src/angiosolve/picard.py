@@ -9,11 +9,21 @@ concentration c(t, x):
 with alpha(c) = alpha1 c / (c_R + c), rho a fixed Gaussian velocity profile,
 p~ the velocity marginal and j the speed moment of p.  One slab loop
 (:func:`_drive`) serves both public drivers: it freezes the nonlocal (and
-nonlinear) couplings at the previous iterate, solves the resulting *linear*
-damped diffusion problem with :func:`solve_linear`, and repeats until
-successive iterates agree in relative sup norm at every saved time.  The
-uncoupled problem (:func:`picard_pure`) is that loop without the attractant;
-:func:`picard_coupled` switches the attractant on.
+nonlinear) couplings at the previous iterate, marches the iterate's state
+under the resulting *linear* damped diffusion problem, and repeats until
+successive marginals agree in relative sup norm at every saved time (on
+coupled runs the concentrations must agree as well).
+
+The uncoupled problem (:func:`picard_pure`) is that loop without the
+attractant, and its state is the marginal alone: the coefficient gamma A(x)
+does not depend on v, the phase heat multiplier factors into an x and a v
+part, and the v flow keeps the v-sum exactly, so the v-sum of one Strang
+step is the same step on p~ with a position-lattice plan.  Its iterates are
+therefore marched on the n_x cells of the position lattice, and each slab
+marches the phase field once, with the coefficient of its last iterate.
+:func:`picard_coupled` switches the attractant on; its coefficient depends
+on v, so every coupled iterate marches the phase field with
+:func:`solve_linear` and then the concentration.
 
 The iteration only contracts on windows with T * sqrt(M) < 1 (M an a-priori
 bound on the accumulated damping), so long runs are split into slabs of
@@ -81,12 +91,16 @@ class ModelParams:
 
 @dataclass
 class IterationDiagnostics:
-    """Convergence record of one driver run.
+    """Convergence and work record of one driver run.
 
-    ``deltas_p[s]`` lists the relative sup-norm changes of the p iterates in
-    slab s, starting at iterate 2; ``deltas_c`` likewise for the coupled
-    driver (empty for the pure one).  ``driving_deltas`` is the sequence the
-    stopping rule actually used (max of the two).
+    ``deltas_p[s]`` lists the relative sup-norm changes of the iterates'
+    velocity marginals at the saved times of slab s, starting at iterate 2;
+    ``deltas_c`` likewise for the coupled driver's concentrations (empty
+    for the pure one).  ``driving_deltas`` is the sequence the stopping rule
+    actually used (max of the two).  ``phase_step_solves`` counts the Strang
+    steps marched on the phase lattice and ``x_step_solves`` those marched
+    on the position lattice (the pure driver's marginal iterates); both are
+    exact and deterministic.
     """
 
     deltas_p: list = field(default_factory=list)
@@ -96,6 +110,8 @@ class IterationDiagnostics:
     converged: bool = True
     slab_edges: list = field(default_factory=list)
     k_per_slab: list = field(default_factory=list)
+    phase_step_solves: int = 0
+    x_step_solves: int = 0
 
     def deltas_strictly_decreasing(self, burn_in: int = 1) -> bool:
         """True when every slab's driving deltas fall strictly after burn-in.
@@ -144,7 +160,11 @@ def _alpha_raw(c_vals: np.ndarray, alpha1: float, c_R: float, what: str) -> np.n
 
 
 def _c_step(c_vals, j_vals, eta, dt, plan_x):
-    """exp(-eta j dt/2), exact heat flow over dt, exp(-eta j dt/2) again."""
+    """exp(-eta j dt/2), exact heat flow over dt, exp(-eta j dt/2) again.
+
+    The concentration step, and with eta = 1 and j the midpoint damping the
+    marginal's Strang step as well.
+    """
     half = np.exp((-0.5 * dt * eta) * j_vals)
     return half * plan_x.apply(half * c_vals, dt, "spatial")
 
@@ -256,16 +276,45 @@ def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
     return c_nodes, chat_nodes
 
 
+def _march_marginal(pt0, track, plan_x, f_tilde):
+    """The velocity marginal of :func:`solve_linear`'s march, on the x-lattice.
+
+    ``track`` holds a position-lattice coefficient, ``plan_x`` is the
+    subspace-"x" plan with the phase diffusivity and ``f_tilde`` the
+    source's marginal at every node (entries None without a source).  Each
+    step is the phase step's v-sum: half a trapezoid source, the midpoint
+    damping split around the exact x flow, the other half of the source.
+    The marginal is floored like the phase march.  Returns the stacked
+    marginal at every node.
+    """
+    sched = track.schedule
+    dt = sched.dt
+    shape = track.grid.spatial_shape
+    nodes = np.empty((sched.n_steps + 1,) + shape)
+    nodes[0] = pt = pt0
+    for i in range(sched.n_steps):
+        f_lo, f_hi = f_tilde[i], f_tilde[i + 1]
+        u = pt if f_lo is None else pt + (0.5 * dt) * f_lo
+        u = _c_step(u, track.coefficient_mid(i).reshape(shape), 1.0, dt, plan_x)
+        if f_hi is not None:
+            u = u + (0.5 * dt) * f_hi
+        nodes[i + 1] = pt = apply_sign(u, +1, f"marched marginal at step {i + 1}")
+    return nodes
+
+
 def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     """The slab-restarted fixed point behind both public drivers.
 
-    Per slab, iterate k solves the linear problem with coefficient
-    gamma A_{k-1} (A the running integral of the previous iterate's
-    marginal, continued across slabs by the carried offset) and source f,
-    until successive iterates agree to ``tol`` at every saved time.  Passing
-    ``c0`` couples the attractant in (``f`` is then None): the coefficient
-    gains -alpha(c_{k-1}) rho(v), c_k is marched with the current speed
-    moment j_k, and the c change joins the stopping rule.
+    Per slab, iterate k marches the state under the linear problem with
+    coefficient gamma A_{k-1} (A the running integral of the previous
+    iterate's marginal, continued across slabs by the carried offset) and
+    source f, until successive marginals agree to ``tol`` at every saved
+    time.  Without ``c0`` the state is the marginal, marched on the
+    x-lattice, and the phase field is marched once per slab with the last
+    iterate's coefficient.  Passing ``c0`` couples the attractant in (``f``
+    is then None): the state is the phase field, the coefficient gains
+    -alpha(c_{k-1}) rho(v), c_k is marched with the current speed moment
+    j_k, and the c change joins the stopping rule.
 
     Returns (p_trajectory, c_trajectory or None, diagnostics).
     """
@@ -290,8 +339,15 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     elif f.schedule != schedule:
         raise ConfigurationError("source track schedule differs from the requested one")
     source = f.source
+    # the source's marginal at every node (one array when constant)
+    if source is None:
+        f_tilde = [None]
+    elif isinstance(source, list):
+        f_tilde = [_reduce_raw(arr, grid) for arr in source]
+    else:
+        f_tilde = [_reduce_raw(source, grid)]
 
-    rho_v, record, alpha_rate = None, "p_tilde", 0.0
+    rho_v, record, alpha_rate = None, None, 0.0
     if coupled:
         if c0.role != "c":
             c0 = SpatialField(grid, c0.values, time_tag=c0.time_tag, role="c")
@@ -302,20 +358,14 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         plan_x = HeatPlan(grid, params.d, "x")
         chat_slab = np.zeros(grid.spatial_shape)
         cinf_start = c0.values
+    else:
+        plan_pt = HeatPlan(grid, params.sigma, "x")
 
     # a-priori bound on gamma * sup of any iterate's marginal: the damping
     # only removes mass, so the heat flow plus accumulated source, grown at
     # the production ceiling, dominates every iterate's marginal
-    def sup_marginal(arr):
-        return float(_reduce_raw(arr, grid).max())
-
-    sup_pt0 = sup_marginal(p0.values)
-    if source is None:
-        f_sup = 0.0
-    elif isinstance(source, list):
-        f_sup = max(sup_marginal(arr) for arr in source)
-    else:
-        f_sup = sup_marginal(source)
+    sup_pt0 = float(_reduce_raw(p0.values, grid).max())
+    f_sup = 0.0 if source is None else max(float(ft.max()) for ft in f_tilde)
     big_m = gamma * (sup_pt0 + schedule.t_end * f_sup) * math.exp(alpha_rate * schedule.t_end)
 
     edges = slab_partition(n_steps, dt, big_m)
@@ -327,6 +377,19 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     a_offset = np.zeros(grid.spatial_shape)
     p_slab = p0
 
+    def march(track, start, saved, ft_slab):
+        """One iterate's state from the slab's start (the phase field, or
+        its marginal for the pure driver): (marginal nodes, j nodes or None,
+        phase trajectory or None)."""
+        n = track.schedule.n_steps
+        if not coupled:
+            diag.x_step_solves += n
+            return _march_marginal(start, track, plan_pt, ft_slab), None, None
+        diag.phase_step_solves += n
+        traj = solve_linear(start, track, params.sigma, plan=plan, record=record,
+                            saved_nodes=saved, clamp_saves=True)
+        return traj.p_tilde_nodes, traj.j_nodes, traj
+
     for s in range(len(edges) - 1):
         i0, i1 = edges[s], edges[s + 1]
         n_local = i1 - i0
@@ -334,22 +397,19 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         local_sched = Schedule(t_end=n_local * dt, dt=dt, save_stride=1)
         local_saved = _local_saved_nodes(i0, i1, global_saved)
         f_slab = source[i0:i1 + 1] if isinstance(source, list) else source
+        ft_slab = f_tilde[i0:i1 + 1] if isinstance(source, list) else f_tilde * (n_local + 1)
+        start = p_slab if coupled else _reduce_raw(p_slab.values, grid)
         if coupled:
             c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
 
         # iterate 1 per slab: the zero density (the construction's seed;
-        # free) or the frozen-offset flow (one real solve, no delta yet)
+        # free) or the frozen-offset flow (one real march, no delta yet)
         if init == "zero":
-            prev_fields = [np.zeros(grid.phase_shape) for _ in local_saved]
             prev_pt = prev_j = np.zeros((n_local + 1,) + grid.spatial_shape)
         else:
-            track1 = CoefficientTrack(local_sched, grid, a=gamma * a_offset,
-                                      f=f_slab, strict=True)
-            traj_k = solve_linear(p_slab, track1, params.sigma, plan=plan,
-                                  record=record, saved_nodes=local_saved,
-                                  clamp_saves=True)
-            prev_fields = [fld.values for fld in traj_k.fields]
-            prev_pt, prev_j = traj_k.p_tilde_nodes, traj_k.j_nodes
+            track = CoefficientTrack(local_sched, grid, a=gamma * a_offset,
+                                     f=f_slab, strict=True)
+            prev_pt, prev_j, traj_k = march(track, start, local_saved, ft_slab)
         diag.iterations += 1
         c_prev = c_cur = chat_cur = None
         if coupled:
@@ -367,26 +427,21 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             track = CoefficientTrack(local_sched, grid,
                                      a=[gamma * a_i for a_i in a_nodes], f=f_slab,
                                      sep_x=sep_x, sep_v=rho_v, strict=not coupled)
-            traj_k = solve_linear(p_slab, track, params.sigma, plan=plan,
-                                  record=record, saved_nodes=local_saved,
-                                  clamp_saves=True)
+            traj_k = None  # the previous iterate's fields are not needed again
+            pt_k, j_k, traj_k = march(track, start, local_saved, ft_slab)
             diag.iterations += 1
-            cur_fields = [fld.values for fld in traj_k.fields]
-            delta = _relative_delta(cur_fields, prev_fields)
+            delta = _relative_delta(pt_k[local_saved], prev_pt[local_saved])
             deltas_p.append(delta)
             if coupled:
-                c_cur, chat_cur = _advance_c_nodes(
-                    chat_slab, c_inf_loc, traj_k.j_nodes, eta, dt, plan_x)
-                d_c = _relative_delta([c_cur[i] for i in local_saved],
-                                      [c_prev[i] for i in local_saved])
+                c_cur, chat_cur = _advance_c_nodes(chat_slab, c_inf_loc, j_k, eta, dt, plan_x)
+                d_c = _relative_delta(c_cur[local_saved], c_prev[local_saved])
                 deltas_c.append(d_c)
                 delta = max(delta, d_c)
             driving.append(delta)
             if delta <= tol:
                 converged_slab = True
                 break
-            prev_fields = cur_fields
-            prev_pt = traj_k.p_tilde_nodes
+            prev_pt = pt_k
             c_prev = c_cur
             k += 1
 
@@ -396,6 +451,11 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         diag.k_per_slab.append(k if converged_slab else k_max)
         if not converged_slab:
             diag.converged = False
+        if not coupled:
+            # the marginal fixed the coefficient; march the density once
+            diag.phase_step_solves += n_local
+            traj_k = solve_linear(p_slab, track, params.sigma, plan=plan,
+                                  saved_nodes=local_saved, clamp_saves=True)
 
         # stitch only the schedule's own saved nodes: slab edges are an
         # implementation detail and must not leak extra snapshots
@@ -414,8 +474,8 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
                                                role="c_hat"))
                 cinf_saved.append(SpatialField(grid, c_inf_loc[node], time_tag=t,
                                                role="c_inf"))
-        pt_nodes[i0:i1 + 1] = traj_k.p_tilde_nodes
-        a_offset = a_offset + accumulate_time_integral(traj_k.p_tilde_nodes, dt)[-1]
+        pt_nodes[i0:i1 + 1] = pt_k
+        a_offset = a_offset + accumulate_time_integral(pt_k, dt)[-1]
         p_slab = traj_k.fields[-1]
         if coupled:
             chat_slab = chat_cur[-1]
@@ -436,10 +496,15 @@ def picard_pure(p0: PhaseField, f_track, params: ModelParams, schedule: Schedule
 
     Iterates  p_k = solve of  dp/dt = sigma Lap p - gamma A_{k-1} p + f  with
     A_{k-1}(t) the running integral of the previous iterate's marginal
-    (continued across slabs by the carried offset).  ``init="heat"`` starts
-    from the frozen-offset flow (A_0 = carried offset, so the first iterate
-    of the first slab is the plain heat/source flow); ``init="zero"`` starts
-    from p_1 = 0.
+    (continued across slabs by the carried offset).  The coefficient does
+    not depend on v, so only the marginal is iterated, on the x-lattice:
+    p~_k solves  dp~/dt = sigma Lap_x p~ - gamma A_{k-1} p~ + f~  with the
+    same Strang step, and the stopping rule compares successive marginals
+    at the saved times.  Each slab then marches the phase field once, with
+    the coefficient of its last iterate.  ``init="heat"`` starts from the
+    frozen-offset flow (A_0 = carried offset, so the first iterate of the
+    first slab is the plain heat/source flow); ``init="zero"`` starts from
+    p_1 = 0.
 
     ``f_track`` is the source f: None, one PhaseField (constant in time), one
     sample per schedule node, or a CoefficientTrack on ``schedule`` itself;

@@ -256,9 +256,9 @@ class Trajectory:
     every schedule node when the producing solver recorded node series;
     ``p_tilde_nodes`` then holds the velocity marginal at every node, and
     ``j_nodes`` the speed moment (scalar, or the magnitude of the vector
-    moment) when that was asked for too (stacked arrays, leading axis =
-    node; None when not recorded).  ``aux`` carries solver-specific extras
-    (depletion snapshots, far-field fields, ...).
+    moment); both are stacked arrays with the node as leading axis, None
+    when not recorded.  ``aux`` carries solver-specific extras (depletion
+    snapshots, far-field fields, ...).
     """
 
     def __init__(self, times, fields, node_times=None, p_tilde_nodes=None,
@@ -340,11 +340,11 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         is passed and equal.
     sigma : float
         Phase-space diffusivity.
-    record : {None, "p_tilde", "j", "vector_j"}
-        What to record at every node besides the saved fields (the
-        fixed-point drivers read these): nothing, the velocity marginal, the
-        marginal and the speed moment (weight |v| of the cell centres), or
-        the marginal and the magnitude of the vector first moment.
+    record : {None, "j", "vector_j"}
+        What to record at every node besides the saved fields (the coupled
+        fixed-point driver reads these): nothing, the velocity marginal and
+        the speed moment (weight |v| of the cell centres), or the marginal
+        and the magnitude of the vector first moment.
     saved_nodes : sequence of int, optional
         Override of the schedule's saved nodes (must contain 0 and the final
         node); the fixed-point drivers use this to pin slab boundaries.
@@ -388,19 +388,18 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
                 "saved_nodes must contain 0 and the final node and stay in range"
             )
 
-    if record not in (None, "p_tilde", "j", "vector_j"):
-        raise ParameterError(
-            f"record must be None, 'p_tilde', 'j' or 'vector_j', got {record!r}")
+    if record not in (None, "j", "vector_j"):
+        raise ParameterError(f"record must be None, 'j' or 'vector_j', got {record!r}")
     if record is not None:
         p_tilde_rec = np.empty((n_steps + 1,) + grid.spatial_shape)
-        j_rec = None if record == "p_tilde" else np.empty_like(p_tilde_rec)
+        j_rec = np.empty_like(p_tilde_rec)
         weights = _first_moment_weights(grid) if record == "vector_j" else speed_grid(grid)
 
     def _record(i, vals):
         p_tilde_rec[i] = _reduce_raw(vals, grid)
         if record == "j":
             j_rec[i] = _reduce_raw(vals, grid, weights)
-        elif record == "vector_j":
+        else:
             j_rec[i] = _vector_j(vals, grid, weights)[1]
 
     vals = p0.values

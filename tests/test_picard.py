@@ -1,6 +1,7 @@
 """Fixed-point drivers against closed-form nonlinear solutions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from angiosolve import (
     picard_coupled,
     picard_pure,
     slab_partition,
+    solve_linear,
 )
+from angiosolve.moments import _reduce_raw
 
 from conftest import gaussian_phase
 
@@ -345,11 +348,12 @@ def test_picard_pure_rejects_a_source_track_of_another_schedule(grid64):
         picard_pure(p0, longer, _params(), sched)
 
 
-def test_pure_run_takes_one_reduction_per_recorded_node(grid64, monkeypatch):
-    # the pure driver reads only the marginal at each node, so the stepper
-    # takes no speed moment there
+def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):
+    # the marginal fixes every pure iterate, so each slab marches the phase
+    # field once, records no node series and takes no stepper reduction
     from angiosolve import stepping
-    counts = {"reductions": 0, "nodes": 0}
+    counts = {"reductions": 0}
+    records = []
     reduce_raw, solve = stepping._reduce_raw, picard.solve_linear
 
     def counting_reduce(*args, **kwargs):
@@ -357,15 +361,55 @@ def test_pure_run_takes_one_reduction_per_recorded_node(grid64, monkeypatch):
         return reduce_raw(*args, **kwargs)
 
     def counting_solve(p0, track, *args, **kwargs):
-        counts["nodes"] += track.schedule.n_steps + 1
+        records.append(kwargs.get("record"))
         return solve(p0, track, *args, **kwargs)
 
     monkeypatch.setattr(stepping, "_reduce_raw", counting_reduce)
     monkeypatch.setattr(picard, "solve_linear", counting_solve)
-    sched = Schedule(t_end=0.2, dt=0.01, save_stride=10)
-    _, diag = picard_pure(_flat_in_x(grid64), None, _params(), sched)
-    assert diag.converged
-    assert counts["reductions"] == counts["nodes"] > 0
+    sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
+    _, diag = picard_pure(_flat_in_x(grid64), None, _params(gamma=9.0), sched)
+    assert diag.converged and len(diag.k_per_slab) == 4
+    assert records == [None] * 4
+    assert counts["reductions"] == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_marginal_march_is_the_v_sum_of_the_phase_march(dim_v, constant, sourced, seed):
+    # an x-only coefficient commutes with the velocity sum and the v flow
+    # keeps that sum, so the marginal of every node of the phase march is
+    # the x-lattice march of the marginal: the pure driver iterates on this
+    g = GridSpec(dim_x=1, dim_v=dim_v, n_x=16, n_v=8, half_width_x=4.0, half_width_v=4.0)
+    rng = np.random.default_rng(seed)
+    sched = Schedule(t_end=0.1, dt=0.01)
+    n_nodes = sched.n_steps + 1
+
+    def x_sample():
+        return 4.0 * rng.random(g.spatial_shape)
+
+    a = x_sample() if constant else [x_sample() for _ in range(n_nodes)]
+    f = [rng.random(g.phase_shape) for _ in range(n_nodes)] if sourced else None
+    track = CoefficientTrack(sched, g, a=a, f=f)
+    p0 = PhaseField(g, rng.random(g.phase_shape))
+    phase = solve_linear(p0, track, SIGMA, record="j").p_tilde_nodes
+    f_tilde = [None] * n_nodes if f is None else [_reduce_raw(arr, g) for arr in f]
+    marginal = picard._march_marginal(_reduce_raw(p0.values, g), track,
+                                      HeatPlan(g, SIGMA, "x"), f_tilde)
+    assert np.abs(marginal - phase).max() <= 1e-13 * np.abs(phase).max()
+
+
+def test_drivers_count_their_step_solves_exactly(zero_fix, pure_fix, coupled_fix,
+                                                 smoke_fix):
+    # a pure run iterates on the x-lattice and marches the phase field once
+    # per step; a coupled run marches every iterate on the phase lattice
+    def counts(fix):
+        return fix["diag"].phase_step_solves, fix["diag"].x_step_solves
+
+    assert counts(pure_fix) == (1000, 5559)
+    assert counts(coupled_fix) == (4844, 0)
+    assert counts(smoke_fix) == (200, 0)
+    assert counts(zero_fix)[0] == zero_fix["scenario"].schedule.n_steps
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +426,26 @@ def test_picard_coupled_without_production_reduces_to_pure(grid64):
     pure, _ = picard_pure(p0, None, _params(alpha1=0.0), sched, tol=1e-10, init="zero")
     for a, b in zip(p_traj.fields, pure.fields):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_coupled_drive_holds_one_saved_trajectory():
+    # the stopping rule reads node series, and an iterate's saved fields go
+    # before the next iterate is marched: at its peak the drive holds the
+    # saved trajectory, the iteration's node series and a few step arrays
+    g = GridSpec(dim_x=1, dim_v=1, n_x=32, n_v=128, half_width_x=8.0, half_width_v=8.0)
+    p0, c0 = _flat_in_x(g), _c_bump(g)
+    sched = Schedule(t_end=0.32, dt=0.005, save_stride=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        p_traj, _, diag = picard_coupled(p0, c0, _params(gamma=9.0), sched, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert diag.converged and len(diag.k_per_slab) == 2
+    traj_bytes = sum(f.values.nbytes for f in p_traj.fields)
+    series_bytes = p_traj.aux["a_nodes"].nbytes
+    assert peak <= traj_bytes + 16 * series_bytes + 8 * p0.values.nbytes
 
 
 def test_picard_coupled_zero_density_leaves_c_on_heat_flow(grid64):
