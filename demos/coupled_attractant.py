@@ -13,6 +13,7 @@ import numpy as np
 from angiosolve import (GridSpec, ModelParams, PhaseField, Schedule,
                         build_initial_c, integrate_phase, picard_coupled,
                         speed_moment)
+from angiosolve.picard import summarise_iterates
 
 
 def main():
@@ -35,7 +36,7 @@ def main():
     sched = Schedule(t_end=0.6, dt=0.005, save_stride=24)
     p_traj, c_traj, diag = picard_coupled(p0, c0, params, sched)
     print(f"converged: {diag.converged} after {diag.iterations} sweeps over "
-          f"{len(diag.k_per_slab)} slab(s)\n")
+          f"{summarise_iterates(diag.k_per_slab)}\n")
 
     chat = c_traj.aux["c_hat"]
     print("   t     mass p   sup j     sup c     min c_hat")

@@ -3,9 +3,10 @@
 The density obeys  dp/dt = sigma Lap p - gamma * A(t,x) * p  where
 A(t,x) = int_0^t ptilde(s,x) ds  is built from the solution's own past.
 The driver freezes A from the previous iterate, solves the resulting
-linear problem, and repeats; A does not depend on v, so the iterates are
-marginals, marched on the position lattice, and each slab marches the
-density once at the end.  This script prints the contraction at work.
+linear problem, and repeats, window by window; A does not depend on v,
+so the iterates are marginals, marched on the position lattice, and each
+window marches the density once at the end.  This script prints the
+contraction at work.
 Run as ``python3 demos/pure_fixed_point.py``.
 """
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from angiosolve import (GridSpec, ModelParams, PhaseField, Schedule,
                         integrate_phase, picard_pure, velocity_marginal)
+from angiosolve.picard import summarise_iterates
 
 
 def main():
@@ -31,16 +33,19 @@ def main():
     traj, diag = picard_pure(p0, None, params, sched)
 
     print(f"gamma = {params.gamma}: strong memory damping")
-    print(f"time axis split into {len(diag.k_per_slab)} slab(s) at "
-          f"{[f'{t:.3f}' for t in diag.slab_edges]}")
-    print("(each slab is short enough that freezing the memory coefficient")
-    print(" is a contraction there; later slabs restart from the previous")
-    print(" slab's converged state and carry its accumulated integral)\n")
+    print(f"time axis iterated on {summarise_iterates(diag.k_per_slab)}")
+    print("(windows of at most two steps, inside slabs short enough that")
+    print(" freezing the memory coefficient is a contraction; each window")
+    print(" restarts from the previous one's converged state, carries its")
+    print(" accumulated integral and is seeded by the quadratic continuation")
+    print(" of the converged marginal)\n")
 
-    for s, deltas in enumerate(diag.deltas_p):
-        print(f"slab {s}: iterate-to-iterate sup deviations of the marginal")
-        for k, d in enumerate(deltas, start=2):
-            print(f"  iterate {k}: {d:.3e}")
+    print("first window (no history to seed from): iterate-to-iterate sup")
+    print("deviations of the marginal")
+    for k, d in enumerate(diag.deltas_p[0], start=2):
+        print(f"  iterate {k}: {d:.3e}")
+    seeded = [deltas[-1] for deltas in diag.deltas_p[1:]]
+    print(f"seeded windows: largest final deviation {max(seeded):.3e}")
     print(f"converged: {diag.converged} after {diag.iterations} iterates "
           f"({diag.x_step_solves} position-lattice and "
           f"{diag.phase_step_solves} phase-lattice steps)\n")

@@ -177,14 +177,16 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise DataError(f"{what} has non-finite entry {values[idx]!r} at cell {idx}")
 
 
-def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0) -> np.ndarray:
+def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0,
+               out=None) -> np.ndarray:
     """The package's one sign rule: clamp round-off, reject anything worse.
 
     ``sign = +1`` requires ``values >= 0``, ``sign = -1`` requires
     ``values <= 0``.  Entries on the wrong side of zero by at most
-    ``CLAMP_REL * max(scale, max|values|)`` are set to zero in a new array;
-    anything beyond raises :class:`SignError` naming the worst cell.  When
-    no entry is on the wrong side, ``values`` itself is returned.
+    ``CLAMP_REL * max(scale, max|values|)`` are set to zero in a new array
+    (or in ``out``, which may be ``values`` itself); anything beyond raises
+    :class:`SignError` naming the worst cell.  When no entry is on the wrong
+    side, ``values`` itself is returned.
     """
     if sign > 0:
         worst = float(values.min())
@@ -197,7 +199,7 @@ def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0) -> 
                 f"{what} must be >= 0: entry {worst:.6e} at cell {idx} "
                 f"is below the clamping tolerance {-limit:.3e}"
             )
-        return np.maximum(values, 0.0)
+        return np.maximum(values, 0.0, out=out)
     worst = float(values.max())
     if worst <= 0.0:
         return values
@@ -208,7 +210,7 @@ def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0) -> 
             f"{what} must be <= 0: entry {worst:.6e} at cell {idx} "
             f"exceeds the clamping tolerance {limit:.3e}"
         )
-    return np.minimum(values, 0.0)
+    return np.minimum(values, 0.0, out=out)
 
 
 class _Field:

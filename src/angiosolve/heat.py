@@ -13,9 +13,11 @@ Laplacian acts on ("xv" for the full phase Laplacian, "x" or "v" for the
 partial ones).  It lays out each field kind it serves once (shape,
 transformed axes, |k|^2 on the real-transform layout) and keeps one
 multiplier per kind: the last step size asked for, which is the one the
-steppers reuse.  The same layout serves the semigroup's generator and its
-Dirichlet form: :meth:`HeatPlan.laplacian` and
-:meth:`HeatPlan.gradient_energy`.  The plan's ``forward``/``inverse`` are the
+steppers reuse.  It also keeps, per kind, the spectrum array its heat flow
+transforms into and a work array a stepper may march in, so a march
+allocates nothing per step; both go with the plan.  The same layout serves
+the semigroup's generator and its Dirichlet form: :meth:`HeatPlan.laplacian`
+and :meth:`HeatPlan.gradient_energy`.  The plan's ``forward``/``inverse`` are the
 only FFT calls in the package and its layouts hold the only |k|^2; every
 other module transforms through a plan.
 """
@@ -87,6 +89,8 @@ class HeatPlan:
             self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends),
                                    _k_squared(shape, ends, spacings))
         self._mult = {}   # kind -> (tau, multiplier) of the last request
+        self._spec = {}   # kind -> spectrum array reused by apply
+        self._work = {}   # kind -> work array apply transforms in place
 
     def _layout(self, kind: str):
         if kind in self._layouts:
@@ -96,17 +100,30 @@ class HeatPlan:
                              "a spatial field")
         raise ParameterError(f"unknown field kind {kind!r}")
 
-    def forward(self, values: np.ndarray, kind: str) -> np.ndarray:
-        """Real FFT of one field, or of a stack of fields on a leading axis."""
+    def forward(self, values: np.ndarray, kind: str, out=None) -> np.ndarray:
+        """Real FFT of one field, or of a stack of fields on a leading axis,
+        written into ``out`` when given."""
         shape, axes, _, _ = self._layout(kind)
         if values.shape[values.ndim - len(shape):] != shape:
             raise ShapeError(f"array shape {values.shape} does not match plan lattice {shape}")
-        return np.fft.rfftn(values, axes=axes)
+        return np.fft.rfftn(values, axes=axes, out=out)
 
-    def inverse(self, spec: np.ndarray, kind: str) -> np.ndarray:
-        """Inverse of :meth:`forward` (stacks included)."""
+    def inverse(self, spec: np.ndarray, kind: str, out=None) -> np.ndarray:
+        """Inverse of :meth:`forward` (stacks included).
+
+        Given ``out``, the result is written there and the transform's
+        passes run in place on ``spec``, which is overwritten; the bits are
+        the same either way.
+        """
         _, axes, sizes, _ = self._layout(kind)
-        return np.fft.irfftn(spec, s=sizes, axes=axes)
+        if out is None:
+            return np.fft.irfftn(spec, s=sizes, axes=axes)
+        # irfftn's passes, in its order: irfftn(..., out=out) would allocate
+        # a complex array per call for the inner passes, which made
+        # march-1d's run 11% slower
+        for ax in axes[:-1]:
+            np.fft.ifft(spec, axis=ax, out=spec)
+        return np.fft.irfft(spec, n=sizes[-1], axis=axes[-1], out=out)
 
     def multiplier(self, tau: float, kind: str) -> np.ndarray:
         """exp(-sigma |k|^2 tau) laid out for the spectral array of ``kind``.
@@ -123,13 +140,45 @@ class HeatPlan:
         self._mult[kind] = (tau, mult)
         return mult
 
+    def work(self, kind: str) -> np.ndarray:
+        """The plan's work array for one field of ``kind``.
+
+        :meth:`apply` handed this array overwrites it in place, so a stepper
+        that marches in it allocates nothing per step.  Its contents belong
+        to whoever marches in it last; copy anything that must outlive the
+        next step.
+        """
+        work = self._work.get(kind)
+        if work is None:
+            work = self._work[kind] = np.empty(self._layout(kind)[0])
+        return work
+
     def apply(self, values: np.ndarray, tau: float, kind: str) -> np.ndarray:
-        """Heat flow on a raw array (hot path; no field wrapping)."""
+        """Heat flow on a raw array (hot path; no field wrapping).
+
+        One field is transformed into the plan's spectrum array; the result
+        overwrites ``values`` when that is the plan's :meth:`work` array and
+        is a new array otherwise.  The bits are those of :meth:`forward`,
+        the multiplier and :meth:`inverse`.  There is no ``out=`` keyword:
+        the stepper calls ``apply(values, tau, kind)``, the form that the
+        benchmark's tracing wrapper and the stepper fault test replace.
+        """
         if tau == 0.0:
             return values
-        spec = self.forward(values, kind)
+        single = values.shape == self._layout(kind)[0]
+        spec = self.forward(values, kind, out=self._spectrum(kind) if single else None)
         spec *= self.multiplier(tau, kind)
-        return self.inverse(spec, kind)
+        out = values if values is self._work.get(kind) else None
+        return self.inverse(spec, kind, out=out)
+
+    def _spectrum(self, kind: str) -> np.ndarray:
+        spec = self._spec.get(kind)
+        if spec is None:
+            shape, axes, sizes, _ = self._layout(kind)
+            spec_shape = list(shape)
+            spec_shape[axes[-1]] = sizes[-1] // 2 + 1
+            spec = self._spec[kind] = np.empty(spec_shape, dtype=complex)
+        return spec
 
     def apply_each(self, values: np.ndarray, taus, kind: str):
         """Yield the heat flow of one array for each time in ``taus``.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import (PhaseField, SpatialField, apply_sign, speed_grid,
@@ -148,7 +147,12 @@ def accumulate_time_integral(p_tilde_series, dt: float) -> np.ndarray:
     if series.ndim < 2:
         raise ShapeError("series must be (node, *spatial)")
     series = apply_sign(series, +1, "marginal series (leading index: node)")
-    return cumulative_trapezoid(series, dx=dt, axis=0, initial=0.0)
+    # scipy's cumulative_trapezoid arithmetic, without its per-call overhead
+    # (the drivers integrate a window of a few nodes per iterate)
+    out = np.empty_like(series)
+    out[0] = 0.0
+    np.cumsum(dt * (series[1:] + series[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
 
 
 def _uniform_spacing(times: np.ndarray) -> float:

@@ -7,7 +7,7 @@ concentration c(t, x):
     dc/dt = d Lap_x c - eta c j,
 
 with alpha(c) = alpha1 c / (c_R + c), rho a fixed Gaussian velocity profile,
-p~ the velocity marginal and j the speed moment of p.  One slab loop
+p~ the velocity marginal and j the speed moment of p.  One window loop
 (:func:`_drive`) serves both public drivers: it freezes the nonlocal (and
 nonlinear) couplings at the previous iterate, marches the iterate's state
 under the resulting *linear* damped diffusion problem, and repeats until
@@ -19,22 +19,30 @@ attractant, and its state is the marginal alone: the coefficient gamma A(x)
 does not depend on v, the phase heat multiplier factors into an x and a v
 part, and the v flow keeps the v-sum exactly, so the v-sum of one Strang
 step is the same step on p~ with a position-lattice plan.  Its iterates are
-therefore marched on the n_x cells of the position lattice, and each slab
+therefore marched on the n_x cells of the position lattice, and each window
 marches the phase field once, with the coefficient of its last iterate.
 :func:`picard_coupled` switches the attractant on; its coefficient depends
 on v, so every coupled iterate marches the phase field with
 :func:`solve_linear` and then the concentration.
 
 The iteration only contracts on windows with T * sqrt(M) < 1 (M an a-priori
-bound on the accumulated damping), so long runs are split into slabs of
-length min(T, 0.5 / sqrt(M)) restarted from the previous slab's final state;
-the running time integral is carried across slab boundaries so the damping
-coefficient stays the global integral.
+bound on the accumulated damping), so the proof splits long runs into slabs
+of length min(T, 0.5 / sqrt(M)) (:func:`slab_partition`).  The discrete fixed
+point does not depend on where the time axis is cut, so the loop iterates on
+shorter windows still, of at most ``_WINDOW_STEPS`` steps inside those slabs,
+each restarted from the previous window's final state; the running time
+integral is carried across window boundaries so the damping coefficient
+stays the global integral.  Short windows contract faster, and a window
+after the first two steps is seeded with the quadratic continuation of the
+converged node series, so one correction usually meets the tolerance there
+(windowed waveform relaxation; Gander & Stuart, SIAM J. Sci. Comput. 19,
+1998).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +101,10 @@ class ModelParams:
 class IterationDiagnostics:
     """Convergence and work record of one driver run.
 
-    ``deltas_p[s]`` lists the relative sup-norm changes of the iterates'
-    velocity marginals at the saved times of slab s, starting at iterate 2;
+    One entry per iteration window: ``slab_edges`` are the window edges
+    (times), ``k_per_slab[w]`` the iterates window w took, and
+    ``deltas_p[w]`` lists the relative sup-norm changes of the iterates'
+    velocity marginals at the saved times of window w, starting at iterate 2;
     ``deltas_c`` likewise for the coupled driver's concentrations (empty
     for the pure one).  ``driving_deltas`` is the sequence the stopping rule
     actually used (max of the two).  ``phase_step_solves`` counts the Strang
@@ -114,19 +124,27 @@ class IterationDiagnostics:
     x_step_solves: int = 0
 
     def deltas_strictly_decreasing(self, burn_in: int = 1) -> bool:
-        """True when every slab's driving deltas fall strictly after burn-in.
+        """True when every window's driving deltas fall strictly after burn-in.
 
         ``burn_in = 1`` skips no comparisons beyond the first delta (the
         sequence starts at iterate 2, so the first comparison is iterate 3
-        against iterate 2).  A slab that converged immediately (one delta)
+        against iterate 2).  A window that converged immediately (one delta)
         passes vacuously.
         """
-        for slab in self.driving_deltas:
-            tail = slab[burn_in - 1:]
+        for window in self.driving_deltas:
+            tail = window[burn_in - 1:]
             for prev, curr in zip(tail, tail[1:]):
                 if not curr < prev:
                     return False
         return True
+
+
+def summarise_iterates(k_per_window) -> str:
+    """How many windows took each iterate count, e.g. ``500 window(s):
+    499x2, 1x4`` (counts ascending)."""
+    counts = Counter(k_per_window)
+    return f"{len(k_per_window)} window(s): " + ", ".join(
+        f"{n}x{k}" for k, n in sorted(counts.items()))
 
 
 def alpha_of_c(c: SpatialField, alpha1: float, c_R: float) -> SpatialField:
@@ -193,7 +211,11 @@ def advance_c(c: SpatialField, j: SpatialField, d: float, eta: float, dt: float,
 
 
 # --------------------------------------------------------------------------
-# slab partition
+# slab partition and iteration windows
+
+# the longest window the fixed point is iterated on; slab_partition's slabs
+# only bound it from above
+_WINDOW_STEPS = 2
 
 
 def slab_partition(n_steps: int, dt: float, sup_m: float):
@@ -236,18 +258,18 @@ def _local_saved_nodes(i0, i1, global_saved):
 
 
 def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
-    """Exact far-field concentration at the local nodes of one slab.
+    """Exact far-field concentration at the local nodes of one window.
 
-    ``c_start_vals`` is the far field at the slab start; the semigroup is
+    ``c_start_vals`` is the far field at the window start; the semigroup is
     exact, so evaluating each node in one shot composes exactly with the
-    previous slabs.
+    previous windows.
     """
     taus = [i * dt for i in range(n_local + 1)]
     return np.stack(list(plan_x.apply_each(c_start_vals, taus, "spatial")))
 
 
 def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
-    """March c = c_inf + chat across one slab given the speed moment nodes.
+    """March c = c_inf + chat across one window given the speed moment nodes.
 
     Returns (c at local nodes, chat at local nodes).  chat stays <= 0 and c
     stays >= 0 by construction; both are clamped at round-off level and
@@ -302,19 +324,51 @@ def _march_marginal(pt0, track, plan_x, f_tilde):
     return nodes
 
 
-def _drive(p0, c0, f, params, schedule, k_max, tol, init):
-    """The slab-restarted fixed point behind both public drivers.
+def _windows(edges):
+    """Cut every slab between ``edges`` into windows of at most
+    ``_WINDOW_STEPS`` steps (the last window of a slab may be shorter)."""
+    out = [0]
+    for i0, i1 in zip(edges, edges[1:]):
+        out += list(range(i0 + _WINDOW_STEPS, i1, _WINDOW_STEPS)) + [i1]
+    return out
 
-    Per slab, iterate k marches the state under the linear problem with
-    coefficient gamma A_{k-1} (A the running integral of the previous
-    iterate's marginal, continued across slabs by the carried offset) and
-    source f, until successive marginals agree to ``tol`` at every saved
-    time.  Without ``c0`` the state is the marginal, marched on the
-    x-lattice, and the phase field is marched once per slab with the last
-    iterate's coefficient.  Passing ``c0`` couples the attractant in (``f``
-    is then None): the state is the phase field, the coefficient gains
-    -alpha(c_{k-1}) rho(v), c_k is marched with the current speed moment
-    j_k, and the c change joins the stopping rule.
+
+def _seed(history, n_local):
+    """Quadratic continuation of the last three converged nodes.
+
+    The Newton backward-difference polynomial through ``history``'s three
+    nodes, evaluated at the next window's local nodes 0..n_local (node 0
+    is the last converged node itself) and floored at zero: a guess for
+    iterate 1, not a marched value, so no sign rule applies to it.
+    """
+    last = history[2]
+    d1 = last - history[1]
+    d2 = d1 - (history[1] - history[0])
+    m = np.arange(n_local + 1.0).reshape((-1,) + (1,) * last.ndim)
+    return np.maximum(last + m * d1 + (0.5 * m * (m + 1.0)) * d2, 0.0)
+
+
+def _drive(p0, c0, f, params, schedule, k_max, tol, init):
+    """The windowed fixed point behind both public drivers.
+
+    The slabs of :func:`slab_partition` are cut into windows of at most
+    ``_WINDOW_STEPS`` steps, and each window is iterated to its own fixed
+    point and restarted from the previous one's final state.  Per window,
+    iterate k marches the state under the linear problem with coefficient
+    gamma A_{k-1} (A the running integral of the previous iterate's
+    marginal, continued across windows by the carried offset) and source
+    f, until successive marginals agree to ``tol`` at every saved time.
+    Iterate 1 starts from the seed S: zero in the first window, and once
+    three converged nodes exist their quadratic continuation (of the
+    marginal, and on coupled runs of the speed moment, with c marched from
+    it).  ``init="zero"`` takes S itself as iterate 1; ``init="heat"``
+    marches iterate 1 with the memory coefficient gamma (offset + int S)
+    and no production.  Without ``c0`` the state is the marginal, marched
+    on the x-lattice, and the phase field is marched once per window with
+    the last iterate's coefficient.  Passing ``c0`` couples the attractant
+    in (``f`` is then None): the state is the phase field, the coefficient
+    gains -alpha(c_{k-1}) rho(v), c_k is marched with the current speed
+    moment j_k, and the c change joins the stopping rule.
 
     Returns (p_trajectory, c_trajectory or None, diagnostics).
     """
@@ -356,7 +410,7 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         alpha_rate = params.alpha1 * rho.sup_norm
         record = "vector_j" if params.use_vector_j else "j"
         plan_x = HeatPlan(grid, params.d, "x")
-        chat_slab = np.zeros(grid.spatial_shape)
+        chat_start = np.zeros(grid.spatial_shape)
         cinf_start = c0.values
     else:
         plan_pt = HeatPlan(grid, params.sigma, "x")
@@ -368,23 +422,25 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     f_sup = 0.0 if source is None else max(float(ft.max()) for ft in f_tilde)
     big_m = gamma * (sup_pt0 + schedule.t_end * f_sup) * math.exp(alpha_rate * schedule.t_end)
 
-    edges = slab_partition(n_steps, dt, big_m)
+    edges = _windows(slab_partition(n_steps, dt, big_m))
     global_saved = set(schedule.saved_nodes())
 
     diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
     p_fields, c_fields, chat_saved, cinf_saved, times = [], [], [], [], []
+    # the converged node series: the marginal (and j), which seed the windows
     pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
+    j_nodes = np.empty_like(pt_nodes) if coupled else None
     a_offset = np.zeros(grid.spatial_shape)
-    p_slab = p0
+    p_start = p0
 
-    def march(track, start, saved, ft_slab):
-        """One iterate's state from the slab's start (the phase field, or
+    def march(track, start, saved, ft_win):
+        """One iterate's state from the window's start (the phase field, or
         its marginal for the pure driver): (marginal nodes, j nodes or None,
         phase trajectory or None)."""
         n = track.schedule.n_steps
         if not coupled:
             diag.x_step_solves += n
-            return _march_marginal(start, track, plan_pt, ft_slab), None, None
+            return _march_marginal(start, track, plan_pt, ft_win), None, None
         diag.phase_step_solves += n
         traj = solve_linear(start, track, params.sigma, plan=plan, record=record,
                             saved_nodes=saved, clamp_saves=True)
@@ -393,30 +449,39 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     for s in range(len(edges) - 1):
         i0, i1 = edges[s], edges[s + 1]
         n_local = i1 - i0
-        # stride 1: solve_linear gets the slab's saved nodes explicitly
+        # stride 1: solve_linear gets the window's saved nodes explicitly
         local_sched = Schedule(t_end=n_local * dt, dt=dt, save_stride=1)
         local_saved = _local_saved_nodes(i0, i1, global_saved)
-        f_slab = source[i0:i1 + 1] if isinstance(source, list) else source
-        ft_slab = f_tilde[i0:i1 + 1] if isinstance(source, list) else f_tilde * (n_local + 1)
-        start = p_slab if coupled else _reduce_raw(p_slab.values, grid)
+        f_win = source[i0:i1 + 1] if isinstance(source, list) else source
+        ft_win = f_tilde[i0:i1 + 1] if isinstance(source, list) else f_tilde * (n_local + 1)
+        start = p_start if coupled else _reduce_raw(p_start.values, grid)
         if coupled:
             c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
 
-        # iterate 1 per slab: the zero density (the construction's seed;
-        # free) or the frozen-offset flow (one real march, no delta yet)
+        # the seed S: zero until three converged nodes exist
+        seed_pt = seed_j = None
+        if i0 >= 2:
+            seed_pt = _seed(pt_nodes[i0 - 2:i0 + 1], n_local)
+            if coupled:
+                seed_j = _seed(j_nodes[i0 - 2:i0 + 1], n_local)
+        # iterate 1: S itself (free), or one march with the memory of S
         if init == "zero":
-            prev_pt = prev_j = np.zeros((n_local + 1,) + grid.spatial_shape)
+            if seed_pt is None:
+                seed_pt = seed_j = np.zeros((n_local + 1,) + grid.spatial_shape)
+            prev_pt, prev_j = seed_pt, seed_j
         else:
-            track = CoefficientTrack(local_sched, grid, a=gamma * a_offset,
-                                     f=f_slab, strict=True)
-            prev_pt, prev_j, traj_k = march(track, start, local_saved, ft_slab)
+            a = gamma * a_offset
+            if seed_pt is not None:
+                a = [gamma * a_i for a_i in a_offset + accumulate_time_integral(seed_pt, dt)]
+            track = CoefficientTrack(local_sched, grid, a=a, f=f_win, strict=True)
+            prev_pt, prev_j, traj_k = march(track, start, local_saved, ft_win)
         diag.iterations += 1
         c_prev = c_cur = chat_cur = None
         if coupled:
-            c_prev, _ = _advance_c_nodes(chat_slab, c_inf_loc, prev_j, eta, dt, plan_x)
+            c_prev, _ = _advance_c_nodes(chat_start, c_inf_loc, prev_j, eta, dt, plan_x)
 
         deltas_p, deltas_c, driving = [], [], []
-        converged_slab = False
+        converged_win = False
         k = 2
         while k <= k_max:
             a_nodes = a_offset + accumulate_time_integral(prev_pt, dt)
@@ -425,21 +490,21 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
                 sep_x = [-_alpha_raw(c_prev[i], params.alpha1, params.c_R,
                                      "coupled iterate") for i in range(n_local + 1)]
             track = CoefficientTrack(local_sched, grid,
-                                     a=[gamma * a_i for a_i in a_nodes], f=f_slab,
+                                     a=[gamma * a_i for a_i in a_nodes], f=f_win,
                                      sep_x=sep_x, sep_v=rho_v, strict=not coupled)
             traj_k = None  # the previous iterate's fields are not needed again
-            pt_k, j_k, traj_k = march(track, start, local_saved, ft_slab)
+            pt_k, j_k, traj_k = march(track, start, local_saved, ft_win)
             diag.iterations += 1
             delta = _relative_delta(pt_k[local_saved], prev_pt[local_saved])
             deltas_p.append(delta)
             if coupled:
-                c_cur, chat_cur = _advance_c_nodes(chat_slab, c_inf_loc, j_k, eta, dt, plan_x)
+                c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_loc, j_k, eta, dt, plan_x)
                 d_c = _relative_delta(c_cur[local_saved], c_prev[local_saved])
                 deltas_c.append(d_c)
                 delta = max(delta, d_c)
             driving.append(delta)
             if delta <= tol:
-                converged_slab = True
+                converged_win = True
                 break
             prev_pt = pt_k
             c_prev = c_cur
@@ -448,23 +513,23 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         diag.deltas_p.append(deltas_p)
         diag.deltas_c.append(deltas_c)
         diag.driving_deltas.append(driving)
-        diag.k_per_slab.append(k if converged_slab else k_max)
-        if not converged_slab:
+        diag.k_per_slab.append(k if converged_win else k_max)
+        if not converged_win:
             diag.converged = False
         if not coupled:
             # the marginal fixed the coefficient; march the density once
             diag.phase_step_solves += n_local
-            traj_k = solve_linear(p_slab, track, params.sigma, plan=plan,
+            traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
                                   saved_nodes=local_saved, clamp_saves=True)
 
-        # stitch only the schedule's own saved nodes: slab edges are an
+        # stitch only the schedule's own saved nodes: window edges are an
         # implementation detail and must not leak extra snapshots
         for pos, node in enumerate(local_saved):
             g_node = i0 + node
             if g_node not in global_saved or (s > 0 and node == 0):
                 continue
-            # the fields' own tags (slab start + local node * dt), which
-            # after a slab restart can differ from g_node * dt in the last bit
+            # the fields' own tags (i0 * dt + local node * dt), which can
+            # differ from g_node * dt in the last bit
             t = traj_k.times[pos]
             times.append(t)
             p_fields.append(traj_k.fields[pos])
@@ -476,9 +541,12 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
                                                role="c_inf"))
         pt_nodes[i0:i1 + 1] = pt_k
         a_offset = a_offset + accumulate_time_integral(pt_k, dt)[-1]
-        p_slab = traj_k.fields[-1]
+        # tag the next start with its own node time, so each window's tags
+        # are one rounding from node * dt and no error builds up
+        p_start = traj_k.fields[-1].like(traj_k.fields[-1].values, i1 * dt)
         if coupled:
-            chat_slab = chat_cur[-1]
+            j_nodes[i0:i1 + 1] = j_k
+            chat_start = chat_cur[-1]
             cinf_start = c_inf_loc[-1]
 
     p_traj = Trajectory(times, p_fields, node_times=schedule.times(),
@@ -496,22 +564,31 @@ def picard_pure(p0: PhaseField, f_track, params: ModelParams, schedule: Schedule
 
     Iterates  p_k = solve of  dp/dt = sigma Lap p - gamma A_{k-1} p + f  with
     A_{k-1}(t) the running integral of the previous iterate's marginal
-    (continued across slabs by the carried offset).  The coefficient does
-    not depend on v, so only the marginal is iterated, on the x-lattice:
-    p~_k solves  dp~/dt = sigma Lap_x p~ - gamma A_{k-1} p~ + f~  with the
-    same Strang step, and the stopping rule compares successive marginals
-    at the saved times.  Each slab then marches the phase field once, with
-    the coefficient of its last iterate.  ``init="heat"`` starts from the
-    frozen-offset flow (A_0 = carried offset, so the first iterate of the
-    first slab is the plain heat/source flow); ``init="zero"`` starts from
-    p_1 = 0.
+    (continued across windows by the carried offset), window by window.
+    The coefficient does not depend on v, so only the marginal is iterated,
+    on the x-lattice: p~_k solves  dp~/dt = sigma Lap_x p~ - gamma A_{k-1} p~
+    + f~  with the same Strang step, and the stopping rule compares
+    successive marginals at the saved times.  Each window then marches the
+    phase field once, with the coefficient of its last iterate.
+
+    Iterate 1 of a window comes from its seed S: zero in the first window,
+    and once three converged nodes exist, their quadratic continuation over
+    the window (floored at zero).  ``init="heat"`` marches iterate 1 with the
+    memory coefficient gamma (carried offset + int S), so in the first
+    window it is the plain heat/source flow; ``init="zero"`` takes p~_1 = S.
+    In the first window the zero run's iterate k is then the heat run's
+    iterate k-1, and both stop on the same field.  In a seeded window the
+    zero run may stop at its iterate 2 (S is close), while the heat run's
+    first delta comes one iterate later; the two runs then stop one
+    contraction step apart, so the windows after that start from states
+    that agree to about the tolerance, not bit for bit.
 
     ``f_track`` is the source f: None, one PhaseField (constant in time), one
     sample per schedule node, or a CoefficientTrack on ``schedule`` itself;
     anything else raises ConfigurationError or ShapeError.
 
     Returns (Trajectory, IterationDiagnostics).  Non-convergence within
-    ``k_max`` iterates of any slab is flagged, never raised.
+    ``k_max`` iterates of any window is flagged, never raised.
     """
     p_traj, _, diag = _drive(p0, None, f_track, params, schedule, k_max, tol, init)
     return p_traj, diag
@@ -522,14 +599,18 @@ def picard_coupled(p0: PhaseField, c0: SpatialField, params: ModelParams,
                    init: str = "zero"):
     """Fixed-point run of the fully coupled system.
 
-    Iterate bookkeeping per slab (mirroring the construction that proves
-    existence): p_1 = 0 and c_1 the plain heat flow of the slab's starting
-    concentration; iterate k >= 2 solves the linear problem with coefficient
-    gamma A_{k-1} - alpha(c_{k-1}) rho(v) and then advances the concentration
-    with the *current* speed moment j_k.  Convergence requires both the p and
-    the c change to fall below ``tol`` at every saved time.  ``init="heat"``
-    replaces the zero start with the frozen-offset flow (used by the
-    uniqueness probe to approach the fixed point from a different side).
+    Iterate bookkeeping per window (mirroring the construction that proves
+    existence): iterate 1 is the seed S of the marginal and the speed moment
+    (zero in the first window, and once three converged nodes exist their
+    quadratic continuation over the window, floored at zero), with c_1
+    marched from S's speed moment; iterate k >= 2 solves the linear problem
+    with coefficient gamma A_{k-1} - alpha(c_{k-1}) rho(v) and then advances
+    the concentration with the *current* speed moment j_k.  Convergence
+    requires both the p and the c change to fall below ``tol`` at every
+    saved time.  ``init="heat"`` instead marches iterate 1 with the memory
+    coefficient gamma (carried offset + int S) and no production (in the
+    first window the frozen-offset flow), which the uniqueness probe uses to
+    approach the fixed point from a different side in every window.
 
     Returns (p_trajectory, c_trajectory, diagnostics); the c trajectory's
     ``aux`` carries the far-field and depletion snapshots at the saved times.

@@ -35,7 +35,7 @@ from .harness import (check_c_bounds, check_comparison, check_energy,
 from .heat import HeatPlan
 from .moments import moments_of, second_moment, velocity_marginal
 from .picard import (ModelParams, _alpha_raw, picard_coupled, picard_pure,
-                     velocity_profile)
+                     summarise_iterates, velocity_profile)
 from .snapshots import save_field, write_moment_table
 from .stepping import Schedule, Trajectory, _broadcast_v, _broadcast_x
 
@@ -529,7 +529,7 @@ def format_summary(scenario: Scenario, payload: dict) -> str:
         f"schedule: t_end={scenario.schedule.t_end:g} dt={scenario.schedule.dt:g} "
         f"({scenario.schedule.n_steps} steps)",
         f"converged: {payload['converged']} after {payload['iterations']} iterations "
-        f"over {len(payload['k_per_slab'])} slab(s) {payload['k_per_slab']}",
+        f"over {summarise_iterates(payload['k_per_slab'])}",
         f"deltas strictly decreasing: {payload['monotone_deltas']}",
     ]
     for w in payload["warnings"]:

@@ -293,15 +293,25 @@ class Trajectory:
 
 
 def _strang_step(vals, half_factor, plan, dt, f_lo, f_hi):
-    """One splitting step on raw arrays (see module docstring)."""
-    u = vals if f_lo is None else vals + (0.5 * dt) * f_lo
-    if half_factor is not None:
-        u = u * half_factor
+    """One splitting step on raw arrays (see module docstring).
+
+    The step is marched in the plan's work array, which holds the result
+    until the plan's next step; ``vals`` may be that array itself.
+    """
+    u = plan.work("phase")
+    if f_lo is not None:
+        np.add(vals, (0.5 * dt) * f_lo, out=u)
+        if half_factor is not None:
+            u *= half_factor
+    elif half_factor is not None:
+        np.multiply(vals, half_factor, out=u)
+    elif vals is not u:
+        np.copyto(u, vals)
     u = plan.apply(u, dt, "phase")
     if half_factor is not None:
-        u = u * half_factor
+        u *= half_factor
     if f_hi is not None:
-        u = u + (0.5 * dt) * f_hi
+        u += (0.5 * dt) * f_hi
     return u
 
 
@@ -347,7 +357,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         and the magnitude of the vector first moment.
     saved_nodes : sequence of int, optional
         Override of the schedule's saved nodes (must contain 0 and the final
-        node); the fixed-point drivers use this to pin slab boundaries.
+        node); the fixed-point drivers use this to pin window boundaries.
     clamp_saves : bool, optional
         Force/disable round-off clamping; defaults to "track is strict and
         p0 is nonnegative".  When active the marched values are floored at
@@ -423,7 +433,8 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         f_hi = track.source_node(i + 1)
         vals = _strang_step(vals, half, plan, dt, f_lo, f_hi)
         if clamp:
-            vals = apply_sign(vals, +1, f"marched density at step {i + 1}")
+            # the step's result is the march's own array: floor it in place
+            vals = apply_sign(vals, +1, f"marched density at step {i + 1}", out=vals)
         if record is not None:
             _record(i + 1, vals)
         if (i + 1) in saved:

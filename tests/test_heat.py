@@ -108,6 +108,28 @@ def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
         plan.forward(np.zeros((3, 5)), kind)
 
 
+@pytest.mark.parametrize("dims, subspace, kind", [
+    ((1, 1), "xv", "phase"), ((2, 2), "xv", "phase"), ((1, 2), "v", "phase"),
+    ((2, 1), "x", "phase"), ((2, 2), "x", "spatial")])
+def test_apply_flows_the_work_array_in_place(dims, subspace, kind):
+    # the plan's work array is flowed in place, any other array is left
+    # alone; both with the bits of forward, multiplier, inverse
+    g = small_grid(8, *dims)
+    plan = HeatPlan(g, SIGMA, subspace)
+    vals = np.random.default_rng(3).random(g.shape_of(kind))
+    keep = vals.copy()
+    ref = plan.inverse(plan.forward(vals, kind) * plan.multiplier(0.2, kind), kind)
+    out = plan.apply(vals, 0.2, kind)
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(vals, keep)
+    work = plan.work(kind)
+    assert plan.work(kind) is work and work.shape == vals.shape
+    work[...] = vals
+    assert plan.apply(work, 0.2, kind) is work
+    np.testing.assert_array_equal(work, ref)
+    assert out is not work
+
+
 def test_plan_keeps_one_multiplier_per_kind(grid64):
     # 500 distinct step sizes must not pile up 500 spectral arrays
     plan = HeatPlan(grid64, SIGMA, "x")

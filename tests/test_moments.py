@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import erf, exp, pi, sqrt
@@ -151,6 +152,15 @@ def test_accumulate_time_integral_trapezoid_exact():
     # the SpatialField-sequence form must agree with the stacked-array form
     fields = [SpatialField(g, ramp[k], time_tag=k * dt) for k in range(7)]
     np.testing.assert_array_equal(accumulate_time_integral(fields, dt), out)
+
+    # the arithmetic of scipy's cumulative trapezoid, bit for bit, down to
+    # the few nodes of one iteration window
+    rng = np.random.default_rng(5)
+    for n_nodes in (1, 2, 3, 9):
+        series = rng.random((n_nodes, 16))
+        np.testing.assert_array_equal(
+            accumulate_time_integral(series, dt),
+            cumulative_trapezoid(series, dx=dt, axis=0, initial=0.0))
 
 
 def test_accumulate_time_integral_validation():

@@ -168,12 +168,37 @@ def test_slab_partition_windows():
     assert slab_partition(10, 0.1, 1e9) == list(range(11))
 
 
+def test_windows_cut_each_slab_into_steps_of_two():
+    assert picard._windows([0, 5, 10]) == [0, 2, 4, 5, 7, 9, 10]
+    assert picard._windows([0, 1, 2]) == [0, 1, 2]
+    assert picard._windows([0, 4]) == [0, 2, 4]
+
+
+def test_seed_continues_a_quadratic_and_floors_at_zero():
+    # the backward-difference continuation is exact for quadratics, starts
+    # at the last converged node and never goes negative
+    nodes = np.arange(5.0)
+    series = np.stack([1.0 - 0.5 * nodes + 0.25 * nodes ** 2] * 2, axis=1)
+    seed = picard._seed(series[:3], 2)
+    assert seed.shape == (3, 2)
+    np.testing.assert_array_equal(seed[0], series[2])
+    np.testing.assert_allclose(seed, series[2:], rtol=0, atol=1e-15)
+    falling = np.array([[3.0], [2.0], [1.0]])
+    np.testing.assert_array_equal(picard._seed(falling, 2).ravel(), [1.0, 0.0, 0.0])
+
+
+def test_summarise_iterates_counts_windows_per_iterate_count():
+    assert picard.summarise_iterates([4] + [2] * 499) == "500 window(s): 499x2, 1x4"
+    assert picard.summarise_iterates([3, 3]) == "2 window(s): 2x3"
+
+
 # The discrete fixed point is defined node by node, so it cannot depend on
-# where the slabs are cut: any partition whose slabs are no longer than the
-# paper's contraction window must converge to the same run.  The shared slab
-# loop (and any cheaper slab policy) relies on this.
+# where the windows are cut: any windows no longer than the paper's
+# contraction slab, each seeded from the windows before it, must converge
+# to the run iterated on the paper's slabs themselves.  The shared window
+# loop and its seeds rely on this.
 _PARTITION_TOL = 1e-9
-_PAPER_MAX = 15  # longest drawn slab; both paper windows below are >= this
+_PAPER_MAX = 15  # longest drawn window; both paper slabs below are >= this
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +207,11 @@ def paper_partition_runs():
     p0, c0 = _flat_in_x(g), _c_bump(g)
     params = _params(gamma=9.0)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL)
-    p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL)
+    # windows as long as the run leave the paper's slabs uncut
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(picard, "_WINDOW_STEPS", sched.n_steps)
+        pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL)
+        p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL)
     for diag in (d_pure, d_c):
         assert diag.converged
         assert round(diag.slab_edges[1] / sched.dt) >= _PAPER_MAX
@@ -198,23 +226,27 @@ def _max_relative_gap(a, b):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.lists(st.integers(1, _PAPER_MAX), min_size=1, max_size=6))
-def test_fixed_point_does_not_depend_on_slab_partition(paper_partition_runs, lengths):
+@given(st.lists(st.integers(1, _PAPER_MAX), min_size=1, max_size=6),
+       st.sampled_from(["heat", "zero"]))
+def test_fixed_point_does_not_depend_on_slab_partition(paper_partition_runs, lengths,
+                                                       init):
     (p0, c0, params, sched), pure_ref, (p_ref, c_ref) = paper_partition_runs
 
-    def partition(n_steps, dt, sup_m):
-        edges = [0]
+    def windows(edges):
+        out = [0]
         for length in itertools.cycle(lengths):
-            if edges[-1] == n_steps:
-                return edges
-            edges.append(min(n_steps, edges[-1] + length))
+            if out[-1] == edges[-1]:
+                return out
+            out.append(min(edges[-1], out[-1] + length))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(picard, "slab_partition", partition)
-        pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL)
-        p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL)
+        mp.setattr(picard, "_windows", windows)
+        pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL,
+                                   init=init)
+        p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL,
+                                       init=init)
     assert d_pure.converged and d_c.converged
-    assert len(d_pure.k_per_slab) == len(partition(sched.n_steps, sched.dt, 0.0)) - 1
+    assert len(d_pure.k_per_slab) == len(d_c.k_per_slab) == len(windows([0, 50])) - 1
     assert _max_relative_gap(pure, pure_ref) <= 10 * _PARTITION_TOL
     assert _max_relative_gap(p_c, p_ref) <= 10 * _PARTITION_TOL
     assert _max_relative_gap(c_c, c_ref) <= 10 * _PARTITION_TOL
@@ -279,13 +311,14 @@ def test_picard_pure_seeds_share_the_fixed_point(grid64):
 
 
 def test_picard_pure_multi_slab_stitching(grid64):
-    # strong damping forces several contraction windows; the stitched
-    # trajectory must still report exactly the schedule's saved times
+    # strong damping forces paper slabs of 16 steps, iterated on windows of
+    # two; the stitched trajectory must still report exactly the schedule's
+    # saved times
     p0 = _flat_in_x(grid64)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     traj, diag = picard_pure(p0, None, _params(gamma=9.0), sched, tol=1e-9)
-    assert diag.slab_edges == [0.0, 0.16, 0.32, 0.48, 0.5]
-    assert len(diag.k_per_slab) == 4 and diag.converged
+    assert diag.slab_edges == [i * 0.01 for i in range(0, 51, 2)]
+    assert len(diag.k_per_slab) == 25 and diag.converged
     np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-12)
     masses = [integrate_phase(f) for f in traj.fields]
     assert all(b > a for b, a in zip(masses, masses[1:]))  # damping only removes
@@ -301,7 +334,7 @@ def test_picard_pure_flags_non_convergence(grid64):
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     traj, diag = picard_pure(p0, None, _params(gamma=9.0), sched, k_max=2, tol=1e-12)
     assert not diag.converged
-    assert diag.k_per_slab == [2, 2, 2, 2]
+    assert diag.k_per_slab == [2] * 25
     assert len(traj) == 6  # the trajectory is still delivered
 
 
@@ -349,8 +382,8 @@ def test_picard_pure_rejects_a_source_track_of_another_schedule(grid64):
 
 
 def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):
-    # the marginal fixes every pure iterate, so each slab marches the phase
-    # field once, records no node series and takes no stepper reduction
+    # the marginal fixes every pure iterate, so each window marches the
+    # phase field once, records no node series and takes no stepper reduction
     from angiosolve import stepping
     counts = {"reductions": 0}
     records = []
@@ -368,8 +401,8 @@ def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):
     monkeypatch.setattr(picard, "solve_linear", counting_solve)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     _, diag = picard_pure(_flat_in_x(grid64), None, _params(gamma=9.0), sched)
-    assert diag.converged and len(diag.k_per_slab) == 4
-    assert records == [None] * 4
+    assert diag.converged and len(diag.k_per_slab) == 25
+    assert records == [None] * 25
     assert counts["reductions"] == 0
 
 
@@ -402,14 +435,16 @@ def test_marginal_march_is_the_v_sum_of_the_phase_march(dim_v, constant, sourced
 def test_drivers_count_their_step_solves_exactly(zero_fix, pure_fix, coupled_fix,
                                                  smoke_fix):
     # a pure run iterates on the x-lattice and marches the phase field once
-    # per step; a coupled run marches every iterate on the phase lattice
+    # per step; a coupled run marches every iterate on the phase lattice.
+    # Seeded windows converge at iterate 2; only the unseeded first one
+    # takes more
     def counts(fix):
         return fix["diag"].phase_step_solves, fix["diag"].x_step_solves
 
-    assert counts(pure_fix) == (1000, 5559)
-    assert counts(coupled_fix) == (4844, 0)
-    assert counts(smoke_fix) == (200, 0)
-    assert counts(zero_fix)[0] == zero_fix["scenario"].schedule.n_steps
+    assert counts(pure_fix) == (1000, 2002)
+    assert counts(coupled_fix) == (1004, 0)
+    assert counts(smoke_fix) == (54, 0)
+    assert counts(zero_fix) == (50, 100)
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +477,7 @@ def test_coupled_drive_holds_one_saved_trajectory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert diag.converged and len(diag.k_per_slab) == 2
+    assert diag.converged and len(diag.k_per_slab) == 32
     traj_bytes = sum(f.values.nbytes for f in p_traj.fields)
     series_bytes = p_traj.aux["a_nodes"].nbytes
     assert peak <= traj_bytes + 16 * series_bytes + 8 * p0.values.nbytes
@@ -454,7 +489,7 @@ def test_picard_coupled_zero_density_leaves_c_on_heat_flow(grid64):
     p0 = PhaseField(grid64, np.zeros(grid64.phase_shape))
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     p_traj, c_traj, diag = picard_coupled(p0, c0, _params(), sched, tol=1e-10)
-    assert diag.k_per_slab == [2]
+    assert diag.k_per_slab == [2] * 25
     plan_x = HeatPlan(grid64, 0.05, "x")
     for cf in c_traj.fields:
         oracle = heat_step(c0, cf.time_tag, plan_x)
@@ -499,16 +534,21 @@ def test_picard_coupled_decomposition_and_signs(grid64):
 
 
 def test_coupled_stitching_reports_the_fields_own_time_tags(coupled_fix):
-    # after a slab restart slab start + i*dt and node*dt can differ in the
-    # last bit; the saved times, the p and c snapshots and the aux snapshots
-    # all carry the one value the marched fields hold
+    # after a window restart window start + i*dt and node*dt can differ in
+    # the last bit; the saved times, the p and c snapshots and the aux
+    # snapshots all carry the one value the marched fields hold
     p_traj, c_traj = coupled_fix["p_traj"], coupled_fix["c_traj"]
-    assert len(coupled_fix["diag"].k_per_slab) == 3
+    assert len(coupled_fix["diag"].k_per_slab) == 500
     for k, pf in enumerate(p_traj.fields):
         assert p_traj.times[k] == pf.time_tag
         assert c_traj.times[k] == c_traj.fields[k].time_tag == pf.time_tag
         assert c_traj.aux["c_hat"][k].time_tag == pf.time_tag
         assert c_traj.aux["c_inf"][k].time_tag == pf.time_tag
+    # each window starts from its own node time, so no rounding builds up
+    # over the restarts: every tag is within one ulp of its node's time
+    nodes = p_traj.node_times
+    nearest = nodes[np.searchsorted(nodes, p_traj.times - 1e-9)]
+    assert np.all(np.abs(p_traj.times - nearest) <= np.spacing(nearest))
 
 
 def test_picard_coupled_vector_moment_mode(grid64):

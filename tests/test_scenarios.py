@@ -339,6 +339,8 @@ def test_format_summary_lines():
     lines = text.splitlines()
     assert lines[0] == "scenario zero (pure driver)"
     assert lines[1].startswith("lattice: 1x + 1v, 64^1 x 64^1")
+    # one line for the iterate counts of all windows, not one entry each
+    assert "converged: True after 50 iterations over 25 window(s): 25x2" in lines
     assert any(line == "check positivity: pass (worst slack 0.000e+00 "
                        "at t=0, cell (0, 0))" for line in lines)
     assert text.endswith("exit code: 0\n")
