@@ -92,31 +92,37 @@ def check_positivity(traj, tol: float = 1e-12,
     )
 
 
-def check_comparison(traj, majorant_traj, tol: float = 1e-10,
+def check_comparison(traj, majorant, tol: float = 1e-10,
                      name: str = "comparison",
                      anchor: str = None) -> BoundCheck:
-    """Cellwise domination solution <= majorant at every shared saved time.
+    """Cellwise domination solution <= majorant at every saved time.
 
-    Slack is min(majorant - solution) normalised by the majorant's largest
-    sup norm.  Ordered data give ordered flows, so a frozen-coefficient or
-    production-envelope majorant must stay above every iterate.
+    ``majorant`` is any iterable of fields (a generator too), read once,
+    one per saved time and aligned by each field's own ``time_tag`` (to
+    1e-12).  Slack is min(majorant - solution) normalised by the majorant's
+    largest sup norm.  Ordered data give ordered flows, so a
+    frozen-coefficient or production-envelope majorant must stay above
+    every iterate.
     """
-    if len(traj) != len(majorant_traj) or not np.allclose(
-            traj.times, majorant_traj.times, rtol=1e-12, atol=1e-12):
-        raise ConfigurationError("trajectory and majorant saved times differ")
-    scale = max(float(np.abs(f.values).max()) for f in majorant_traj.fields)
-    if scale == 0.0:
-        scale = max(float(np.abs(f.values).max()) for f in traj.fields) or 1.0
-    slacks, cells = [], []
-    for f, g in zip(traj.fields, majorant_traj.fields):
-        low, cell = _extreme(g.values - f.values, "min")
-        slacks.append(low / scale)
+    times, fields = traj.times, traj.fields
+    scale, lows, cells = 0.0, [], []
+    for k, g in enumerate(majorant):
+        if k >= len(fields) or not (abs(times[k] - g.time_tag)
+                                    <= 1e-12 + 1e-12 * abs(g.time_tag)):
+            raise ConfigurationError("trajectory and majorant saved times differ")
+        scale = max(scale, float(np.abs(g.values).max()))
+        low, cell = _extreme(g.values - fields[k].values, "min")
+        lows.append(low)
         cells.append(cell)
+    if len(lows) != len(fields):
+        raise ConfigurationError("trajectory and majorant saved times differ")
+    if scale == 0.0:
+        scale = max(float(np.abs(f.values).max()) for f in fields) or 1.0
     return _finish(
         name,
         anchor or "monotone comparison: the flow with the larger data and "
                   "weaker damping dominates cellwise",
-        tol, traj.times, slacks, cells,
+        tol, times, np.asarray(lows) / scale, cells,
     )
 
 
@@ -151,16 +157,15 @@ def _energy_terms(traj, f_fields, sigma):
     e = np.array([lq_norm(f, 2) ** 2 for f in traj.fields])
     plan = HeatPlan(traj.grid, sigma, "xv")
     d = np.array([plan.gradient_energy(f.values, "phase") for f in traj.fields])
-    if f_fields is None:
-        fw = np.zeros(len(traj))
-    else:
-        if len(f_fields) != len(traj):
+    fw = np.zeros(len(traj))
+    if f_fields is not None:
+        vol, n = traj.grid.cell_volume, 0
+        for n, ff in enumerate(f_fields, 1):
+            if n > len(traj):
+                break
+            fw[n - 1] = float(np.sum(ff.values * traj.fields[n - 1].values)) * vol
+        if n != len(traj):
             raise ConfigurationError("need one source sample per saved time")
-        vol = traj.grid.cell_volume
-        fw = np.array([
-            float(np.sum(ff.values * pf.values)) * vol
-            for ff, pf in zip(f_fields, traj.fields)
-        ])
     return e, d, fw
 
 
@@ -175,10 +180,12 @@ def check_energy(traj, f_fields, sigma: float, tol: float = None,
     """Energy balance ||p(t)||^2 + 2 sigma int ||grad p||^2 <= ||p0||^2 + 2 int (f, p).
 
     Damping only ever removes L^2 mass, so the balance holds as an
-    inequality for any a >= 0 (and as an identity when a = f = 0).  Time
-    integrals use the trapezoid rule on the saved times; with ``tol=None``
-    the quadrature error is calibrated by re-evaluating on every second
-    saved time and Richardson-extrapolating the difference.
+    inequality for any a >= 0 (and as an identity when a = f = 0).
+    ``f_fields`` (None: no source) is any iterable of fields, read once, one
+    per saved time.  Time integrals use the trapezoid rule on the saved
+    times; with ``tol=None`` the quadrature error is calibrated by
+    re-evaluating on every second saved time and Richardson-extrapolating
+    the difference.
     """
     e, d, fw = _energy_terms(traj, f_fields, sigma)
     times = traj.times

@@ -8,11 +8,12 @@ concentration c(t, x):
 
 with alpha(c) = alpha1 c / (c_R + c), rho a fixed Gaussian velocity profile,
 p~ the velocity marginal and j the speed moment of p.  One window loop
-(:func:`_drive`) serves both public drivers: it freezes the nonlocal (and
-nonlinear) couplings at the previous iterate, marches the iterate's state
-under the resulting *linear* damped diffusion problem, and repeats until
-successive marginals agree in relative sup norm at every saved time (on
-coupled runs the concentrations must agree as well).
+(:func:`_drive`) serves both public drivers: each pass is one iterate, which
+freezes the nonlocal (and nonlinear) couplings at the previous iterate and
+marches its state under the resulting *linear* damped diffusion problem,
+until successive marginals agree in relative sup norm at every saved time
+(on coupled runs the concentrations must agree as well); ``init`` only
+chooses where the loop starts.
 
 The uncoupled problem (:func:`picard_pure`) is that loop without the
 attractant, and its state is the marginal alone: the coefficient gamma A(x)
@@ -358,14 +359,15 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     gamma A_{k-1} (A the running integral of the previous iterate's
     marginal, continued across windows by the carried offset) and source
     f, until successive marginals agree to ``tol`` at every saved time.
-    Iterate 1 starts from the seed S: zero in the first window, and once
+    The loop starts from the seed S: zero in the first window, and once
     three converged nodes exist their quadratic continuation (of the
-    marginal, and on coupled runs of the speed moment, with c marched from
-    it).  ``init="zero"`` takes S itself as iterate 1; ``init="heat"``
-    marches iterate 1 with the memory coefficient gamma (offset + int S)
-    and no production.  Without ``c0`` the state is the marginal, marched
-    on the x-lattice, and the phase field is marched once per window with
-    the last iterate's coefficient.  Passing ``c0`` couples the attractant
+    marginal, and on coupled runs of the speed moment).  ``init`` only
+    chooses where: ``"zero"`` counts S as iterate 1 (c marched from its
+    speed moment) and starts at k = 2; ``"heat"`` starts at k = 1 with no
+    previous c, so that pass has no production term, is strict and takes no
+    delta.  Without ``c0`` the state is the marginal, marched on the
+    x-lattice, and the phase field is marched once per window with the
+    last iterate's coefficient.  Passing ``c0`` couples the attractant
     in (``f`` is then None): the state is the phase field, the coefficient
     gains -alpha(c_{k-1}) rho(v), c_k is marched with the current speed
     moment j_k, and the c change joins the stopping rule.
@@ -433,19 +435,6 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     a_offset = np.zeros(grid.spatial_shape)
     p_start = p0
 
-    def march(track, start, saved, ft_win):
-        """One iterate's state from the window's start (the phase field, or
-        its marginal for the pure driver): (marginal nodes, j nodes or None,
-        phase trajectory or None)."""
-        n = track.schedule.n_steps
-        if not coupled:
-            diag.x_step_solves += n
-            return _march_marginal(start, track, plan_pt, ft_win), None, None
-        diag.phase_step_solves += n
-        traj = solve_linear(start, track, params.sigma, plan=plan, record=record,
-                            saved_nodes=saved, clamp_saves=True)
-        return traj.p_tilde_nodes, traj.j_nodes, traj
-
     for s in range(len(edges) - 1):
         i0, i1 = edges[s], edges[s + 1]
         n_local = i1 - i0
@@ -454,60 +443,62 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         local_saved = _local_saved_nodes(i0, i1, global_saved)
         f_win = source[i0:i1 + 1] if isinstance(source, list) else source
         ft_win = f_tilde[i0:i1 + 1] if isinstance(source, list) else f_tilde * (n_local + 1)
-        start = p_start if coupled else _reduce_raw(p_start.values, grid)
         if coupled:
             c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
+        else:
+            pt_start = _reduce_raw(p_start.values, grid)
 
         # the seed S: zero until three converged nodes exist
-        seed_pt = seed_j = None
         if i0 >= 2:
-            seed_pt = _seed(pt_nodes[i0 - 2:i0 + 1], n_local)
-            if coupled:
-                seed_j = _seed(j_nodes[i0 - 2:i0 + 1], n_local)
-        # iterate 1: S itself (free), or one march with the memory of S
-        if init == "zero":
-            if seed_pt is None:
-                seed_pt = seed_j = np.zeros((n_local + 1,) + grid.spatial_shape)
-            prev_pt, prev_j = seed_pt, seed_j
+            prev_pt = _seed(pt_nodes[i0 - 2:i0 + 1], n_local)
+            prev_j = _seed(j_nodes[i0 - 2:i0 + 1], n_local) if coupled else None
         else:
-            a = gamma * a_offset
-            if seed_pt is not None:
-                a = [gamma * a_i for a_i in a_offset + accumulate_time_integral(seed_pt, dt)]
-            track = CoefficientTrack(local_sched, grid, a=a, f=f_win, strict=True)
-            prev_pt, prev_j, traj_k = march(track, start, local_saved, ft_win)
-        diag.iterations += 1
-        c_prev = c_cur = chat_cur = None
-        if coupled:
-            c_prev, _ = _advance_c_nodes(chat_start, c_inf_loc, prev_j, eta, dt, plan_x)
+            prev_pt = prev_j = np.zeros((n_local + 1,) + grid.spatial_shape)
+        # "zero" counts S as iterate 1, with c_1 marched from its j; "heat"
+        # marches iterate 1 with the memory of S and no production
+        k, c_prev, c_cur = 1, None, None
+        if init == "zero":
+            k = 2
+            diag.iterations += 1
+            if coupled:
+                c_prev, _ = _advance_c_nodes(chat_start, c_inf_loc, prev_j, eta, dt, plan_x)
 
         deltas_p, deltas_c, driving = [], [], []
         converged_win = False
-        k = 2
         while k <= k_max:
             a_nodes = a_offset + accumulate_time_integral(prev_pt, dt)
             sep_x = None
-            if coupled:
+            if c_prev is not None:
                 sep_x = [-_alpha_raw(c_prev[i], params.alpha1, params.c_R,
                                      "coupled iterate") for i in range(n_local + 1)]
             track = CoefficientTrack(local_sched, grid,
                                      a=[gamma * a_i for a_i in a_nodes], f=f_win,
-                                     sep_x=sep_x, sep_v=rho_v, strict=not coupled)
+                                     sep_x=sep_x, sep_v=None if sep_x is None else rho_v,
+                                     strict=sep_x is None)
             traj_k = None  # the previous iterate's fields are not needed again
-            pt_k, j_k, traj_k = march(track, start, local_saved, ft_win)
-            diag.iterations += 1
-            delta = _relative_delta(pt_k[local_saved], prev_pt[local_saved])
-            deltas_p.append(delta)
             if coupled:
+                diag.phase_step_solves += n_local
+                traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
+                                      record=record, saved_nodes=local_saved,
+                                      clamp_saves=True)
+                pt_k, j_k = traj_k.p_tilde_nodes, traj_k.j_nodes
                 c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_loc, j_k, eta, dt, plan_x)
-                d_c = _relative_delta(c_cur[local_saved], c_prev[local_saved])
-                deltas_c.append(d_c)
-                delta = max(delta, d_c)
-            driving.append(delta)
-            if delta <= tol:
-                converged_win = True
-                break
-            prev_pt = pt_k
-            c_prev = c_cur
+            else:
+                diag.x_step_solves += n_local
+                pt_k = _march_marginal(pt_start, track, plan_pt, ft_win)
+            diag.iterations += 1
+            if k > 1:
+                delta = _relative_delta(pt_k[local_saved], prev_pt[local_saved])
+                deltas_p.append(delta)
+                if coupled:
+                    d_c = _relative_delta(c_cur[local_saved], c_prev[local_saved])
+                    deltas_c.append(d_c)
+                    delta = max(delta, d_c)
+                driving.append(delta)
+                if delta <= tol:
+                    converged_win = True
+                    break
+            prev_pt, c_prev = pt_k, c_cur
             k += 1
 
         diag.deltas_p.append(deltas_p)
@@ -571,12 +562,12 @@ def picard_pure(p0: PhaseField, f_track, params: ModelParams, schedule: Schedule
     successive marginals at the saved times.  Each window then marches the
     phase field once, with the coefficient of its last iterate.
 
-    Iterate 1 of a window comes from its seed S: zero in the first window,
+    Each window's loop starts from its seed S: zero in the first window,
     and once three converged nodes exist, their quadratic continuation over
-    the window (floored at zero).  ``init="heat"`` marches iterate 1 with the
-    memory coefficient gamma (carried offset + int S), so in the first
-    window it is the plain heat/source flow; ``init="zero"`` takes p~_1 = S.
-    In the first window the zero run's iterate k is then the heat run's
+    the window (floored at zero).  ``init`` only chooses where: ``"heat"``
+    marches iterate 1 with the memory coefficient gamma (carried offset +
+    int S), in the first window the plain heat/source flow; ``"zero"``
+    counts p~_1 = S as iterate 1 and starts at iterate 2.  In the first window the zero run's iterate k is then the heat run's
     iterate k-1, and both stop on the same field.  In a seeded window the
     zero run may stop at its iterate 2 (S is close), while the heat run's
     first delta comes one iterate later; the two runs then stop one
@@ -607,10 +598,11 @@ def picard_coupled(p0: PhaseField, c0: SpatialField, params: ModelParams,
     with coefficient gamma A_{k-1} - alpha(c_{k-1}) rho(v) and then advances
     the concentration with the *current* speed moment j_k.  Convergence
     requires both the p and the c change to fall below ``tol`` at every
-    saved time.  ``init="heat"`` instead marches iterate 1 with the memory
-    coefficient gamma (carried offset + int S) and no production (in the
-    first window the frozen-offset flow), which the uniqueness probe uses to
-    approach the fixed point from a different side in every window.
+    saved time.  ``init`` only chooses where the loop starts: ``"heat"``
+    starts at iterate 1 with no c, which marches with the memory coefficient
+    gamma (carried offset + int S) and no production (in the first window
+    the frozen-offset flow); the uniqueness probe uses it to approach the
+    fixed point from a different side in every window.
 
     Returns (p_trajectory, c_trajectory, diagnostics); the c trajectory's
     ``aux`` carries the far-field and depletion snapshots at the saved times.

@@ -351,8 +351,8 @@ class RealisedScenario:
     """A scenario's concrete initial fields, ready to drive.
 
     ``c0`` is None for the pure driver.  :meth:`drive` runs the scenario's
-    fixed point with its configured options (each can be overridden) and
-    returns ``(p_trajectory, c_trajectory or None, diagnostics)``.
+    fixed point with its configured options (``tol`` and ``init`` can be
+    overridden) and returns ``(p_trajectory, c_trajectory or None, diagnostics)``.
     """
 
     scenario: Scenario
@@ -363,9 +363,9 @@ class RealisedScenario:
     def grid(self) -> GridSpec:
         return self.scenario.grid
 
-    def drive(self, tol=None, init=None, k_max=None):
+    def drive(self, tol=None, init=None):
         sc, opts = self.scenario, self.scenario.picard
-        kwargs = dict(k_max=k_max or opts["k_max"],
+        kwargs = dict(k_max=opts["k_max"],
                       tol=tol if tol is not None else opts["tol"],
                       init=init or opts["init"])
         if self.c0 is None:
@@ -412,10 +412,9 @@ def _eval_comparison(run):
     t0 = float(times[0])
     flows = HeatPlan(p0.grid, run.scenario.params.sigma, "xv").apply_each(
         p0.values, [float(t - t0) for t in times], "phase")
-    maj = Trajectory(times, [
-        PhaseField(p0.grid, math.exp(run.rate * (t - t0)) * vals if run.rate else vals,
-                   time_tag=float(t))
-        for t, vals in zip(times, flows)])
+    maj = (PhaseField(p0.grid, math.exp(run.rate * (t - t0)) * vals if run.rate else vals,
+                      time_tag=float(t))
+           for t, vals in zip(times, flows))
     anchor = (
         "production-envelope comparison: p stays below "
         "exp(alpha1*sup_rho*t) times the heat flow of p0"
@@ -453,11 +452,12 @@ def _eval_energy(run):
     params, grid = run.scenario.params, run.scenario.grid
     f_fields = None
     if run.rho is not None:
-        rho_v, f_fields = _broadcast_v(run.rho.values, grid), []
-        for pf, cf in zip(run.p_traj.fields, run.c_traj.fields):
-            alpha = _alpha_raw(cf.values, params.alpha1, params.c_R, "energy source")
-            f_fields.append(PhaseField(grid, _broadcast_x(alpha, grid) * rho_v * pf.values,
-                                       time_tag=pf.time_tag))
+        rho_v = _broadcast_v(run.rho.values, grid)
+        alphas = (_alpha_raw(cf.values, params.alpha1, params.c_R, "energy source")
+                  for cf in run.c_traj.fields)
+        f_fields = (PhaseField(grid, _broadcast_x(alpha, grid) * rho_v * pf.values,
+                               time_tag=pf.time_tag)
+                    for pf, alpha in zip(run.p_traj.fields, alphas))
     return [check_energy(run.p_traj, f_fields, params.sigma)]
 
 

@@ -83,6 +83,25 @@ def test_run_parallel_jobs(capsys, tiny_cfg):
     assert "scenario tiny (pure driver)" in out
 
 
+def test_run_outputs_are_byte_identical_inline_and_in_a_pool(capsys, tmp_path):
+    # identical configs give identical files and stdout, whichever way run
+    argv = ["run", "zero", "coupled-ramp", "--override", "schedule.t_end=0.02",
+            "--override", "schedule.save_stride=5"]
+    outs = []
+    for tag, jobs in (("A", []), ("B", ["--jobs", "2"])):
+        assert main(argv + jobs + ["--out", str(tmp_path / tag)]) == 0
+        outs.append(capsys.readouterr().out)
+
+    def files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    a = files(tmp_path / "A")
+    assert "coupled-ramp/report.json" in a and "zero/moments.csv" in a
+    assert a == files(tmp_path / "B")
+    assert outs[0] == outs[1]
+
+
 class _RecordingPool:
     """Stands in for the process pool: records its size, runs inline."""
 

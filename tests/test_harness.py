@@ -105,6 +105,31 @@ def test_comparison_requires_matching_times(runs, grid64):
         check_comparison(runs["damped"], other)
 
 
+def _same_check(a, b):
+    """Bit-for-bit equality of two BoundChecks."""
+    return (a.to_dict() == b.to_dict()
+            and a.times.tobytes() == b.times.tobytes()
+            and a.slacks.tobytes() == b.slacks.tobytes())
+
+
+def test_comparison_reads_a_one_shot_majorant(runs):
+    # the majorant is read once, in order: a generator gives the bits a
+    # whole trajectory gives
+    damped, free = runs["damped"], runs["free"]
+    from_gen = check_comparison(damped, (f for f in free.fields))
+    assert _same_check(from_gen, check_comparison(damped, free))
+
+
+def test_comparison_aligns_each_majorant_field_by_its_own_tag(runs):
+    damped, fields = runs["damped"], list(runs["free"].fields)
+    late = fields[2].like(fields[2].values, fields[2].time_tag + 1e-9)
+    for bad in (fields[:2] + [late] + fields[3:],  # mistagged
+                fields + [fields[-1]],             # one field too many
+                fields[:-1]):                      # one field missing
+        with pytest.raises(ConfigurationError):
+            check_comparison(damped, iter(bad))
+
+
 # --------------------------------------------------------------------------
 # norm envelopes
 
@@ -176,6 +201,16 @@ def test_energy_detects_planted_gain(runs):
 def test_energy_source_sample_count_is_checked(runs):
     with pytest.raises(ConfigurationError):
         check_energy(runs["free"], [runs["p0"]] * 2, SIGMA)
+
+
+def test_energy_reads_one_shot_sources(runs):
+    # the sources are read once, in order, and counted as they come
+    damped, sources = runs["damped"], list(runs["free"].fields)
+    from_gen = check_energy(damped, (f for f in sources), SIGMA)
+    assert _same_check(from_gen, check_energy(damped, sources, SIGMA))
+    for bad in (sources[:-1], sources + [sources[-1]]):
+        with pytest.raises(ConfigurationError):
+            check_energy(damped, iter(bad), SIGMA)
 
 
 def test_energy_short_run_uses_floor_tolerance(grid64):

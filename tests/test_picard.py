@@ -447,6 +447,33 @@ def test_drivers_count_their_step_solves_exactly(zero_fix, pure_fix, coupled_fix
     assert counts(zero_fix) == (50, 100)
 
 
+@pytest.mark.parametrize("coupled", [False, True], ids=["pure", "coupled"])
+@pytest.mark.parametrize("init", ["heat", "zero"])
+def test_iterate_bookkeeping_for_every_driver_and_init(grid64, coupled, init):
+    # every iterate is one pass of the window loop: "zero" counts the seed
+    # as iterate 1 and marches from iterate 2, "heat" marches iterate 1 and
+    # takes no delta on it
+    p0 = _flat_in_x(grid64)
+    sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
+    if coupled:
+        _, _, diag = picard_coupled(p0, _c_bump(grid64), _params(gamma=9.0), sched,
+                                    init=init)
+    else:
+        _, diag = picard_pure(p0, None, _params(gamma=9.0), sched, init=init)
+    assert diag.converged
+    assert diag.iterations == sum(diag.k_per_slab)
+    edges = [round(t / 0.01) for t in diag.slab_edges]
+    steps = [i1 - i0 for i0, i1 in zip(edges, edges[1:])]
+    for w, k in enumerate(diag.k_per_slab):
+        assert len(diag.deltas_p[w]) == k - 1
+        assert len(diag.deltas_c[w]) == (k - 1 if coupled else 0)
+    marched = sum((k - (init == "zero")) * n for k, n in zip(diag.k_per_slab, steps))
+    if coupled:
+        assert (diag.phase_step_solves, diag.x_step_solves) == (marched, 0)
+    else:
+        assert (diag.phase_step_solves, diag.x_step_solves) == (sched.n_steps, marched)
+
+
 # --------------------------------------------------------------------------
 # coupled driver
 
