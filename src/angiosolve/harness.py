@@ -250,35 +250,29 @@ def check_speed_bound(moment_sets, tol: float = 1e-10,
     )
 
 
-def check_c_bounds(c_traj, c0, tol: float = 1e-12, diffusivity: float = None,
+def check_c_bounds(c_traj, c0, diffusivity: float, tol: float = 1e-12,
                    name: str = "c_bounds") -> BoundCheck:
     """Concentration invariants: 0 <= c <= sup c0 and depletion <= 0.
 
-    The depletion c - c_inf (c_inf = plain heat flow of c0) comes from the
-    trajectory's aux snapshots when present, otherwise it is recomputed from
-    ``diffusivity``.  All three sub-claims share the normalisation sup c0;
-    the reported worst cell belongs to the sub-claim with the worst slack.
+    The depletion is c - c_inf, with c_inf the plain heat flow of c0 with
+    ``diffusivity``, recomputed here from the saved fields alone: a
+    driver's own depletion snapshots were clamped to <= 0 as it marched,
+    so they cannot show a violation.  All three sub-claims share the
+    normalisation sup c0; the reported worst cell belongs to the sub-claim
+    with the worst slack.
     """
     sup_c0 = float(c0.values.max())
     if sup_c0 <= 0.0:
         sup_c0 = 1.0
-    chat_fields = c_traj.aux.get("c_hat")
     t0 = float(c_traj.times[0])
-    if chat_fields is None:
-        if diffusivity is None:
-            raise ConfigurationError(
-                "no depletion snapshots in the trajectory; pass diffusivity "
-                "so the far field can be recomputed"
-            )
-        far_field = HeatPlan(c0.grid, diffusivity, "x").apply_each(
-            c0.values, [t - t0 for t in c_traj.times], "spatial")
+    far_field = HeatPlan(c0.grid, diffusivity, "x").apply_each(
+        c0.values, [t - t0 for t in c_traj.times], "spatial")
     slacks, cells = [], []
-    for k, f in enumerate(c_traj.fields):
+    for f, c_inf in zip(c_traj.fields, far_field):
         vals = f.values
         low, low_cell = _extreme(vals, "min")          # (1) c >= 0
         high, high_cell = _extreme(vals, "max")        # (2) c <= sup c0
-        chat = vals - next(far_field) if chat_fields is None else chat_fields[k].values
-        dep, dep_cell = _extreme(chat, "max")          # (3) depletion <= 0
+        dep, dep_cell = _extreme(vals - c_inf, "max")  # (3) depletion <= 0
         options = [
             (low / sup_c0, low_cell),
             ((sup_c0 - high) / sup_c0, high_cell),

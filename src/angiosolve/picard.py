@@ -24,7 +24,10 @@ therefore marched on the n_x cells of the position lattice, and each window
 marches the phase field once, with the coefficient of its last iterate.
 :func:`picard_coupled` switches the attractant on; its coefficient depends
 on v, so every coupled iterate marches the phase field with
-:func:`solve_linear` and then the concentration.
+:func:`solve_linear` and then the concentration.  Every one of these
+marches, phase, marginal and concentration, takes the one splitting step
+:func:`~angiosolve.stepping._strang_step` in its own plan's work array;
+this module defines no step of its own.
 
 The iteration only contracts on windows with T * sqrt(M) < 1 (M an a-priori
 bound on the accumulated damping), so the proof splits long runs into slabs
@@ -52,7 +55,8 @@ from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import PhaseField, SpatialField, apply_sign
 from .heat import HeatPlan, gaussian_rho
 from .moments import _reduce_raw, accumulate_time_integral
-from .stepping import CoefficientTrack, Schedule, Trajectory, solve_linear
+from .stepping import (CoefficientTrack, Schedule, Trajectory, _strang_step,
+                       solve_linear)
 
 
 @dataclass(frozen=True)
@@ -178,23 +182,15 @@ def _alpha_raw(c_vals: np.ndarray, alpha1: float, c_R: float, what: str) -> np.n
     return alpha1 * c_vals / (c_R + c_vals)
 
 
-def _c_step(c_vals, j_vals, eta, dt, plan_x):
-    """exp(-eta j dt/2), exact heat flow over dt, exp(-eta j dt/2) again.
-
-    The concentration step, and with eta = 1 and j the midpoint damping the
-    marginal's Strang step as well.
-    """
-    half = np.exp((-0.5 * dt * eta) * j_vals)
-    return half * plan_x.apply(half * c_vals, dt, "spatial")
-
-
 def advance_c(c: SpatialField, j: SpatialField, d: float, eta: float, dt: float,
               plan: HeatPlan = None) -> SpatialField:
     """One step of dc/dt = d Lap_x c - eta j c with midpoint consumption j.
 
-    Symmetric splitting: multiply by exp(-eta j dt/2), exact heat flow,
-    multiply again.  Both factors are <= 1 for j >= 0 and strictly positive,
-    so 0 <= c(t+dt) <= heat flow of c(t) holds exactly (up to round-off).
+    The package's Strang step (:func:`~angiosolve.stepping._strang_step`)
+    on the position lattice with damping eta j and no source: multiply by
+    exp(-eta j dt/2), exact heat flow, multiply again.  Both factors are
+    <= 1 for j >= 0 and strictly positive, so 0 <= c(t+dt) <= heat flow of
+    c(t) holds exactly (up to round-off).
     """
     if not (float(dt) > 0.0 and math.isfinite(float(dt))):
         raise ParameterError(f"dt must be positive, got {dt!r}")
@@ -207,8 +203,10 @@ def advance_c(c: SpatialField, j: SpatialField, d: float, eta: float, dt: float,
         plan = HeatPlan(c.grid, d, "x")
     elif plan.grid != c.grid or plan.subspace != "x":
         raise ConfigurationError("plan must be a subspace-'x' plan on c's lattice")
-    out = _c_step(c.values, j_vals, float(eta), float(dt), plan)
-    return SpatialField(c.grid, out, time_tag=c.time_tag + float(dt), role="c")
+    dt = float(dt)
+    half = np.exp((-0.5 * dt * float(eta)) * j_vals)
+    out = _strang_step(c.values, half, plan, dt, None, None, "spatial")
+    return SpatialField(c.grid, out, time_tag=c.time_tag + dt, role="c")
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +270,12 @@ def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
 def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
     """March c = c_inf + chat across one window given the speed moment nodes.
 
-    Returns (c at local nodes, chat at local nodes).  chat stays <= 0 and c
-    stays >= 0 by construction; both are clamped at round-off level and
-    violations beyond the tolerance raise SignError.
+    Each step is :func:`~angiosolve.stepping._strang_step` with the
+    midpoint consumption eta j as damping and no source, marched in
+    ``plan_x``'s work array and floored there.  Returns (c at local nodes,
+    chat at local nodes).  chat stays <= 0 and c stays >= 0 by construction;
+    both are clamped at round-off level and violations beyond the tolerance
+    raise SignError.
     """
     n_local = j_loc.shape[0] - 1
     c_nodes = np.empty_like(j_loc)
@@ -285,8 +286,9 @@ def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
     chat_nodes[0] = chat
     for i in range(n_local):
         j_mid = 0.5 * (j_loc[i] + j_loc[i + 1])
-        c = apply_sign(_c_step(c, j_mid, eta, dt, plan_x), +1,
-                       f"concentration at node {i + 1}")
+        half = np.exp((-0.5 * dt * eta) * j_mid)
+        c = _strang_step(c, half, plan_x, dt, None, None, "spatial")
+        c = apply_sign(c, +1, f"concentration at node {i + 1}", out=c)
         chat = c - c_inf_loc[i + 1]
         # consumption only ever lowers c below its far field
         clamped = apply_sign(chat, -1, f"depletion at node {i + 1}",
@@ -305,10 +307,10 @@ def _march_marginal(pt0, track, plan_x, f_tilde):
     ``track`` holds a position-lattice coefficient, ``plan_x`` is the
     subspace-"x" plan with the phase diffusivity and ``f_tilde`` the
     source's marginal at every node (entries None without a source).  Each
-    step is the phase step's v-sum: half a trapezoid source, the midpoint
-    damping split around the exact x flow, the other half of the source.
-    The marginal is floored like the phase march.  Returns the stacked
-    marginal at every node.
+    step is the phase step's v-sum: the same
+    :func:`~angiosolve.stepping._strang_step`, with the source marginals in
+    place of the source, marched in ``plan_x``'s work array and floored
+    there like the phase march.  Returns the stacked marginal at every node.
     """
     sched = track.schedule
     dt = sched.dt
@@ -316,12 +318,11 @@ def _march_marginal(pt0, track, plan_x, f_tilde):
     nodes = np.empty((sched.n_steps + 1,) + shape)
     nodes[0] = pt = pt0
     for i in range(sched.n_steps):
-        f_lo, f_hi = f_tilde[i], f_tilde[i + 1]
-        u = pt if f_lo is None else pt + (0.5 * dt) * f_lo
-        u = _c_step(u, track.coefficient_mid(i).reshape(shape), 1.0, dt, plan_x)
-        if f_hi is not None:
-            u = u + (0.5 * dt) * f_hi
-        nodes[i + 1] = pt = apply_sign(u, +1, f"marched marginal at step {i + 1}")
+        half = np.exp((-0.5 * dt) * track.coefficient_mid(i).reshape(shape))
+        pt = _strang_step(pt, half, plan_x, dt, f_tilde[i], f_tilde[i + 1],
+                          "spatial")
+        nodes[i + 1] = pt = apply_sign(pt, +1, f"marched marginal at step {i + 1}",
+                                       out=pt)
     return nodes
 
 
@@ -441,6 +442,9 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         # stride 1: solve_linear gets the window's saved nodes explicitly
         local_sched = Schedule(t_end=n_local * dt, dt=dt, save_stride=1)
         local_saved = _local_saved_nodes(i0, i1, global_saved)
+        # node 0 joins the stopping rule in every window, but its field is
+        # the previous window's last one: only the first window saves it
+        march_saved = local_saved if s == 0 else local_saved[1:]
         f_win = source[i0:i1 + 1] if isinstance(source, list) else source
         ft_win = f_tilde[i0:i1 + 1] if isinstance(source, list) else f_tilde * (n_local + 1)
         if coupled:
@@ -479,7 +483,7 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             if coupled:
                 diag.phase_step_solves += n_local
                 traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                      record=record, saved_nodes=local_saved,
+                                      record=record, saved_nodes=march_saved,
                                       clamp_saves=True)
                 pt_k, j_k = traj_k.p_tilde_nodes, traj_k.j_nodes
                 c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_loc, j_k, eta, dt, plan_x)
@@ -511,16 +515,15 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             # the marginal fixed the coefficient; march the density once
             diag.phase_step_solves += n_local
             traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                  saved_nodes=local_saved, clamp_saves=True)
+                                  saved_nodes=march_saved, clamp_saves=True)
 
         # stitch only the schedule's own saved nodes: window edges are an
         # implementation detail and must not leak extra snapshots
-        for pos, node in enumerate(local_saved):
-            g_node = i0 + node
-            if g_node not in global_saved or (s > 0 and node == 0):
+        for pos, node in enumerate(march_saved):
+            if i0 + node not in global_saved:
                 continue
             # the fields' own tags (i0 * dt + local node * dt), which can
-            # differ from g_node * dt in the last bit
+            # differ from (i0 + node) * dt in the last bit
             t = traj_k.times[pos]
             times.append(t)
             p_fields.append(traj_k.fields[pos])

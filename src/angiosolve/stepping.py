@@ -16,6 +16,11 @@ factors E are strictly positive whatever the sign of a, H preserves signs up
 to round-off, and the source enters with trapezoid endpoint weights, so the
 scheme is unconditionally positivity preserving for nonnegative data, exact
 for a = f = 0, and second-order accurate in dt otherwise.
+
+:func:`_strang_step` is the package's only splitting step: the phase march
+of :func:`solve_linear` and the position-lattice marches of
+:mod:`angiosolve.picard` (the velocity marginal and the concentration) all
+take it, each in its own plan's work array.
 """
 
 from __future__ import annotations
@@ -170,10 +175,6 @@ class CoefficientTrack:
     # -- node access -------------------------------------------------------
 
     @property
-    def has_coefficient(self) -> bool:
-        return self._a is not None or self._sep_x is not None
-
-    @property
     def constant_coefficient(self) -> bool:
         return self._a_const and self._sep_x_const
 
@@ -292,13 +293,15 @@ class Trajectory:
         return self.fields[-1]
 
 
-def _strang_step(vals, half_factor, plan, dt, f_lo, f_hi):
-    """One splitting step on raw arrays (see module docstring).
+def _strang_step(vals, half_factor, plan, dt, f_lo, f_hi, kind):
+    """One splitting step on raw arrays of ``kind`` (see module docstring).
 
-    The step is marched in the plan's work array, which holds the result
-    until the plan's next step; ``vals`` may be that array itself.
+    ``half_factor`` is E (None for a = 0) and ``f_lo``/``f_hi`` the source
+    at the step's two nodes (None for f = 0).  The step is marched in
+    ``plan.work(kind)``, which holds the result until the plan's next step;
+    ``vals`` may be that array itself.
     """
-    u = plan.work("phase")
+    u = plan.work(kind)
     if f_lo is not None:
         np.add(vals, (0.5 * dt) * f_lo, out=u)
         if half_factor is not None:
@@ -307,7 +310,7 @@ def _strang_step(vals, half_factor, plan, dt, f_lo, f_hi):
         np.multiply(vals, half_factor, out=u)
     elif vals is not u:
         np.copyto(u, vals)
-    u = plan.apply(u, dt, "phase")
+    u = plan.apply(u, dt, kind)
     if half_factor is not None:
         u *= half_factor
     if f_hi is not None:
@@ -356,8 +359,9 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         the speed moment (weight |v| of the cell centres), or the marginal
         and the magnitude of the vector first moment.
     saved_nodes : sequence of int, optional
-        Override of the schedule's saved nodes (must contain 0 and the final
-        node); the fixed-point drivers use this to pin window boundaries.
+        Override of the schedule's saved nodes (must contain the final node;
+        without node 0 the trajectory holds no field for ``p0``); the
+        fixed-point drivers use this to pin window boundaries.
     clamp_saves : bool, optional
         Force/disable round-off clamping; defaults to "track is strict and
         p0 is nonnegative".  When active the marched values are floored at
@@ -393,9 +397,9 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         saved = set(schedule.saved_nodes())
     else:
         saved = set(int(i) for i in saved_nodes)
-        if 0 not in saved or n_steps not in saved or min(saved) < 0 or max(saved) > n_steps:
+        if n_steps not in saved or min(saved) < 0 or max(saved) > n_steps:
             raise ConfigurationError(
-                "saved_nodes must contain 0 and the final node and stay in range"
+                "saved_nodes must contain the final node and stay in range"
             )
 
     if record not in (None, "j", "vector_j"):
@@ -414,24 +418,18 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
 
     vals = p0.values
     t0 = p0.time_tag
-    fields = [PhaseField(grid, vals, time_tag=t0, nonnegative=clamp)]
-    times = [t0]
+    fields, times = [], []
+    if 0 in saved:
+        fields.append(PhaseField(grid, vals, time_tag=t0, nonnegative=clamp))
+        times.append(t0)
     if record is not None:
         _record(0, vals)
 
-    half_const = None
-    if track.constant_coefficient and track.has_coefficient:
-        half_const = np.exp((-0.5 * dt) * track.coefficient_mid(0))
-
     for i in range(n_steps):
-        if half_const is not None:
-            half = half_const
-        else:
-            w = track.coefficient_mid(i)
-            half = None if w is None else np.exp((-0.5 * dt) * w)
-        f_lo = track.source_node(i)
-        f_hi = track.source_node(i + 1)
-        vals = _strang_step(vals, half, plan, dt, f_lo, f_hi)
+        w = track.coefficient_mid(i)
+        half = None if w is None else np.exp((-0.5 * dt) * w)
+        vals = _strang_step(vals, half, plan, dt, track.source_node(i),
+                            track.source_node(i + 1), "phase")
         if clamp:
             # the step's result is the march's own array: floor it in place
             vals = apply_sign(vals, +1, f"marched density at step {i + 1}", out=vals)

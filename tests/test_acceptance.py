@@ -197,7 +197,8 @@ def test_criterion_06_speed_moment_bound(pure_fix, coupled_fix, smoke_fix):
 
 
 def test_criterion_07_concentration_bounds(coupled_fix, smoke_fix):
-    checks = [check_c_bounds(fix["c_traj"], fix["c0"], tol=1e-12)
+    checks = [check_c_bounds(fix["c_traj"], fix["c0"],
+                             diffusivity=fix["scenario"].params.d, tol=1e-12)
               for fix in (coupled_fix, smoke_fix)]
     ok = all(c.passed for c in checks)
     _verdict(7, "concentration window and nonpositive depletion", ok,

@@ -7,6 +7,7 @@ import pytest
 from angiosolve import (
     CoefficientTrack,
     ConfigurationError,
+    HeatPlan,
     MomentSet,
     ParameterError,
     PhaseField,
@@ -257,21 +258,36 @@ def test_speed_bound_validation(runs):
 # concentration bounds
 
 
-def test_c_bounds_pass_via_aux_snapshots(runs):
-    c_traj = runs["c_traj"]
-    c0 = c_traj.fields[0]
-    check = check_c_bounds(c_traj, c0)
-    assert check.passed
-    assert check.worst_slack >= -1e-12
-
-
 def test_c_bounds_recompute_far_field_from_diffusivity(runs):
     c_traj = runs["c_traj"]
     stripped = Trajectory(c_traj.times, c_traj.fields, aux={})
     check = check_c_bounds(stripped, c_traj.fields[0], diffusivity=0.05)
     assert check.passed
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
         check_c_bounds(stripped, c_traj.fields[0])  # no way to rebuild c_inf
+
+
+def test_c_bounds_catches_depletion_gain_behind_clamped_aux(runs):
+    # the drive clamps its own depletion snapshots to <= 0, so the check
+    # must measure c against the far field itself: lift one cell 1e-9 * sup
+    # c0 above its far field, still inside [0, sup c0], and keep the aux
+    c_traj = runs["c_traj"]
+    c0 = c_traj.fields[0]
+    sup_c0 = float(c0.values.max())
+    k, cell = 2, (40,)
+    c_inf = HeatPlan(c0.grid, 0.05, "x").apply(
+        c0.values, float(c_traj.times[k] - c_traj.times[0]), "spatial")
+    fields = list(c_traj.fields)
+    vals = fields[k].values.copy()
+    vals[cell] = c_inf[cell] + 1e-9 * sup_c0
+    assert 0.0 <= vals[cell] <= sup_c0
+    fields[k] = SpatialField(c_traj.grid, vals, time_tag=fields[k].time_tag)
+    bad = Trajectory(c_traj.times, fields, aux=c_traj.aux)
+    assert max(float(f.values.max()) for f in bad.aux["c_hat"]) <= 0.0
+    check = check_c_bounds(bad, c0, diffusivity=0.05)
+    assert not check.passed
+    assert check.worst_cell == cell
+    assert check.worst_time == c_traj.times[k]
 
 
 def test_c_bounds_locates_planted_excess(runs):

@@ -1,6 +1,8 @@
 """Fixed-point drivers against closed-form nonlinear solutions."""
 
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import cosh, sqrt
+from pathlib import Path
 
 from angiosolve import picard
 from angiosolve import (
@@ -445,6 +448,42 @@ def test_drivers_count_their_step_solves_exactly(zero_fix, pure_fix, coupled_fix
     assert counts(coupled_fix) == (1004, 0)
     assert counts(smoke_fix) == (54, 0)
     assert counts(zero_fix) == (50, 100)
+
+
+_BENCH_COUNTER = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import angiosolve
+from angiosolve.scenarios import load_shipped_scenario, realise
+from tracing import Tracer, install
+
+tracer = Tracer(record=True)
+install(tracer)
+for name in ("pure-gaussian", "coupled-ramp"):
+    made = realise(load_shipped_scenario(
+        name, ("schedule.t_end=0.05", "schedule.save_stride=5")))
+    before = tracer.step_solves
+    _, _, diag = made.drive()
+    print(name, tracer.step_solves - before, diag.phase_step_solves,
+          diag.x_step_solves)
+"""
+
+
+def test_benchmark_step_counter_is_the_drivers_phase_count():
+    # the benchmark counts a step-solve per step of every solve_linear call
+    # it wraps; that must be the drivers' own phase count, with the pure
+    # driver's x-lattice marches left out.  The tracer replaces package
+    # functions, so it runs in a process of its own
+    root = Path(__file__).resolve().parent.parent
+    script = _BENCH_COUNTER.format(src=str(root / "src"), bench=str(root / "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["pure-gaussian", "coupled-ramp"]
+    for name, traced, phase, _ in rows:
+        assert int(traced) == int(phase) > 0, name
+    assert int(rows[0][3]) > 0  # the pure run did march on the x-lattice
 
 
 @pytest.mark.parametrize("coupled", [False, True], ids=["pure", "coupled"])

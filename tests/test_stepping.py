@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from angiosolve import (CoefficientTrack, ConfigurationError, HeatPlan,
                         ParameterError, PhaseField, Schedule, ShapeError,
                         SignError, advance_linear, heat_step,
                         heat_upper_solution, integrate_phase, solve_linear)
+from angiosolve.picard import _advance_c_nodes, _c_inf_nodes, _march_marginal
 
 from conftest import gaussian_phase, small_grid
 
@@ -173,11 +175,36 @@ def test_solve_linear_records_moment_nodes(grid64):
             solve_linear(p0, track, SIGMA, record=bad)
 
 
-def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch):
+def _phase_march(grid):
+    track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid)
+    solve_linear(gaussian_phase(grid), track, SIGMA)
+
+
+def _marginal_march(grid):
+    sched = Schedule(t_end=0.05, dt=0.01)
+    track = CoefficientTrack(sched, grid, a=np.full(grid.spatial_shape, 0.3))
+    pt0 = gaussian_phase(grid).values.sum(axis=1) * grid.h_v
+    _march_marginal(pt0, track, HeatPlan(grid, SIGMA, "x"), [None] * 6)
+
+
+def _concentration_march(grid):
+    plan = HeatPlan(grid, 0.05, "x")
+    c0 = 1.0 + np.exp(-grid.x_coords() ** 2)
+    c_inf = _c_inf_nodes(c0, plan, 5, 0.01)
+    j = np.full((6,) + grid.spatial_shape, 0.5)
+    _advance_c_nodes(np.zeros(grid.spatial_shape), c_inf, j, 1.0, 0.01, plan)
+
+
+@pytest.mark.parametrize("march, cell, where", [
+    (_phase_march, (17, 40), "marched density at step 3"),
+    (_marginal_march, (17,), "marched marginal at step 3"),
+    (_concentration_march, (17,), "concentration at node 3"),
+], ids=["phase", "marginal", "concentration"])
+def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch, march,
+                                                      cell, where):
     # the per-step floor may only absorb round-off: a heat step that comes
-    # back with an entry of -1e-3 * sup must stop the march at that cell
-    p0 = gaussian_phase(grid64)
-    track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid64)
+    # back with an entry of -1e-3 * sup must stop the march at that cell,
+    # in the phase march and in both position-lattice marches
     clean = HeatPlan.apply
     calls = []
 
@@ -186,12 +213,25 @@ def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch):
         calls.append(tau)
         if len(calls) == 3:
             out = out.copy()
-            out[17, 40] = -1e-3 * float(out.max())
+            out[cell] = -1e-3 * float(out.max())
         return out
 
     monkeypatch.setattr(HeatPlan, "apply", faulty)
-    with pytest.raises(SignError, match=r"step 3 .*cell \(17, 40\)"):
-        solve_linear(p0, track, SIGMA)
+    with pytest.raises(SignError, match=re.escape(where) + r" .*cell "
+                       + re.escape(str(cell))):
+        march(grid64)
+
+
+def test_solve_linear_saves_only_the_nodes_asked_for(grid64):
+    # without node 0 the trajectory holds no field for p0, only the march
+    p0 = gaussian_phase(grid64)
+    track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid64)
+    traj = solve_linear(p0, track, SIGMA, saved_nodes=[5])
+    assert len(traj) == 1 and traj.times.tolist() == [0.05]
+    full = solve_linear(p0, track, SIGMA)
+    assert np.array_equal(traj.final.values, full.final.values)
+    with pytest.raises(ConfigurationError):
+        solve_linear(p0, track, SIGMA, saved_nodes=[0, 3])  # no final node
 
 
 def test_heat_upper_solution_no_source_is_heat(grid64):
