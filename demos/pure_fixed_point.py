@@ -30,7 +30,7 @@ def main():
     params = ModelParams(sigma=0.05, d=0.05, gamma=4.0, eta=1.0,
                          alpha1=0.0, c_R=1.0, epsilon=0.25, v0=(1.3,))
     sched = Schedule(t_end=0.5, dt=0.005, save_stride=20)
-    traj, diag = picard_pure(p0, None, params, sched)
+    traj, diag = picard_pure(p0, params, sched)
 
     print(f"gamma = {params.gamma}: strong memory damping")
     print(f"time axis iterated on {summarise_iterates(diag.k_per_slab)}")

@@ -16,14 +16,13 @@ from .moments import (MomentSet, accumulate_time_integral, marginal_residual,
                       speed_moment, vector_speed_moment, velocity_marginal)
 from .oracles import (VolterraResult, duhamel_reference, fd_reference,
                       uniqueness_probe, volterra_fundamental)
-from .picard import (IterationDiagnostics, ModelParams, advance_c, alpha_of_c,
+from .picard import (IterationDiagnostics, ModelParams, alpha_of_c,
                      picard_coupled, picard_pure, slab_partition)
 from .scenarios import (Scenario, boundary_mass_fraction, build_initial_c,
                         build_initial_p, load_scenario, load_shipped_scenario,
                         realise, run_scenario, shipped_scenarios)
 from .snapshots import field_to_csv, load_field, save_field, write_moment_table
-from .stepping import (CoefficientTrack, Schedule, Trajectory, advance_linear,
-                       heat_upper_solution, solve_linear)
+from .stepping import CoefficientTrack, Schedule, Trajectory, solve_linear
 
 __version__ = "0.1.0"
 
@@ -33,12 +32,11 @@ __all__ = [
     "IterationDiagnostics", "ModelParams", "MomentSet", "OracleError",
     "ParameterError", "PhaseField", "ResolutionError", "Scenario", "Schedule",
     "ShapeError", "SignError", "SpatialField", "Trajectory", "VelocityProfile",
-    "VolterraResult", "accumulate_time_integral", "advance_c",
-    "advance_linear", "alpha_of_c", "boundary_mass_fraction",
-    "build_initial_c", "build_initial_p", "check_c_bounds",
-    "check_comparison", "check_energy", "check_gronwall", "check_positivity",
-    "check_speed_bound", "duhamel_reference", "fd_reference", "field_to_csv",
-    "gaussian_rho", "heat_step", "heat_upper_solution",
+    "VolterraResult", "accumulate_time_integral", "alpha_of_c",
+    "boundary_mass_fraction", "build_initial_c", "build_initial_p",
+    "check_c_bounds", "check_comparison", "check_energy", "check_gronwall",
+    "check_positivity", "check_speed_bound", "duhamel_reference",
+    "fd_reference", "field_to_csv", "gaussian_rho", "heat_step",
     "integrate_phase", "load_field", "load_scenario", "load_shipped_scenario",
     "lq_norm", "marginal_residual", "moments_of", "picard_coupled",
     "picard_pure", "realise", "run_scenario", "save_field", "second_moment",

@@ -55,6 +55,8 @@ class BoundCheck:
 
 
 def _finish(name, anchor, tol, times, slacks, cells) -> BoundCheck:
+    """``cells`` lists the cell at each time, or maps the worst time's
+    index to its cell when a check locates it there only."""
     slacks = np.asarray(slacks, dtype=float)
     k = int(np.argmin(slacks))
     worst = float(slacks[k])
@@ -62,7 +64,8 @@ def _finish(name, anchor, tol, times, slacks, cells) -> BoundCheck:
         name=name, anchor=anchor, tolerance=float(tol),
         times=np.asarray(times, dtype=float), slacks=slacks,
         worst_slack=worst, worst_time=float(times[k]),
-        worst_cell=cells[k], passed=bool(worst >= -tol),
+        worst_cell=cells(k) if callable(cells) else cells[k],
+        passed=bool(worst >= -tol),
     )
 
 
@@ -70,6 +73,11 @@ def _extreme(arr, which):
     """(value, cell) of the first minimal (``"min"``) or maximal entry."""
     k = int(arr.argmin() if which == "min" else arr.argmax())
     return float(arr.flat[k]), tuple(int(i) for i in np.unravel_index(k, arr.shape))
+
+
+def _largest_cell(fields):
+    """Map a time index to the cell of largest magnitude of its field."""
+    return lambda k: _extreme(np.abs(fields[k].values), "max")[1]
 
 
 def check_positivity(traj, tol: float = 1e-12,
@@ -136,7 +144,7 @@ def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
     t0 = float(traj.times[0])
     if norm0 is None:
         norm0 = lq_norm(traj.fields[0], q)
-    slacks, cells = [], []
+    slacks = []
     for t, f in zip(traj.times, traj.fields):
         bound = norm0 * float(np.exp(rate * (t - t0)))
         norm = lq_norm(f, q)
@@ -144,12 +152,11 @@ def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
             slacks.append(0.0 if norm == 0.0 else -np.inf)
         else:
             slacks.append((bound - norm) / bound)
-        cells.append(_extreme(np.abs(f.values), "max")[1])
     return _finish(
         name,
         f"integral-inequality envelope: L^{q} norm grows at most like "
         f"exp({rate:g} t)",
-        tol, traj.times, slacks, cells,
+        tol, traj.times, slacks, _largest_cell(traj.fields),
     )
 
 
@@ -199,13 +206,11 @@ def check_energy(traj, f_fields, sigma: float, tol: float = None,
             tol = max(1e-10, 2.0 * est)
         else:
             tol = 1e-10
-    slacks = res / scale
-    cells = [_extreme(np.abs(f.values), "max")[1] for f in traj.fields]
     return _finish(
         name,
         "L2 energy balance with spectral gradients: damping only removes "
         "energy, sources add at most 2*int (f, p)",
-        tol, times, slacks, cells,
+        tol, times, res / scale, _largest_cell(traj.fields),
     )
 
 

@@ -3,7 +3,7 @@
 The model couples a phase-space tip density p(t, x, v) to an attractant
 concentration c(t, x):
 
-    dp/dt = sigma Lap_{x,v} p + alpha(c) rho(v) p - gamma p * int_0^t p~ ds + f,
+    dp/dt = sigma Lap_{x,v} p + alpha(c) rho(v) p - gamma p * int_0^t p~ ds,
     dc/dt = d Lap_x c - eta c j,
 
 with alpha(c) = alpha1 c / (c_R + c), rho a fixed Gaussian velocity profile,
@@ -182,33 +182,6 @@ def _alpha_raw(c_vals: np.ndarray, alpha1: float, c_R: float, what: str) -> np.n
     return alpha1 * c_vals / (c_R + c_vals)
 
 
-def advance_c(c: SpatialField, j: SpatialField, d: float, eta: float, dt: float,
-              plan: HeatPlan = None) -> SpatialField:
-    """One step of dc/dt = d Lap_x c - eta j c with midpoint consumption j.
-
-    The package's Strang step (:func:`~angiosolve.stepping._strang_step`)
-    on the position lattice with damping eta j and no source: multiply by
-    exp(-eta j dt/2), exact heat flow, multiply again.  Both factors are
-    <= 1 for j >= 0 and strictly positive, so 0 <= c(t+dt) <= heat flow of
-    c(t) holds exactly (up to round-off).
-    """
-    if not (float(dt) > 0.0 and math.isfinite(float(dt))):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    if not (float(eta) > 0.0):
-        raise ParameterError(f"eta must be positive, got {eta!r}")
-    if c.grid != j.grid:
-        raise ShapeError("c and j live on different lattices")
-    j_vals = apply_sign(j.values, +1, "speed moment")
-    if plan is None:
-        plan = HeatPlan(c.grid, d, "x")
-    elif plan.grid != c.grid or plan.subspace != "x":
-        raise ConfigurationError("plan must be a subspace-'x' plan on c's lattice")
-    dt = float(dt)
-    half = np.exp((-0.5 * dt * float(eta)) * j_vals)
-    out = _strang_step(c.values, half, plan, dt, None, None, "spatial")
-    return SpatialField(c.grid, out, time_tag=c.time_tag + dt, role="c")
-
-
 # --------------------------------------------------------------------------
 # slab partition and iteration windows
 
@@ -273,17 +246,15 @@ def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
     Each step is :func:`~angiosolve.stepping._strang_step` with the
     midpoint consumption eta j as damping and no source, marched in
     ``plan_x``'s work array and floored there.  Returns (c at local nodes,
-    chat at local nodes).  chat stays <= 0 and c stays >= 0 by construction;
-    both are clamped at round-off level and violations beyond the tolerance
-    raise SignError.
+    chat at the last node).  chat stays <= 0 and c stays >= 0 by
+    construction; both are clamped at round-off level and violations beyond
+    the tolerance raise SignError.
     """
     n_local = j_loc.shape[0] - 1
     c_nodes = np.empty_like(j_loc)
-    chat_nodes = np.empty_like(j_loc)
     chat = chat_start
     c = c_inf_loc[0] + chat
     c_nodes[0] = c
-    chat_nodes[0] = chat
     for i in range(n_local):
         j_mid = 0.5 * (j_loc[i] + j_loc[i + 1])
         half = np.exp((-0.5 * dt * eta) * j_mid)
@@ -297,20 +268,18 @@ def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
             chat = clamped
             c = c_inf_loc[i + 1] + chat
         c_nodes[i + 1] = c
-        chat_nodes[i + 1] = chat
-    return c_nodes, chat_nodes
+    return c_nodes, chat
 
 
-def _march_marginal(pt0, track, plan_x, f_tilde):
+def _march_marginal(pt0, track, plan_x):
     """The velocity marginal of :func:`solve_linear`'s march, on the x-lattice.
 
-    ``track`` holds a position-lattice coefficient, ``plan_x`` is the
-    subspace-"x" plan with the phase diffusivity and ``f_tilde`` the
-    source's marginal at every node (entries None without a source).  Each
+    ``track`` holds a position-lattice coefficient and no source, and
+    ``plan_x`` is the subspace-"x" plan with the phase diffusivity.  Each
     step is the phase step's v-sum: the same
-    :func:`~angiosolve.stepping._strang_step`, with the source marginals in
-    place of the source, marched in ``plan_x``'s work array and floored
-    there like the phase march.  Returns the stacked marginal at every node.
+    :func:`~angiosolve.stepping._strang_step`, marched in ``plan_x``'s work
+    array and floored there like the phase march.  Returns the stacked
+    marginal at every node.
     """
     sched = track.schedule
     dt = sched.dt
@@ -319,8 +288,7 @@ def _march_marginal(pt0, track, plan_x, f_tilde):
     nodes[0] = pt = pt0
     for i in range(sched.n_steps):
         half = np.exp((-0.5 * dt) * track.coefficient_mid(i).reshape(shape))
-        pt = _strang_step(pt, half, plan_x, dt, f_tilde[i], f_tilde[i + 1],
-                          "spatial")
+        pt = _strang_step(pt, half, plan_x, dt, None, None, "spatial")
         nodes[i + 1] = pt = apply_sign(pt, +1, f"marched marginal at step {i + 1}",
                                        out=pt)
     return nodes
@@ -350,7 +318,18 @@ def _seed(history, n_local):
     return np.maximum(last + m * d1 + (0.5 * m * (m + 1.0)) * d2, 0.0)
 
 
-def _drive(p0, c0, f, params, schedule, k_max, tol, init):
+def validate_options(k_max, tol, init):
+    """Reject fixed-point options no run accepts: ``init`` must be "heat"
+    or "zero", ``k_max`` at least 2 and ``tol`` in (0, 1)."""
+    if init not in ("heat", "zero"):
+        raise ParameterError(f"init must be 'heat' or 'zero', got {init!r}")
+    if k_max < 2:
+        raise ParameterError(f"k_max must allow at least two iterates, got {k_max!r}")
+    if not (0.0 < tol < 1.0):
+        raise ParameterError(f"tol must be in (0, 1), got {tol!r}")
+
+
+def _drive(p0, c0, params, schedule, k_max, tol, init):
     """The windowed fixed point behind both public drivers.
 
     The slabs of :func:`slab_partition` are cut into windows of at most
@@ -358,8 +337,8 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     point and restarted from the previous one's final state.  Per window,
     iterate k marches the state under the linear problem with coefficient
     gamma A_{k-1} (A the running integral of the previous iterate's
-    marginal, continued across windows by the carried offset) and source
-    f, until successive marginals agree to ``tol`` at every saved time.
+    marginal, continued across windows by the carried offset), until
+    successive marginals agree to ``tol`` at every saved time.
     The loop starts from the seed S: zero in the first window, and once
     three converged nodes exist their quadratic continuation (of the
     marginal, and on coupled runs of the speed moment).  ``init`` only
@@ -368,19 +347,15 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     previous c, so that pass has no production term, is strict and takes no
     delta.  Without ``c0`` the state is the marginal, marched on the
     x-lattice, and the phase field is marched once per window with the
-    last iterate's coefficient.  Passing ``c0`` couples the attractant
-    in (``f`` is then None): the state is the phase field, the coefficient
-    gains -alpha(c_{k-1}) rho(v), c_k is marched with the current speed
-    moment j_k, and the c change joins the stopping rule.
+    last iterate's coefficient.  Passing ``c0`` couples the attractant in:
+    the state is the phase field, the coefficient gains
+    -alpha(c_{k-1}) rho(v), c_k is marched with the current speed moment
+    j_k, and the c change joins the stopping rule.  Every phase march starts
+    nonnegative and sourceless, so :func:`solve_linear` floors each step.
 
     Returns (p_trajectory, c_trajectory or None, diagnostics).
     """
-    if init not in ("heat", "zero"):
-        raise ParameterError(f"init must be 'heat' or 'zero', got {init!r}")
-    if k_max < 2:
-        raise ParameterError("k_max must allow at least two iterates")
-    if not (0.0 < tol < 1.0):
-        raise ParameterError(f"tol must be in (0, 1), got {tol!r}")
+    validate_options(k_max, tol, init)
     coupled = c0 is not None
     grid = p0.grid
     if coupled and c0.grid != grid:
@@ -391,19 +366,6 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
     n_steps = schedule.n_steps
     n_nodes = n_steps + 1
     plan = HeatPlan(grid, params.sigma, "xv")
-    if not isinstance(f, CoefficientTrack):
-        f = CoefficientTrack(schedule, grid, f=f)
-    elif f.schedule != schedule:
-        raise ConfigurationError("source track schedule differs from the requested one")
-    source = f.source
-    # the source's marginal at every node (one array when constant)
-    if source is None:
-        f_tilde = [None]
-    elif isinstance(source, list):
-        f_tilde = [_reduce_raw(arr, grid) for arr in source]
-    else:
-        f_tilde = [_reduce_raw(source, grid)]
-
     rho_v, record, alpha_rate = None, None, 0.0
     if coupled:
         if c0.role != "c":
@@ -419,17 +381,16 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         plan_pt = HeatPlan(grid, params.sigma, "x")
 
     # a-priori bound on gamma * sup of any iterate's marginal: the damping
-    # only removes mass, so the heat flow plus accumulated source, grown at
-    # the production ceiling, dominates every iterate's marginal
+    # only removes mass, so the heat flow, grown at the production ceiling,
+    # dominates every iterate's marginal
     sup_pt0 = float(_reduce_raw(p0.values, grid).max())
-    f_sup = 0.0 if source is None else max(float(ft.max()) for ft in f_tilde)
-    big_m = gamma * (sup_pt0 + schedule.t_end * f_sup) * math.exp(alpha_rate * schedule.t_end)
+    big_m = gamma * sup_pt0 * math.exp(alpha_rate * schedule.t_end)
 
     edges = _windows(slab_partition(n_steps, dt, big_m))
     global_saved = set(schedule.saved_nodes())
 
     diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
-    p_fields, c_fields, chat_saved, cinf_saved, times = [], [], [], [], []
+    p_fields, c_fields, times = [], [], []
     # the converged node series: the marginal (and j), which seed the windows
     pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
     j_nodes = np.empty_like(pt_nodes) if coupled else None
@@ -445,8 +406,6 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         # node 0 joins the stopping rule in every window, but its field is
         # the previous window's last one: only the first window saves it
         march_saved = local_saved if s == 0 else local_saved[1:]
-        f_win = source[i0:i1 + 1] if isinstance(source, list) else source
-        ft_win = f_tilde[i0:i1 + 1] if isinstance(source, list) else f_tilde * (n_local + 1)
         if coupled:
             c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
         else:
@@ -476,20 +435,19 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
                 sep_x = [-_alpha_raw(c_prev[i], params.alpha1, params.c_R,
                                      "coupled iterate") for i in range(n_local + 1)]
             track = CoefficientTrack(local_sched, grid,
-                                     a=[gamma * a_i for a_i in a_nodes], f=f_win,
+                                     a=[gamma * a_i for a_i in a_nodes],
                                      sep_x=sep_x, sep_v=None if sep_x is None else rho_v,
                                      strict=sep_x is None)
             traj_k = None  # the previous iterate's fields are not needed again
             if coupled:
                 diag.phase_step_solves += n_local
                 traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                      record=record, saved_nodes=march_saved,
-                                      clamp_saves=True)
+                                      record=record, saved_nodes=march_saved)
                 pt_k, j_k = traj_k.p_tilde_nodes, traj_k.j_nodes
                 c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_loc, j_k, eta, dt, plan_x)
             else:
                 diag.x_step_solves += n_local
-                pt_k = _march_marginal(pt_start, track, plan_pt, ft_win)
+                pt_k = _march_marginal(pt_start, track, plan_pt)
             diag.iterations += 1
             if k > 1:
                 delta = _relative_delta(pt_k[local_saved], prev_pt[local_saved])
@@ -515,7 +473,7 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             # the marginal fixed the coefficient; march the density once
             diag.phase_step_solves += n_local
             traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                  saved_nodes=march_saved, clamp_saves=True)
+                                  saved_nodes=march_saved)
 
         # stitch only the schedule's own saved nodes: window edges are an
         # implementation detail and must not leak extra snapshots
@@ -529,10 +487,6 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
             p_fields.append(traj_k.fields[pos])
             if coupled:
                 c_fields.append(SpatialField(grid, c_cur[node], time_tag=t, role="c"))
-                chat_saved.append(SpatialField(grid, chat_cur[node], time_tag=t,
-                                               role="c_hat"))
-                cinf_saved.append(SpatialField(grid, c_inf_loc[node], time_tag=t,
-                                               role="c_inf"))
         pt_nodes[i0:i1 + 1] = pt_k
         a_offset = a_offset + accumulate_time_integral(pt_k, dt)[-1]
         # tag the next start with its own node time, so each window's tags
@@ -540,51 +494,45 @@ def _drive(p0, c0, f, params, schedule, k_max, tol, init):
         p_start = traj_k.fields[-1].like(traj_k.fields[-1].values, i1 * dt)
         if coupled:
             j_nodes[i0:i1 + 1] = j_k
-            chat_start = chat_cur[-1]
+            chat_start = chat_cur
             cinf_start = c_inf_loc[-1]
 
     p_traj = Trajectory(times, p_fields, node_times=schedule.times(),
                         aux={"a_nodes": accumulate_time_integral(pt_nodes, dt)})
-    c_traj = None
-    if coupled:
-        c_traj = Trajectory(times, c_fields,
-                            aux={"c_hat": chat_saved, "c_inf": cinf_saved})
+    c_traj = Trajectory(times, c_fields) if coupled else None
     return p_traj, c_traj, diag
 
 
-def picard_pure(p0: PhaseField, f_track, params: ModelParams, schedule: Schedule,
+def picard_pure(p0: PhaseField, params: ModelParams, schedule: Schedule,
                 k_max: int = 20, tol: float = 1e-8, init: str = "heat"):
     """Fixed-point run of the uncoupled problem (production switched off).
 
-    Iterates  p_k = solve of  dp/dt = sigma Lap p - gamma A_{k-1} p + f  with
+    Iterates  p_k = solve of  dp/dt = sigma Lap p - gamma A_{k-1} p  with
     A_{k-1}(t) the running integral of the previous iterate's marginal
     (continued across windows by the carried offset), window by window.
     The coefficient does not depend on v, so only the marginal is iterated,
     on the x-lattice: p~_k solves  dp~/dt = sigma Lap_x p~ - gamma A_{k-1} p~
-    + f~  with the same Strang step, and the stopping rule compares
-    successive marginals at the saved times.  Each window then marches the
-    phase field once, with the coefficient of its last iterate.
+    with the same Strang step, and the stopping rule compares successive
+    marginals at the saved times.  Each window then marches the phase field
+    once, with the coefficient of its last iterate.
 
     Each window's loop starts from its seed S: zero in the first window,
     and once three converged nodes exist, their quadratic continuation over
     the window (floored at zero).  ``init`` only chooses where: ``"heat"``
     marches iterate 1 with the memory coefficient gamma (carried offset +
-    int S), in the first window the plain heat/source flow; ``"zero"``
-    counts p~_1 = S as iterate 1 and starts at iterate 2.  In the first window the zero run's iterate k is then the heat run's
-    iterate k-1, and both stop on the same field.  In a seeded window the
+    int S), in the first window the plain heat flow; ``"zero"`` counts
+    p~_1 = S as iterate 1 and starts at iterate 2.  In the first window the
+    zero run's iterate k is then the heat run's iterate k-1, and both stop
+    on the same field.  In a seeded window the
     zero run may stop at its iterate 2 (S is close), while the heat run's
     first delta comes one iterate later; the two runs then stop one
     contraction step apart, so the windows after that start from states
     that agree to about the tolerance, not bit for bit.
 
-    ``f_track`` is the source f: None, one PhaseField (constant in time), one
-    sample per schedule node, or a CoefficientTrack on ``schedule`` itself;
-    anything else raises ConfigurationError or ShapeError.
-
     Returns (Trajectory, IterationDiagnostics).  Non-convergence within
     ``k_max`` iterates of any window is flagged, never raised.
     """
-    p_traj, _, diag = _drive(p0, None, f_track, params, schedule, k_max, tol, init)
+    p_traj, _, diag = _drive(p0, None, params, schedule, k_max, tol, init)
     return p_traj, diag
 
 
@@ -607,9 +555,10 @@ def picard_coupled(p0: PhaseField, c0: SpatialField, params: ModelParams,
     the frozen-offset flow); the uniqueness probe uses it to approach the
     fixed point from a different side in every window.
 
-    Returns (p_trajectory, c_trajectory, diagnostics); the c trajectory's
-    ``aux`` carries the far-field and depletion snapshots at the saved times.
+    Returns (p_trajectory, c_trajectory, diagnostics); the c trajectory holds
+    the concentration alone (its depletion is c minus the heat flow of c0,
+    which :func:`~angiosolve.harness.check_c_bounds` recomputes).
     """
     if c0 is None:
         raise ConfigurationError("the coupled driver needs an initial concentration")
-    return _drive(p0, c0, None, params, schedule, k_max, tol, init)
+    return _drive(p0, c0, params, schedule, k_max, tol, init)

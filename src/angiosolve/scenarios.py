@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError, ResolutionError
+from .errors import ConfigurationError, ParameterError, ResolutionError
 from .grid import GridSpec, PhaseField, SpatialField, lq_norm
 from .harness import (check_c_bounds, check_comparison, check_energy,
                       check_gronwall, check_positivity, check_speed_bound,
@@ -35,7 +35,7 @@ from .harness import (check_c_bounds, check_comparison, check_energy,
 from .heat import HeatPlan
 from .moments import moments_of, second_moment, velocity_marginal
 from .picard import (ModelParams, _alpha_raw, picard_coupled, picard_pure,
-                     summarise_iterates, velocity_profile)
+                     summarise_iterates, validate_options, velocity_profile)
 from .snapshots import save_field, write_moment_table
 from .stepping import Schedule, Trajectory, _broadcast_v, _broadcast_x
 
@@ -297,6 +297,10 @@ def load_scenario(source, overrides=()) -> Scenario:
             "tol": float(pk.get("tol", 1e-8)),
             "init": pk.get("init", "heat" if driver == "pure" else "zero"),
         }
+        try:
+            validate_options(**picard)
+        except ParameterError as exc:
+            raise ConfigurationError(f"[picard] {exc}") from exc
 
         p_recipe = _section(parser, "initial_p")
         c_recipe = _section(parser, "initial_c", required=(driver == "coupled"))
@@ -369,7 +373,7 @@ class RealisedScenario:
                       tol=tol if tol is not None else opts["tol"],
                       init=init or opts["init"])
         if self.c0 is None:
-            p_traj, diag = picard_pure(self.p0, None, sc.params, sc.schedule, **kwargs)
+            p_traj, diag = picard_pure(self.p0, sc.params, sc.schedule, **kwargs)
             return p_traj, None, diag
         return picard_coupled(self.p0, self.c0, sc.params, sc.schedule, **kwargs)
 

@@ -258,8 +258,8 @@ class Trajectory:
     ``p_tilde_nodes`` then holds the velocity marginal at every node, and
     ``j_nodes`` the speed moment (scalar, or the magnitude of the vector
     moment); both are stacked arrays with the node as leading axis, None
-    when not recorded.  ``aux`` carries solver-specific extras (depletion
-    snapshots, far-field fields, ...).
+    when not recorded.  ``aux`` carries solver-specific extras (the pure
+    and coupled drivers' running integral ``a_nodes``).
     """
 
     def __init__(self, times, fields, node_times=None, p_tilde_nodes=None,
@@ -318,30 +318,18 @@ def _strang_step(vals, half_factor, plan, dt, f_lo, f_hi, kind):
     return u
 
 
-def advance_linear(p, a, f, sigma, dt, plan=None, strict=True) -> PhaseField:
-    """One splitting step with midpoint coefficient ``a`` and constant source ``f``.
-
-    ``a`` may be a scalar, a SpatialField (broadcast over velocity), a
-    PhaseField, or None; ``f`` a scalar, a PhaseField or None, held constant
-    across the step (both endpoint weights use it).  This is a one-step
-    :func:`solve_linear` over a constant :class:`CoefficientTrack`, so
-    ``strict`` means what it means there (``a >= 0`` and ``f >= 0``).
-    """
-    if not (math.isfinite(float(dt)) and float(dt) > 0.0):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    grid = p.grid
-    if a is not None and np.isscalar(a):
-        a = SpatialField(grid, np.full(grid.spatial_shape, float(a)))
-    if f is not None and np.isscalar(f):
-        f = PhaseField(grid, np.full(grid.phase_shape, float(f)))
-    sched = Schedule(t_end=float(dt), dt=float(dt))
-    track = CoefficientTrack(sched, grid, a=a, f=f, strict=strict)
-    return solve_linear(p, track, sigma, plan=plan).final
-
-
 def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
-                 saved_nodes=None, clamp_saves=None) -> Trajectory:
+                 saved_nodes=None) -> Trajectory:
     """March the splitting scheme across a whole schedule.
+
+    When p0 >= 0 and the source is nonnegative (none, or a strict track),
+    the exact flow keeps the sign whatever the coefficient's sign, since the
+    factors E are positive.  The marched values are then floored at zero
+    after every step (anything negative is FFT noise and would otherwise
+    compound over long runs), and saved fields carry ``nonnegative=True``.
+    The floor follows :func:`~angiosolve.grid.apply_sign`: a negative entry
+    beyond the clamping tolerance raises :class:`SignError` naming the step
+    and cell.
 
     Parameters
     ----------
@@ -362,14 +350,6 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         Override of the schedule's saved nodes (must contain the final node;
         without node 0 the trajectory holds no field for ``p0``); the
         fixed-point drivers use this to pin window boundaries.
-    clamp_saves : bool, optional
-        Force/disable round-off clamping; defaults to "track is strict and
-        p0 is nonnegative".  When active the marched values are floored at
-        zero after every step (the exact flow preserves sign, so anything
-        negative is FFT noise and would otherwise compound over long runs),
-        and saved fields carry ``nonnegative=True``.  The floor follows
-        :func:`~angiosolve.grid.apply_sign`: a negative entry beyond the
-        clamping tolerance raises :class:`SignError` naming the step and cell.
 
     Returns
     -------
@@ -390,9 +370,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
 
     dt = schedule.dt
     n_steps = schedule.n_steps
-    if clamp_saves is None:
-        clamp_saves = track.strict and float(p0.values.min()) >= 0.0
-    clamp = clamp_saves
+    clamp = (track.strict or track.source is None) and float(p0.values.min()) >= 0.0
     if saved_nodes is None:
         saved = set(schedule.saved_nodes())
     else:
@@ -445,22 +423,3 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         kwargs = dict(node_times=t0 + schedule.times(), p_tilde_nodes=p_tilde_rec,
                       j_nodes=j_rec)
     return Trajectory(times, fields, **kwargs)
-
-
-def heat_upper_solution(p0, f_track, sigma, schedule) -> Trajectory:
-    """Trajectory of the coefficient-free flow dp/dt = sigma*Lap p + f.
-
-    With nonnegative data this dominates every solution of the damped
-    problem with the same source and any a >= 0 (dropping -a*p only adds
-    mass), so it is the standard comparison majorant.  ``f_track`` may be
-    None, a PhaseField (constant source), or a CoefficientTrack whose source
-    samples are reused.
-    """
-    if isinstance(f_track, CoefficientTrack):
-        if f_track.schedule != schedule:
-            raise ConfigurationError("source track schedule differs from the requested one")
-        f = f_track.source
-    else:
-        f = f_track
-    track = CoefficientTrack(schedule, p0.grid, a=None, f=f, strict=True)
-    return solve_linear(p0, track, sigma, schedule)

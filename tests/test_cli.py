@@ -177,6 +177,17 @@ def test_bad_inputs_exit_2(capsys):
     assert main(["check", "/nonexistent/path.cfg"]) == 2
 
 
+@pytest.mark.parametrize("override", ["picard.init=midpoint", "picard.k_max=1",
+                                      "picard.tol=2"])
+def test_check_rejects_what_run_rejects(capsys, override):
+    # the dry run applies the drivers' own option rule, so it cannot say
+    # "ok" to a config every run exits 2 on
+    assert main(["check", "zero", "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and override.split(".")[1].split("=")[0] in err
+    assert main(["run", "zero", "--override", override]) == 2
+
+
 @pytest.mark.skipif(shutil.which("angiosolve") is None,
                     reason="console script not installed")
 def test_console_script_smoke():

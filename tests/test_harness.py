@@ -160,6 +160,28 @@ def test_gronwall_zero_data_edge_cases(grid64):
     assert not check.passed
 
 
+@pytest.mark.parametrize("check", ["gronwall", "energy"])
+def test_norm_checks_locate_the_cell_at_the_worst_time_only(runs, monkeypatch, check):
+    # only the worst time's cell is reported, so it is the only one located
+    from angiosolve import harness
+    traj, calls = runs["damped"], []
+    extreme = harness._extreme
+
+    def counting(arr, which):
+        calls.append(which)
+        return extreme(arr, which)
+
+    monkeypatch.setattr(harness, "_extreme", counting)
+    if check == "gronwall":
+        result = check_gronwall(traj, rate=0.0, q=2)
+    else:
+        result = check_energy(traj, None, SIGMA)
+    assert len(traj) == 5 and calls == ["max"]
+    k = list(traj.times).index(result.worst_time)
+    vals = np.abs(traj.fields[k].values)
+    assert result.worst_cell == np.unravel_index(vals.argmax(), vals.shape)
+
+
 # --------------------------------------------------------------------------
 # energy balance
 
@@ -268,21 +290,25 @@ def test_c_bounds_recompute_far_field_from_diffusivity(runs):
 
 
 def test_c_bounds_catches_depletion_gain_behind_clamped_aux(runs):
-    # the drive clamps its own depletion snapshots to <= 0, so the check
+    # depletion snapshots clamped to <= 0 cannot show a gain, so the check
     # must measure c against the far field itself: lift one cell 1e-9 * sup
-    # c0 above its far field, still inside [0, sup c0], and keep the aux
+    # c0 above its far field, still inside [0, sup c0], and hand it clamped
+    # depletion snapshots that hide the gain
     c_traj = runs["c_traj"]
     c0 = c_traj.fields[0]
     sup_c0 = float(c0.values.max())
     k, cell = 2, (40,)
-    c_inf = HeatPlan(c0.grid, 0.05, "x").apply(
-        c0.values, float(c_traj.times[k] - c_traj.times[0]), "spatial")
+    far = list(HeatPlan(c0.grid, 0.05, "x").apply_each(
+        c0.values, [float(t - c_traj.times[0]) for t in c_traj.times], "spatial"))
     fields = list(c_traj.fields)
     vals = fields[k].values.copy()
-    vals[cell] = c_inf[cell] + 1e-9 * sup_c0
+    vals[cell] = far[k][cell] + 1e-9 * sup_c0
     assert 0.0 <= vals[cell] <= sup_c0
     fields[k] = SpatialField(c_traj.grid, vals, time_tag=fields[k].time_tag)
-    bad = Trajectory(c_traj.times, fields, aux=c_traj.aux)
+    clamped = [SpatialField(c_traj.grid, np.minimum(f.values - c_inf, 0.0),
+                            time_tag=f.time_tag, role="c_hat")
+               for f, c_inf in zip(fields, far)]
+    bad = Trajectory(c_traj.times, fields, aux={"c_hat": clamped})
     assert max(float(f.values.max()) for f in bad.aux["c_hat"]) <= 0.0
     check = check_c_bounds(bad, c0, diffusivity=0.05)
     assert not check.passed

@@ -25,7 +25,6 @@ from angiosolve import (
     ShapeError,
     SignError,
     SpatialField,
-    advance_c,
     alpha_of_c,
     heat_step,
     integrate_phase,
@@ -118,13 +117,24 @@ def test_alpha_of_c_is_lipschitz(c1, c2):
     assert abs(a1 - a2) <= (alpha1 / c_R) * abs(c1 - c2) + 1e-15
 
 
+def _march_c(c, j, d, eta, dt):
+    """The drive's concentration march over one step from no depletion:
+    (c at node 1, depletion at node 1)."""
+    plan = HeatPlan(c.grid, d, "x")
+    c_inf = picard._c_inf_nodes(c.values, plan, 1, dt)
+    j_nodes = np.stack([j.values, j.values])
+    c_nodes, chat = picard._advance_c_nodes(np.zeros(c.grid.spatial_shape), c_inf,
+                                           j_nodes, eta, dt, plan)
+    return c_nodes[1], chat
+
+
 def test_advance_c_without_consumption_is_heat(grid64):
     c = _c_bump(grid64)
     j = SpatialField(grid64, np.zeros(grid64.spatial_shape))
-    out = advance_c(c, j, 0.05, 1.0, 0.25)
+    out, chat = _march_c(c, j, 0.05, 1.0, 0.25)
     oracle = heat_step(c, 0.25, HeatPlan(grid64, 0.05, "x"))
-    np.testing.assert_allclose(out.values, oracle.values, rtol=0, atol=1e-15)
-    assert out.role == "c" and out.time_tag == 0.25
+    np.testing.assert_allclose(out, oracle.values, rtol=0, atol=1e-15)
+    assert float(np.abs(chat).max()) <= 1e-15
 
 
 def test_advance_c_constant_consumption_exact(grid64):
@@ -132,29 +142,21 @@ def test_advance_c_constant_consumption_exact(grid64):
     # c(t + dt) = exp(-eta J dt) * heat(c)
     c = _c_bump(grid64)
     j = SpatialField(grid64, np.full(grid64.spatial_shape, 2.0))
-    out = advance_c(c, j, 0.05, 0.7, 0.25)
-    oracle = np.exp(-0.7 * 2.0 * 0.25) * heat_step(c, 0.25, HeatPlan(grid64, 0.05, "x")).values
-    np.testing.assert_allclose(out.values, oracle, rtol=1e-14)
-    # consumption only ever lowers the heat flow
+    out, chat = _march_c(c, j, 0.05, 0.7, 0.25)
     free = heat_step(c, 0.25, HeatPlan(grid64, 0.05, "x")).values
-    assert float((free - out.values).min()) >= 0.0
+    np.testing.assert_allclose(out, np.exp(-0.7 * 2.0 * 0.25) * free, rtol=1e-14)
+    # consumption only ever lowers the heat flow
+    assert float((free - out).min()) >= 0.0
+    np.testing.assert_array_equal(chat, out - free)
 
 
 def test_advance_c_validation(grid64):
+    # a negative speed moment would produce attractant: the march's
+    # depletion guard stops it at the first node instead of clamping it
     c = _c_bump(grid64)
-    j = SpatialField(grid64, np.zeros(grid64.spatial_shape))
-    with pytest.raises(ParameterError):
-        advance_c(c, j, 0.05, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        advance_c(c, j, 0.05, 0.0, 0.1)
-    other = GridSpec(dim_x=1, dim_v=1, n_x=16, n_v=16, half_width_x=8.0, half_width_v=8.0)
-    with pytest.raises(ShapeError):
-        advance_c(c, SpatialField(other, np.zeros(other.spatial_shape)), 0.05, 1.0, 0.1)
-    with pytest.raises(SignError):
-        advance_c(c, SpatialField(grid64, np.full(grid64.spatial_shape, -1.0)),
-                  0.05, 1.0, 0.1)
-    with pytest.raises(ConfigurationError):
-        advance_c(c, j, 0.05, 1.0, 0.1, plan=HeatPlan(grid64, 0.05, "xv"))
+    j = SpatialField(grid64, np.full(grid64.spatial_shape, -1.0))
+    with pytest.raises(SignError, match="depletion at node 1"):
+        _march_c(c, j, 0.05, 1.0, 0.1)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +215,7 @@ def paper_partition_runs():
     # windows as long as the run leave the paper's slabs uncut
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(picard, "_WINDOW_STEPS", sched.n_steps)
-        pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL)
+        pure, d_pure = picard_pure(p0, params, sched, tol=_PARTITION_TOL)
         p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL)
     for diag in (d_pure, d_c):
         assert diag.converged
@@ -244,7 +246,7 @@ def test_fixed_point_does_not_depend_on_slab_partition(paper_partition_runs, len
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(picard, "_windows", windows)
-        pure, d_pure = picard_pure(p0, None, params, sched, tol=_PARTITION_TOL,
+        pure, d_pure = picard_pure(p0, params, sched, tol=_PARTITION_TOL,
                                    init=init)
         p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL,
                                        init=init)
@@ -274,7 +276,7 @@ def test_picard_pure_matches_sech_squared_solution(grid64):
     errs = {}
     for dt in (0.02, 0.01):
         sched = Schedule(t_end=0.5, dt=dt, save_stride=int(round(0.1 / dt)))
-        traj, diag = picard_pure(p0, None, params, sched, tol=1e-10)
+        traj, diag = picard_pure(p0, params, sched, tol=1e-10)
         assert diag.converged and diag.deltas_strictly_decreasing()
         worst = 0.0
         for f in traj.fields:
@@ -294,7 +296,7 @@ def test_picard_pure_small_mass_deviation_scales_quadratically(grid64):
     devs = {}
     for mu in (1e-3, 5e-4):
         p0 = gaussian_phase(grid64, mass=mu)
-        traj, _ = picard_pure(p0, None, params, sched, tol=1e-12)
+        traj, _ = picard_pure(p0, params, sched, tol=1e-12)
         devs[mu] = max(float(np.abs(f.values - heat_step(p0, f.time_tag, plan).values).max())
                        for f in traj.fields)
     assert 3.6 < devs[1e-3] / devs[5e-4] < 4.4
@@ -306,8 +308,8 @@ def test_picard_pure_seeds_share_the_fixed_point(grid64):
     # trajectories agree exactly, not just to tolerance
     p0 = _flat_in_x(grid64)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    t_heat, _ = picard_pure(p0, None, _params(), sched, tol=1e-10, init="heat")
-    t_zero, _ = picard_pure(p0, None, _params(), sched, tol=1e-10, init="zero")
+    t_heat, _ = picard_pure(p0, _params(), sched, tol=1e-10, init="heat")
+    t_zero, _ = picard_pure(p0, _params(), sched, tol=1e-10, init="zero")
     dev = max(float(np.abs(a.values - b.values).max())
               for a, b in zip(t_heat.fields, t_zero.fields))
     assert dev == 0.0
@@ -319,7 +321,7 @@ def test_picard_pure_multi_slab_stitching(grid64):
     # saved times
     p0 = _flat_in_x(grid64)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    traj, diag = picard_pure(p0, None, _params(gamma=9.0), sched, tol=1e-9)
+    traj, diag = picard_pure(p0, _params(gamma=9.0), sched, tol=1e-9)
     assert diag.slab_edges == [i * 0.01 for i in range(0, 51, 2)]
     assert len(diag.k_per_slab) == 25 and diag.converged
     np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-12)
@@ -335,53 +337,21 @@ def test_picard_pure_multi_slab_stitching(grid64):
 def test_picard_pure_flags_non_convergence(grid64):
     p0 = _flat_in_x(grid64)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    traj, diag = picard_pure(p0, None, _params(gamma=9.0), sched, k_max=2, tol=1e-12)
+    traj, diag = picard_pure(p0, _params(gamma=9.0), sched, k_max=2, tol=1e-12)
     assert not diag.converged
     assert diag.k_per_slab == [2] * 25
     assert len(traj) == 6  # the trajectory is still delivered
-
-
-def test_picard_pure_with_source(grid64):
-    # zero data plus a steady nonnegative source: density appears, stays
-    # nonnegative, and cannot exceed the sourced free flow's mass t * |f|_1
-    f = gaussian_phase(grid64, mass=0.3)
-    p0 = PhaseField(grid64, np.zeros(grid64.phase_shape))
-    sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    traj, diag = picard_pure(p0, f, _params(), sched, tol=1e-10)
-    assert diag.converged
-    final = traj.fields[-1]
-    assert float(final.values.min()) >= 0.0
-    mass = integrate_phase(final)
-    assert 0.0 < mass <= 0.5 * 0.3 * (1.0 + 1e-12)
 
 
 def test_picard_pure_validation(grid64):
     p0 = _flat_in_x(grid64)
     sched = Schedule(t_end=0.1, dt=0.01, save_stride=10)
     with pytest.raises(ParameterError):
-        picard_pure(p0, None, _params(), sched, init="midpoint")
+        picard_pure(p0, _params(), sched, init="midpoint")
     with pytest.raises(ParameterError):
-        picard_pure(p0, None, _params(), sched, k_max=1)
+        picard_pure(p0, _params(), sched, k_max=1)
     with pytest.raises(ParameterError):
-        picard_pure(p0, None, _params(), sched, tol=1.5)
-    with pytest.raises(ConfigurationError):
-        picard_pure(p0, [p0] * 3, _params(), sched)  # 11 nodes expected
-    with pytest.raises(ShapeError):
-        picard_pure(p0, [None] * 11, _params(), sched)
-
-
-def test_picard_pure_rejects_a_source_track_of_another_schedule(grid64):
-    # a track's samples belong to its own nodes: read on another schedule
-    # they would be a different source
-    p0 = _flat_in_x(grid64)
-    sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    f = gaussian_phase(grid64, mass=0.3)
-    coarse = CoefficientTrack(Schedule(t_end=0.5, dt=0.05), grid64, f=f)
-    with pytest.raises(ConfigurationError):
-        picard_pure(p0, coarse, _params(), sched)
-    longer = CoefficientTrack(Schedule(t_end=0.8, dt=0.01), grid64, f=[f] * 81)
-    with pytest.raises(ConfigurationError):
-        picard_pure(p0, longer, _params(), sched)
+        picard_pure(p0, _params(), sched, tol=1.5)
 
 
 def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):
@@ -403,16 +373,15 @@ def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):
     monkeypatch.setattr(stepping, "_reduce_raw", counting_reduce)
     monkeypatch.setattr(picard, "solve_linear", counting_solve)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    _, diag = picard_pure(_flat_in_x(grid64), None, _params(gamma=9.0), sched)
+    _, diag = picard_pure(_flat_in_x(grid64), _params(gamma=9.0), sched)
     assert diag.converged and len(diag.k_per_slab) == 25
     assert records == [None] * 25
     assert counts["reductions"] == 0
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([1, 2]), st.booleans(), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
-def test_marginal_march_is_the_v_sum_of_the_phase_march(dim_v, constant, sourced, seed):
+@given(st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_marginal_march_is_the_v_sum_of_the_phase_march(dim_v, constant, seed):
     # an x-only coefficient commutes with the velocity sum and the v flow
     # keeps that sum, so the marginal of every node of the phase march is
     # the x-lattice march of the marginal: the pure driver iterates on this
@@ -425,13 +394,11 @@ def test_marginal_march_is_the_v_sum_of_the_phase_march(dim_v, constant, sourced
         return 4.0 * rng.random(g.spatial_shape)
 
     a = x_sample() if constant else [x_sample() for _ in range(n_nodes)]
-    f = [rng.random(g.phase_shape) for _ in range(n_nodes)] if sourced else None
-    track = CoefficientTrack(sched, g, a=a, f=f)
+    track = CoefficientTrack(sched, g, a=a)
     p0 = PhaseField(g, rng.random(g.phase_shape))
     phase = solve_linear(p0, track, SIGMA, record="j").p_tilde_nodes
-    f_tilde = [None] * n_nodes if f is None else [_reduce_raw(arr, g) for arr in f]
     marginal = picard._march_marginal(_reduce_raw(p0.values, g), track,
-                                      HeatPlan(g, SIGMA, "x"), f_tilde)
+                                      HeatPlan(g, SIGMA, "x"))
     assert np.abs(marginal - phase).max() <= 1e-13 * np.abs(phase).max()
 
 
@@ -498,7 +465,7 @@ def test_iterate_bookkeeping_for_every_driver_and_init(grid64, coupled, init):
         _, _, diag = picard_coupled(p0, _c_bump(grid64), _params(gamma=9.0), sched,
                                     init=init)
     else:
-        _, diag = picard_pure(p0, None, _params(gamma=9.0), sched, init=init)
+        _, diag = picard_pure(p0, _params(gamma=9.0), sched, init=init)
     assert diag.converged
     assert diag.iterations == sum(diag.k_per_slab)
     edges = [round(t / 0.01) for t in diag.slab_edges]
@@ -524,7 +491,7 @@ def test_picard_coupled_without_production_reduces_to_pure(grid64):
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     p_traj, c_traj, _ = picard_coupled(p0, _c_bump(grid64), _params(alpha1=0.0),
                                        sched, tol=1e-10)
-    pure, _ = picard_pure(p0, None, _params(alpha1=0.0), sched, tol=1e-10, init="zero")
+    pure, _ = picard_pure(p0, _params(alpha1=0.0), sched, tol=1e-10, init="zero")
     for a, b in zip(p_traj.fields, pure.fields):
         np.testing.assert_array_equal(a.values, b.values)
 
@@ -560,10 +527,6 @@ def test_picard_coupled_zero_density_leaves_c_on_heat_flow(grid64):
     for cf in c_traj.fields:
         oracle = heat_step(c0, cf.time_tag, plan_x)
         np.testing.assert_allclose(cf.values, oracle.values, rtol=0, atol=1e-14)
-    # the depletion is the gap between the per-step march and the one-shot
-    # semigroup, so it is round-off rather than exactly zero
-    for chat in c_traj.aux["c_hat"]:
-        assert float(np.abs(chat.values).max()) < 1e-14
 
 
 def test_picard_coupled_seeds_agree(grid64):
@@ -582,34 +545,34 @@ def test_picard_coupled_seeds_agree(grid64):
 
 
 def test_picard_coupled_decomposition_and_signs(grid64):
-    # c = far field + depletion with chat <= 0 and 0 <= c <= sup c0
+    # c = far field + depletion, with the far field the heat flow of c0,
+    # depletion <= 0 (to round-off) and 0 <= c <= sup c0
     p0 = _flat_in_x(grid64)
     c0 = _c_bump(grid64)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     p_traj, c_traj, diag = picard_coupled(p0, c0, _params(), sched, tol=1e-9)
     assert diag.converged and diag.deltas_strictly_decreasing()
+    assert c_traj.aux == {}  # the drive keeps no depletion side series
     sup_c0 = float(c0.values.max())
-    for cf, chat, cinf in zip(c_traj.fields, c_traj.aux["c_hat"], c_traj.aux["c_inf"]):
-        np.testing.assert_allclose(cf.values, cinf.values + chat.values,
-                                   rtol=0, atol=1e-15)
-        assert float(chat.values.max()) <= 0.0
+    far = HeatPlan(grid64, 0.05, "x").apply_each(c0.values, c_traj.times, "spatial")
+    chats = [cf.values - c_inf for cf, c_inf in zip(c_traj.fields, far)]
+    for cf, chat in zip(c_traj.fields, chats):
+        assert float(chat.max()) <= 1e-14 * sup_c0
         assert float(cf.values.min()) >= 0.0
         assert float(cf.values.max()) <= sup_c0 * (1.0 + 1e-12)
     # the consumed attractant actually shows: depletion is strictly negative
-    assert float(c_traj.aux["c_hat"][-1].values.min()) < -1e-4
+    assert float(chats[-1].min()) < -1e-4
 
 
 def test_coupled_stitching_reports_the_fields_own_time_tags(coupled_fix):
     # after a window restart window start + i*dt and node*dt can differ in
-    # the last bit; the saved times, the p and c snapshots and the aux
-    # snapshots all carry the one value the marched fields hold
+    # the last bit; the saved times and the p and c snapshots all carry the
+    # one value the marched fields hold
     p_traj, c_traj = coupled_fix["p_traj"], coupled_fix["c_traj"]
     assert len(coupled_fix["diag"].k_per_slab) == 500
     for k, pf in enumerate(p_traj.fields):
         assert p_traj.times[k] == pf.time_tag
         assert c_traj.times[k] == c_traj.fields[k].time_tag == pf.time_tag
-        assert c_traj.aux["c_hat"][k].time_tag == pf.time_tag
-        assert c_traj.aux["c_inf"][k].time_tag == pf.time_tag
     # each window starts from its own node time, so no rounding builds up
     # over the restarts: every tag is within one ulp of its node's time
     nodes = p_traj.node_times

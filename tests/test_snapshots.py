@@ -142,7 +142,7 @@ def test_field_to_csv_layout(tmp_path):
 def test_moment_table_rows_align_with_nodes(tmp_path, grid64):
     p0 = gaussian_phase(grid64)
     sched = Schedule(t_end=0.1, dt=0.01, save_stride=5)
-    traj, _ = picard_pure(p0, None, _params(), sched, tol=1e-9)
+    traj, _ = picard_pure(p0, _params(), sched, tol=1e-9)
     a_nodes = traj.aux["a_nodes"]
     path = tmp_path / "moments.csv"
     write_moment_table(traj, a_nodes, path)

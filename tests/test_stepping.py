@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from angiosolve import (CoefficientTrack, ConfigurationError, HeatPlan,
                         ParameterError, PhaseField, Schedule, ShapeError,
-                        SignError, advance_linear, heat_step,
-                        heat_upper_solution, integrate_phase, solve_linear)
+                        SignError, SpatialField, heat_step, integrate_phase,
+                        solve_linear)
 from angiosolve.picard import _advance_c_nodes, _c_inf_nodes, _march_marginal
 
 from conftest import gaussian_phase, small_grid
@@ -44,10 +44,21 @@ def test_schedule_saved_nodes_include_final_partial_stride():
 # single step
 
 
+def _advance_linear(p, a, f, sigma, dt):
+    """One step of solve_linear with constant scalar coefficient ``a`` and
+    source ``f`` (either None) on a strict track."""
+    g = p.grid
+    track = CoefficientTrack(
+        Schedule(t_end=dt, dt=dt), g,
+        a=None if a is None else SpatialField(g, np.full(g.spatial_shape, float(a))),
+        f=None if f is None else PhaseField(g, np.full(g.phase_shape, float(f))))
+    return solve_linear(p, track, sigma).final
+
+
 def test_advance_linear_reduces_to_heat_step(grid64):
     p = gaussian_phase(grid64)
     plan = HeatPlan(grid64, SIGMA, "xv")
-    out = advance_linear(p, None, None, SIGMA, 0.01, plan=plan)
+    out = _advance_linear(p, None, None, SIGMA, 0.01)
     ref = heat_step(p, 0.01, plan)
     # identical up to the round-off clamp on tiny negative ringing
     np.testing.assert_allclose(out.values, ref.values, rtol=0,
@@ -59,7 +70,7 @@ def test_advance_linear_constant_damping_scalar_ode(grid64):
     # update must be exactly p * exp(-a0 dt)
     a0, dt = 0.7, 0.01
     p = PhaseField(grid64, np.full(grid64.phase_shape, 2.0))
-    out = advance_linear(p, a0, None, SIGMA, dt)
+    out = _advance_linear(p, a0, None, SIGMA, dt)
     np.testing.assert_allclose(out.values, 2.0 * math.exp(-a0 * dt), rtol=1e-14)
 
 
@@ -69,8 +80,7 @@ def test_advance_linear_source_single_step_duhamel(grid64):
     # dt*(1 - exp(-a dt/2))^2 / 2  (= (a dt)^2 dt / 8 at leading order)
     a0, dt, f0 = 2.0, 0.01, 3.0
     p = PhaseField(grid64, np.zeros(grid64.phase_shape))
-    f = PhaseField(grid64, np.full(grid64.phase_shape, f0))
-    out = advance_linear(p, a0, f, SIGMA, dt)
+    out = _advance_linear(p, a0, f0, SIGMA, dt)
     midpoint = dt * f0 * math.exp(-a0 * dt / 2)
     gap = dt * f0 * (1.0 - math.exp(-a0 * dt / 2)) ** 2 / 2.0
     assert np.max(np.abs(out.values - midpoint)) <= gap * 1.0001
@@ -79,9 +89,8 @@ def test_advance_linear_source_single_step_duhamel(grid64):
 
 def test_advance_linear_rejects_negative_coefficient_when_strict(grid64):
     p = gaussian_phase(grid64)
-    from angiosolve import SignError
     with pytest.raises(SignError):
-        advance_linear(p, -0.5, None, SIGMA, 0.01)
+        _advance_linear(p, -0.5, None, SIGMA, 0.01)
 
 
 # --------------------------------------------------------------------------
@@ -145,8 +154,8 @@ def test_solve_linear_separable_track_matches_dense(grid64):
     dense = np.multiply.outer(sx, sv)
     t_sep = CoefficientTrack(sched, grid64, sep_x=sx, sep_v=sv, strict=False)
     t_dense = CoefficientTrack(sched, grid64, a=dense, strict=False)
-    r_sep = solve_linear(p0, t_sep, SIGMA, clamp_saves=False)
-    r_dense = solve_linear(p0, t_dense, SIGMA, clamp_saves=False)
+    r_sep = solve_linear(p0, t_sep, SIGMA)
+    r_dense = solve_linear(p0, t_dense, SIGMA)
     for a, b in zip(r_sep.fields, r_dense.fields):
         np.testing.assert_allclose(a.values, b.values, rtol=0,
                                    atol=1e-13 * b.values.max())
@@ -180,11 +189,20 @@ def _phase_march(grid):
     solve_linear(gaussian_phase(grid), track, SIGMA)
 
 
+def _signed_phase_march(grid):
+    # production-dominated: a signed, non-strict track without a source,
+    # as the coupled driver marches it; the positive factors keep the sign
+    sx = -0.4 * np.exp(-grid.x_coords() ** 2)
+    track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid, sep_x=sx,
+                             sep_v=np.ones(grid.velocity_shape), strict=False)
+    solve_linear(gaussian_phase(grid), track, SIGMA)
+
+
 def _marginal_march(grid):
     sched = Schedule(t_end=0.05, dt=0.01)
     track = CoefficientTrack(sched, grid, a=np.full(grid.spatial_shape, 0.3))
     pt0 = gaussian_phase(grid).values.sum(axis=1) * grid.h_v
-    _march_marginal(pt0, track, HeatPlan(grid, SIGMA, "x"), [None] * 6)
+    _march_marginal(pt0, track, HeatPlan(grid, SIGMA, "x"))
 
 
 def _concentration_march(grid):
@@ -197,14 +215,16 @@ def _concentration_march(grid):
 
 @pytest.mark.parametrize("march, cell, where", [
     (_phase_march, (17, 40), "marched density at step 3"),
+    (_signed_phase_march, (17, 40), "marched density at step 3"),
     (_marginal_march, (17,), "marched marginal at step 3"),
     (_concentration_march, (17,), "concentration at node 3"),
-], ids=["phase", "marginal", "concentration"])
+], ids=["phase", "signed-phase", "marginal", "concentration"])
 def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch, march,
                                                       cell, where):
     # the per-step floor may only absorb round-off: a heat step that comes
     # back with an entry of -1e-3 * sup must stop the march at that cell,
-    # in the phase march and in both position-lattice marches
+    # in the phase march (whatever the coefficient's sign) and in both
+    # position-lattice marches
     clean = HeatPlan.apply
     calls = []
 
@@ -234,16 +254,6 @@ def test_solve_linear_saves_only_the_nodes_asked_for(grid64):
         solve_linear(p0, track, SIGMA, saved_nodes=[0, 3])  # no final node
 
 
-def test_heat_upper_solution_no_source_is_heat(grid64):
-    p0 = gaussian_phase(grid64)
-    sched = Schedule(t_end=0.2, dt=0.01, save_stride=10)
-    traj = heat_upper_solution(p0, None, SIGMA, sched)
-    plan = HeatPlan(grid64, SIGMA, "xv")
-    for t, f in zip(traj.times, traj.fields):
-        ref = heat_step(p0, float(t), plan)
-        assert np.max(np.abs(f.values - ref.values)) < 1e-11 * ref.values.max()
-
-
 def test_coefficient_track_validation(grid64):
     sched = Schedule(t_end=0.1, dt=0.01)
     with pytest.raises(ShapeError):
@@ -251,7 +261,6 @@ def test_coefficient_track_validation(grid64):
     with pytest.raises(ConfigurationError):
         CoefficientTrack(sched, grid64,
                          a=[np.zeros(grid64.spatial_shape)] * 5)  # wrong count
-    from angiosolve import SignError
     with pytest.raises(SignError):
         CoefficientTrack(sched, grid64,
                          a=-np.ones(grid64.spatial_shape))  # strict default
@@ -266,6 +275,6 @@ def test_damped_step_keeps_positivity_and_mass(a0, var, seed):
     # smooth the noise so it is spectrally representable
     p0 = heat_step(PhaseField(g, vals, nonnegative=True), var,
                    HeatPlan(g, 0.1, "xv"))
-    out = advance_linear(p0, a0, None, 0.1, 0.01)
+    out = _advance_linear(p0, a0, None, 0.1, 0.01)
     assert out.values.min() >= 0.0
     assert integrate_phase(out) <= integrate_phase(p0) * (1 + 1e-12)
