@@ -11,7 +11,9 @@ centres on a uniform lattice.  Two container types carry data:
 Both share one validated base: each names its lattice ``kind`` ("phase" or
 "spatial", the strings :class:`~angiosolve.heat.HeatPlan` lays out by) and
 its cell volume, so code that serves both reads the field instead of its
-class.  Both are immutable: values are validated once at construction
+class.  Raw arrays on the velocity lattice alone (the v factor of a product
+density, see :func:`factor_xv`) are of kind "velocity"; no container holds
+them.  Both are immutable: values are validated once at construction
 (finiteness, shape, and -- when requested -- sign up to a relative clamping
 tolerance) and the underlying array is made read-only.
 """
@@ -30,6 +32,12 @@ from .errors import DataError, ParameterError, ShapeError, SignError
 #: by at most CLAMP_REL * max|field| are clamped to zero, anything worse is an
 #: error.  Matches the round-off floor of the spectral transforms.
 CLAMP_REL = 1e-12
+
+#: Largest gap max|p - g (x) h| / max|p| at which :func:`factor_xv` takes a
+#: phase field for the product of its factors.  A heat flow is positive and
+#: sup-contracting, so a majorant flowed from the factors is off by at most
+#: this much of max|p|, far below the checks' tolerances.
+FACTOR_REL = 1e-13
 
 #: Sign convention by role: +1 means "must be >= 0", -1 means "must be <= 0".
 ROLE_SIGNS = {
@@ -131,12 +139,15 @@ class GridSpec:
         return self.x_cell_volume * self.v_cell_volume
 
     def shape_of(self, kind: str) -> tuple:
-        """Array shape of a ``"phase"`` or a ``"spatial"`` field."""
-        return self.phase_shape if kind == "phase" else self.spatial_shape
+        """Array shape of a ``"phase"``, ``"spatial"`` or ``"velocity"`` array."""
+        return {"phase": self.phase_shape, "spatial": self.spatial_shape,
+                "velocity": self.velocity_shape}[kind]
 
     def cell_volume_of(self, kind: str) -> float:
-        """Cell volume of the lattice a ``"phase"``/``"spatial"`` field lives on."""
-        return self.cell_volume if kind == "phase" else self.x_cell_volume
+        """Cell volume of the lattice a ``"phase"``/``"spatial"``/``"velocity"``
+        array lives on."""
+        return {"phase": self.cell_volume, "spatial": self.x_cell_volume,
+                "velocity": self.v_cell_volume}[kind]
 
     def x_coords(self) -> np.ndarray:
         """Cell-centre coordinates along one position axis."""
@@ -306,6 +317,29 @@ class SpatialField(_Field):
     def like(self, values, time_tag):
         """A spatial field holding ``values`` under this field's role."""
         return SpatialField(self.grid, values, time_tag, role=self.role)
+
+
+def factor_xv(field):
+    """Split a phase field across the x|v boundary, or return None.
+
+    Returns ``(g, h)``, a position-lattice and a velocity-lattice array with
+    ``h`` summing to 1, when ``max|field - g (x) h| <= FACTOR_REL * max|field|``;
+    ``g`` is the field's sum over v and ``h`` its sum over x divided by the
+    total, so an exact product is returned as its own factors.  A zero field
+    returns zeros for both; anything farther from a product returns None.
+    """
+    grid, vals = field.grid, field.values
+    sup = float(np.abs(vals).max())
+    if sup == 0.0:
+        return np.zeros(grid.spatial_shape), np.zeros(grid.velocity_shape)
+    total = float(vals.sum())
+    if total == 0.0:
+        return None
+    g = vals.sum(axis=grid.v_axes)
+    h = vals.sum(axis=grid.x_axes) / total
+    gap = np.multiply.outer(g, h)
+    gap -= vals
+    return (g, h) if float(np.abs(gap, out=gap).max()) <= FACTOR_REL * sup else None
 
 
 def integrate_phase(field) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -160,17 +161,23 @@ def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
     )
 
 
-def _energy_terms(traj, f_fields, sigma):
+def _energy_terms(traj, sources, sigma):
+    """Energy, dissipation and source work per saved time.
+
+    Each source sample is a phase field f, whose work (f, p) is taken here,
+    or that work itself as a number.
+    """
     e = np.array([lq_norm(f, 2) ** 2 for f in traj.fields])
     plan = HeatPlan(traj.grid, sigma, "xv")
     d = np.array([plan.gradient_energy(f.values, "phase") for f in traj.fields])
     fw = np.zeros(len(traj))
-    if f_fields is not None:
+    if sources is not None:
         vol, n = traj.grid.cell_volume, 0
-        for n, ff in enumerate(f_fields, 1):
+        for n, src in enumerate(sources, 1):
             if n > len(traj):
                 break
-            fw[n - 1] = float(np.sum(ff.values * traj.fields[n - 1].values)) * vol
+            fw[n - 1] = src if isinstance(src, Real) else \
+                float(np.sum(src.values * traj.fields[n - 1].values)) * vol
         if n != len(traj):
             raise ConfigurationError("need one source sample per saved time")
     return e, d, fw
@@ -182,19 +189,21 @@ def _energy_residual(times, e, d, fw, sigma):
     return e[0] + 2.0 * int_f - e - 2.0 * sigma * int_d
 
 
-def check_energy(traj, f_fields, sigma: float, tol: float = None,
+def check_energy(traj, sources, sigma: float, tol: float = None,
                  name: str = "energy") -> BoundCheck:
     """Energy balance ||p(t)||^2 + 2 sigma int ||grad p||^2 <= ||p0||^2 + 2 int (f, p).
 
     Damping only ever removes L^2 mass, so the balance holds as an
     inequality for any a >= 0 (and as an identity when a = f = 0).
-    ``f_fields`` (None: no source) is any iterable of fields, read once, one
-    per saved time.  Time integrals use the trapezoid rule on the saved
-    times; with ``tol=None`` the quadrature error is calibrated by
-    re-evaluating on every second saved time and Richardson-extrapolating
-    the difference.
+    ``sources`` (None: no source) is any iterable, read once, with one
+    sample per saved time: either the source field f at that time, whose
+    work (f, p) is taken against the saved p, or that work itself as a
+    number (for a caller that can take it without building f).  Time
+    integrals use the trapezoid rule on the saved times; with ``tol=None``
+    the quadrature error is calibrated by re-evaluating on every second
+    saved time and Richardson-extrapolating the difference.
     """
-    e, d, fw = _energy_terms(traj, f_fields, sigma)
+    e, d, fw = _energy_terms(traj, sources, sigma)
     times = traj.times
     res = _energy_residual(times, e, d, fw, sigma)
     scale = float(e.max()) or 1.0

@@ -33,6 +33,8 @@ from .errors import ParameterError, ResolutionError, ShapeError
 from .grid import GridSpec
 
 _SUBSPACES = ("xv", "x", "v")
+# subspace -> the reduced field kind it serves besides "phase"
+_REDUCED_KINDS = {"x": ("spatial",), "v": ("velocity",)}
 
 
 def _k_squared(shape, axes, spacings) -> np.ndarray:
@@ -63,8 +65,9 @@ class HeatPlan:
         sigma > 0 in exp(tau * sigma * Lap).
     subspace : {"xv", "x", "v"}
         Which block of coordinates the Laplacian differentiates.  Plans with
-        subspace "x" apply to both phase and spatial fields; "xv" and "v"
-        require phase fields.
+        subspace "x" apply to phase and spatial fields, plans with subspace
+        "v" to phase and velocity-lattice ("velocity") arrays; "xv" requires
+        phase fields.
     """
 
     def __init__(self, grid: GridSpec, diffusivity: float, subspace: str = "xv"):
@@ -81,11 +84,13 @@ class HeatPlan:
         if subspace != "x":
             axes, spacings = axes + grid.v_axes, spacings + (grid.h_v,) * grid.dim_v
         # kind -> (shape of one field, transformed axes counted from the end
-        # so that stacks transform alike, their lengths, |k|^2)
+        # so that stacks transform alike, their lengths, |k|^2); a reduced
+        # kind's array holds exactly the plan's axes
         self._layouts = {}
-        for kind in ("phase", "spatial") if subspace == "x" else ("phase",):
+        for kind in ("phase",) + _REDUCED_KINDS.get(subspace, ()):
             shape = grid.shape_of(kind)
-            ends = tuple(ax - len(shape) for ax in axes)
+            ends = (tuple(ax - len(shape) for ax in axes) if kind == "phase"
+                    else tuple(range(-len(shape), 0)))
             self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends),
                                    _k_squared(shape, ends, spacings))
         self._mult = {}   # kind -> (tau, multiplier) of the last request
@@ -95,9 +100,9 @@ class HeatPlan:
     def _layout(self, kind: str):
         if kind in self._layouts:
             return self._layouts[kind]
-        if kind == "spatial":
+        if kind in ("spatial", "velocity"):
             raise ShapeError(f"a subspace-{self.subspace!r} plan cannot act on "
-                             "a spatial field")
+                             f"a {kind} field")
         raise ParameterError(f"unknown field kind {kind!r}")
 
     def forward(self, values: np.ndarray, kind: str, out=None) -> np.ndarray:

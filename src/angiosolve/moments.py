@@ -122,7 +122,7 @@ class MomentSet:
 
 
 def moments_of(p: PhaseField) -> MomentSet:
-    """All three moments of one snapshot in a single pass."""
+    """All three moments of one snapshot: three velocity reductions, one each."""
     return MomentSet(velocity_marginal(p), speed_moment(p), second_moment(p))
 
 

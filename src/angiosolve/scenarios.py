@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ResolutionError
-from .grid import GridSpec, PhaseField, SpatialField, lq_norm
+from .grid import GridSpec, PhaseField, SpatialField, factor_xv, lq_norm
 from .harness import (check_c_bounds, check_comparison, check_energy,
                       check_gronwall, check_positivity, check_speed_bound,
                       write_report)
@@ -37,7 +37,7 @@ from .moments import moments_of, second_moment, velocity_marginal
 from .picard import (ModelParams, _alpha_raw, picard_coupled, picard_pure,
                      summarise_iterates, validate_options, velocity_profile)
 from .snapshots import save_field, write_moment_table
-from .stepping import Schedule, Trajectory, _broadcast_v, _broadcast_x
+from .stepping import Schedule, Trajectory
 
 
 @dataclass(frozen=True)
@@ -399,10 +399,13 @@ class _FinishedRun:
     c0: SpatialField
     rho: SpatialField
     rate: float  # production ceiling alpha1 * sup rho
+    moment_sets: list = None  # the caller's MomentSets, if it took them
 
     @cached_property
     def moments(self) -> list:
         """One MomentSet per saved p snapshot, taken once for every check."""
+        if self.moment_sets is not None:
+            return self.moment_sets
         return [moments_of(f) for f in self.p_traj.fields]
 
 
@@ -410,14 +413,39 @@ def _eval_positivity(run):
     return [check_positivity(run.p_traj)]
 
 
+def _majorant(run, taus):
+    """exp(rate*tau) * heat(p0, tau) for each tau, one array at a time.
+
+    The phase heat flow is the product of the x and the v flows, so for a
+    product p0 = g (x) h (:func:`~angiosolve.grid.factor_xv`) it is the outer
+    product of the position- and velocity-lattice flows of g and h; any other
+    p0 takes phase-lattice flows.
+    """
+    p0, sigma, rate = run.p0, run.scenario.params.sigma, run.rate
+    factors = factor_xv(p0)
+    if factors is None:
+        flows = HeatPlan(p0.grid, sigma, "xv").apply_each(p0.values, taus, "phase")
+        for tau, vals in zip(taus, flows):
+            yield math.exp(rate * tau) * vals if rate else vals
+        return
+    g, h = factors
+    xs = HeatPlan(p0.grid, sigma, "x").apply_each(g, taus, "spatial")
+    vs = HeatPlan(p0.grid, sigma, "v").apply_each(h, taus, "velocity")
+    for tau, gx, hv in zip(taus, xs, vs):
+        if tau == 0.0:
+            yield p0.values
+            continue
+        vals = np.multiply.outer(math.exp(rate * tau) * gx, hv)
+        vals.setflags(write=False)  # a fresh array: PhaseField keeps it uncopied
+        yield vals
+
+
 def _eval_comparison(run):
     """p against exp(rate*t) * heat(p0, t), the exact semigroup majorant."""
     p0, times = run.p0, run.p_traj.times
     t0 = float(times[0])
-    flows = HeatPlan(p0.grid, run.scenario.params.sigma, "xv").apply_each(
-        p0.values, [float(t - t0) for t in times], "phase")
-    maj = (PhaseField(p0.grid, math.exp(run.rate * (t - t0)) * vals if run.rate else vals,
-                      time_tag=float(t))
+    flows = _majorant(run, [float(t - t0) for t in times])
+    maj = (PhaseField(p0.grid, vals, time_tag=float(t))
            for t, vals in zip(times, flows))
     anchor = (
         "production-envelope comparison: p stays below "
@@ -452,17 +480,19 @@ def _eval_gronwall(run):
 
 
 def _eval_energy(run):
-    """Energy balance; a coupled run's source is alpha(c) rho(v) p."""
+    """Energy balance; a coupled run's source is f = alpha(c) rho(v) p, whose
+    work (f, p) = vol * sum_x alpha(c) sum_v rho p^2 is taken on the position
+    lattice, with no phase-size f built."""
     params, grid = run.scenario.params, run.scenario.grid
-    f_fields = None
+    works = None
     if run.rho is not None:
-        rho_v = _broadcast_v(run.rho.values, grid)
-        alphas = (_alpha_raw(cf.values, params.alpha1, params.c_R, "energy source")
-                  for cf in run.c_traj.fields)
-        f_fields = (PhaseField(grid, _broadcast_x(alpha, grid) * rho_v * pf.values,
-                               time_tag=pf.time_tag)
-                    for pf, alpha in zip(run.p_traj.fields, alphas))
-    return [check_energy(run.p_traj, f_fields, params.sigma)]
+        rho = run.rho.values.reshape(-1)
+        works = (grid.cell_volume * float(
+                     _alpha_raw(cf.values, params.alpha1, params.c_R,
+                                "energy source").reshape(-1)
+                     @ (np.square(pf.values).reshape(-1, rho.size) @ rho))
+                 for pf, cf in zip(run.p_traj.fields, run.c_traj.fields))
+    return [check_energy(run.p_traj, works, params.sigma)]
 
 
 def _eval_speed_bound(run):
@@ -490,12 +520,17 @@ CHECKS = {
 }
 
 
-def build_checks(scenario: Scenario, p0, p_traj, c_traj=None, c0=None) -> list:
-    """Evaluate the scenario's configured checks on a finished run."""
+def build_checks(scenario: Scenario, p0, p_traj, c_traj=None, c0=None,
+                 moments=None) -> list:
+    """Evaluate the scenario's configured checks on a finished run.
+
+    ``moments``, one MomentSet per saved p field, spares the checks their own
+    moment pass when the caller has taken them already.
+    """
     coupled = scenario.driver == "coupled"
     rho = velocity_profile(scenario.grid, scenario.params) if coupled else None
     rate = scenario.params.alpha1 * rho.sup_norm if coupled else 0.0
-    run = _FinishedRun(scenario, p0, p_traj, c_traj, c0, rho, rate)
+    run = _FinishedRun(scenario, p0, p_traj, c_traj, c0, rho, rate, moments)
     return [check for name in scenario.checks for check in CHECKS[name][2](run)]
 
 
@@ -508,7 +543,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _write_outputs(out_dir, scenario, p_traj, c_traj, checks, payload):
+def _write_outputs(out_dir, scenario, p_traj, moment_sets, c_traj, checks, payload):
     os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
@@ -517,7 +552,7 @@ def _write_outputs(out_dir, scenario, p_traj, c_traj, checks, payload):
     if c_traj is not None:
         for i, field in enumerate(c_traj.fields):
             save_field(field, os.path.join(snap_dir, f"c_{i:04d}.akf"))
-    write_moment_table(p_traj, p_traj.aux["a_nodes"],
+    write_moment_table(p_traj, moment_sets, p_traj.aux["a_nodes"],
                        os.path.join(out_dir, "moments.csv"))
     write_report(checks, os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
@@ -567,7 +602,10 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
         )
 
     p_traj, c_traj, diag = made.drive(tol=tol)
-    checks = build_checks(scenario, p0, p_traj, c_traj=c_traj, c0=made.c0)
+    # one moment pass serves the checks and moments.csv
+    moment_sets = [moments_of(f) for f in p_traj.fields]
+    checks = build_checks(scenario, p0, p_traj, c_traj=c_traj, c0=made.c0,
+                          moments=moment_sets)
     monotone = diag.deltas_strictly_decreasing()
     if diag.converged and monotone:
         code = EXIT_CHECK_FAILED if any(not c.passed for c in checks) else EXIT_OK
@@ -590,5 +628,6 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
         "exit_code": code,
     }
     if out_dir is not None:
-        _write_outputs(out_dir, scenario, p_traj, c_traj, checks, payload)
+        _write_outputs(out_dir, scenario, p_traj, moment_sets, c_traj, checks,
+                       payload)
     return code, payload

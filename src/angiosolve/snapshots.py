@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, ShapeError
 from .grid import GridSpec, PhaseField, SpatialField, integrate_phase
-from .moments import moments_of
 
 MAGIC = b"AKF1"
 _HEADER = struct.Struct("<4sqqqqddd")
@@ -49,7 +48,8 @@ def save_field(field, path) -> None:
                           g.half_width_x, v_lattice[2], field.time_tag)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        # the array's own buffer: no copy of the payload
+        fh.write(memoryview(np.ascontiguousarray(field.values, dtype="<f8")).cast("B"))
 
 
 def load_field(path, grid: GridSpec = None):
@@ -111,23 +111,27 @@ def field_to_csv(field, path) -> None:
             writer.writerow(row)
 
 
-def write_moment_table(traj, a_nodes, path) -> None:
+def write_moment_table(traj, moment_sets, a_nodes, path) -> None:
     """Reduced-quantity table of a phase trajectory, one row per saved time.
 
     Columns: time, mass, sup of the velocity marginal, of the speed moment,
-    of the second moment, and of the running time integral (``a_nodes`` is
-    the node-level integral stack from the driver; rows pick the node
-    matching each saved time).
+    of the second moment (from ``moment_sets``, the MomentSet of each saved
+    field), and of the running time integral (``a_nodes`` is the node-level
+    integral stack from the driver; rows pick the node matching each saved
+    time).
     """
     if traj.node_times is None:
         raise ConfigurationError("trajectory carries no node times; run a driver first")
+    if len(moment_sets) != len(traj):
+        raise ConfigurationError(
+            f"need one moment set per saved field, got {len(moment_sets)} "
+            f"for {len(traj)}")
     dt = float(traj.node_times[1] - traj.node_times[0])
     t0 = float(traj.node_times[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "mass", "sup_p_tilde", "sup_j", "sup_m", "sup_a"])
-        for t, f in zip(traj.times, traj.fields):
-            ms = moments_of(f)
+        for t, f, ms in zip(traj.times, traj.fields, moment_sets):
             node = int(round((t - t0) / dt))
             writer.writerow([
                 _fmt(t), _fmt(integrate_phase(f)),

@@ -9,6 +9,8 @@ from scipy.special import erf
 from angiosolve import (GridSpec, ParameterError, PhaseField, ShapeError,
                         SignError, SpatialField, integrate_phase, lq_norm,
                         speed_grid, speed_squared_grid)
+from angiosolve.grid import FACTOR_REL, factor_xv
+from angiosolve.scenarios import build_initial_p
 
 from conftest import gaussian_phase, small_grid
 
@@ -34,6 +36,10 @@ def test_grid_geometry():
     x = g.x_coords()
     assert x[0] == -4.0 and x[-1] == pytest.approx(4.0 - 0.25)
     assert g.cell_volume == pytest.approx(0.25 ** 3)
+    assert [g.shape_of(k) for k in ("phase", "spatial", "velocity")] \
+        == [(32, 32, 16), (32, 32), (16,)]
+    assert [g.cell_volume_of(k) for k in ("phase", "spatial", "velocity")] \
+        == [g.cell_volume, g.x_cell_volume, g.v_cell_volume]
 
 
 def test_field_shape_and_immutability(grid64):
@@ -137,3 +143,36 @@ def test_role_sign_conventions(grid64):
     tiny[0] = 2e-18  # sub-clamp positives get zeroed for c_hat
     f = SpatialField(grid64, -tiny * 0 + (-1e-30), role="c_hat")
     assert float(f.values.max()) <= 0.0
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_factor_xv_recognises_random_products(dims, seed):
+    g = small_grid(64 if dims == (1, 1) else 16, *dims)
+    rng = np.random.default_rng(seed)
+    a, b = rng.random(g.spatial_shape), rng.random(g.velocity_shape)
+    p = PhaseField(g, np.multiply.outer(a, b))
+    x_part, h = factor_xv(p)
+    assert x_part.shape == g.spatial_shape and h.shape == g.velocity_shape
+    assert float(h.sum()) == pytest.approx(1.0, rel=1e-14)
+    gap = np.abs(np.multiply.outer(x_part, h) - p.values).max()
+    assert gap <= FACTOR_REL * p.values.max()
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+def test_factor_xv_refuses_two_bumps_and_zeros_a_zero_field(dims):
+    g = small_grid(16, *dims)
+
+    def bump(cx, cv):
+        return build_initial_p(g, {"recipe": "gaussian_bump", "center_x": cx,
+                                   "center_v": cv, "variance_x": 7.0,
+                                   "variance_v": 7.0}).values
+
+    # the v-centre moves with the x-centre: a sum of two products, rank 2
+    one, two = bump(-2.0, -1.0), bump(2.0, 1.5)
+    assert factor_xv(PhaseField(g, one)) is not None
+    assert factor_xv(PhaseField(g, one + two)) is None
+    x_part, h = factor_xv(PhaseField(g, np.zeros(g.phase_shape)))
+    assert x_part.shape == g.spatial_shape and h.shape == g.velocity_shape
+    assert not x_part.any() and not h.any()

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angiosolve import (GridSpec, HeatPlan, ParameterError, PhaseField,
                         ResolutionError, ShapeError, SpatialField, gaussian_rho,
                         heat_step, integrate_phase, lq_norm)
+from angiosolve.grid import factor_xv
 
 from conftest import gaussian_phase, small_grid
 
@@ -86,15 +89,40 @@ def test_spatial_fields_use_x_plan(grid64):
     out = heat_step(c, 1.0, HeatPlan(grid64, 0.05, "x"))
     expect = periodized_gaussian(grid64.x_coords(), 0.0, 1.1, 8.0)
     assert np.max(np.abs(out.values - expect)) < 1e-10 * expect.max()
+    # each reduced kind has the one plan that differentiates its axes
+    for subspace, kind in (("xv", "spatial"), ("v", "spatial"),
+                           ("xv", "velocity"), ("x", "velocity")):
+        with pytest.raises(ShapeError, match=kind):
+            HeatPlan(grid64, SIGMA, subspace).forward(np.zeros(64), kind)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       tau=st.floats(min_value=1e-3, max_value=5.0))
+def test_product_flows_from_its_factors(dims, seed, tau):
+    # heat(g (x) h) = heat_x(g) (x) heat_v(h): the comparison majorant's
+    # factored flow against the phase-lattice flow of the product
+    g = small_grid(64 if dims == (1, 1) else 16, *dims)
+    rng = np.random.default_rng(seed)
+    p = PhaseField(g, np.multiply.outer(rng.random(g.spatial_shape),
+                                        rng.random(g.velocity_shape)))
+    x_part, h = factor_xv(p)
+    taus = [0.0, tau]
+    (_, gx), (_, hv) = (HeatPlan(g, SIGMA, "x").apply_each(x_part, taus, "spatial"),
+                        HeatPlan(g, SIGMA, "v").apply_each(h, taus, "velocity"))
+    _, full = HeatPlan(g, SIGMA, "xv").apply_each(p.values, taus, "phase")
+    np.testing.assert_allclose(np.multiply.outer(gx, hv), full, rtol=0.0,
+                               atol=1e-14 * float(p.values.max()))
 
 
 @pytest.mark.parametrize("subspace, kind", [("xv", "phase"), ("x", "phase"),
-                                             ("x", "spatial")])
+                                             ("x", "spatial"), ("v", "velocity")])
 def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
     # a stack transforms in one call with the same bits as one field at a
     # time, and reusing one spectrum for many times matches apply per time
     plan = HeatPlan(grid64, SIGMA, subspace)
-    shape = grid64.phase_shape if kind == "phase" else grid64.spatial_shape
+    shape = grid64.shape_of(kind)
     stack = np.random.default_rng(7).random((3,) + shape)
     flowed = plan.inverse(plan.forward(stack, kind) * plan.multiplier(0.3, kind), kind)
     for k in range(3):
@@ -110,7 +138,8 @@ def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
 
 @pytest.mark.parametrize("dims, subspace, kind", [
     ((1, 1), "xv", "phase"), ((2, 2), "xv", "phase"), ((1, 2), "v", "phase"),
-    ((2, 1), "x", "phase"), ((2, 2), "x", "spatial")])
+    ((2, 1), "x", "phase"), ((2, 2), "x", "spatial"), ((2, 1), "v", "velocity"),
+    ((1, 2), "v", "velocity")])
 def test_apply_flows_the_work_array_in_place(dims, subspace, kind):
     # the plan's work array is flowed in place, any other array is left
     # alone; both with the bits of forward, multiplier, inverse

@@ -1,6 +1,7 @@
 """Scenario configs: parsing, initial-data recipes, and the checked-run
 orchestration (exit codes, artifacts, warnings)."""
 
+import dataclasses
 import io
 import json
 import os
@@ -9,8 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from angiosolve import ConfigurationError, PhaseField, ResolutionError, moments
+from angiosolve import (ConfigurationError, PhaseField, ResolutionError, moments,
+                        scenarios, snapshots)
 from angiosolve.grid import GridSpec, integrate_phase
+from angiosolve.heat import HeatPlan
 from angiosolve.scenarios import (
     boundary_mass_fraction,
     build_checks,
@@ -23,6 +26,7 @@ from angiosolve.scenarios import (
     run_scenario,
     shipped_scenarios,
 )
+from angiosolve.stepping import Trajectory
 
 _PURE_TEXT = """
 [scenario]
@@ -252,6 +256,22 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert summary.endswith("exit code: 0\n")
 
 
+def test_run_scenario_takes_each_snapshots_moments_once(tmp_path, monkeypatch):
+    # the checks and moments.csv share one moment pass over the saved fields
+    calls = []
+
+    def counted(f):
+        calls.append(f.time_tag)
+        return moments.moments_of(f)
+
+    for mod in (scenarios, snapshots):
+        if hasattr(mod, "moments_of"):
+            monkeypatch.setattr(mod, "moments_of", counted)
+    code, _ = run_scenario(_load(), out_dir=str(tmp_path / "tiny"))
+    assert code == 0
+    assert calls == [0.0, 0.05, 0.1]  # 10 steps, stride 5
+
+
 def test_run_scenario_exit3_when_not_converged():
     # strong damping and a two-iterate budget: the fixed point cannot settle
     sc = _load(overrides=("picard.k_max=2", "params.gamma=40.0"))
@@ -330,6 +350,66 @@ def test_checks_hold_one_derived_trajectory_at_a_time(short_coupled):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * traj_bytes, (peak, traj_bytes)
+
+
+def _count_transforms(monkeypatch):
+    counts = {}
+    for name in ("forward", "inverse"):
+        original = getattr(HeatPlan, name)
+
+        def counted(self, values, kind, out=None, _name=name, _fn=original):
+            key = (_name, kind)
+            counts[key] = counts.get(key, 0) + 1
+            return _fn(self, values, kind, out=out)
+
+        monkeypatch.setattr(HeatPlan, name, counted)
+    return counts
+
+
+def test_comparison_majorant_flows_product_data_by_its_factors(short_coupled,
+                                                              monkeypatch):
+    sc, made, p_traj, c_traj = short_coupled
+    sc = dataclasses.replace(sc, checks=("comparison",))
+    counts = _count_transforms(monkeypatch)
+    (check,) = build_checks(sc, made.p0, p_traj, c_traj=c_traj, c0=made.c0)
+    assert check.passed
+    # one transform each of g and h, and one inverse per saved time after 0
+    n = len(p_traj) - 1
+    assert counts == {("forward", "spatial"): 1, ("forward", "velocity"): 1,
+                      ("inverse", "spatial"): n, ("inverse", "velocity"): n}
+    # data that are no product take the phase-lattice flows of p0
+    counts.clear()
+    vals = made.p0.values + np.roll(made.p0.values, (40, 40), axis=(0, 1))
+    build_checks(sc, PhaseField(made.grid, vals), p_traj, c_traj=c_traj, c0=made.c0)
+    assert counts == {("forward", "phase"): 1, ("inverse", "phase"): n}
+
+
+def _with_field(traj, k, vals):
+    fields = list(traj.fields)
+    fields[k] = PhaseField(traj.grid, vals, time_tag=fields[k].time_tag)
+    return Trajectory(traj.times, fields, node_times=traj.node_times, aux=traj.aux)
+
+
+def test_planted_faults_fail_through_the_factored_paths(short_coupled):
+    sc, made, p_traj, c_traj = short_coupled
+    # one cell lifted above the majorant, which is below exp(rate t) sup p0
+    k = 7
+    cell = np.unravel_index(np.argmax(p_traj.fields[k].values), made.p0.values.shape)
+    vals = p_traj.fields[k].values.copy()
+    vals[cell] += 2.0 * float(made.p0.values.max())
+    (check,) = build_checks(dataclasses.replace(sc, checks=("comparison",)),
+                            made.p0, _with_field(p_traj, k, vals),
+                            c_traj=c_traj, c0=made.c0)
+    assert not check.passed
+    assert check.worst_time == p_traj.times[k]
+    assert check.worst_cell == tuple(int(i) for i in cell)
+    # a doubled late snapshot gains energy (and source work) from nowhere
+    k = len(p_traj) - 2
+    (check,) = build_checks(dataclasses.replace(sc, checks=("energy",)),
+                            made.p0, _with_field(p_traj, k, 2.0 * p_traj.fields[k].values),
+                            c_traj=c_traj, c0=made.c0)
+    assert not check.passed
+    assert check.worst_time == p_traj.times[k]
 
 
 def test_format_summary_lines():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from angiosolve import (
     field_to_csv,
     integrate_phase,
     load_field,
+    moments_of,
     picard_pure,
     save_field,
     solve_linear,
@@ -117,6 +119,22 @@ def test_save_rejects_bare_arrays(tmp_path):
         save_field(np.zeros((4, 4)), tmp_path / "no.akf")
 
 
+def test_save_field_writes_the_payload_without_a_copy(tmp_path):
+    g = GridSpec(dim_x=1, dim_v=1, n_x=1024, n_v=1024,
+                 half_width_x=8.0, half_width_v=8.0)
+    f = PhaseField(g, np.random.default_rng(5).random(g.phase_shape))
+    assert f.values.nbytes == 8 * 2**20
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_field(f, tmp_path / "big.akf")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    np.testing.assert_array_equal(load_field(tmp_path / "big.akf").values, f.values)
+
+
 def test_field_to_csv_layout(tmp_path):
     g = _grid16()
     f = PhaseField(g, np.arange(256.0).reshape(16, 16), time_tag=0.0)
@@ -145,7 +163,7 @@ def test_moment_table_rows_align_with_nodes(tmp_path, grid64):
     traj, _ = picard_pure(p0, _params(), sched, tol=1e-9)
     a_nodes = traj.aux["a_nodes"]
     path = tmp_path / "moments.csv"
-    write_moment_table(traj, a_nodes, path)
+    write_moment_table(traj, [moments_of(f) for f in traj.fields], a_nodes, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["time", "mass", "sup_p_tilde", "sup_j", "sup_m", "sup_a"]
@@ -166,7 +184,12 @@ def test_moment_table_requires_node_times(tmp_path, grid64):
     sched = Schedule(t_end=0.05, dt=0.01, save_stride=5)
     traj = solve_linear(p0, CoefficientTrack(sched, grid64), 0.05)
     with pytest.raises(ConfigurationError):
-        write_moment_table(traj, np.zeros((6,) + grid64.spatial_shape),
+        write_moment_table(traj, [moments_of(f) for f in traj.fields],
+                           np.zeros((6,) + grid64.spatial_shape), tmp_path / "m.csv")
+    # and the moment sets must match the saved fields one to one
+    traj, _ = picard_pure(p0, _params(), sched, tol=1e-9)
+    with pytest.raises(ConfigurationError, match="moment set"):
+        write_moment_table(traj, [moments_of(traj.fields[0])], traj.aux["a_nodes"],
                            tmp_path / "m.csv")
 
 
