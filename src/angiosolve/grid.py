@@ -42,12 +42,10 @@ FACTOR_REL = 1e-13
 #: Sign convention by role: +1 means "must be >= 0", -1 means "must be <= 0".
 ROLE_SIGNS = {
     "c": +1,          # concentration
-    "c_inf": +1,      # far-field (undepleted) concentration
     "c_hat": -1,      # depletion c - c_inf, never positive
     "p_tilde": +1,    # velocity marginal
     "j": +1,          # speed moment
     "m": +1,          # second moment
-    "a": +1,          # running time integral of the marginal
     "alpha_of_c": +1, # saturating production rate
 }
 

@@ -88,7 +88,8 @@ def check_positivity(traj, tol: float = 1e-12,
     Slack at each time is min(field)/max|field| (global max over the run);
     the worst cell is the most negative one.
     """
-    scale = max(float(np.abs(f.values).max()) for f in traj.fields) or 1.0
+    scale = max(max(float(f.values.max()), -float(f.values.min()))
+                for f in traj.fields) or 1.0
     slacks, cells = [], []
     for f in traj.fields:
         low, cell = _extreme(f.values, "min")

@@ -211,8 +211,10 @@ class HeatPlan:
         in the plan's subspace (spectral; exact for lattice-representable data
         by Parseval)."""
         _, axes, sizes, k2 = self._layout(kind)
-        spec = self.forward(values, kind)
-        power = k2 * (spec.real ** 2 + spec.imag ** 2)
+        spec = self.forward(values, kind, out=self._spectrum(kind))
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        power *= k2
         # each interior column of the halved axis stands for the pair +-k
         inner = [slice(None)] * power.ndim
         inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)

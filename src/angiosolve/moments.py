@@ -169,7 +169,7 @@ def _uniform_spacing(times: np.ndarray) -> float:
 def _residual(traj, track, sigma, weight, creation_rate):
     """Shared core of the two reduced-equation residuals.
 
-    Checks d/dt M_w - sigma Lap_x M_w - creation_rate * p~ + (w a p)~ - f_w = 0
+    Checks d/dt M_w - sigma Lap_x M_w - creation_rate * p~ + (w a p)~ = 0
     with centred time differences at interior saved snapshots, where
     M_w = integral of w(v) p dv.  Returns the worst sup-norm residual over
     interior times, normalised by the largest sup of M_w.
@@ -192,15 +192,12 @@ def _residual(traj, track, sigma, weight, creation_rate):
         w_arr = track.coefficient_node(node)
         if w_arr is not None:
             res += _reduce_raw(traj.fields[k].values * w_arr, g, weight)
-        f_arr = track.source_node(node)
-        if f_arr is not None:
-            res -= _reduce_raw(np.broadcast_to(f_arr, g.phase_shape), g, weight)
         worst = max(worst, float(np.abs(res).max()) / scale)
     return worst
 
 
 def marginal_residual(traj, track, sigma) -> float:
-    """Residual of the marginal equation d/dt p~ = sigma Lap_x p~ - (a p)~ + f~.
+    """Residual of the marginal equation d/dt p~ = sigma Lap_x p~ - (a p)~.
 
     The heat flow commutes exactly with taking the marginal (the zero
     velocity mode is untouched by the velocity Laplacian), so on smooth runs
@@ -210,7 +207,7 @@ def marginal_residual(traj, track, sigma) -> float:
 
 
 def second_moment_residual(traj, track, sigma) -> float:
-    """Residual of d/dt m = sigma Lap_x m + 2 sigma dim_v p~ - (|v|^2 a p)~ + f_m.
+    """Residual of d/dt m = sigma Lap_x m + 2 sigma dim_v p~ - (|v|^2 a p)~.
 
     The creation term 2*sigma*dim_v*p~ is the exact rate at which velocity
     diffusion feeds the second moment (Lap_v |v|^2 = 2 dim_v).

@@ -9,7 +9,7 @@ a scheme).  The two integral-form referees transform through the same
 * :func:`fd_reference` -- explicit finite differences with a central-stencil
   Laplacian, first order in its own (tiny) time step and second order in h.
 * :func:`duhamel_reference` -- fixed-point solve of the integral form
-  p(t) = G(t) p0 + int_0^t G(t-s) (f - a p)(s) ds on the schedule's nodes
+  p(t) = G(t) p0 - int_0^t G(t-s) (a p)(s) ds on the schedule's nodes
   with trapezoid weights; second order in dt with completely different error
   terms than the splitting.
 * :func:`volterra_fundamental` -- Chebyshev collocation / Gauss quadrature
@@ -49,7 +49,7 @@ def fd_reference(p0: PhaseField, a_track: CoefficientTrack, sigma: float,
                  fine_dt: float) -> Trajectory:
     """Forward-Euler / central-difference reference solve.
 
-    Marches dp/dt = sigma Lap p - a p + f with the 2nd-order periodic
+    Marches dp/dt = sigma Lap p - a p with the 2nd-order periodic
     stencil Laplacian at the explicit step ``fine_dt``, which must respect
     the diffusion stability limit 0.9 / (2 sigma sum_axes h_axis^-2) and
     divide the track's save times.  Snapshots are returned at the track
@@ -100,9 +100,6 @@ def fd_reference(p0: PhaseField, a_track: CoefficientTrack, sigma: float,
         a_t = a_track.coefficient_at(t)
         if a_t is not None:
             rhs = rhs - a_t * vals
-        f_t = a_track.source_at(t)
-        if f_t is not None:
-            rhs = rhs + f_t
         vals = vals + fine_dt * rhs
         if (i + 1) in save_idx:
             fields.append(PhaseField(grid, vals, time_tag=t0 + save_idx[i + 1]))
@@ -116,7 +113,7 @@ def duhamel_reference(p0: PhaseField, track: CoefficientTrack, sigma: float,
 
     Works on the track's schedule nodes: with G the exact heat semigroup,
 
-        p_j = G_j p0 + sum_i w_i G_{j-i} (f_i - a_i p_i),   w = trapezoid,
+        p_j = G_j p0 - sum_i w_i G_{j-i} (a_i p_i),   w = trapezoid,
 
     swept until successive node values agree to ``sweep_tol`` in relative
     sup norm.  Requires the damping to be weak enough on the window for the
@@ -139,19 +136,7 @@ def duhamel_reference(p0: PhaseField, track: CoefficientTrack, sigma: float,
         w[0] = w[-1] = 0.5 * dt
         return w
 
-    f_hat = None
-    if track.source is not None:
-        f_hat = [plan.forward(np.broadcast_to(track.source_node(i), grid.phase_shape),
-                              "phase") for i in range(n + 1)]
-
-    base = []
-    for j in range(n + 1):
-        b = mult[j] * p0_hat
-        if f_hat is not None and j > 0:
-            w = weights(j)
-            for i in range(j + 1):
-                b = b + w[i] * (mult[j - i] * f_hat[i])
-        base.append(b)
+    base = [m * p0_hat for m in mult]
 
     a_nodes = [track.coefficient_node(i) for i in range(n + 1)]
     has_a = any(a is not None for a in a_nodes)

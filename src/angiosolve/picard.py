@@ -240,7 +240,7 @@ def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
     return np.stack(list(plan_x.apply_each(c_start_vals, taus, "spatial")))
 
 
-def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
+def _advance_c_nodes(chat_start, c_inf_win, j_loc, eta, dt, plan_x):
     """March c = c_inf + chat across one window given the speed moment nodes.
 
     Each step is :func:`~angiosolve.stepping._strang_step` with the
@@ -253,20 +253,20 @@ def _advance_c_nodes(chat_start, c_inf_loc, j_loc, eta, dt, plan_x):
     n_local = j_loc.shape[0] - 1
     c_nodes = np.empty_like(j_loc)
     chat = chat_start
-    c = c_inf_loc[0] + chat
+    c = c_inf_win[0] + chat
     c_nodes[0] = c
     for i in range(n_local):
         j_mid = 0.5 * (j_loc[i] + j_loc[i + 1])
         half = np.exp((-0.5 * dt * eta) * j_mid)
-        c = _strang_step(c, half, plan_x, dt, None, None, "spatial")
+        c = _strang_step(c, half, plan_x, dt, "spatial")
         c = apply_sign(c, +1, f"concentration at node {i + 1}", out=c)
-        chat = c - c_inf_loc[i + 1]
+        chat = c - c_inf_win[i + 1]
         # consumption only ever lowers c below its far field
         clamped = apply_sign(chat, -1, f"depletion at node {i + 1}",
                              scale=float(c.max()))
         if clamped is not chat:
             chat = clamped
-            c = c_inf_loc[i + 1] + chat
+            c = c_inf_win[i + 1] + chat
         c_nodes[i + 1] = c
     return c_nodes, chat
 
@@ -288,7 +288,7 @@ def _march_marginal(pt0, track, plan_x):
     nodes[0] = pt = pt0
     for i in range(sched.n_steps):
         half = np.exp((-0.5 * dt) * track.coefficient_mid(i).reshape(shape))
-        pt = _strang_step(pt, half, plan_x, dt, None, None, "spatial")
+        pt = _strang_step(pt, half, plan_x, dt, "spatial")
         nodes[i + 1] = pt = apply_sign(pt, +1, f"marched marginal at step {i + 1}",
                                        out=pt)
     return nodes
@@ -407,7 +407,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         # the previous window's last one: only the first window saves it
         march_saved = local_saved if s == 0 else local_saved[1:]
         if coupled:
-            c_inf_loc = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
+            c_inf_win = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
         else:
             pt_start = _reduce_raw(p_start.values, grid)
 
@@ -424,7 +424,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             k = 2
             diag.iterations += 1
             if coupled:
-                c_prev, _ = _advance_c_nodes(chat_start, c_inf_loc, prev_j, eta, dt, plan_x)
+                c_prev, _ = _advance_c_nodes(chat_start, c_inf_win, prev_j, eta, dt, plan_x)
 
         deltas_p, deltas_c, driving = [], [], []
         converged_win = False
@@ -444,7 +444,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
                 traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
                                       record=record, saved_nodes=march_saved)
                 pt_k, j_k = traj_k.p_tilde_nodes, traj_k.j_nodes
-                c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_loc, j_k, eta, dt, plan_x)
+                c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_win, j_k, eta, dt, plan_x)
             else:
                 diag.x_step_solves += n_local
                 pt_k = _march_marginal(pt_start, track, plan_pt)
@@ -495,7 +495,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         if coupled:
             j_nodes[i0:i1 + 1] = j_k
             chat_start = chat_cur
-            cinf_start = c_inf_loc[-1]
+            cinf_start = c_inf_win[-1]
 
     p_traj = Trajectory(times, p_fields, node_times=schedule.times(),
                         aux={"a_nodes": accumulate_time_integral(pt_nodes, dt)})

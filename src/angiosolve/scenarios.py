@@ -202,6 +202,8 @@ _PARAM_KEYS = {"sigma", "d", "gamma", "eta", "alpha1", "c_R", "epsilon",
                "v0", "use_vector_j"}
 _SCHEDULE_KEYS = {"t_end", "dt", "save_stride"}
 _PICARD_KEYS = {"k_max", "tol", "init"}
+_SECTIONS = {"scenario", "grid", "params", "schedule", "picard", "initial_p",
+             "initial_c", "checks"}
 
 
 def _section(parser, name, required=True):
@@ -230,7 +232,8 @@ def load_scenario(source, overrides=()) -> Scenario:
 
     ``overrides`` is an iterable of ``section.key=value`` strings applied on
     top of the file before anything is built.  Any malformed value, unknown
-    key, or inconsistent combination raises :class:`ConfigurationError`.
+    section or key, or inconsistent combination raises
+    :class:`ConfigurationError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
@@ -253,10 +256,19 @@ def load_scenario(source, overrides=()) -> Scenario:
                 f"override {item!r} must look like section.key=value"
             )
         target, value = item.split("=", 1)
-        sect, key = target.split(".", 1)
-        if not parser.has_section(sect):
-            parser.add_section(sect)
-        parser.set(sect.strip(), key.strip(), value.strip())
+        sect, key = (part.strip() for part in target.split(".", 1))
+        try:
+            if not parser.has_section(sect):
+                parser.add_section(sect)
+            parser.set(sect, key, value.strip())
+        except (configparser.Error, ValueError) as exc:
+            raise ConfigurationError(f"override {item!r} refused: {exc}") from exc
+    # a misspelt section would otherwise be read by nothing and silently dropped
+    unknown = set(parser.sections()) - _SECTIONS
+    if unknown:
+        raise ConfigurationError(
+            f"unknown section(s) {sorted(unknown)} (allowed: {sorted(_SECTIONS)})"
+        )
 
     try:
         meta = _section(parser, "scenario")
@@ -319,7 +331,7 @@ def load_scenario(source, overrides=()) -> Scenario:
                 raise ConfigurationError(f"check {n!r} needs the coupled driver")
     except KeyError as exc:
         raise ConfigurationError(f"scenario file is missing required key {exc}") from exc
-    except ValueError as exc:
+    except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"bad value in scenario file: {exc}") from exc
 
     return Scenario(name=name, driver=driver, grid=grid, params=params,

@@ -2,20 +2,20 @@
 
 The linear building block solved here is
 
-    dp/dt = sigma * Lap_{x,v} p - a(t, x[, v]) p + f(t, x, v)
+    dp/dt = sigma * Lap_{x,v} p - a(t, x[, v]) p
 
-on the periodic phase box, advanced with a symmetric (Strang) splitting
-around the exact spectral heat flow:
+on the periodic phase box; the model's memory and production terms enter
+only through the coefficient a, never as a source.  It is advanced with a
+symmetric (Strang) splitting around the exact spectral heat flow:
 
-    p_{n+1} = E * H_dt( E * (p_n + dt/2 * f_n) ) + dt/2 * f_{n+1},
-    E = exp(-a(t_mid) * dt / 2),
+    p_{n+1} = E * H_dt( E * p_n ),    E = exp(-a(t_mid) * dt / 2),
 
 where H_dt is the exact heat semigroup of :mod:`angiosolve.heat` and a is
 sampled at the step midpoint (the average of the two node samples).  The
-factors E are strictly positive whatever the sign of a, H preserves signs up
-to round-off, and the source enters with trapezoid endpoint weights, so the
-scheme is unconditionally positivity preserving for nonnegative data, exact
-for a = f = 0, and second-order accurate in dt otherwise.
+factors E are strictly positive whatever the sign of a and H preserves signs
+up to round-off, so the scheme is unconditionally positivity preserving for
+nonnegative data, exact for a = 0, and second-order accurate in dt
+otherwise.
 
 :func:`_strang_step` is the package's only splitting step: the phase march
 of :func:`solve_linear` and the position-lattice marches of
@@ -92,7 +92,7 @@ def _broadcast_v(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _sample_values(sample, grid, n_nodes, what, strict):
-    """Normalise a coefficient/source argument to a list of raw node arrays.
+    """Normalise a coefficient argument to a list of raw node arrays.
 
     Accepts None, a single field (constant in time), or a sequence of fields
     of length ``n_nodes``.  Returns (list_of_arrays_or_None, constant_flag).
@@ -129,7 +129,7 @@ def _sample_values(sample, grid, n_nodes, what, strict):
 
 
 class CoefficientTrack:
-    """Node samples of the damping coefficient and source for one schedule.
+    """Node samples of the damping coefficient for one schedule.
 
     Parameters
     ----------
@@ -139,28 +139,20 @@ class CoefficientTrack:
         Damping coefficient samples at every node, on the position lattice
         (broadcast over v) or the full phase lattice.  A single field means
         constant in time.
-    f : None | PhaseField | sequence
-        Source samples at every node.
     sep_x, sep_v : optional separable extra term ``sep_x(t, x) * sep_v(v)``
         added to ``a``; ``sep_x`` follows the same single-or-sequence rule and
         may be signed (production terms enter with a negative sign).
     strict : bool
-        Require a >= 0 and f >= 0 samplewise (up to clamping); the default.
+        Require a >= 0 samplewise (up to clamping); the default.
         Signed problems (differences of solutions, production-dominated
         coefficients) must opt out explicitly.
     """
 
-    def __init__(self, schedule, grid, a=None, f=None, sep_x=None, sep_v=None, strict=True):
+    def __init__(self, schedule, grid, a=None, sep_x=None, sep_v=None, strict=True):
         self.schedule = schedule
         self.grid = grid
-        self.strict = bool(strict)
         n_nodes = schedule.n_steps + 1
         self._a, self._a_const = _sample_values(a, grid, n_nodes, "coefficient", strict)
-        self._f, self._f_const = _sample_values(f, grid, n_nodes, "source", strict)
-        if self._f is not None:
-            for k, arr in enumerate(self._f):
-                if arr.shape != grid.phase_shape:
-                    raise ShapeError(f"source sample {k} must live on the phase lattice")
         if (sep_x is None) != (sep_v is None):
             raise ConfigurationError("sep_x and sep_v must be given together")
         self._sep_x, self._sep_x_const = _sample_values(sep_x, grid, n_nodes, "separable factor", False)
@@ -173,10 +165,6 @@ class CoefficientTrack:
         self._sep_v = sep_v
 
     # -- node access -------------------------------------------------------
-
-    @property
-    def constant_coefficient(self) -> bool:
-        return self._a_const and self._sep_x_const
 
     def _pick(self, samples, const, i):
         if samples is None:
@@ -208,23 +196,13 @@ class CoefficientTrack:
             w = term if w is None else w + term
         return w
 
-    @property
-    def source(self):
-        """The source samples: None, one phase array (constant in time), or
-        the list of node arrays."""
-        if self._f is None:
-            return None
-        return self._f[0] if self._f_const else list(self._f)
-
-    def source_node(self, i: int):
-        return self._pick(self._f, self._f_const, i)
-
     def coefficient_node(self, i: int):
         """Full coefficient at node i as a phase-broadcastable array."""
         return self._assemble(self._pick(self._a, self._a_const, i),
                               self._pick(self._sep_x, self._sep_x_const, i))
 
-    def _interp(self, t: float, node_of, constant: bool):
+    def coefficient_at(self, t: float):
+        """Coefficient linearly interpolated to an arbitrary time in range."""
         sched = self.schedule
         if t < -1e-12 or t > sched.t_end * (1 + 1e-12):
             raise ConfigurationError(
@@ -233,21 +211,10 @@ class CoefficientTrack:
         s = min(max(t, 0.0), sched.t_end) / sched.dt
         i = min(int(s), sched.n_steps - 1)
         theta = s - i
-        lo = node_of(i)
-        if lo is None:
-            return None
-        if theta == 0.0 or constant:
+        lo = self.coefficient_node(i)
+        if lo is None or theta == 0.0 or (self._a_const and self._sep_x_const):
             return lo
-        hi = node_of(i + 1)
-        return (1.0 - theta) * lo + theta * hi
-
-    def coefficient_at(self, t: float):
-        """Coefficient linearly interpolated to an arbitrary time in range."""
-        return self._interp(t, self.coefficient_node, self.constant_coefficient)
-
-    def source_at(self, t: float):
-        """Source linearly interpolated to an arbitrary time in range."""
-        return self._interp(t, self.source_node, self._f_const)
+        return (1.0 - theta) * lo + theta * self.coefficient_node(i + 1)
 
 
 class Trajectory:
@@ -293,28 +260,21 @@ class Trajectory:
         return self.fields[-1]
 
 
-def _strang_step(vals, half_factor, plan, dt, f_lo, f_hi, kind):
+def _strang_step(vals, half_factor, plan, dt, kind):
     """One splitting step on raw arrays of ``kind`` (see module docstring).
 
-    ``half_factor`` is E (None for a = 0) and ``f_lo``/``f_hi`` the source
-    at the step's two nodes (None for f = 0).  The step is marched in
+    ``half_factor`` is E (None for a = 0).  The step is marched in
     ``plan.work(kind)``, which holds the result until the plan's next step;
     ``vals`` may be that array itself.
     """
     u = plan.work(kind)
-    if f_lo is not None:
-        np.add(vals, (0.5 * dt) * f_lo, out=u)
-        if half_factor is not None:
-            u *= half_factor
-    elif half_factor is not None:
+    if half_factor is not None:
         np.multiply(vals, half_factor, out=u)
     elif vals is not u:
         np.copyto(u, vals)
     u = plan.apply(u, dt, kind)
     if half_factor is not None:
         u *= half_factor
-    if f_hi is not None:
-        u += (0.5 * dt) * f_hi
     return u
 
 
@@ -322,9 +282,9 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
                  saved_nodes=None) -> Trajectory:
     """March the splitting scheme across a whole schedule.
 
-    When p0 >= 0 and the source is nonnegative (none, or a strict track),
-    the exact flow keeps the sign whatever the coefficient's sign, since the
-    factors E are positive.  The marched values are then floored at zero
+    When p0 >= 0 the exact flow keeps the sign whatever the coefficient's
+    sign, since the factors E are positive.  The marched values are then
+    floored at zero
     after every step (anything negative is FFT noise and would otherwise
     compound over long runs), and saved fields carry ``nonnegative=True``.
     The floor follows :func:`~angiosolve.grid.apply_sign`: a negative entry
@@ -337,7 +297,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         Initial data; its ``time_tag`` is kept as the origin of the reported
         times (node i is tagged ``p0.time_tag + i*dt``).
     track : CoefficientTrack
-        Coefficient/source samples; its schedule is used unless ``schedule``
+        Coefficient samples; its schedule is used unless ``schedule``
         is passed and equal.
     sigma : float
         Phase-space diffusivity.
@@ -370,7 +330,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
 
     dt = schedule.dt
     n_steps = schedule.n_steps
-    clamp = (track.strict or track.source is None) and float(p0.values.min()) >= 0.0
+    clamp = float(p0.values.min()) >= 0.0
     if saved_nodes is None:
         saved = set(schedule.saved_nodes())
     else:
@@ -406,8 +366,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     for i in range(n_steps):
         w = track.coefficient_mid(i)
         half = None if w is None else np.exp((-0.5 * dt) * w)
-        vals = _strang_step(vals, half, plan, dt, track.source_node(i),
-                            track.source_node(i + 1), "phase")
+        vals = _strang_step(vals, half, plan, dt, "phase")
         if clamp:
             # the step's result is the march's own array: floor it in place
             vals = apply_sign(vals, +1, f"marched density at step {i + 1}", out=vals)

@@ -177,6 +177,15 @@ def test_bad_inputs_exit_2(capsys):
     assert main(["check", "/nonexistent/path.cfg"]) == 2
 
 
+@pytest.mark.parametrize("override", ["DEFAULT.x=1", "foo .x=1",
+                                      "params.sigma=5%", "params.sigma=%(x)s"])
+def test_override_refusals_are_configuration_errors(capsys, override):
+    # configparser's own refusals (reserved or unknown section, bad
+    # interpolation) come back as configuration errors, not tracebacks
+    assert main(["check", "zero", "--override", override]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", ["picard.init=midpoint", "picard.k_max=1",
                                       "picard.tol=2"])
 def test_check_rejects_what_run_rejects(capsys, override):

@@ -187,6 +187,8 @@ def test_load_rejects_unknown_keys():
         _load(overrides=("params.sigmna=0.1",))
     with pytest.raises(ConfigurationError, match="stride"):
         _load(overrides=("schedule.stride=2",))
+    with pytest.raises(ConfigurationError, match="pciard"):
+        _load(_PURE_TEXT + "\n[pciard]\nk_max = 1\n")
 
 
 def test_load_missing_and_malformed():

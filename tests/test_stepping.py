@@ -44,21 +44,20 @@ def test_schedule_saved_nodes_include_final_partial_stride():
 # single step
 
 
-def _advance_linear(p, a, f, sigma, dt):
-    """One step of solve_linear with constant scalar coefficient ``a`` and
-    source ``f`` (either None) on a strict track."""
+def _advance_linear(p, a, sigma, dt):
+    """One step of solve_linear with constant scalar coefficient ``a`` (or
+    None) on a strict track."""
     g = p.grid
     track = CoefficientTrack(
         Schedule(t_end=dt, dt=dt), g,
-        a=None if a is None else SpatialField(g, np.full(g.spatial_shape, float(a))),
-        f=None if f is None else PhaseField(g, np.full(g.phase_shape, float(f))))
+        a=None if a is None else SpatialField(g, np.full(g.spatial_shape, float(a))))
     return solve_linear(p, track, sigma).final
 
 
 def test_advance_linear_reduces_to_heat_step(grid64):
     p = gaussian_phase(grid64)
     plan = HeatPlan(grid64, SIGMA, "xv")
-    out = _advance_linear(p, None, None, SIGMA, 0.01)
+    out = _advance_linear(p, None, SIGMA, 0.01)
     ref = heat_step(p, 0.01, plan)
     # identical up to the round-off clamp on tiny negative ringing
     np.testing.assert_allclose(out.values, ref.values, rtol=0,
@@ -70,27 +69,14 @@ def test_advance_linear_constant_damping_scalar_ode(grid64):
     # update must be exactly p * exp(-a0 dt)
     a0, dt = 0.7, 0.01
     p = PhaseField(grid64, np.full(grid64.phase_shape, 2.0))
-    out = _advance_linear(p, a0, None, SIGMA, dt)
+    out = _advance_linear(p, a0, SIGMA, dt)
     np.testing.assert_allclose(out.values, 2.0 * math.exp(-a0 * dt), rtol=1e-14)
-
-
-def test_advance_linear_source_single_step_duhamel(grid64):
-    # single-step Duhamel forms agree to their shared consistency order:
-    # the endpoint-trapezoid update differs from dt*f0*exp(-a dt/2) by
-    # dt*(1 - exp(-a dt/2))^2 / 2  (= (a dt)^2 dt / 8 at leading order)
-    a0, dt, f0 = 2.0, 0.01, 3.0
-    p = PhaseField(grid64, np.zeros(grid64.phase_shape))
-    out = _advance_linear(p, a0, f0, SIGMA, dt)
-    midpoint = dt * f0 * math.exp(-a0 * dt / 2)
-    gap = dt * f0 * (1.0 - math.exp(-a0 * dt / 2)) ** 2 / 2.0
-    assert np.max(np.abs(out.values - midpoint)) <= gap * 1.0001
-    assert np.min(out.values) > 0.0
 
 
 def test_advance_linear_rejects_negative_coefficient_when_strict(grid64):
     p = gaussian_phase(grid64)
     with pytest.raises(SignError):
-        _advance_linear(p, -0.5, None, SIGMA, 0.01)
+        _advance_linear(p, -0.5, SIGMA, 0.01)
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +261,6 @@ def test_damped_step_keeps_positivity_and_mass(a0, var, seed):
     # smooth the noise so it is spectrally representable
     p0 = heat_step(PhaseField(g, vals, nonnegative=True), var,
                    HeatPlan(g, 0.1, "xv"))
-    out = _advance_linear(p0, a0, None, 0.1, 0.01)
+    out = _advance_linear(p0, a0, 0.1, 0.01)
     assert out.values.min() >= 0.0
     assert integrate_phase(out) <= integrate_phase(p0) * (1 + 1e-12)
