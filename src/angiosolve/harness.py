@@ -7,6 +7,13 @@ where it occurs, and a pass/fail verdict against the check's tolerance.
 Slacks are normalised by a problem-scale quantity (stated per check) so the
 tolerances are dimensionless and comparable across scenarios.
 
+Each check is a fold: ``add`` reads one saved field (or moment set) and
+keeps scalars and a cell, ``finish`` turns those series into the verdict.
+A checked run feeds its folds each saved field as the drive yields it, with
+one :class:`FieldStats` of the density shared by all of them, so no check
+needs the trajectory in memory; each ``check_*`` function runs its fold
+over a trajectory already held.
+
 The checks never repair anything; they only measure.  Feeding them corrupted
 data is the intended way to verify they would catch a regression.
 """
@@ -76,112 +83,172 @@ def _extreme(arr, which):
     return float(arr.flat[k]), tuple(int(i) for i in np.unravel_index(k, arr.shape))
 
 
-def _largest_cell(fields):
-    """Map a time index to the cell of largest magnitude of its field."""
-    return lambda k: _extreme(np.abs(fields[k].values), "max")[1]
+def _sup(values) -> float:
+    """max|values| from the two extremes, with no |values| temporary (the
+    same bits for finite values)."""
+    return max(float(values.max()), -float(values.min()))
 
 
-def check_positivity(traj, tol: float = 1e-12,
-                     name: str = "positivity") -> BoundCheck:
+class FieldStats:
+    """The reductions of one field that several folds read, each taken once.
+
+    Its largest and smallest entries with their cells (one argmax and one
+    argmin pass) give its sup norm and its cell of largest magnitude; its
+    other L^q norms are taken on first request.  A checked run makes one per
+    saved density and hands it to every fold with the field.
+    """
+
+    __slots__ = ("field", "high", "high_cell", "low", "low_cell", "_norms")
+
+    def __init__(self, field):
+        self.field = field
+        self.high, self.high_cell = _extreme(field.values, "max")
+        self.low, self.low_cell = _extreme(field.values, "min")
+        self._norms = {}
+
+    @property
+    def sup(self) -> float:
+        return max(self.high, -self.low)
+
+    @property
+    def largest_cell(self) -> tuple:
+        """The first cell of largest magnitude, the one
+        ``np.abs(values).argmax()`` finds."""
+        if self.high == -self.low:
+            return min(self.high_cell, self.low_cell)
+        return self.high_cell if self.high > -self.low else self.low_cell
+
+    def norm(self, q) -> float:
+        """:func:`~angiosolve.grid.lq_norm` of the field (q = inf from the
+        extremes)."""
+        if q == np.inf:
+            return self.sup
+        if q not in self._norms:
+            self._norms[q] = lq_norm(self.field, q)
+        return self._norms[q]
+
+
+class _Fold:
+    """One check gathered one saved time at a time.
+
+    ``add`` reads one saved field and keeps only scalars and a cell (a
+    fold given each field's :class:`FieldStats` holds no field); ``finish``
+    turns the scalar series into the :class:`BoundCheck`.  Each ``check_*``
+    function runs its fold over a whole trajectory.
+    """
+
+    anchor = None
+
+    def __init__(self, name, tol):
+        self.name, self.tol = name, tol
+        self.times, self.cells = [], []
+
+    def _largest_cell(self, field, stats):
+        """The cell of largest magnitude: read off ``stats`` when given,
+        else located at :meth:`finish`, and only if this time is the worst
+        (which keeps the field until then)."""
+        if stats is not None:
+            return stats.largest_cell
+        return lambda: _extreme(np.abs(field.values), "max")[1]
+
+    def _check(self, slacks, tol=None) -> BoundCheck:
+        cells = self.cells
+
+        def cell_at(k):
+            return cells[k]() if callable(cells[k]) else cells[k]
+
+        return _finish(self.name, self.anchor, self.tol if tol is None else tol,
+                       self.times, slacks, cell_at)
+
+
+class PositivityFold(_Fold):
     """Nonnegative data must stay nonnegative.
 
     Slack at each time is min(field)/max|field| (global max over the run);
     the worst cell is the most negative one.
     """
-    scale = max(max(float(f.values.max()), -float(f.values.min()))
-                for f in traj.fields) or 1.0
-    slacks, cells = [], []
-    for f in traj.fields:
-        low, cell = _extreme(f.values, "min")
-        slacks.append(low / scale)
-        cells.append(cell)
-    return _finish(
-        name,
-        "nonnegative initial data propagate to nonnegative solutions",
-        tol, traj.times, slacks, cells,
-    )
+
+    anchor = "nonnegative initial data propagate to nonnegative solutions"
+
+    def __init__(self, tol: float = 1e-12, name: str = "positivity"):
+        super().__init__(name, tol)
+        self.lows, self.scale = [], 0.0
+
+    def add(self, t, field, stats=None):
+        stats = stats if stats is not None else FieldStats(field)
+        self.scale = max(self.scale, stats.sup)
+        self.times.append(t)
+        self.lows.append(stats.low)
+        self.cells.append(stats.low_cell)
+
+    def finish(self) -> BoundCheck:
+        scale = self.scale or 1.0
+        return self._check([low / scale for low in self.lows])
 
 
-def check_comparison(traj, majorant, tol: float = 1e-10,
-                     name: str = "comparison",
-                     anchor: str = None) -> BoundCheck:
+class ComparisonFold(_Fold):
     """Cellwise domination solution <= majorant at every saved time.
 
-    ``majorant`` is any iterable of fields (a generator too), read once,
-    one per saved time and aligned by each field's own ``time_tag`` (to
-    1e-12).  Slack is min(majorant - solution) normalised by the majorant's
-    largest sup norm.  Ordered data give ordered flows, so a
-    frozen-coefficient or production-envelope majorant must stay above
-    every iterate.
+    Slack is min(majorant - solution) normalised by the majorant's largest
+    sup norm (the solution's, if the majorant is zero throughout).  Ordered
+    data give ordered flows, so a frozen-coefficient or production-envelope
+    majorant must stay above every iterate.
     """
-    times, fields = traj.times, traj.fields
-    scale, lows, cells = 0.0, [], []
-    for k, g in enumerate(majorant):
-        if k >= len(fields) or not (abs(times[k] - g.time_tag)
-                                    <= 1e-12 + 1e-12 * abs(g.time_tag)):
-            raise ConfigurationError("trajectory and majorant saved times differ")
-        scale = max(scale, float(np.abs(g.values).max()))
-        low, cell = _extreme(g.values - fields[k].values, "min")
-        lows.append(low)
-        cells.append(cell)
-    if len(lows) != len(fields):
-        raise ConfigurationError("trajectory and majorant saved times differ")
-    if scale == 0.0:
-        scale = max(float(np.abs(f.values).max()) for f in fields) or 1.0
-    return _finish(
-        name,
-        anchor or "monotone comparison: the flow with the larger data and "
-                  "weaker damping dominates cellwise",
-        tol, times, np.asarray(lows) / scale, cells,
-    )
+
+    def __init__(self, tol: float = 1e-10, name: str = "comparison",
+                 anchor: str = None):
+        super().__init__(name, tol)
+        self.anchor = anchor or ("monotone comparison: the flow with the larger "
+                                 "data and weaker damping dominates cellwise")
+        self.lows, self.scale, self.sup = [], 0.0, 0.0
+
+    def add(self, t, field, majorant, stats=None):
+        """``majorant`` is the majorant's raw array at time ``t``."""
+        self.scale = max(self.scale, _sup(majorant))
+        self.sup = max(self.sup, stats.sup if stats is not None else _sup(field.values))
+        low, cell = _extreme(majorant - field.values, "min")
+        self.times.append(t)
+        self.lows.append(low)
+        self.cells.append(cell)
+
+    def finish(self) -> BoundCheck:
+        scale = self.scale or self.sup or 1.0
+        return self._check(np.asarray(self.lows) / scale)
 
 
-def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
-                   norm0: float = None, name: str = "gronwall") -> BoundCheck:
+class GronwallFold(_Fold):
     """Exponential norm envelope ||f(t)||_q <= ||f(0)||_q * exp(rate * t).
 
-    Slack is (bound - norm)/bound per time.  The worst cell is the cell of
-    largest magnitude at the worst time (the one carrying the norm).
+    Slack is (bound - norm)/bound per time, with t and ``norm0`` (default:
+    the norm of the first field added) taken at the first time.  The worst
+    cell is the cell of largest magnitude at the worst time (the one
+    carrying the norm).
     """
-    t0 = float(traj.times[0])
-    if norm0 is None:
-        norm0 = lq_norm(traj.fields[0], q)
-    slacks = []
-    for t, f in zip(traj.times, traj.fields):
-        bound = norm0 * float(np.exp(rate * (t - t0)))
-        norm = lq_norm(f, q)
+
+    def __init__(self, rate: float, q, tol: float = 1e-8, norm0: float = None,
+                 name: str = "gronwall"):
+        super().__init__(name, tol)
+        self.anchor = (f"integral-inequality envelope: L^{q} norm grows at most "
+                       f"like exp({rate:g} t)")
+        self.rate, self.q, self.norm0, self.t0 = rate, q, norm0, None
+        self.slacks = []
+
+    def add(self, t, field, stats=None):
+        norm = stats.norm(self.q) if stats is not None else lq_norm(field, self.q)
+        if self.t0 is None:
+            self.t0 = float(t)
+            if self.norm0 is None:
+                self.norm0 = norm
+        bound = self.norm0 * float(np.exp(self.rate * (t - self.t0)))
         if bound == 0.0:
-            slacks.append(0.0 if norm == 0.0 else -np.inf)
+            self.slacks.append(0.0 if norm == 0.0 else -np.inf)
         else:
-            slacks.append((bound - norm) / bound)
-    return _finish(
-        name,
-        f"integral-inequality envelope: L^{q} norm grows at most like "
-        f"exp({rate:g} t)",
-        tol, traj.times, slacks, _largest_cell(traj.fields),
-    )
+            self.slacks.append((bound - norm) / bound)
+        self.times.append(t)
+        self.cells.append(self._largest_cell(field, stats))
 
-
-def _energy_terms(traj, sources, sigma):
-    """Energy, dissipation and source work per saved time.
-
-    Each source sample is a phase field f, whose work (f, p) is taken here,
-    or that work itself as a number.
-    """
-    e = np.array([lq_norm(f, 2) ** 2 for f in traj.fields])
-    plan = HeatPlan(traj.grid, sigma, "xv")
-    d = np.array([plan.gradient_energy(f.values, "phase") for f in traj.fields])
-    fw = np.zeros(len(traj))
-    if sources is not None:
-        vol, n = traj.grid.cell_volume, 0
-        for n, src in enumerate(sources, 1):
-            if n > len(traj):
-                break
-            fw[n - 1] = src if isinstance(src, Real) else \
-                float(np.sum(src.values * traj.fields[n - 1].values)) * vol
-        if n != len(traj):
-            raise ConfigurationError("need one source sample per saved time")
-    return e, d, fw
+    def finish(self) -> BoundCheck:
+        return self._check(self.slacks)
 
 
 def _energy_residual(times, e, d, fw, sigma):
@@ -190,60 +257,79 @@ def _energy_residual(times, e, d, fw, sigma):
     return e[0] + 2.0 * int_f - e - 2.0 * sigma * int_d
 
 
-def check_energy(traj, sources, sigma: float, tol: float = None,
-                 name: str = "energy") -> BoundCheck:
+class EnergyFold(_Fold):
     """Energy balance ||p(t)||^2 + 2 sigma int ||grad p||^2 <= ||p0||^2 + 2 int (f, p).
 
     Damping only ever removes L^2 mass, so the balance holds as an
-    inequality for any a >= 0 (and as an identity when a = f = 0).
-    ``sources`` (None: no source) is any iterable, read once, with one
-    sample per saved time: either the source field f at that time, whose
-    work (f, p) is taken against the saved p, or that work itself as a
-    number (for a caller that can take it without building f).  Time
-    integrals use the trapezoid rule on the saved times; with ``tol=None``
-    the quadrature error is calibrated by re-evaluating on every second
-    saved time and Richardson-extrapolating the difference.
+    inequality for any a >= 0 (and as an identity when a = f = 0).  Each
+    time adds the energy, the spectral dissipation (one transform on the
+    plan of ``grid``) and the source work.  Time integrals use the
+    trapezoid rule on the saved times; with ``tol=None`` the quadrature
+    error is calibrated by re-evaluating on every second saved time and
+    Richardson-extrapolating the difference.
     """
-    e, d, fw = _energy_terms(traj, sources, sigma)
-    times = traj.times
-    res = _energy_residual(times, e, d, fw, sigma)
-    scale = float(e.max()) or 1.0
-    if tol is None:
-        if len(times) >= 5:
-            sl = slice(None, None, 2)
-            res_thin = _energy_residual(times[sl], e[sl], d[sl], fw[sl], sigma)
-            est = float(np.max(np.abs(res[sl] - res_thin))) / scale
-            tol = max(1e-10, 2.0 * est)
-        else:
-            tol = 1e-10
-    return _finish(
-        name,
-        "L2 energy balance with spectral gradients: damping only removes "
-        "energy, sources add at most 2*int (f, p)",
-        tol, times, res / scale, _largest_cell(traj.fields),
-    )
+
+    anchor = ("L2 energy balance with spectral gradients: damping only removes "
+              "energy, sources add at most 2*int (f, p)")
+
+    def __init__(self, grid, sigma: float, tol: float = None, name: str = "energy"):
+        super().__init__(name, tol)
+        self.plan, self.sigma = HeatPlan(grid, sigma, "xv"), sigma
+        self.e, self.d, self.fw = [], [], []
+
+    def add(self, t, field, source=None, stats=None):
+        """``source`` is the source field f at ``t`` (its work (f, p) is
+        taken here), that work as a number, or None for no source."""
+        norm = stats.norm(2) if stats is not None else lq_norm(field, 2)
+        self.e.append(norm ** 2)
+        self.d.append(self.plan.gradient_energy(field.values, "phase"))
+        if source is None:
+            source = 0.0
+        elif not isinstance(source, Real):
+            source = float(np.sum(source.values * field.values)) * self.plan.grid.cell_volume
+        self.fw.append(source)
+        self.times.append(t)
+        self.cells.append(self._largest_cell(field, stats))
+
+    def finish(self) -> BoundCheck:
+        times = np.asarray(self.times, dtype=float)
+        e, d, fw, sigma = np.array(self.e), np.array(self.d), np.array(self.fw), self.sigma
+        res = _energy_residual(times, e, d, fw, sigma)
+        scale = float(e.max()) or 1.0
+        tol = self.tol
+        if tol is None:
+            if len(times) >= 5:
+                sl = slice(None, None, 2)
+                res_thin = _energy_residual(times[sl], e[sl], d[sl], fw[sl], sigma)
+                est = float(np.max(np.abs(res[sl] - res_thin))) / scale
+                tol = max(1e-10, 2.0 * est)
+            else:
+                tol = 1e-10
+        return self._check(res / scale, tol)
 
 
-def check_speed_bound(moment_sets, tol: float = 1e-10,
-                      R_values=(0.5, 1.0, 2.0, "optimal"),
-                      name: str = "speed_bound") -> BoundCheck:
+class SpeedBoundFold(_Fold):
     """Interpolation bound j <= R p~ + m/R for every R > 0, cellwise.
 
     Checked for the listed R (``"optimal"`` uses the cellwise minimiser,
     giving the Cauchy-Schwarz form j <= 2 sqrt(p~ m)).  Slack is the worst
     gap over the R values, normalised by the largest speed moment.
     """
-    sets = list(moment_sets)
-    if not sets:
-        raise ConfigurationError("need at least one moment set")
-    scale = max(float(ms.j.values.max()) for ms in sets)
-    if scale <= 0.0:
-        scale = 1.0
-    times, slacks, cells = [], [], []
-    for ms in sets:
+
+    anchor = ("interpolation bound j <= R*ptilde + m/R for every R > 0 "
+              "(Cauchy-Schwarz at the optimal R)")
+
+    def __init__(self, tol: float = 1e-10, R_values=(0.5, 1.0, 2.0, "optimal"),
+                 name: str = "speed_bound"):
+        super().__init__(name, tol)
+        self.R_values, self.worsts, self.scale = R_values, [], -np.inf
+
+    def add(self, ms):
+        """``ms`` is the MomentSet of one saved field."""
         pt, j, m = ms.p_tilde.values, ms.j.values, ms.m.values
+        self.scale = max(self.scale, float(j.max()))
         worst, cell = np.inf, None
-        for R in R_values:
+        for R in self.R_values:
             if R == "optimal":
                 bound = 2.0 * np.sqrt(np.maximum(pt, 0.0) * np.maximum(m, 0.0))
             else:
@@ -254,37 +340,44 @@ def check_speed_bound(moment_sets, tol: float = 1e-10,
             low, low_cell = _extreme(bound - j, "min")
             if low < worst:
                 worst, cell = low, low_cell
-        times.append(ms.time_tag)
-        slacks.append(worst / scale)
-        cells.append(cell)
-    return _finish(
-        name,
-        "interpolation bound j <= R*ptilde + m/R for every R > 0 "
-        "(Cauchy-Schwarz at the optimal R)",
-        tol, times, slacks, cells,
-    )
+        self.times.append(ms.time_tag)
+        self.worsts.append(worst)
+        self.cells.append(cell)
+
+    def finish(self) -> BoundCheck:
+        if not self.times:
+            raise ConfigurationError("need at least one moment set")
+        scale = self.scale if self.scale > 0.0 else 1.0
+        return self._check([w / scale for w in self.worsts])
 
 
-def check_c_bounds(c_traj, c0, diffusivity: float, tol: float = 1e-12,
-                   name: str = "c_bounds") -> BoundCheck:
+class CBoundsFold(_Fold):
     """Concentration invariants: 0 <= c <= sup c0 and depletion <= 0.
 
     The depletion is c - c_inf, with c_inf the plain heat flow of c0 with
-    ``diffusivity``, recomputed here from the saved fields alone: a
-    driver's own depletion snapshots were clamped to <= 0 as it marched,
-    so they cannot show a violation.  All three sub-claims share the
-    normalisation sup c0; the reported worst cell belongs to the sub-claim
-    with the worst slack.
+    ``diffusivity`` from the first time added, recomputed here from the
+    saved fields alone: a driver's own depletion snapshots were clamped to
+    <= 0 as it marched, so they cannot show a violation.  All three
+    sub-claims share the normalisation sup c0; the reported worst cell
+    belongs to the sub-claim with the worst slack.
     """
-    sup_c0 = float(c0.values.max())
-    if sup_c0 <= 0.0:
-        sup_c0 = 1.0
-    t0 = float(c_traj.times[0])
-    far_field = HeatPlan(c0.grid, diffusivity, "x").apply_each(
-        c0.values, [t - t0 for t in c_traj.times], "spatial")
-    slacks, cells = [], []
-    for f, c_inf in zip(c_traj.fields, far_field):
-        vals = f.values
+
+    anchor = ("concentration comparison: consumption keeps 0 <= c <= sup c0 and "
+              "never lifts c above its consumption-free far field")
+
+    def __init__(self, c0, diffusivity: float, tol: float = 1e-12,
+                 name: str = "c_bounds"):
+        super().__init__(name, tol)
+        self.sup_c0 = float(c0.values.max())
+        if self.sup_c0 <= 0.0:
+            self.sup_c0 = 1.0
+        self.far_field = HeatPlan(c0.grid, diffusivity, "x").flow(c0.values, "spatial")
+        self.t0, self.slacks = None, []
+
+    def add(self, t, field):
+        if self.t0 is None:
+            self.t0 = float(t)
+        c_inf, vals, sup_c0 = self.far_field(t - self.t0), field.values, self.sup_c0
         low, low_cell = _extreme(vals, "min")          # (1) c >= 0
         high, high_cell = _extreme(vals, "max")        # (2) c <= sup c0
         dep, dep_cell = _extreme(vals - c_inf, "max")  # (3) depletion <= 0
@@ -294,14 +387,103 @@ def check_c_bounds(c_traj, c0, diffusivity: float, tol: float = 1e-12,
             (-dep / sup_c0, dep_cell),
         ]
         s, cell = min(options, key=lambda sc: sc[0])
-        slacks.append(s)
-        cells.append(cell)
-    return _finish(
-        name,
-        "concentration comparison: consumption keeps 0 <= c <= sup c0 and "
-        "never lifts c above its consumption-free far field",
-        tol, c_traj.times, slacks, cells,
-    )
+        self.times.append(t)
+        self.slacks.append(s)
+        self.cells.append(cell)
+
+    def finish(self) -> BoundCheck:
+        return self._check(self.slacks)
+
+
+# --------------------------------------------------------------------------
+# the checks over a whole trajectory: each runs its fold
+
+
+def check_positivity(traj, tol: float = 1e-12,
+                     name: str = "positivity") -> BoundCheck:
+    """:class:`PositivityFold` over a trajectory."""
+    fold = PositivityFold(tol, name)
+    for t, f in zip(traj.times, traj.fields):
+        fold.add(t, f)
+    return fold.finish()
+
+
+def check_comparison(traj, majorant, tol: float = 1e-10,
+                     name: str = "comparison",
+                     anchor: str = None) -> BoundCheck:
+    """:class:`ComparisonFold` of a trajectory against a majorant.
+
+    ``majorant`` is any iterable of fields (a generator too), read once,
+    one per saved time and aligned by each field's own ``time_tag`` (to
+    1e-12).
+    """
+    times, fields = traj.times, traj.fields
+    fold = ComparisonFold(tol, name, anchor)
+    count = 0
+    for k, g in enumerate(majorant):
+        if k >= len(fields) or not (abs(times[k] - g.time_tag)
+                                    <= 1e-12 + 1e-12 * abs(g.time_tag)):
+            raise ConfigurationError("trajectory and majorant saved times differ")
+        fold.add(times[k], fields[k], g.values)
+        count = k + 1
+    if count != len(fields):
+        raise ConfigurationError("trajectory and majorant saved times differ")
+    return fold.finish()
+
+
+def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
+                   norm0: float = None, name: str = "gronwall") -> BoundCheck:
+    """:class:`GronwallFold` over a trajectory (``norm0`` defaults to the
+    norm of its first field)."""
+    fold = GronwallFold(rate, q, tol, norm0, name)
+    for t, f in zip(traj.times, traj.fields):
+        fold.add(t, f)
+    return fold.finish()
+
+
+_MISSING = object()
+
+
+def check_energy(traj, sources, sigma: float, tol: float = None,
+                 name: str = "energy") -> BoundCheck:
+    """:class:`EnergyFold` over a trajectory.
+
+    ``sources`` (None: no source) is any iterable, read once, with one
+    sample per saved time: either the source field f at that time, whose
+    work (f, p) is taken against the saved p, or that work itself as a
+    number (for a caller that can take it without building f).
+    """
+    fold = EnergyFold(traj.grid, sigma, tol, name)
+    samples = None if sources is None else iter(sources)
+    for t, f in zip(traj.times, traj.fields):
+        src = None
+        if samples is not None:
+            src = next(samples, _MISSING)
+            if src is _MISSING:
+                raise ConfigurationError("need one source sample per saved time")
+        fold.add(t, f, src)
+    if samples is not None and next(samples, _MISSING) is not _MISSING:
+        raise ConfigurationError("need one source sample per saved time")
+    return fold.finish()
+
+
+def check_speed_bound(moment_sets, tol: float = 1e-10,
+                      R_values=(0.5, 1.0, 2.0, "optimal"),
+                      name: str = "speed_bound") -> BoundCheck:
+    """:class:`SpeedBoundFold` over MomentSets, one per saved time."""
+    fold = SpeedBoundFold(tol, R_values, name)
+    for ms in moment_sets:
+        fold.add(ms)
+    return fold.finish()
+
+
+def check_c_bounds(c_traj, c0, diffusivity: float, tol: float = 1e-12,
+                   name: str = "c_bounds") -> BoundCheck:
+    """:class:`CBoundsFold` over a concentration trajectory."""
+    fold = CBoundsFold(c0, diffusivity, tol, name)
+    for t, f in zip(c_traj.times, c_traj.fields):
+        fold.add(t, f)
+    return fold.finish()
 
 
 def write_report(checks, path) -> dict:

@@ -185,20 +185,32 @@ class HeatPlan:
             spec = self._spec[kind] = np.empty(spec_shape, dtype=complex)
         return spec
 
-    def apply_each(self, values: np.ndarray, taus, kind: str):
-        """Yield the heat flow of one array for each time in ``taus``.
+    def flow(self, values: np.ndarray, kind: str):
+        """The heat flow of one array as a function of time.
 
-        The array is transformed once and inverted once per time, with the
-        same bits :meth:`apply` gives; a time of 0 yields ``values`` itself.
+        ``flow(tau)`` gives the flow at ``tau`` with the bits :meth:`apply`
+        gives: the array is transformed on the first ``tau > 0`` asked for,
+        its spectrum kept, and inverted once per call; ``flow(0)`` is
+        ``values`` itself.
         """
         spec = None
-        for tau in taus:
+
+        def at(tau):
+            nonlocal spec
             if tau == 0.0:
-                yield values
-                continue
+                return values
             if spec is None:
                 spec = self.forward(values, kind)
-            yield self.inverse(spec * self.multiplier(tau, kind), kind)
+            return self.inverse(spec * self.multiplier(tau, kind), kind)
+
+        return at
+
+    def apply_each(self, values: np.ndarray, taus, kind: str):
+        """Yield the heat flow of one array for each time in ``taus``, as
+        :meth:`flow` gives it (one transform, one inverse per time)."""
+        at = self.flow(values, kind)
+        for tau in taus:
+            yield at(tau)
 
     def laplacian(self, values: np.ndarray, kind: str) -> np.ndarray:
         """Spectral Laplacian over the plan's subspace (not a time stepper)."""

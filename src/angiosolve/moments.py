@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ShapeError
-from .grid import (PhaseField, SpatialField, apply_sign, speed_grid,
-                   speed_squared_grid)
+from .grid import (PhaseField, SpatialField, apply_sign, integrate_phase,
+                   speed_grid, speed_squared_grid)
 from .heat import HeatPlan
 
 
@@ -96,11 +96,13 @@ def second_moment(p: PhaseField) -> SpatialField:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """The three reduced fields of one snapshot, taken at the same time."""
+    """The three reduced fields of one snapshot, taken at the same time,
+    and its total mass (None when built without one)."""
 
     p_tilde: SpatialField
     j: SpatialField
     m: SpatialField
+    mass: float = None
 
     @property
     def time_tag(self) -> float:
@@ -122,8 +124,10 @@ class MomentSet:
 
 
 def moments_of(p: PhaseField) -> MomentSet:
-    """All three moments of one snapshot: three velocity reductions, one each."""
-    return MomentSet(velocity_marginal(p), speed_moment(p), second_moment(p))
+    """All three moments of one snapshot (three velocity reductions, one
+    each) and its mass, :func:`~angiosolve.grid.integrate_phase`."""
+    return MomentSet(velocity_marginal(p), speed_moment(p), second_moment(p),
+                     integrate_phase(p))
 
 
 def accumulate_time_integral(p_tilde_series, dt: float) -> np.ndarray:

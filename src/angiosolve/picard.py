@@ -41,6 +41,11 @@ after the first two steps is seeded with the quadratic continuation of the
 converged node series, so one correction usually meets the tolerance there
 (windowed waveform relaxation; Gander & Stuart, SIAM J. Sci. Comput. 19,
 1998).
+
+A window's saved fields are final once it has converged, so the loop hands
+them out then (:class:`DriveStream`) and keeps none: a checked run reads
+each one and drops it, and :func:`collect` keeps them all for the public
+drivers' trajectories.
 """
 
 from __future__ import annotations
@@ -287,8 +292,8 @@ def _march_marginal(pt0, track, plan_x):
     nodes = np.empty((sched.n_steps + 1,) + shape)
     nodes[0] = pt = pt0
     for i in range(sched.n_steps):
-        half = np.exp((-0.5 * dt) * track.coefficient_mid(i).reshape(shape))
-        pt = _strang_step(pt, half, plan_x, dt, "spatial")
+        pt = _strang_step(pt, track.half_factor(i, dt).reshape(shape), plan_x, dt,
+                          "spatial")
         nodes[i + 1] = pt = apply_sign(pt, +1, f"marched marginal at step {i + 1}",
                                        out=pt)
     return nodes
@@ -353,7 +358,10 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     j_k, and the c change joins the stopping rule.  Every phase march starts
     nonnegative and sourceless, so :func:`solve_linear` floors each step.
 
-    Returns (p_trajectory, c_trajectory or None, diagnostics).
+    A generator: each window's saved ``(t, p_field, c_field or None)`` are
+    yielded once it has converged, and it returns ``(diagnostics, a_nodes)``,
+    the running integral of the converged marginal at every node.
+    :class:`DriveStream` wraps it for consumers.
     """
     validate_options(k_max, tol, init)
     coupled = c0 is not None
@@ -390,7 +398,6 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     global_saved = set(schedule.saved_nodes())
 
     diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
-    p_fields, c_fields, times = [], [], []
     # the converged node series: the marginal (and j), which seed the windows
     pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
     j_nodes = np.empty_like(pt_nodes) if coupled else None
@@ -474,8 +481,14 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             diag.phase_step_solves += n_local
             traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
                                   saved_nodes=march_saved)
+        # tag the next start with its own node time, so each window's tags
+        # are one rounding from node * dt and no error builds up; the old
+        # start and the track's phase-size buffer are not held while the
+        # consumer reads this window's fields
+        p_start = traj_k.fields[-1].like(traj_k.fields[-1].values, i1 * dt)
+        track = None
 
-        # stitch only the schedule's own saved nodes: window edges are an
+        # yield only the schedule's own saved nodes: window edges are an
         # implementation detail and must not leak extra snapshots
         for pos, node in enumerate(march_saved):
             if i0 + node not in global_saved:
@@ -483,24 +496,56 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             # the fields' own tags (i0 * dt + local node * dt), which can
             # differ from (i0 + node) * dt in the last bit
             t = traj_k.times[pos]
-            times.append(t)
-            p_fields.append(traj_k.fields[pos])
-            if coupled:
-                c_fields.append(SpatialField(grid, c_cur[node], time_tag=t, role="c"))
+            yield (t, traj_k.fields[pos],
+                   SpatialField(grid, c_cur[node], time_tag=t, role="c") if coupled else None)
         pt_nodes[i0:i1 + 1] = pt_k
         a_offset = a_offset + accumulate_time_integral(pt_k, dt)[-1]
-        # tag the next start with its own node time, so each window's tags
-        # are one rounding from node * dt and no error builds up
-        p_start = traj_k.fields[-1].like(traj_k.fields[-1].values, i1 * dt)
         if coupled:
             j_nodes[i0:i1 + 1] = j_k
             chat_start = chat_cur
             cinf_start = c_inf_win[-1]
 
-    p_traj = Trajectory(times, p_fields, node_times=schedule.times(),
-                        aux={"a_nodes": accumulate_time_integral(pt_nodes, dt)})
-    c_traj = Trajectory(times, c_fields) if coupled else None
-    return p_traj, c_traj, diag
+    return diag, accumulate_time_integral(pt_nodes, dt)
+
+
+class DriveStream:
+    """One fixed-point run of :func:`_drive`, handed out field by field.
+
+    Iterating it (once) runs the drive and yields ``(t, p_field, c_field)``
+    (``c_field`` None without ``c0``) for every saved time, in order, as
+    soon as the window holding that time has converged; nothing keeps a
+    field once its window is done, so a consumer that drops each field
+    holds one window of fields, not the trajectory.  When the iteration
+    ends, ``diag`` holds the run's :class:`IterationDiagnostics` and
+    ``a_nodes`` the running integral of the marginal at every node of
+    ``node_times``.
+    """
+
+    def __init__(self, p0, c0, params, schedule, k_max, tol, init):
+        self.coupled = c0 is not None
+        self.node_times = schedule.times()
+        self.diag = self.a_nodes = None
+        self._drive = _drive(p0, c0, params, schedule, k_max, tol, init)
+
+    def __iter__(self):
+        self.diag, self.a_nodes = yield from self._drive
+
+
+def collect(stream: DriveStream):
+    """Run a stream to its end, keeping every field.
+
+    Returns (p_trajectory, c_trajectory or None, diagnostics); the p
+    trajectory carries the node times and ``aux["a_nodes"]``.
+    """
+    times, p_fields, c_fields = [], [], []
+    for t, p_field, c_field in stream:
+        times.append(t)
+        p_fields.append(p_field)
+        c_fields.append(c_field)
+    p_traj = Trajectory(times, p_fields, node_times=stream.node_times,
+                        aux={"a_nodes": stream.a_nodes})
+    c_traj = Trajectory(times, c_fields) if stream.coupled else None
+    return p_traj, c_traj, stream.diag
 
 
 def picard_pure(p0: PhaseField, params: ModelParams, schedule: Schedule,
@@ -532,7 +577,7 @@ def picard_pure(p0: PhaseField, params: ModelParams, schedule: Schedule,
     Returns (Trajectory, IterationDiagnostics).  Non-convergence within
     ``k_max`` iterates of any window is flagged, never raised.
     """
-    p_traj, _, diag = _drive(p0, None, params, schedule, k_max, tol, init)
+    p_traj, _, diag = collect(DriveStream(p0, None, params, schedule, k_max, tol, init))
     return p_traj, diag
 
 
@@ -561,4 +606,4 @@ def picard_coupled(p0: PhaseField, c0: SpatialField, params: ModelParams,
     """
     if c0 is None:
         raise ConfigurationError("the coupled driver needs an initial concentration")
-    return _drive(p0, c0, params, schedule, k_max, tol, init)
+    return collect(DriveStream(p0, c0, params, schedule, k_max, tol, init))

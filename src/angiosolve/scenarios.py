@@ -22,19 +22,17 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ResolutionError
 from .grid import GridSpec, PhaseField, SpatialField, factor_xv, lq_norm
-from .harness import (check_c_bounds, check_comparison, check_energy,
-                      check_gronwall, check_positivity, check_speed_bound,
-                      write_report)
+from .harness import (CBoundsFold, ComparisonFold, EnergyFold, FieldStats,
+                      GronwallFold, PositivityFold, SpeedBoundFold, write_report)
 from .heat import HeatPlan
-from .moments import moments_of, second_moment, velocity_marginal
-from .picard import (ModelParams, _alpha_raw, picard_coupled, picard_pure,
+from .moments import MomentSet, moments_of, second_moment, velocity_marginal
+from .picard import (DriveStream, ModelParams, _alpha_raw, collect,
                      summarise_iterates, validate_options, velocity_profile)
 from .snapshots import save_field, write_moment_table
 from .stepping import Schedule, Trajectory
@@ -202,8 +200,21 @@ _PARAM_KEYS = {"sigma", "d", "gamma", "eta", "alpha1", "c_R", "epsilon",
                "v0", "use_vector_j"}
 _SCHEDULE_KEYS = {"t_end", "dt", "save_stride"}
 _PICARD_KEYS = {"k_max", "tol", "init"}
+_SCENARIO_KEYS = {"name", "driver"}
+_CHECKS_KEYS = {"names"}
 _SECTIONS = {"scenario", "grid", "params", "schedule", "picard", "initial_p",
              "initial_c", "checks"}
+# [initial_p] / [initial_c]: recipe -> the keys its builder reads
+_P_RECIPE_KEYS = {
+    "zero": {"recipe"},
+    "gaussian_bump": {"recipe", "center_x", "center_v", "variance_x", "variance_v",
+                      "mass"},
+}
+_C_RECIPE_KEYS = {
+    "zero": {"recipe"},
+    "gaussian_bump": {"recipe", "center_x", "variance_x", "mass"},
+    "plateau_ramp": {"recipe", "k_inf", "edge_lo", "edge_hi", "width"},
+}
 
 
 def _section(parser, name, required=True):
@@ -214,11 +225,12 @@ def _section(parser, name, required=True):
     return dict(parser.items(name))
 
 
-def _known_keys(section: dict, allowed: set, where: str):
+def _known_keys(section: dict, allowed: set, where: str, recipe: str = None):
     unknown = set(section) - allowed
     if unknown:
+        read_by = f" for recipe {recipe!r}" if recipe else ""
         raise ConfigurationError(
-            f"unknown key(s) {sorted(unknown)} in [{where}] "
+            f"unknown key(s) {sorted(unknown)} in [{where}]{read_by} "
             f"(allowed: {sorted(allowed)})"
         )
 
@@ -272,6 +284,7 @@ def load_scenario(source, overrides=()) -> Scenario:
 
     try:
         meta = _section(parser, "scenario")
+        _known_keys(meta, _SCENARIO_KEYS, "scenario")
         name = meta.get("name", "unnamed")
         driver = meta.get("driver", "pure")
         if driver not in ("pure", "coupled"):
@@ -316,8 +329,16 @@ def load_scenario(source, overrides=()) -> Scenario:
 
         p_recipe = _section(parser, "initial_p")
         c_recipe = _section(parser, "initial_c", required=(driver == "coupled"))
+        # a key the recipe does not read would silently take its default;
+        # an unknown recipe is refused when the data are built
+        for section, keys, where in ((p_recipe, _P_RECIPE_KEYS, "initial_p"),
+                                     (c_recipe, _C_RECIPE_KEYS, "initial_c")):
+            kind = section.get("recipe", "zero")
+            if kind in keys:
+                _known_keys(section, keys[kind], where, recipe=kind)
 
         ck = _section(parser, "checks", required=False)
+        _known_keys(ck, _CHECKS_KEYS, "checks")
         names = tuple(
             tok.strip() for tok in ck.get("names", "").replace(",", " ").split()
         ) or tuple(n for n, (_, coupled_only, _) in CHECKS.items()
@@ -366,9 +387,11 @@ def load_shipped_scenario(name: str, overrides=()) -> Scenario:
 class RealisedScenario:
     """A scenario's concrete initial fields, ready to drive.
 
-    ``c0`` is None for the pure driver.  :meth:`drive` runs the scenario's
-    fixed point with its configured options (``tol`` and ``init`` can be
-    overridden) and returns ``(p_trajectory, c_trajectory or None, diagnostics)``.
+    ``c0`` is None for the pure driver.  :meth:`stream` starts the
+    scenario's fixed point with its configured options (``tol`` and
+    ``init`` can be overridden) as a :class:`~angiosolve.picard.DriveStream`;
+    :meth:`drive` collects that stream into ``(p_trajectory, c_trajectory
+    or None, diagnostics)``.
     """
 
     scenario: Scenario
@@ -379,15 +402,14 @@ class RealisedScenario:
     def grid(self) -> GridSpec:
         return self.scenario.grid
 
-    def drive(self, tol=None, init=None):
+    def stream(self, tol=None, init=None) -> DriveStream:
         sc, opts = self.scenario, self.scenario.picard
-        kwargs = dict(k_max=opts["k_max"],
-                      tol=tol if tol is not None else opts["tol"],
-                      init=init or opts["init"])
-        if self.c0 is None:
-            p_traj, diag = picard_pure(self.p0, sc.params, sc.schedule, **kwargs)
-            return p_traj, None, diag
-        return picard_coupled(self.p0, self.c0, sc.params, sc.schedule, **kwargs)
+        return DriveStream(self.p0, self.c0, sc.params, sc.schedule, k_max=opts["k_max"],
+                           tol=tol if tol is not None else opts["tol"],
+                           init=init or opts["init"])
+
+    def drive(self, tol=None, init=None):
+        return collect(self.stream(tol, init))
 
 
 def realise(scenario: Scenario) -> RealisedScenario:
@@ -399,77 +421,87 @@ def realise(scenario: Scenario) -> RealisedScenario:
 
 
 @dataclass(frozen=True)
-class _FinishedRun:
-    """A finished run as the check evaluators read it (``rho`` None if pure);
-    each evaluator calls the harness through this module's globals, and what
-    it derives from the run is freed when it returns."""
+class _Run:
+    """What the check folds of one run know before its first saved field
+    (``c0`` and ``rho`` None if pure)."""
 
     scenario: Scenario
     p0: PhaseField
-    p_traj: Trajectory
-    c_traj: Trajectory
     c0: SpatialField
     rho: SpatialField
     rate: float  # production ceiling alpha1 * sup rho
-    moment_sets: list = None  # the caller's MomentSets, if it took them
-
-    @cached_property
-    def moments(self) -> list:
-        """One MomentSet per saved p snapshot, taken once for every check."""
-        if self.moment_sets is not None:
-            return self.moment_sets
-        return [moments_of(f) for f in self.p_traj.fields]
 
 
-def _eval_positivity(run):
-    return [check_positivity(run.p_traj)]
+@dataclass(frozen=True)
+class _Saved:
+    """One saved time as the check folds read it: the density and its
+    shared reductions, its moments, and the concentration (None if pure)."""
+
+    t: float
+    p: PhaseField
+    stats: FieldStats
+    moments: MomentSet
+    c: SpatialField
 
 
-def _majorant(run, taus):
-    """exp(rate*tau) * heat(p0, tau) for each tau, one array at a time.
+# Each catalogue evaluator takes the _Run and returns (folds, feed): the
+# harness folds whose finish() gives its checks, and feed(saved), which adds
+# one saved time to each of them.
+
+
+def _fold_positivity(run):
+    fold = PositivityFold()
+    return [fold], lambda s: fold.add(s.t, s.p, s.stats)
+
+
+def _majorant(run):
+    """tau -> exp(rate*tau) * heat(p0, tau) as a raw array.
 
     The phase heat flow is the product of the x and the v flows, so for a
     product p0 = g (x) h (:func:`~angiosolve.grid.factor_xv`) it is the outer
-    product of the position- and velocity-lattice flows of g and h; any other
-    p0 takes phase-lattice flows.
+    product of the position- and velocity-lattice flows of g and h, whose
+    spectra are taken once; any other p0 takes phase-lattice flows of its
+    own spectrum.
     """
     p0, sigma, rate = run.p0, run.scenario.params.sigma, run.rate
     factors = factor_xv(p0)
     if factors is None:
-        flows = HeatPlan(p0.grid, sigma, "xv").apply_each(p0.values, taus, "phase")
-        for tau, vals in zip(taus, flows):
-            yield math.exp(rate * tau) * vals if rate else vals
-        return
+        flow = HeatPlan(p0.grid, sigma, "xv").flow(p0.values, "phase")
+        return lambda tau: math.exp(rate * tau) * flow(tau) if rate else flow(tau)
     g, h = factors
-    xs = HeatPlan(p0.grid, sigma, "x").apply_each(g, taus, "spatial")
-    vs = HeatPlan(p0.grid, sigma, "v").apply_each(h, taus, "velocity")
-    for tau, gx, hv in zip(taus, xs, vs):
+    flow_x = HeatPlan(p0.grid, sigma, "x").flow(g, "spatial")
+    flow_v = HeatPlan(p0.grid, sigma, "v").flow(h, "velocity")
+
+    def at(tau):
         if tau == 0.0:
-            yield p0.values
-            continue
-        vals = np.multiply.outer(math.exp(rate * tau) * gx, hv)
-        vals.setflags(write=False)  # a fresh array: PhaseField keeps it uncopied
-        yield vals
+            return p0.values
+        return np.multiply.outer(math.exp(rate * tau) * flow_x(tau), flow_v(tau))
+
+    return at
 
 
-def _eval_comparison(run):
-    """p against exp(rate*t) * heat(p0, t), the exact semigroup majorant."""
-    p0, times = run.p0, run.p_traj.times
-    t0 = float(times[0])
-    flows = _majorant(run, [float(t - t0) for t in times])
-    maj = (PhaseField(p0.grid, vals, time_tag=float(t))
-           for t, vals in zip(times, flows))
-    anchor = (
+def _fold_comparison(run):
+    """p against exp(rate*t) * heat(p0, t), the exact semigroup majorant,
+    with t counted from the first saved time."""
+    fold = ComparisonFold(anchor=(
         "production-envelope comparison: p stays below "
         "exp(alpha1*sup_rho*t) times the heat flow of p0"
         if run.rho is not None else
         "damping only removes density: p stays below the plain heat "
         "flow of p0"
-    )
-    return [check_comparison(run.p_traj, maj, anchor=anchor)]
+    ))
+    majorant, t0 = _majorant(run), None
+
+    def feed(s):
+        nonlocal t0
+        if t0 is None:
+            t0 = float(s.t)
+        fold.add(s.t, s.p, majorant(float(s.t - t0)), s.stats)
+
+    return [fold], feed
 
 
-def _eval_gronwall(run):
+def _fold_gronwall(run):
     """Envelopes of p, p~ and m; the m one needs ||p~0||_q <= ||m0||_q."""
     pt0, m0 = velocity_marginal(run.p0), second_moment(run.p0)
     norms = ((1, "q1"), (2, "q2"), (np.inf, "qinf"))
@@ -479,71 +511,103 @@ def _eval_gronwall(run):
             "mean square speed >= 1 (||p~0||_q <= ||m0||_q); shift the "
             "velocity centre or widen the velocity profile"
         )
-    pt_traj = Trajectory(run.p_traj.times, [ms.p_tilde for ms in run.moments])
-    m_traj = Trajectory(run.p_traj.times, [ms.m for ms in run.moments])
     m_rate = run.rate + 2.0 * run.scenario.params.sigma * run.scenario.grid.dim_v
-    out = []
+    folds = []
     for q, tag in norms:
-        out += [check_gronwall(run.p_traj, run.rate, q, name=f"gronwall_p_{tag}"),
-                check_gronwall(pt_traj, run.rate, q, name=f"gronwall_pt_{tag}"),
-                check_gronwall(m_traj, m_rate, q, norm0=lq_norm(m0, q),
+        folds += [GronwallFold(run.rate, q, name=f"gronwall_p_{tag}"),
+                  GronwallFold(run.rate, q, name=f"gronwall_pt_{tag}"),
+                  GronwallFold(m_rate, q, norm0=lq_norm(m0, q),
                                name=f"gronwall_m_{tag}")]
-    return out
+
+    def feed(s):
+        pt, m = s.moments.p_tilde, s.moments.m
+        reads = ((s.p, s.stats), (pt, FieldStats(pt)), (m, FieldStats(m)))
+        for fold, (field, stats) in zip(folds, reads * len(norms)):
+            fold.add(s.t, field, stats)
+
+    return folds, feed
 
 
-def _eval_energy(run):
+def _fold_energy(run):
     """Energy balance; a coupled run's source is f = alpha(c) rho(v) p, whose
     work (f, p) = vol * sum_x alpha(c) sum_v rho p^2 is taken on the position
     lattice, with no phase-size f built."""
     params, grid = run.scenario.params, run.scenario.grid
-    works = None
-    if run.rho is not None:
-        rho = run.rho.values.reshape(-1)
-        works = (grid.cell_volume * float(
-                     _alpha_raw(cf.values, params.alpha1, params.c_R,
-                                "energy source").reshape(-1)
-                     @ (np.square(pf.values).reshape(-1, rho.size) @ rho))
-                 for pf, cf in zip(run.p_traj.fields, run.c_traj.fields))
-    return [check_energy(run.p_traj, works, params.sigma)]
+    fold = EnergyFold(grid, params.sigma)
+    rho = None if run.rho is None else run.rho.values.reshape(-1)
+
+    def feed(s):
+        work = None
+        if rho is not None:
+            work = grid.cell_volume * float(
+                _alpha_raw(s.c.values, params.alpha1, params.c_R,
+                           "energy source").reshape(-1)
+                @ (np.square(s.p.values).reshape(-1, rho.size) @ rho))
+        fold.add(s.t, s.p, work, s.stats)
+
+    return [fold], feed
 
 
-def _eval_speed_bound(run):
-    return [check_speed_bound(run.moments)]
+def _fold_speed_bound(run):
+    fold = SpeedBoundFold()
+    return [fold], lambda s: fold.add(s.moments)
 
 
-def _eval_c_bounds(run):
-    return [check_c_bounds(run.c_traj, run.c0, diffusivity=run.scenario.params.d)]
+def _fold_c_bounds(run):
+    fold = CBoundsFold(run.c0, diffusivity=run.scenario.params.d)
+    return [fold], lambda s: fold.add(s.t, s.c)
 
 
 # name -> (one-line doc, coupled driver only, evaluator); naming none runs all it can
 CHECKS = {
     "positivity": ("density stays nonnegative at every saved time", False,
-                   _eval_positivity),
+                   _fold_positivity),
     "comparison": ("density stays below its production-envelope heat flow", False,
-                   _eval_comparison),
+                   _fold_comparison),
     "gronwall": ("L^q norms of density and second moment respect their "
-                 "exponential envelopes (q = 1, 2, inf)", False, _eval_gronwall),
+                 "exponential envelopes (q = 1, 2, inf)", False, _fold_gronwall),
     "energy": ("squared L^2 norm plus accumulated dissipation stays below "
-               "the initial energy plus source work", False, _eval_energy),
+               "the initial energy plus source work", False, _fold_energy),
     "speed_bound": ("speed moment obeys j <= R p~ + m / R for each weight R", False,
-                    _eval_speed_bound),
+                    _fold_speed_bound),
     "c_bounds": ("concentration stays within [0, sup c0] and the depletion "
-                 "term stays nonpositive (coupled runs only)", True, _eval_c_bounds),
+                 "term stays nonpositive (coupled runs only)", True, _fold_c_bounds),
 }
 
 
-def build_checks(scenario: Scenario, p0, p_traj, c_traj=None, c0=None,
-                 moments=None) -> list:
-    """Evaluate the scenario's configured checks on a finished run.
+class _Checks:
+    """The scenario's configured checks as folds over one run's saved times.
 
-    ``moments``, one MomentSet per saved p field, spares the checks their own
-    moment pass when the caller has taken them already.
+    Built before the run's first field, so a check that refuses the
+    initial data does so before anything is driven.  ``add`` hands one
+    saved time to every fold (moments: its MomentSet, taken once for all
+    of them); ``finish`` returns the BoundChecks in catalogue order.
     """
-    coupled = scenario.driver == "coupled"
-    rho = velocity_profile(scenario.grid, scenario.params) if coupled else None
-    rate = scenario.params.alpha1 * rho.sup_norm if coupled else 0.0
-    run = _FinishedRun(scenario, p0, p_traj, c_traj, c0, rho, rate, moments)
-    return [check for name in scenario.checks for check in CHECKS[name][2](run)]
+
+    def __init__(self, scenario: Scenario, p0, c0=None):
+        coupled = scenario.driver == "coupled"
+        rho = velocity_profile(scenario.grid, scenario.params) if coupled else None
+        rate = scenario.params.alpha1 * rho.sup_norm if coupled else 0.0
+        run = _Run(scenario, p0, c0, rho, rate)
+        self._folds = [CHECKS[name][2](run) for name in scenario.checks]
+
+    def add(self, t, p_field, c_field, moments):
+        saved = _Saved(t, p_field, FieldStats(p_field), moments, c_field)
+        for _, feed in self._folds:
+            feed(saved)
+
+    def finish(self) -> list:
+        return [fold.finish() for folds, _ in self._folds for fold in folds]
+
+
+def build_checks(scenario: Scenario, p0, p_traj, c_traj=None, c0=None) -> list:
+    """Evaluate the scenario's configured checks on a finished run: its
+    saved fields go through the folds a streamed run feeds, in order."""
+    checks = _Checks(scenario, p0, c0)
+    for k, (t, p_field) in enumerate(zip(p_traj.times, p_traj.fields)):
+        checks.add(t, p_field, None if c_traj is None else c_traj.fields[k],
+                   moments_of(p_field))
+    return checks.finish()
 
 
 # --------------------------------------------------------------------------
@@ -553,22 +617,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CHECK_FAILED = 4
-
-
-def _write_outputs(out_dir, scenario, p_traj, moment_sets, c_traj, checks, payload):
-    os.makedirs(out_dir, exist_ok=True)
-    snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-    for i, field in enumerate(p_traj.fields):
-        save_field(field, os.path.join(snap_dir, f"p_{i:04d}.akf"))
-    if c_traj is not None:
-        for i, field in enumerate(c_traj.fields):
-            save_field(field, os.path.join(snap_dir, f"c_{i:04d}.akf"))
-    write_moment_table(p_traj, moment_sets, p_traj.aux["a_nodes"],
-                       os.path.join(out_dir, "moments.csv"))
-    write_report(checks, os.path.join(out_dir, "report.json"))
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(format_summary(scenario, payload))
 
 
 def format_summary(scenario: Scenario, payload: dict) -> str:
@@ -598,6 +646,13 @@ def format_summary(scenario: Scenario, payload: dict) -> str:
 def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
     """Run a scenario end to end: drive, check, optionally write outputs.
 
+    The drive is streamed: each saved field goes, as its window converges,
+    through the check folds, ``moments_of`` and (with ``out_dir``) the
+    snapshot writer, and is then dropped, so the run holds a window's
+    fields, never the trajectory.  ``moments.csv``, ``report.json`` and
+    ``summary.txt`` are written after the last field, so a run that raises
+    leaves none of them.
+
     Returns ``(exit_code, payload)`` with the process exit convention
     0 = converged and all checks passed, 3 = the fixed point did not converge
     (or its deltas failed to decrease monotonically), 4 = converged but at
@@ -613,11 +668,27 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
             "the box edge; the periodic wrap may pollute the run"
         )
 
-    p_traj, c_traj, diag = made.drive(tol=tol)
-    # one moment pass serves the checks and moments.csv
-    moment_sets = [moments_of(f) for f in p_traj.fields]
-    checks = build_checks(scenario, p0, p_traj, c_traj=c_traj, c0=made.c0,
-                          moments=moment_sets)
+    folds = _Checks(scenario, p0, made.c0)
+    snap_dir = None
+    if out_dir is not None:
+        snap_dir = os.path.join(out_dir, "snapshots")
+        os.makedirs(snap_dir, exist_ok=True)
+    stream = made.stream(tol=tol)
+    # one moment set per saved field serves the checks and moments.csv
+    times, moment_sets = [], []
+    for i, (t, p_field, c_field) in enumerate(stream):
+        ms = moments_of(p_field)
+        folds.add(t, p_field, c_field, ms)
+        if snap_dir is not None:
+            save_field(p_field, os.path.join(snap_dir, f"p_{i:04d}.akf"))
+            if c_field is not None:
+                save_field(c_field, os.path.join(snap_dir, f"c_{i:04d}.akf"))
+        times.append(t)
+        moment_sets.append(ms)
+        # the loop names would keep this field alive through the next window
+        del p_field, c_field
+    checks = folds.finish()
+    diag = stream.diag
     monotone = diag.deltas_strictly_decreasing()
     if diag.converged and monotone:
         code = EXIT_CHECK_FAILED if any(not c.passed for c in checks) else EXIT_OK
@@ -640,6 +711,11 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
         "exit_code": code,
     }
     if out_dir is not None:
-        _write_outputs(out_dir, scenario, p_traj, moment_sets, c_traj, checks,
-                       payload)
+        marginals = Trajectory(times, [ms.p_tilde for ms in moment_sets],
+                               node_times=stream.node_times)
+        write_moment_table(marginals, moment_sets, stream.a_nodes,
+                           os.path.join(out_dir, "moments.csv"))
+        write_report(checks, os.path.join(out_dir, "report.json"))
+        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+            fh.write(format_summary(scenario, payload))
     return code, payload

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ShapeError
-from .grid import GridSpec, PhaseField, SpatialField, integrate_phase
+from .grid import GridSpec, PhaseField, SpatialField
 
 MAGIC = b"AKF1"
 _HEADER = struct.Struct("<4sqqqqddd")
@@ -112,13 +112,15 @@ def field_to_csv(field, path) -> None:
 
 
 def write_moment_table(traj, moment_sets, a_nodes, path) -> None:
-    """Reduced-quantity table of a phase trajectory, one row per saved time.
+    """Reduced-quantity table of a run, one row per saved time.
 
     Columns: time, mass, sup of the velocity marginal, of the speed moment,
     of the second moment (from ``moment_sets``, the MomentSet of each saved
     field), and of the running time integral (``a_nodes`` is the node-level
     integral stack from the driver; rows pick the node matching each saved
-    time).
+    time).  ``traj`` gives the saved times and the node times; its fields
+    are not read, so a trajectory of the run's marginals serves as well as
+    the density's own.
     """
     if traj.node_times is None:
         raise ConfigurationError("trajectory carries no node times; run a driver first")
@@ -131,10 +133,10 @@ def write_moment_table(traj, moment_sets, a_nodes, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "mass", "sup_p_tilde", "sup_j", "sup_m", "sup_a"])
-        for t, f, ms in zip(traj.times, traj.fields, moment_sets):
+        for t, ms in zip(traj.times, moment_sets):
             node = int(round((t - t0) / dt))
             writer.writerow([
-                _fmt(t), _fmt(integrate_phase(f)),
+                _fmt(t), _fmt(ms.mass),
                 _fmt(float(ms.p_tilde.values.max())),
                 _fmt(float(ms.j.values.max())),
                 _fmt(float(ms.m.values.max())),

@@ -163,6 +163,7 @@ class CoefficientTrack:
                     f"sep_v has shape {sep_v.shape}, expected {grid.velocity_shape}"
                 )
         self._sep_v = sep_v
+        self._mid_buf = None  # phase-size: a separable midpoint and its exp
 
     # -- node access -------------------------------------------------------
 
@@ -176,24 +177,47 @@ class CoefficientTrack:
 
         Linear interpolation at the midpoint is the node average; constant
         tracks return the node array itself (no copy, so callers may key
-        caches on identity).
+        caches on identity).  A separable term is assembled in the track's
+        own phase-size buffer, which the next call overwrites.
         """
+        out = None
+        if self._sep_x is not None:
+            if self._mid_buf is None:
+                self._mid_buf = np.empty(self.grid.phase_shape)
+            out = self._mid_buf
         return self._assemble(self._mid(self._a, self._a_const, i),
-                              self._mid(self._sep_x, self._sep_x_const, i))
+                              self._mid(self._sep_x, self._sep_x_const, i), out)
+
+    def half_factor(self, i: int, dt: float):
+        """exp(-0.5 dt w) of step i's midpoint coefficient w, the splitting
+        factor E (None when the track has no coefficient).
+
+        A separable midpoint is scaled and exponentiated in place, in the
+        buffer :meth:`coefficient_mid` assembled it in, so a coupled step
+        allocates no phase-size array for it.
+        """
+        w = self.coefficient_mid(i)
+        if w is None:
+            return None
+        if w is not self._mid_buf:
+            return np.exp((-0.5 * dt) * w)
+        np.multiply(-0.5 * dt, w, out=w)
+        return np.exp(w, out=w)
 
     def _mid(self, samples, const, i):
         lo, hi = self._pick(samples, const, i), self._pick(samples, const, i + 1)
         return lo if hi is lo else 0.5 * (lo + hi)
 
-    def _assemble(self, a, s):
-        """a (phase or position array) plus s(x) sep_v(v); either may be None."""
+    def _assemble(self, a, s, out=None):
+        """a (phase or position array) plus s(x) sep_v(v); either may be None.
+        The separable term and the sum are written into ``out`` when given."""
         g = self.grid
         w = None
         if a is not None:
             w = a if a.ndim == g.dim_x + g.dim_v else _broadcast_x(a, g)
         if s is not None:
-            term = _broadcast_x(s, g) * _broadcast_v(self._sep_v, g)
-            w = term if w is None else w + term
+            term = np.multiply(_broadcast_x(s, g), _broadcast_v(self._sep_v, g), out=out)
+            w = term if w is None else np.add(w, term, out=out)
         return w
 
     def coefficient_node(self, i: int):
@@ -364,9 +388,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         _record(0, vals)
 
     for i in range(n_steps):
-        w = track.coefficient_mid(i)
-        half = None if w is None else np.exp((-0.5 * dt) * w)
-        vals = _strang_step(vals, half, plan, dt, "phase")
+        vals = _strang_step(vals, track.half_factor(i, dt), plan, dt, "phase")
         if clamp:
             # the step's result is the march's own array: floor it in place
             vals = apply_sign(vals, +1, f"marched density at step {i + 1}", out=vals)

@@ -197,6 +197,21 @@ def test_check_rejects_what_run_rejects(capsys, override):
     assert main(["run", "zero", "--override", override]) == 2
 
 
+@pytest.mark.parametrize("config, override, key", [
+    ("zero", "scenario.nmae=x", "nmae"),
+    ("zero", "checks.nmaes=energy", "nmaes"),
+    ("pure-gaussian", "initial_p.centre_x=1.0", "centre_x"),
+    ("zero", "initial_p.mass=2.0", "mass"),
+    ("coupled-ramp", "initial_c.k_infty=2.0", "k_infty"),
+], ids=["scenario", "checks", "initial_p", "zero-recipe", "initial_c"])
+def test_check_refuses_keys_nothing_reads(capsys, config, override, key):
+    # a misspelt key, or one the named recipe does not read, would silently
+    # leave its default in place
+    assert main(["check", config, "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+
+
 @pytest.mark.skipif(shutil.which("angiosolve") is None,
                     reason="console script not installed")
 def test_console_script_smoke():

@@ -3,10 +3,13 @@ corruption (the fault-injection side of the harness contract)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angiosolve import (
     CoefficientTrack,
     ConfigurationError,
+    GridSpec,
     HeatPlan,
     MomentSet,
     ParameterError,
@@ -19,10 +22,12 @@ from angiosolve import (
     check_gronwall,
     check_positivity,
     check_speed_bound,
+    lq_norm,
     moments_of,
     picard_coupled,
     solve_linear,
 )
+from angiosolve.harness import FieldStats
 from angiosolve.stepping import Trajectory
 
 from conftest import gaussian_phase
@@ -180,6 +185,27 @@ def test_norm_checks_locate_the_cell_at_the_worst_time_only(runs, monkeypatch, c
     k = list(traj.times).index(result.worst_time)
     vals = np.abs(traj.fields[k].values)
     assert result.worst_cell == np.unravel_index(vals.argmax(), vals.shape)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["mixed", "tie", "zero"]))
+def test_field_stats_read_the_abs_pass_off_two_extremes(seed, kind):
+    # the folds share one argmax and one argmin pass per saved density; the
+    # sup, the q = inf norm and the cell of largest magnitude read off them
+    # must be what the |values| pass gives, ties included
+    g = GridSpec(dim_x=1, dim_v=1, n_x=8, n_v=8, half_width_x=4.0, half_width_v=4.0)
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(-3, 4, g.phase_shape).astype(float)
+    if kind == "tie":  # +5 and -5 in two random cells, either one first
+        hi, lo = rng.choice(vals.size, 2, replace=False)
+        vals.flat[hi], vals.flat[lo] = 5.0, -5.0
+    elif kind == "zero":
+        vals[:] = 0.0
+    stats = FieldStats(PhaseField(g, vals))
+    mags = np.abs(vals)
+    assert stats.sup == float(mags.max()) == stats.norm(np.inf)
+    assert stats.largest_cell == np.unravel_index(mags.argmax(), mags.shape)
+    assert stats.norm(2) == lq_norm(PhaseField(g, vals), 2)
 
 
 # --------------------------------------------------------------------------

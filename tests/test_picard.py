@@ -421,11 +421,28 @@ _BENCH_COUNTER = """
 import sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import angiosolve
+from angiosolve import scenarios
 from angiosolve.scenarios import load_shipped_scenario, realise
+import tracing
 from tracing import Tracer, install
 
+# every call the benchmark wraps must still be there to wrap
+for mod, name, _ in tracing.FUNCTIONS:
+    getattr(getattr(angiosolve, mod), name)
+for mod, cls, name, _ in tracing.METHODS:
+    vars(getattr(getattr(angiosolve, mod), cls))[name]
+print("resolved", len(tracing.FUNCTIONS) + len(tracing.METHODS))
+
+# the benchmark's own call, untraced and then traced
+short = load_shipped_scenario("coupled-ramp",
+                              ("schedule.t_end=0.05", "schedule.save_stride=5"))
+plain, _ = scenarios.run_scenario(short, out_dir={plain!r})
 tracer = Tracer(record=True)
 install(tracer)
+traced, _ = scenarios.run_scenario(short, out_dir={traced!r})
+print("run", plain, traced, tracer.step_solves,
+      realise(short).drive()[2].phase_step_solves, len(tracer.spans) > 0)
+
 for name in ("pure-gaussian", "coupled-ramp"):
     made = realise(load_shipped_scenario(
         name, ("schedule.t_end=0.05", "schedule.save_stride=5")))
@@ -436,21 +453,30 @@ for name in ("pure-gaussian", "coupled-ramp"):
 """
 
 
-def test_benchmark_step_counter_is_the_drivers_phase_count():
-    # the benchmark counts a step-solve per step of every solve_linear call
-    # it wraps; that must be the drivers' own phase count, with the pure
-    # driver's x-lattice marches left out.  The tracer replaces package
-    # functions, so it runs in a process of its own
+def test_benchmark_step_counter_is_the_drivers_phase_count(tmp_path):
+    # the benchmark runs scenarios.run_scenario(..., out_dir) and counts a
+    # step-solve per step of every solve_linear call it wraps; that must be
+    # the drivers' own phase count, with the pure driver's x-lattice marches
+    # left out, and tracing must not change a byte of the report.  The
+    # tracer replaces package functions, so it runs in a process of its own
     root = Path(__file__).resolve().parent.parent
-    script = _BENCH_COUNTER.format(src=str(root / "src"), bench=str(root / "perfbench"))
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    script = _BENCH_COUNTER.format(src=str(root / "src"), bench=str(root / "perfbench"),
+                                   plain=str(plain), traced=str(traced))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [row[0] for row in rows] == ["pure-gaussian", "coupled-ramp"]
-    for name, traced, phase, _ in rows:
-        assert int(traced) == int(phase) > 0, name
-    assert int(rows[0][3]) > 0  # the pure run did march on the x-lattice
+    assert [row[0] for row in rows] == ["resolved", "run", "pure-gaussian",
+                                        "coupled-ramp"]
+    _, plain_code, traced_code, counted, phase, spans = rows[1]
+    assert plain_code == traced_code == "0"
+    assert int(counted) == int(phase) > 0 and spans == "True"
+    for name in ("report.json", "summary.txt"):
+        assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
+    for name, counted, phase, _ in rows[2:]:
+        assert int(counted) == int(phase) > 0, name
+    assert int(rows[2][3]) > 0  # the pure run did march on the x-lattice
 
 
 @pytest.mark.parametrize("coupled", [False, True], ids=["pure", "coupled"])

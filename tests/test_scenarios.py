@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from angiosolve import (ConfigurationError, PhaseField, ResolutionError, moments,
-                        scenarios, snapshots)
+from angiosolve import (ConfigurationError, PhaseField, ResolutionError, SignError,
+                        moments, scenarios, snapshots)
 from angiosolve.grid import GridSpec, integrate_phase
 from angiosolve.heat import HeatPlan
 from angiosolve.scenarios import (
@@ -310,6 +310,52 @@ def test_envelope_hypothesis_is_guarded():
                           "checks.names=gronwall"))
     with pytest.raises(ConfigurationError, match="mean square speed"):
         run_scenario(sc)
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_streamed_run_holds_a_fixed_number_of_fields(tmp_path, stride):
+    # each saved field goes through the folds, the moments and the writer
+    # and is dropped: the peak is the drive's window (its start, two saved
+    # fields, the march's work, spectrum and coefficient arrays), the
+    # energy plan, p0 and a fold's temporaries, whatever the stride.  At
+    # stride 1 a collected run would hold 51 fields
+    sc = load_shipped_scenario("coupled-ramp", overrides=(
+        "schedule.t_end=0.05", f"schedule.save_stride={stride}"))
+    field_bytes = 8 * sc.grid.n_x * sc.grid.n_v
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, _ = run_scenario(sc, out_dir=str(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 14 * field_bytes, peak / field_bytes
+
+
+def test_run_that_raises_mid_stream_writes_no_report(tmp_path, monkeypatch):
+    # the snapshots of the windows done so far are on disk, but the tables
+    # and the verdicts are written only once the stream has ended
+    clean, calls = HeatPlan.apply, []
+
+    def faulty(self, values, tau, kind):
+        out = clean(self, values, tau, kind)
+        if kind == "phase":
+            calls.append(tau)
+            if len(calls) == 12:
+                out = out.copy()
+                out[17, 40] = -1e-3 * float(out.max())
+        return out
+
+    monkeypatch.setattr(HeatPlan, "apply", faulty)
+    sc = load_shipped_scenario("coupled-ramp", overrides=(
+        "schedule.t_end=0.02", "schedule.save_stride=1"))
+    out = tmp_path / "run"
+    with pytest.raises(SignError, match="marched density"):
+        run_scenario(sc, out_dir=str(out))
+    assert len(os.listdir(out / "snapshots")) >= 2
+    for name in ("report.json", "summary.txt", "moments.csv"):
+        assert not (out / name).exists(), name
 
 
 @pytest.fixture(scope="module")
