@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigurationError, ParameterError
 from .grid import lq_norm
 from .heat import HeatPlan
+from .moments import running_trapezoid
 
 
 @dataclass
@@ -202,11 +202,13 @@ class ComparisonFold(_Fold):
                                  "data and weaker damping dominates cellwise")
         self.lows, self.scale, self.sup = [], 0.0, 0.0
 
-    def add(self, t, field, majorant, stats=None):
-        """``majorant`` is the majorant's raw array at time ``t``."""
+    def add(self, t, field, majorant, stats=None, scratch=False):
+        """``majorant`` is the majorant's raw array at time ``t``; with
+        ``scratch`` it was made for this call, and the gap is taken in it."""
         self.scale = max(self.scale, _sup(majorant))
         self.sup = max(self.sup, stats.sup if stats is not None else _sup(field.values))
-        low, cell = _extreme(majorant - field.values, "min")
+        gap = np.subtract(majorant, field.values, out=majorant if scratch else None)
+        low, cell = _extreme(gap, "min")
         self.times.append(t)
         self.lows.append(low)
         self.cells.append(cell)
@@ -252,8 +254,9 @@ class GronwallFold(_Fold):
 
 
 def _energy_residual(times, e, d, fw, sigma):
-    int_d = cumulative_trapezoid(d, x=times, initial=0.0)
-    int_f = cumulative_trapezoid(fw, x=times, initial=0.0)
+    gaps = np.diff(times)
+    int_d = running_trapezoid(d, gaps)
+    int_f = running_trapezoid(fw, gaps)
     return e[0] + 2.0 * int_f - e - 2.0 * sigma * int_d
 
 

@@ -13,9 +13,11 @@ Laplacian acts on ("xv" for the full phase Laplacian, "x" or "v" for the
 partial ones).  It lays out each field kind it serves once (shape,
 transformed axes, |k|^2 on the real-transform layout) and keeps one
 multiplier per kind: the last step size asked for, which is the one the
-steppers reuse.  It also keeps, per kind, the spectrum array its heat flow
-transforms into and a work array a stepper may march in, so a march
-allocates nothing per step; both go with the plan.  The same layout serves
+steppers reuse.  The |k|^2 tables are read-only and shared by every live
+plan of the same lattice and subspace.  A plan also keeps, per kind, the
+spectrum array its heat flow transforms into and a work array a stepper may
+march in, so a march allocates nothing per step; both go with the plan and
+belong to the one thread that marches in it.  The same layout serves
 the semigroup's generator and its Dirichlet form: :meth:`HeatPlan.laplacian`
 and :meth:`HeatPlan.gradient_energy`.  The plan's ``forward``/``inverse`` are the
 only FFT calls in the package and its layouts hold the only |k|^2; every
@@ -25,6 +27,8 @@ other module transforms through a plan.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,10 @@ from .grid import GridSpec
 _SUBSPACES = ("xv", "x", "v")
 # subspace -> the reduced field kind it serves besides "phase"
 _REDUCED_KINDS = {"x": ("spatial",), "v": ("velocity",)}
+# (grid, subspace, kind) -> read-only |k|^2 of every live plan with that
+# layout; the lock keeps two threads building plans from making two tables
+_K2_TABLES = weakref.WeakValueDictionary()
+_K2_LOCK = threading.Lock()
 
 
 def _k_squared(shape, axes, spacings) -> np.ndarray:
@@ -52,6 +60,19 @@ def _k_squared(shape, axes, spacings) -> np.ndarray:
         expand[ax] = k.size
         term = (k ** 2).reshape(expand)
         k2 = term if k2 is None else k2 + term
+    k2.setflags(write=False)
+    return k2
+
+
+def _shared_k_squared(grid, subspace, kind, shape, axes, spacings) -> np.ndarray:
+    """The one |k|^2 table of a (grid, subspace, kind) layout while any plan
+    holds it, so two plans of one lattice (a run's drive and its energy
+    check) keep a single table."""
+    key = (grid, subspace, kind)
+    with _K2_LOCK:
+        k2 = _K2_TABLES.get(key)
+        if k2 is None:
+            k2 = _K2_TABLES[key] = _k_squared(shape, axes, spacings)
     return k2
 
 
@@ -92,7 +113,8 @@ class HeatPlan:
             ends = (tuple(ax - len(shape) for ax in axes) if kind == "phase"
                     else tuple(range(-len(shape), 0)))
             self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends),
-                                   _k_squared(shape, ends, spacings))
+                                   _shared_k_squared(grid, subspace, kind, shape,
+                                                     ends, spacings))
         self._mult = {}   # kind -> (tau, multiplier) of the last request
         self._spec = {}   # kind -> spectrum array reused by apply
         self._work = {}   # kind -> work array apply transforms in place
@@ -179,11 +201,14 @@ class HeatPlan:
     def _spectrum(self, kind: str) -> np.ndarray:
         spec = self._spec.get(kind)
         if spec is None:
-            shape, axes, sizes, _ = self._layout(kind)
-            spec_shape = list(shape)
-            spec_shape[axes[-1]] = sizes[-1] // 2 + 1
-            spec = self._spec[kind] = np.empty(spec_shape, dtype=complex)
+            spec = self._spec[kind] = self._new_spectrum(kind)
         return spec
+
+    def _new_spectrum(self, kind: str) -> np.ndarray:
+        shape, axes, sizes, _ = self._layout(kind)
+        spec_shape = list(shape)
+        spec_shape[axes[-1]] = sizes[-1] // 2 + 1
+        return np.empty(spec_shape, dtype=complex)
 
     def flow(self, values: np.ndarray, kind: str):
         """The heat flow of one array as a function of time.
@@ -221,11 +246,19 @@ class HeatPlan:
     def gradient_energy(self, values: np.ndarray, kind: str) -> float:
         """Integral of |grad f|^2 over the field's lattice, the gradient taken
         in the plan's subspace (spectral; exact for lattice-representable data
-        by Parseval)."""
+        by Parseval).
+
+        The field is transformed into a spectrum of this call's own, not the
+        plan's, so a plan may serve it while another thread marches in the
+        plan's arrays; the spectrum is squared in place through a float view
+        and its two halves added, one half-size temporary in all.
+        """
         _, axes, sizes, k2 = self._layout(kind)
-        spec = self.forward(values, kind, out=self._spectrum(kind))
-        power = np.square(spec.real)
-        power += np.square(spec.imag)
+        spec = self.forward(values, kind, out=self._new_spectrum(kind))
+        parts = spec.view(float)
+        np.square(parts, out=parts)
+        power = parts[..., 0::2] + parts[..., 1::2]
+        del spec, parts
         power *= k2
         # each interior column of the halved axis stands for the pair +-k
         inner = [slice(None)] * power.ndim

@@ -151,11 +151,20 @@ def accumulate_time_integral(p_tilde_series, dt: float) -> np.ndarray:
     if series.ndim < 2:
         raise ShapeError("series must be (node, *spatial)")
     series = apply_sign(series, +1, "marginal series (leading index: node)")
-    # scipy's cumulative_trapezoid arithmetic, without its per-call overhead
-    # (the drivers integrate a window of a few nodes per iterate)
-    out = np.empty_like(series)
+    return running_trapezoid(series, dt)
+
+
+def running_trapezoid(y: np.ndarray, spacing) -> np.ndarray:
+    """Running trapezoid integral of ``y`` along its leading axis, from 0.
+
+    ``spacing`` is the node spacing, or the array of gaps between nodes.
+    The arithmetic is that of scipy's ``cumulative_trapezoid(...,
+    initial=0)`` bit for bit, without its per-call overhead (the drivers
+    integrate a window of a few nodes per iterate) or its import.
+    """
+    out = np.empty(y.shape)
     out[0] = 0.0
-    np.cumsum(dt * (series[1:] + series[:-1]) / 2.0, axis=0, out=out[1:])
+    np.cumsum(spacing * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
     return out
 
 

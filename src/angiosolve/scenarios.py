@@ -21,6 +21,9 @@ import configparser
 import io
 import math
 import os
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
 
@@ -461,7 +464,8 @@ def _majorant(run):
     product p0 = g (x) h (:func:`~angiosolve.grid.factor_xv`) it is the outer
     product of the position- and velocity-lattice flows of g and h, whose
     spectra are taken once; any other p0 takes phase-lattice flows of its
-    own spectrum.
+    own spectrum.  Each tau > 0 gets a new array, which the caller may
+    overwrite; tau = 0 may give p0's own values.
     """
     p0, sigma, rate = run.p0, run.scenario.params.sigma, run.rate
     factors = factor_xv(p0)
@@ -496,7 +500,8 @@ def _fold_comparison(run):
         nonlocal t0
         if t0 is None:
             t0 = float(s.t)
-        fold.add(s.t, s.p, majorant(float(s.t - t0)), s.stats)
+        tau = float(s.t - t0)
+        fold.add(s.t, s.p, majorant(tau), s.stats, scratch=tau > 0.0)
 
     return [fold], feed
 
@@ -643,15 +648,69 @@ def format_summary(scenario: Scenario, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _drive_ahead(stream: DriveStream):
+    """Iterate ``stream`` on a worker thread and yield its items here.
+
+    The worker hands each item over through a one-slot queue, so it marches
+    the next window while the caller reads the last one, and runs at most
+    one item ahead.  An exception of the drive is re-raised here, the same
+    object, after the items yielded before it.  When this generator is
+    closed early, or the caller raises into it, the worker is told to stop
+    at its next hand-off; on every exit the worker is joined, so
+    ``stream.diag`` and ``stream.a_nodes`` are settled once it returns.
+    """
+    # carries the stream's (t, p, c) items, then None at its end or the
+    # exception that ended it
+    handoff = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def drive():
+        items = iter(stream)
+        try:
+            for item in items:
+                handoff.put(item)
+                del item  # the caller decides how long a field lives
+                if stop.is_set():
+                    return
+            handoff.put(None)
+        except BaseException as exc:  # raised again by the caller, whatever it is,
+            handoff.put(exc)  # so it never waits on a dead worker
+        finally:
+            items.close()
+
+    worker = threading.Thread(target=drive, name="angiosolve-drive", daemon=True)
+    worker.start()
+    try:
+        while True:
+            item = handoff.get()
+            if item is None:
+                return
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            item = None  # not held while the next one is waited for
+    finally:
+        stop.set()
+        # a stopped worker puts at most once more, so one drain frees it
+        try:
+            while True:
+                handoff.get_nowait()
+        except queue.Empty:
+            pass
+        worker.join()
+
+
 def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
     """Run a scenario end to end: drive, check, optionally write outputs.
 
-    The drive is streamed: each saved field goes, as its window converges,
-    through the check folds, ``moments_of`` and (with ``out_dir``) the
-    snapshot writer, and is then dropped, so the run holds a window's
-    fields, never the trajectory.  ``moments.csv``, ``report.json`` and
-    ``summary.txt`` are written after the last field, so a run that raises
-    leaves none of them.
+    The drive is streamed and pipelined: it runs on a worker thread
+    (:func:`_drive_ahead`), and each saved field goes, as its window
+    converges, through the check folds, ``moments_of`` and (with
+    ``out_dir``) the snapshot writer on the calling thread, in stream
+    order, and is then dropped.  The drive marches at most one field ahead
+    of them, so the run holds about a window's fields, never the
+    trajectory.  ``moments.csv``, ``report.json`` and ``summary.txt`` are
+    written after the last field, so a run that raises leaves none of them.
 
     Returns ``(exit_code, payload)`` with the process exit convention
     0 = converged and all checks passed, 3 = the fixed point did not converge
@@ -676,17 +735,18 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
     stream = made.stream(tol=tol)
     # one moment set per saved field serves the checks and moments.csv
     times, moment_sets = [], []
-    for i, (t, p_field, c_field) in enumerate(stream):
-        ms = moments_of(p_field)
-        folds.add(t, p_field, c_field, ms)
-        if snap_dir is not None:
-            save_field(p_field, os.path.join(snap_dir, f"p_{i:04d}.akf"))
-            if c_field is not None:
-                save_field(c_field, os.path.join(snap_dir, f"c_{i:04d}.akf"))
-        times.append(t)
-        moment_sets.append(ms)
-        # the loop names would keep this field alive through the next window
-        del p_field, c_field
+    with closing(_drive_ahead(stream)) as fields:
+        for i, (t, p_field, c_field) in enumerate(fields):
+            ms = moments_of(p_field)
+            folds.add(t, p_field, c_field, ms)
+            if snap_dir is not None:
+                save_field(p_field, os.path.join(snap_dir, f"p_{i:04d}.akf"))
+                if c_field is not None:
+                    save_field(c_field, os.path.join(snap_dir, f"c_{i:04d}.akf"))
+            times.append(t)
+            moment_sets.append(ms)
+            # the loop names would keep this field alive through the next one
+            del p_field, c_field
     checks = folds.finish()
     diag = stream.diag
     monotone = diag.deltas_strictly_decreasing()

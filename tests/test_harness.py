@@ -27,7 +27,7 @@ from angiosolve import (
     picard_coupled,
     solve_linear,
 )
-from angiosolve.harness import FieldStats
+from angiosolve.harness import ComparisonFold, FieldStats, _energy_residual
 from angiosolve.stepping import Trajectory
 
 from conftest import gaussian_phase
@@ -134,6 +134,21 @@ def test_comparison_aligns_each_majorant_field_by_its_own_tag(runs):
                 fields[:-1]):                      # one field missing
         with pytest.raises(ConfigurationError):
             check_comparison(damped, iter(bad))
+
+
+def test_comparison_fold_writes_only_into_a_scratch_majorant(runs):
+    # a majorant made for the call may take the gap in place; one the
+    # caller keeps is left as it was, and both give the same bits
+    damped, free = runs["damped"], runs["free"]
+    kept, made = ComparisonFold(), ComparisonFold()
+    for t, field, g in zip(damped.times, damped.fields, free.fields):
+        before = g.values.copy()
+        kept.add(t, field, g.values)
+        scratch = g.values.copy()
+        made.add(t, field, scratch, scratch=True)
+        assert np.array_equal(g.values, before)
+        assert np.array_equal(scratch, before - field.values)
+    assert _same_check(kept.finish(), made.finish())
 
 
 # --------------------------------------------------------------------------
@@ -260,6 +275,20 @@ def test_energy_reads_one_shot_sources(runs):
     for bad in (sources[:-1], sources + [sources[-1]]):
         with pytest.raises(ConfigurationError):
             check_energy(damped, iter(bad), SIGMA)
+
+
+def test_energy_residual_is_scipys_trapezoid_bit_for_bit():
+    # the running integrals are numpy arithmetic, so a checked run needs no
+    # scipy; uneven saved times and a single time included
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 51):
+        times = np.cumsum(rng.random(n))
+        e, d, fw = rng.random(n), rng.random(n), rng.standard_normal(n)
+        ref = (e[0] + 2.0 * cumulative_trapezoid(fw, x=times, initial=0.0) - e
+               - 2.0 * 0.3 * cumulative_trapezoid(d, x=times, initial=0.0))
+        assert _energy_residual(times, e, d, fw, 0.3).tobytes() == ref.tobytes()
 
 
 def test_energy_short_run_uses_floor_tolerance(grid64):

@@ -231,6 +231,33 @@ def test_gradient_energy_phase_field_both_axes():
     assert energy == pytest.approx(expect, rel=1e-12)
 
 
+def test_plans_of_one_layout_share_one_k_squared_table():
+    g = small_grid(16, 2, 2)
+    a, b = HeatPlan(g, SIGMA, "xv"), HeatPlan(g, 2.0 * SIGMA, "xv")
+    assert a._layout("phase")[3] is b._layout("phase")[3]
+    assert not a._layout("phase")[3].flags.writeable
+    assert HeatPlan(g, SIGMA, "x")._layout("phase")[3] is not a._layout("phase")[3]
+
+
+def test_gradient_energy_holds_no_spectrum_and_keeps_its_bits():
+    # the transient spectrum squared through a float view gives the bits of
+    # |Re|^2 + |Im|^2 taken apart, and the plan keeps no spectrum for it
+    g = small_grid(16, 2, 2)
+    vals = np.random.default_rng(3).standard_normal(g.phase_shape)
+    plan = HeatPlan(g, SIGMA, "xv")
+    energy = plan.gradient_energy(vals, "phase")
+    assert plan._spec == {}
+    _, axes, sizes, k2 = plan._layout("phase")
+    spec = np.fft.rfftn(vals, axes=axes)
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    power *= k2
+    inner = [slice(None)] * power.ndim
+    inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)
+    total = float(power.sum()) + float(power[tuple(inner)].sum())
+    assert energy == total * g.cell_volume / math.prod(sizes)
+
+
 def _full_layout_reference(field):
     """Laplacian and gradient energy over all axes of the field on the full
     complex layout (fftn), with |k|^2 built here from the lattice spacings."""

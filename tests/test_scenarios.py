@@ -5,7 +5,11 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import pytest
 from angiosolve import (ConfigurationError, PhaseField, ResolutionError, SignError,
                         moments, scenarios, snapshots)
 from angiosolve.grid import GridSpec, integrate_phase
+from angiosolve.harness import write_report
 from angiosolve.heat import HeatPlan
 from angiosolve.scenarios import (
     boundary_mass_fraction,
@@ -316,9 +321,10 @@ def test_envelope_hypothesis_is_guarded():
 def test_streamed_run_holds_a_fixed_number_of_fields(tmp_path, stride):
     # each saved field goes through the folds, the moments and the writer
     # and is dropped: the peak is the drive's window (its start, two saved
-    # fields, the march's work, spectrum and coefficient arrays), the
-    # energy plan, p0 and a fold's temporaries, whatever the stride.  At
-    # stride 1 a collected run would hold 51 fields
+    # fields, the march's work, spectrum and coefficient arrays), the field
+    # being checked and the one queued behind it, p0 and a fold's
+    # temporaries, whatever the stride.  At stride 1 a collected run would
+    # hold 51 fields
     sc = load_shipped_scenario("coupled-ramp", overrides=(
         "schedule.t_end=0.05", f"schedule.save_stride={stride}"))
     field_bytes = 8 * sc.grid.n_x * sc.grid.n_v
@@ -358,6 +364,103 @@ def test_run_that_raises_mid_stream_writes_no_report(tmp_path, monkeypatch):
         assert not (out / name).exists(), name
 
 
+def test_run_whose_writer_raises_stops_the_drive(tmp_path, monkeypatch):
+    # an error of the caller's side surfaces as itself; the drive thread,
+    # which may be a window ahead, is stopped and joined, and no table or
+    # verdict is written
+    clean, calls, fault = snapshots.save_field, [], OSError("disk full")
+
+    def faulty(field, path):
+        calls.append(path)
+        if len(calls) == 3:
+            raise fault
+        clean(field, path)
+
+    monkeypatch.setattr(scenarios, "save_field", faulty)
+    sc = load_shipped_scenario("coupled-ramp", overrides=(
+        "schedule.t_end=0.02", "schedule.save_stride=1"))
+    out = tmp_path / "run"
+    threads = threading.active_count()
+    with pytest.raises(OSError) as raised:
+        run_scenario(sc, out_dir=str(out))
+    assert raised.value is fault
+    assert threading.active_count() == threads
+    assert sorted(os.listdir(out / "snapshots")) == ["c_0000.akf", "p_0000.akf"]
+    for name in ("report.json", "summary.txt", "moments.csv"):
+        assert not (out / name).exists(), name
+
+
+def test_drive_left_early_is_stopped_and_joined():
+    made = realise(load_shipped_scenario("coupled-ramp", overrides=(
+        "schedule.t_end=0.02", "schedule.save_stride=1")))
+    threads = threading.active_count()
+    stream = made.stream()
+    fields = scenarios._drive_ahead(stream)
+    assert next(fields)[0] == 0.0
+    assert threading.active_count() == threads + 1
+    fields.close()
+    assert threading.active_count() == threads
+    assert stream.diag is None  # the drive was left before its end
+
+
+def test_handoff_keeps_order_under_fast_thread_switches():
+    # more pipelines than CPUs, read in turn while the interpreter switches
+    # threads as often as it can: every item arrives once and in order, an
+    # exception arrives as itself after the items before it, and every
+    # worker is joined
+    fault = ValueError("planted")
+
+    def stream(n, raises):
+        for i in range(n):
+            yield (i, None, None)
+        if raises:
+            raise fault
+
+    n_pipes, n_items = 2 * (os.cpu_count() or 1) + 2, 200
+    interval = sys.getswitchinterval()
+    threads = threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        pipes = [scenarios._drive_ahead(stream(n_items, k % 2 == 1))
+                 for k in range(n_pipes)]
+        got = [[] for _ in pipes]
+        for _ in range(n_items):
+            for seen, pipe in zip(got, pipes):
+                seen.append(next(pipe)[0])
+        for k, pipe in enumerate(pipes):
+            if k % 2:
+                with pytest.raises(ValueError) as raised:
+                    next(pipe)
+                assert raised.value is fault
+            else:
+                assert next(pipe, "end") == "end"
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [list(range(n_items))] * n_pipes
+    assert threading.active_count() == threads
+
+
+def test_checked_run_never_imports_scipy():
+    # scipy serves the referees only; importing it would cost a checked run
+    # about half a second and 50 MB
+    script = (
+        "import sys\n"
+        "import angiosolve\n"
+        "sc = angiosolve.load_shipped_scenario('coupled-ramp', "
+        "overrides=('schedule.t_end=0.01',))\n"
+        "assert angiosolve.run_scenario(sc)[0] == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def short_coupled():
     """coupled-ramp cut to 20 steps, every node saved: (scenario, made, p, c)."""
@@ -367,6 +470,27 @@ def short_coupled():
     p_traj, c_traj, diag = made.drive()
     assert diag.converged
     return sc, made, p_traj, c_traj
+
+
+def test_pipelined_run_writes_what_a_collected_run_gives(short_coupled, tmp_path):
+    # the drive runs on its own thread, but the checks and the snapshots
+    # see the fields of a collected drive, in order, bit for bit
+    sc, made, p_traj, c_traj = short_coupled
+    code, _ = run_scenario(sc, out_dir=str(tmp_path / "run"))
+    assert code == 0
+    ref = tmp_path / "ref"
+    os.makedirs(ref)
+    write_report(build_checks(sc, made.p0, p_traj, c_traj=c_traj, c0=made.c0),
+                 str(ref / "report.json"))
+    assert (tmp_path / "run" / "report.json").read_bytes() \
+        == (ref / "report.json").read_bytes()
+    snaps = tmp_path / "run" / "snapshots"
+    assert len(os.listdir(snaps)) == 2 * len(p_traj) == 42
+    for i, (p_field, c_field) in enumerate(zip(p_traj.fields, c_traj.fields)):
+        for tag, field in (("p", p_field), ("c", c_field)):
+            snapshots.save_field(field, str(ref / f"{tag}.akf"))
+            assert (snaps / f"{tag}_{i:04d}.akf").read_bytes() \
+                == (ref / f"{tag}.akf").read_bytes(), (tag, i)
 
 
 def test_checks_take_each_snapshots_moments_once(short_coupled, monkeypatch):
