@@ -84,12 +84,17 @@ def test_run_parallel_jobs(capsys, tiny_cfg):
 
 
 def test_run_outputs_are_byte_identical_inline_and_in_a_pool(capsys, tmp_path):
-    # identical configs give identical files and stdout, whichever way run
-    argv = ["run", "zero", "coupled-ramp", "--override", "schedule.t_end=0.02",
-            "--override", "schedule.save_stride=5"]
+    # identical configs give identical files and stdout, whichever way run:
+    # coupled-ramp on the FFT path, zero and the 32^4 coupled-smoke-2d on
+    # per-axis matrix products (two scenarios a call, so --jobs 2 is a pool)
+    runs = {"ramp": ["run", "zero", "coupled-ramp", "--override", "schedule.t_end=0.02",
+                     "--override", "schedule.save_stride=5"],
+            "smoke": ["run", "coupled-smoke-2d", "zero", "--override",
+                      "schedule.t_end=0.004"]}
     outs = []
     for tag, jobs in (("A", []), ("B", ["--jobs", "2"])):
-        assert main(argv + jobs + ["--out", str(tmp_path / tag)]) == 0
+        for name, argv in runs.items():
+            assert main(argv + jobs + ["--out", str(tmp_path / tag / name)]) == 0
         outs.append(capsys.readouterr().out)
 
     def files(root):
@@ -97,7 +102,8 @@ def test_run_outputs_are_byte_identical_inline_and_in_a_pool(capsys, tmp_path):
                 for p in root.rglob("*") if p.is_file()}
 
     a = files(tmp_path / "A")
-    assert "coupled-ramp/report.json" in a and "zero/moments.csv" in a
+    assert "ramp/coupled-ramp/report.json" in a and "ramp/zero/moments.csv" in a
+    assert "smoke/coupled-smoke-2d/report.json" in a
     assert a == files(tmp_path / "B")
     assert outs[0] == outs[1]
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -14,6 +15,29 @@ from angiosolve.grid import factor_xv
 from conftest import gaussian_phase, small_grid
 
 SIGMA = 0.05
+
+
+def _spectral_flow(plan, vals, tau, kind):
+    """forward, multiplier, inverse: the flow every plan's FFT path takes."""
+    return plan.inverse(plan.forward(vals, kind) * plan.multiplier(tau, kind), kind)
+
+
+def _assert_flow_matches(plan, got, ref):
+    """Bit for bit on a plan that keeps the FFT; within 1e-14 of the sup of
+    the spectral flow on a short-axis plan, whose flow is per-axis matrices."""
+    if plan._steps is None:
+        np.testing.assert_array_equal(got, ref)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=0.0,
+                                   atol=1e-14 * float(np.abs(ref).max()))
+
+
+def _long_grid(dims, subspace):
+    """A lattice on which a ``subspace`` plan has a 128-point axis and so
+    keeps the FFT (the other block stays at 8 points)."""
+    long_x = subspace != "v"
+    return GridSpec(dim_x=dims[0], dim_v=dims[1], n_x=128 if long_x else 8,
+                    n_v=8 if long_x else 128, half_width_x=8.0, half_width_v=8.0)
 
 
 def periodized_gaussian(coords, centre, variance, L, images=3):
@@ -120,20 +144,28 @@ def test_product_flows_from_its_factors(dims, seed, tau):
                                              ("x", "spatial"), ("v", "velocity")])
 def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
     # a stack transforms in one call with the same bits as one field at a
-    # time, and reusing one spectrum for many times matches apply per time
-    plan = HeatPlan(grid64, SIGMA, subspace)
-    shape = grid64.shape_of(kind)
-    stack = np.random.default_rng(7).random((3,) + shape)
-    flowed = plan.inverse(plan.forward(stack, kind) * plan.multiplier(0.3, kind), kind)
-    for k in range(3):
-        np.testing.assert_array_equal(flowed[k], plan.apply(stack[k], 0.3, kind))
-    field = stack[0]
-    each = list(plan.apply_each(field, [0.0, 0.1, 0.3], kind))
-    assert each[0] is field and plan.apply(field, 0.0, kind) is field
-    np.testing.assert_array_equal(each[1], plan.apply(field, 0.1, kind))
-    np.testing.assert_array_equal(each[2], flowed[0])
-    with pytest.raises(ShapeError):
-        plan.forward(np.zeros((3, 5)), kind)
+    # time, and apply_each matches apply per time bit for bit; apply has the
+    # spectral bits on the 256-point plan and is within 1e-14 of them on
+    # the 64-point (short-axis) plan
+    for g in (grid64, small_grid(256)):
+        plan = HeatPlan(g, SIGMA, subspace)
+        assert (plan._steps is None) == (g is not grid64)
+        shape = g.shape_of(kind)
+        stack = np.random.default_rng(7).random((3,) + shape)
+        flowed = _spectral_flow(plan, stack, 0.3, kind)
+        for k in range(3):
+            _assert_flow_matches(plan, plan.apply(stack[k], 0.3, kind), flowed[k])
+        _assert_flow_matches(plan, plan.apply(stack, 0.3, kind), flowed)
+        field = stack[0]
+        each = list(plan.apply_each(field, [0.0, 0.1, 0.3], kind))
+        assert each[0] is field and plan.apply(field, 0.0, kind) is field
+        np.testing.assert_array_equal(each[1], plan.apply(field, 0.1, kind))
+        np.testing.assert_array_equal(each[2], plan.apply(field, 0.3, kind))
+        _assert_flow_matches(plan, each[2], flowed[0])
+        with pytest.raises(ShapeError):
+            plan.forward(np.zeros((3, 5)), kind)
+        with pytest.raises(ShapeError):
+            plan.apply(np.zeros((3, 5)), 0.3, kind)
 
 
 @pytest.mark.parametrize("dims, subspace, kind", [
@@ -142,21 +174,131 @@ def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
     ((1, 2), "v", "velocity")])
 def test_apply_flows_the_work_array_in_place(dims, subspace, kind):
     # the plan's work array is flowed in place, any other array is left
-    # alone; both with the bits of forward, multiplier, inverse
-    g = small_grid(8, *dims)
-    plan = HeatPlan(g, SIGMA, subspace)
-    vals = np.random.default_rng(3).random(g.shape_of(kind))
-    keep = vals.copy()
-    ref = plan.inverse(plan.forward(vals, kind) * plan.multiplier(0.2, kind), kind)
-    out = plan.apply(vals, 0.2, kind)
-    np.testing.assert_array_equal(out, ref)
-    np.testing.assert_array_equal(vals, keep)
-    work = plan.work(kind)
-    assert plan.work(kind) is work and work.shape == vals.shape
-    work[...] = vals
-    assert plan.apply(work, 0.2, kind) is work
-    np.testing.assert_array_equal(work, ref)
-    assert out is not work
+    # alone; both with one plan's bits, which are those of forward,
+    # multiplier, inverse on a plan with a 128-point axis and within 1e-14
+    # of them on an 8-point (short-axis) plan
+    for g in (small_grid(8, *dims), _long_grid(dims, subspace)):
+        plan = HeatPlan(g, SIGMA, subspace)
+        assert (plan._steps is None) == (max(g.n_x, g.n_v) > 8)
+        vals = np.random.default_rng(3).random(g.shape_of(kind))
+        keep = vals.copy()
+        out = plan.apply(vals, 0.2, kind)
+        _assert_flow_matches(plan, out, _spectral_flow(plan, vals, 0.2, kind))
+        np.testing.assert_array_equal(vals, keep)
+        work = plan.work(kind)
+        assert plan.work(kind) is work and work.shape == vals.shape
+        work[...] = vals
+        assert plan.apply(work, 0.2, kind) is work
+        np.testing.assert_array_equal(work, out)
+        assert out is not work
+
+
+# lattices on which every plan has only short axes and so flows through
+# per-axis circulant matrices
+_SHORT_LATTICES = [(1, 1, 8), (1, 1, 16), (1, 1, 32), (1, 1, 64), (1, 2, 16),
+                   (1, 2, 32), (2, 2, 16), (2, 2, 32)]
+_PLAN_KINDS = [("xv", "phase"), ("x", "phase"), ("v", "phase"), ("x", "spatial"),
+               ("v", "velocity")]
+
+
+@settings(max_examples=20, deadline=None)
+@given(lattice=st.sampled_from(_SHORT_LATTICES),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       sigma=st.floats(min_value=1e-3, max_value=1.0),
+       tau=st.floats(min_value=1e-4, max_value=5.0))
+def test_short_axis_flow_is_the_spectral_flow(lattice, seed, sigma, tau):
+    # per-axis matrices against forward, multiplier, inverse, for every
+    # subspace and field kind
+    dim_x, dim_v, n = lattice
+    g = small_grid(n, dim_x, dim_v)
+    rng = np.random.default_rng(seed)
+    for subspace, kind in _PLAN_KINDS:
+        plan = HeatPlan(g, sigma, subspace)
+        assert plan._steps is not None
+        vals = rng.random(g.shape_of(kind))
+        ref = _spectral_flow(plan, vals, tau, kind)
+        np.testing.assert_allclose(plan.apply(vals, tau, kind), ref, rtol=0.0,
+                                   atol=1e-14 * float(np.abs(ref).max()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.sampled_from([8, 16, 32, 64]),
+       half_width=st.floats(min_value=1.0, max_value=16.0),
+       sigma=st.floats(min_value=1e-3, max_value=1.0),
+       tau=st.floats(min_value=1e-4, max_value=5.0))
+def test_axis_matrices_are_symmetric_with_unit_column_sums(n, half_width, sigma, tau):
+    # the flow keeps the mean: each column of each axis matrix sums to 1
+    g = GridSpec(dim_x=1, dim_v=1, n_x=n, n_v=n, half_width_x=half_width,
+                 half_width_v=2.0 * half_width)
+    mats = HeatPlan(g, sigma, "xv")._heat_matrices(tau)
+    assert len(mats) == 2
+    for mat in mats:
+        assert mat.shape == (n, n) and not mat.flags.writeable
+        np.testing.assert_array_equal(mat, mat.T)
+        sums = np.array([math.fsum(col) for col in mat.T])
+        assert float(np.abs(sums - 1.0).max()) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("dim_x, dim_v, n, L", [(1, 1, 64, 8.0), (2, 2, 32, 4.0)])
+def test_short_axis_flow_meets_criterion_01_bounds(dim_x, dim_v, n, L):
+    # criterion 01's three bounds, which it checks at 256^2 on the FFT path,
+    # on lattices whose flow is per-axis matrices
+    g = small_grid(n, dim_x, dim_v, L)
+    plan = HeatPlan(g, 0.05, "xv")
+    assert plan._steps is not None
+
+    def bump(var):
+        factors = ([periodized_gaussian(g.x_coords(), -1.0, var, L)] * dim_x
+                   + [periodized_gaussian(g.v_coords(), 1.3, var, L)] * dim_v)
+        return functools.reduce(np.multiply.outer, factors)
+
+    p0 = bump(0.5)
+    evolved = plan.apply(p0, 0.37, "phase")
+    mass_drift = abs(float(evolved.sum()) - float(p0.sum())) / float(p0.sum())
+    two_step = plan.apply(plan.apply(p0, 0.23, "phase"), 0.14, "phase")
+    law_gap = float(np.abs(two_step - evolved).max()) / float(evolved.max())
+    analytic = bump(0.5 + 2 * 0.05 * 0.37)
+    point_gap = float(np.abs(evolved - analytic).max()) / float(analytic.max())
+    assert mass_drift <= 1e-12 and law_gap <= 1e-10 and point_gap <= 1e-8
+
+
+@settings(max_examples=12, deadline=None)
+@given(lattice=st.sampled_from([(1, 1, 32), (1, 2, 16), (2, 2, 16), (1, 1, 256)]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       taus=st.lists(st.floats(min_value=1e-4, max_value=5.0), min_size=1, max_size=3))
+def test_apply_flow_and_apply_each_agree_bit_for_bit(lattice, seed, taus):
+    # within one plan, matrices or FFT: apply out of place and in the work
+    # array, flow(tau) and apply_each give one set of bits
+    dim_x, dim_v, n = lattice
+    g = small_grid(n, dim_x, dim_v)
+    rng = np.random.default_rng(seed)
+    for subspace, kind in _PLAN_KINDS:
+        plan = HeatPlan(g, SIGMA, subspace)
+        vals = rng.random(g.shape_of(kind))
+        at = plan.flow(vals, kind)
+        for tau, each in zip(taus, plan.apply_each(vals, taus, kind)):
+            out = plan.apply(vals, tau, kind)
+            np.testing.assert_array_equal(at(tau), out)
+            np.testing.assert_array_equal(each, out)
+            work = plan.work(kind)
+            work[...] = vals
+            np.testing.assert_array_equal(plan.apply(work, tau, kind), out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       sigma=st.floats(min_value=1e-3, max_value=1.0),
+       tau=st.floats(min_value=1e-4, max_value=5.0))
+def test_long_axis_apply_keeps_the_spectral_bits(seed, sigma, tau):
+    # a 256-point plan keeps the FFT: apply is forward, multiplier, inverse
+    g = small_grid(256)
+    rng = np.random.default_rng(seed)
+    for subspace, kind in _PLAN_KINDS:
+        plan = HeatPlan(g, sigma, subspace)
+        assert plan._steps is None
+        vals = rng.random(g.shape_of(kind))
+        np.testing.assert_array_equal(plan.apply(vals, tau, kind),
+                                      _spectral_flow(plan, vals, tau, kind))
 
 
 def test_plan_keeps_one_multiplier_per_kind(grid64):
@@ -240,22 +382,29 @@ def test_plans_of_one_layout_share_one_k_squared_table():
 
 
 def test_gradient_energy_holds_no_spectrum_and_keeps_its_bits():
-    # the transient spectrum squared through a float view gives the bits of
-    # |Re|^2 + |Im|^2 taken apart, and the plan keeps no spectrum for it
-    g = small_grid(16, 2, 2)
-    vals = np.random.default_rng(3).standard_normal(g.phase_shape)
-    plan = HeatPlan(g, SIGMA, "xv")
-    energy = plan.gradient_energy(vals, "phase")
-    assert plan._spec == {}
-    _, axes, sizes, k2 = plan._layout("phase")
-    spec = np.fft.rfftn(vals, axes=axes)
-    power = np.square(spec.real)
-    power += np.square(spec.imag)
-    power *= k2
-    inner = [slice(None)] * power.ndim
-    inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)
-    total = float(power.sum()) + float(power[tuple(inner)].sum())
-    assert energy == total * g.cell_volume / math.prod(sizes)
+    # the plan keeps no array for the energy (another thread may march in
+    # the plan's); on a plan with a 128-point axis the transient spectrum
+    # squared through a float view gives the bits of |Re|^2 + |Im|^2 taken
+    # apart, and on the 16-point (short-axis) plan the per-axis circulants
+    # of k^2 are within 1e-14 of that Parseval sum
+    for g in (small_grid(16, 2, 2), _long_grid((2, 2), "xv")):
+        vals = np.random.default_rng(3).standard_normal(g.phase_shape)
+        plan = HeatPlan(g, SIGMA, "xv")
+        energy = plan.gradient_energy(vals, "phase")
+        assert plan._spare == {} and plan._work == {}
+        _, axes, sizes, k2 = plan._layout("phase")
+        spec = np.fft.rfftn(vals, axes=axes)
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        power *= k2
+        inner = [slice(None)] * power.ndim
+        inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)
+        total = float(power.sum()) + float(power[tuple(inner)].sum())
+        parseval = total * g.cell_volume / math.prod(sizes)
+        if plan._steps is None:
+            assert energy == parseval
+        else:
+            assert energy == pytest.approx(parseval, rel=1e-14, abs=0.0)
 
 
 def _full_layout_reference(field):

@@ -177,9 +177,13 @@ def test_volterra_constant_coefficient_closed_form():
 
 
 def test_volterra_without_coefficient_is_heat_kernel():
+    # the oracle flows spectrally; the 32-point plan's apply flows through
+    # per-axis matrices, within 1e-14 of the sup of the spectral flow
     g = _tiny_grid()
     res = volterra_fundamental(None, 0.2, g, 0.3)
-    np.testing.assert_array_equal(res.field.values, _heat_kernel(g, 0.2, 0.3))
+    kernel = _heat_kernel(g, 0.2, 0.3)
+    np.testing.assert_allclose(res.field.values, kernel, rtol=0.0,
+                               atol=1e-14 * float(kernel.max()))
     assert res.sweeps == 0 and res.history == ()
 
 
