@@ -360,7 +360,7 @@ class HeatPlan:
 
     def apply_each(self, values: np.ndarray, taus, kind: str):
         """Yield the heat flow of one array for each time in ``taus``, as
-        :meth:`flow` gives it (one transform, one inverse per time)."""
+        :meth:`flow` gives it."""
         at = self.flow(values, kind)
         for tau in taus:
             yield at(tau)

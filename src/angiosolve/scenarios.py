@@ -462,10 +462,10 @@ def _majorant(run):
 
     The phase heat flow is the product of the x and the v flows, so for a
     product p0 = g (x) h (:func:`~angiosolve.grid.factor_xv`) it is the outer
-    product of the position- and velocity-lattice flows of g and h, whose
-    spectra are taken once; any other p0 takes phase-lattice flows of its
-    own spectrum.  Each tau > 0 gets a new array, which the caller may
-    overwrite; tau = 0 may give p0's own values.
+    product of the position- and velocity-lattice flows of g and h; any
+    other p0 takes phase-lattice flows (:meth:`HeatPlan.flow`).  Each
+    tau > 0 gets a new array, which the caller may overwrite; tau = 0 may
+    give p0's own values.
     """
     p0, sigma, rate = run.p0, run.scenario.params.sigma, run.rate
     factors = factor_xv(p0)

@@ -308,9 +308,9 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
 
     When p0 >= 0 the exact flow keeps the sign whatever the coefficient's
     sign, since the factors E are positive.  The marched values are then
-    floored at zero
-    after every step (anything negative is FFT noise and would otherwise
-    compound over long runs), and saved fields carry ``nonnegative=True``.
+    floored at zero after every step (anything negative is the flow's
+    round-off and would otherwise compound over long runs), and saved
+    fields carry ``nonnegative=True``.
     The floor follows :func:`~angiosolve.grid.apply_sign`: a negative entry
     beyond the clamping tolerance raises :class:`SignError` naming the step
     and cell.
