@@ -12,10 +12,9 @@ n x n circulant matrix per axis, ifft(exp(-sigma k^2 tau)) laid out by
 (i - j) mod n, applied along that axis.  On short axes a BLAS matrix product
 beats numpy's per-line FFT loop (on one x86-64 core a 32^4 flow takes about
 6.5 ms against 20 ms), so a plan whose transformed axes all have at most
-``_CIRCULANT_MAX_N`` points applies its flow, its Laplacian and its
-gradient energy that way.  Such a plan keeps the mean only to round-off; a
-plan with a longer axis transforms and multiplies the mean (k = 0) mode by
-exactly 1.0.
+``_CIRCULANT_MAX_N`` points applies its flow and its gradient energy that
+way.  Such a plan keeps the mean only to round-off; a plan with a longer
+axis transforms and multiplies the mean (k = 0) mode by exactly 1.0.
 
 A :class:`HeatPlan` fixes the lattice, the diffusivity and the subspace the
 Laplacian acts on ("xv" for the full phase Laplacian, "x" or "v" for the
@@ -24,16 +23,19 @@ transformed axes, |k|^2 on the real-transform layout) and keeps one
 multiplier per kind: the last step size asked for, which is the one the
 steppers reuse.  The |k|^2 tables are read-only and shared by every live
 plan of the same lattice and subspace.  A plan also keeps, per kind, the
-second array its heat flow runs in (the spectrum, or a field-size array on
-a short-axis plan) and a work array a stepper may march in, so a march allocates nothing per step; both go with the plan and
-belong to the one thread that marches in it.  The same layout serves
-the semigroup's generator and its Dirichlet form: :meth:`HeatPlan.laplacian`
-and :meth:`HeatPlan.gradient_energy`.  Every module transforms through a
-plan: on a long-axis plan ``forward``/``inverse`` are the only FFT calls and
-the layouts hold the only |k|^2, and a short-axis plan adds the one-axis
-ifft and k^2 that build its matrices.  ``forward``, ``inverse`` and
-``multiplier`` stay spectral on every plan, so the slow reference solvers
-built on them do not share the short-axis plans' matrices.
+second array its heat flow runs in (the spectrum, or on a short-axis plan
+a 256 KiB block buffer, since its matrix products run in place) and a work
+array a stepper may march in, so a march allocates nothing per step; both
+go with the plan and belong to the one thread that marches in it.  The
+same layout serves the semigroup's generator and its Dirichlet form:
+:meth:`HeatPlan.laplacian` and :meth:`HeatPlan.gradient_energy`.  Every
+module transforms through a plan: on a long-axis plan ``forward`` and
+``inverse`` are the only FFT calls and the layouts hold the only |k|^2,
+and a short-axis plan adds the one-axis ifft and k^2 that build its
+matrices.  ``forward``, ``inverse``,
+``multiplier`` and ``laplacian`` stay spectral on every plan, so the slow
+reference solvers built on them do not share the short-axis plans'
+matrices.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ _K2_LOCK = threading.Lock()
 # flow as one circulant matrix per axis; at 128 points the matrix product
 # and the FFT take about the same time, at 256 the FFT takes half
 _CIRCULANT_MAX_N = 64
+# a short-axis product runs in place, one block of at most this many
+# elements at a time (256 KiB, within L2), written back from a buffer
+_BLOCK = 1 << 15
+
+
+def _block_for(size: int) -> np.ndarray:
+    """A block buffer for :func:`_along` over fields of ``size`` elements:
+    ``_BLOCK`` floats, or one field's worth when that is less."""
+    return np.empty(min(_BLOCK, size))
 
 
 def _k_squared(shape, axes, spacings) -> np.ndarray:
@@ -99,21 +110,36 @@ def _circulant(symbol: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _along(src: np.ndarray, dst: np.ndarray, mat: np.ndarray, axis: int) -> None:
-    """dst = ``mat`` applied along ``axis`` of ``src`` (one BLAS product).
+def _along(values: np.ndarray, mat: np.ndarray, axis: int, block: np.ndarray):
+    """Yield ``(part, product)`` over blocks that cover ``values``: ``part``
+    a view of it and ``product`` ``mat`` applied along ``axis`` to that
+    part, one BLAS product computed in ``block`` (from :func:`_block_for`)
+    and overwritten by the next one.
 
-    ``dst`` is a C-contiguous array of ``src``'s shape, not ``src`` itself.
+    ``values`` is C-contiguous, so writing each product back into its part
+    applies ``mat`` in place.
     """
-    axis %= src.ndim
-    shape = src.shape
-    before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-    n = shape[axis]
+    axis %= values.ndim
+    shape = values.shape
+    before, n, after = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
     if after == 1:
         # the matrix is symmetric, so rows times it is it times columns
-        np.matmul(src.reshape(before, n), mat, out=dst.reshape(before, n))
+        rows = values.reshape(before, n)
+        step = block.size // n
+        for i in range(0, before, step):
+            part = rows[i:i + step]
+            yield part, np.matmul(part, mat, out=block[:part.size].reshape(part.shape))
+        return
+    cols = values.reshape(before, n, after)
+    if n * after <= block.size:
+        step = block.size // (n * after)
+        parts = (cols[i:i + step] for i in range(0, before, step))
     else:
-        np.matmul(mat, src.reshape(before, n, after),
-                  out=dst.reshape(before, n, after))
+        step = block.size // n
+        parts = (cols[b, :, i:i + step]
+                 for b in range(before) for i in range(0, after, step))
+    for part in parts:
+        yield part, np.matmul(mat, part, out=block[:part.size].reshape(part.shape))
 
 
 def _shared_k_squared(grid, subspace, kind, shape, axes, spacings) -> np.ndarray:
@@ -132,8 +158,8 @@ class HeatPlan:
     """Heat semigroup and its FFT for one (grid, diffusivity, subspace) triple.
 
     When every transformed axis has at most ``_CIRCULANT_MAX_N`` points, the
-    flow, the Laplacian and the gradient energy go through one circulant
-    matrix per axis (a short-axis plan); otherwise through the FFT.
+    flow and the gradient energy go through one circulant matrix per axis (a
+    short-axis plan); otherwise through the FFT.
 
     Parameters
     ----------
@@ -180,7 +206,7 @@ class HeatPlan:
         self._heat_mats = None   # (tau, per-axis heat matrices) of the last request
         self._k2_mats = None     # per-axis matrices of k^2, built on first use
         self._spare = {}  # kind -> second array apply runs in: the spectrum,
-                          # or a field-size array on a short-axis plan
+                          # or the block buffer on a short-axis plan
         self._work = {}   # kind -> work array apply flows in place
 
     def _layout(self, kind: str):
@@ -264,21 +290,16 @@ class HeatPlan:
             self._k2_mats = self._axis_matrices(lambda k2: k2)
         return self._k2_mats
 
-    def _circulant_flow(self, values, tau, kind, out, spare) -> np.ndarray:
-        """The heat flow of ``values`` on a short-axis plan, written to
-        ``out``: one matrix product per axis, alternating between ``out`` and
-        ``spare`` so that the last one lands in ``out`` (``values`` may be
-        ``out``; a final copy is made only when the count forces it)."""
+    def _circulant_flow(self, values, tau, kind, out, block) -> np.ndarray:
+        """The heat flow of ``values`` on a short-axis plan, in ``out`` (a
+        new C-contiguous array, or ``values`` itself): one matrix product
+        per axis, applied in place through ``block``."""
         axes = self._fit(values, kind)[1]
-        first, second = (out, spare) if len(axes) % 2 else (spare, out)
-        if first is values:
-            first, second = second, first
-        src = values
+        if out is not values:
+            np.copyto(out, values)
         for ax, mat in zip(axes, self._heat_matrices(tau)):
-            _along(src, first, mat, ax)
-            src, first, second = first, second, first
-        if src is not out:
-            np.copyto(out, src)
+            for part, product in _along(out, mat, ax, block):
+                part[...] = product
         return out
 
     def work(self, kind: str) -> np.ndarray:
@@ -298,15 +319,15 @@ class HeatPlan:
         """Heat flow on a raw array (hot path; no field wrapping).
 
         The result overwrites ``values`` when that is the plan's :meth:`work`
-        array and is a new array otherwise; one field runs in the plan's
-        second array besides.  On a short-axis plan that is one circulant
-        matrix product per axis, with the bits :meth:`flow` gives, within
-        1e-14 of the sup of the spectral flow; on any other plan one field
-        is transformed into the plan's spectrum array, with the bits of
-        :meth:`forward`, the multiplier and :meth:`inverse`.  There is no
-        ``out=`` keyword: the stepper calls ``apply(values, tau, kind)``,
-        the form that the benchmark's tracing wrapper and the stepper fault
-        test replace.
+        array and is a new array otherwise.  On a short-axis plan that is one
+        circulant matrix product per axis, in place in the result a block at
+        a time through the plan's block buffer, with the bits :meth:`flow`
+        gives, within 1e-14 of the sup of the spectral flow; on any other
+        plan one field is transformed into the plan's spectrum array, with
+        the bits of :meth:`forward`, the multiplier and :meth:`inverse`.
+        There is no ``out=`` keyword: the stepper calls
+        ``apply(values, tau, kind)``, the form that the benchmark's tracing
+        wrapper and the stepper fault test replace.
         """
         if tau == 0.0:
             return values
@@ -315,7 +336,7 @@ class HeatPlan:
         if self._steps is not None:
             return self._circulant_flow(
                 values, tau, kind, np.empty(values.shape) if out is None else out,
-                self._second(kind) if single else np.empty(values.shape))
+                self._second(kind))
         spec = self.forward(values, kind, out=self._second(kind) if single else None)
         spec *= self.multiplier(tau, kind)
         return self.inverse(spec, kind, out=out)
@@ -323,9 +344,9 @@ class HeatPlan:
     def _second(self, kind: str) -> np.ndarray:
         spare = self._spare.get(kind)
         if spare is None:
-            spare = self._spare[kind] = (np.empty(self._layout(kind)[0])
-                                         if self._steps is not None
-                                         else self._new_spectrum(kind))
+            spare = self._spare[kind] = (
+                _block_for(math.prod(self._layout(kind)[0])) if self._steps is not None
+                else self._new_spectrum(kind))
         return spare
 
     def _new_spectrum(self, kind: str) -> np.ndarray:
@@ -339,9 +360,10 @@ class HeatPlan:
 
         ``flow(tau)`` gives the flow at ``tau`` with the bits :meth:`apply`
         gives, in a new array; ``flow(0)`` is ``values`` itself.  On a
-        short-axis plan each call runs the per-axis matrices in arrays of
-        its own; on any other the array is transformed on the first
-        ``tau > 0`` asked for, its spectrum kept, and inverted once per call.
+        short-axis plan each call runs the per-axis matrices in its result
+        through a block buffer of its own; on any other the array is
+        transformed on the first ``tau > 0`` asked for, its spectrum kept,
+        and inverted once per call.
         """
         spec = None
 
@@ -351,7 +373,7 @@ class HeatPlan:
                 return values
             if self._steps is not None:
                 return self._circulant_flow(values, tau, kind, np.empty(values.shape),
-                                            np.empty(values.shape))
+                                            _block_for(values.size))
             if spec is None:
                 spec = self.forward(values, kind)
             return self.inverse(spec * self.multiplier(tau, kind), kind)
@@ -366,15 +388,7 @@ class HeatPlan:
             yield at(tau)
 
     def laplacian(self, values: np.ndarray, kind: str) -> np.ndarray:
-        """Spectral Laplacian over the plan's subspace (not a time stepper);
-        on a short-axis plan the sum over axes of minus the k^2 circulant."""
-        if self._steps is not None:
-            axes = self._fit(values, kind)[1]
-            lap, term = np.zeros(values.shape), np.empty(values.shape)
-            for ax, mat in zip(axes, self._k2_matrices()):
-                _along(values, term, mat, ax)
-                lap -= term
-            return lap
+        """Spectral Laplacian over the plan's subspace (not a time stepper)."""
         spec = self.forward(values, kind)
         spec *= -self._layout(kind)[3]
         return self.inverse(spec, kind)
@@ -385,23 +399,24 @@ class HeatPlan:
         by Parseval).
 
         On a short-axis plan it is the sum over axes a of (f, L_a f) times
-        the cell volume, L_a the circulant of k_a^2, taken through one
-        field-size array of this call's own.  On any other plan the field is
-        transformed into a spectrum of this call's own, squared in place
-        through a float view and its two halves added, one half-size
+        the cell volume, L_a the circulant of k_a^2, summed a block at a time
+        through a block buffer of this call's own.  On any other plan the
+        field is transformed into a spectrum of this call's own, squared in
+        place through a float view and its two halves added, one half-size
         temporary in all.  Either way no array that a march uses is
         touched, so a plan may serve it while another thread marches in the
         plan's arrays.
         """
         if self._steps is not None:
             axes = self._fit(values, kind)[1]
-            term = np.empty(values.shape)
+            block = _block_for(values.size)
             total = 0.0
             for ax, mat in zip(axes, self._k2_matrices()):
-                _along(values, term, mat, ax)
-                # einsum, not vdot: BLAS's threaded dot would make the bits
-                # depend on the BLAS thread count
-                total += float(np.einsum("i,i->", values.ravel(), term.ravel()))
+                for part, product in _along(values, mat, ax, block):
+                    # numpy's own sum, not vdot: BLAS's threaded dot would
+                    # make the bits depend on the BLAS thread count
+                    product *= part
+                    total += float(product.sum())
             return total * self.grid.cell_volume_of(kind)
         _, axes, sizes, k2 = self._layout(kind)
         spec = self.forward(values, kind, out=self._new_spectrum(kind))

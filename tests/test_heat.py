@@ -11,6 +11,7 @@ from angiosolve import (GridSpec, HeatPlan, ParameterError, PhaseField,
                         ResolutionError, ShapeError, SpatialField, gaussian_rho,
                         heat_step, integrate_phase, lq_norm)
 from angiosolve.grid import factor_xv
+from angiosolve.heat import _BLOCK
 
 from conftest import gaussian_phase, small_grid
 
@@ -191,6 +192,24 @@ def test_apply_flows_the_work_array_in_place(dims, subspace, kind):
         assert plan.apply(work, 0.2, kind) is work
         np.testing.assert_array_equal(work, out)
         assert out is not work
+
+
+def test_short_axis_march_flows_in_place_through_one_block():
+    # on 32^4 the plan keeps a block buffer, not a second field, and a flow
+    # of its work array allocates no field-size array
+    g = small_grid(32, 2, 2)
+    plan = HeatPlan(g, SIGMA, "xv")
+    work = plan.work("phase")
+    work[...] = np.random.default_rng(5).random(g.phase_shape)
+    plan.apply(work, 0.1, "phase")  # builds the matrices and the block
+    tracemalloc.start()
+    try:
+        assert plan.apply(work, 0.1, "phase") is work
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan._spare["phase"].size == _BLOCK < work.size
+    assert peak < work.nbytes // 8
 
 
 # lattices on which every plan has only short axes and so flows through
