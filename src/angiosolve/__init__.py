@@ -11,9 +11,9 @@ from .harness import (BoundCheck, check_c_bounds, check_comparison,
                       check_energy, check_gronwall, check_positivity,
                       check_speed_bound, write_report)
 from .heat import HeatPlan, VelocityProfile, gaussian_rho, heat_step
-from .moments import (MomentSet, accumulate_time_integral, marginal_residual,
-                      moments_of, second_moment, second_moment_residual,
-                      speed_moment, vector_speed_moment, velocity_marginal)
+from .moments import (MomentSet, accumulate_time_integral, moments_of,
+                      second_moment, speed_moment, vector_speed_moment,
+                      velocity_marginal)
 from .oracles import (VolterraResult, duhamel_reference, fd_reference,
                       uniqueness_probe, volterra_fundamental)
 from .picard import (IterationDiagnostics, ModelParams, alpha_of_c,
@@ -38,10 +38,9 @@ __all__ = [
     "check_positivity", "check_speed_bound", "duhamel_reference",
     "fd_reference", "field_to_csv", "gaussian_rho", "heat_step",
     "integrate_phase", "load_field", "load_scenario", "load_shipped_scenario",
-    "lq_norm", "marginal_residual", "moments_of", "picard_coupled",
-    "picard_pure", "realise", "run_scenario", "save_field", "second_moment",
-    "second_moment_residual", "shipped_scenarios", "slab_partition",
-    "solve_linear", "speed_grid", "speed_moment",
+    "lq_norm", "moments_of", "picard_coupled", "picard_pure", "realise",
+    "run_scenario", "save_field", "second_moment", "shipped_scenarios",
+    "slab_partition", "solve_linear", "speed_grid", "speed_moment",
     "speed_squared_grid", "uniqueness_probe", "vector_speed_moment",
     "velocity_marginal", "volterra_fundamental", "write_moment_table",
     "write_report",

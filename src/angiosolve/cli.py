@@ -101,7 +101,7 @@ def _cmd_describe(args) -> int:
         f"half_width_x={g.half_width_x:g} half_width_v={g.half_width_v:g}",
         f"params: sigma={p.sigma:g} d={p.d:g} gamma={p.gamma:g} eta={p.eta:g} "
         f"alpha1={p.alpha1:g} c_R={p.c_R:g} epsilon={p.epsilon:g} "
-        f"v0={list(p.v0)} use_vector_j={p.use_vector_j}",
+        f"v0={list(p.v0)}",
         f"schedule: t_end={s.t_end:g} dt={s.dt:g} save_stride={s.save_stride} "
         f"({s.n_steps} steps)",
         f"picard: k_max={scenario.picard['k_max']} tol={scenario.picard['tol']:g} "

@@ -27,15 +27,13 @@ second array its heat flow runs in (the spectrum, or on a short-axis plan
 a 256 KiB block buffer, since its matrix products run in place) and a work
 array a stepper may march in, so a march allocates nothing per step; both
 go with the plan and belong to the one thread that marches in it.  The
-same layout serves the semigroup's generator and its Dirichlet form:
-:meth:`HeatPlan.laplacian` and :meth:`HeatPlan.gradient_energy`.  Every
-module transforms through a plan: on a long-axis plan ``forward`` and
-``inverse`` are the only FFT calls and the layouts hold the only |k|^2,
-and a short-axis plan adds the one-axis ifft and k^2 that build its
-matrices.  ``forward``, ``inverse``,
-``multiplier`` and ``laplacian`` stay spectral on every plan, so the slow
-reference solvers built on them do not share the short-axis plans'
-matrices.
+same layout serves the semigroup's Dirichlet form,
+:meth:`HeatPlan.gradient_energy`.  Every module transforms through a plan:
+on a long-axis plan ``forward`` and ``inverse`` are the only FFT calls and
+the layouts hold the only |k|^2, and a short-axis plan adds the one-axis
+ifft and k^2 that build its matrices.  ``forward``, ``inverse`` and
+``multiplier`` stay spectral on every plan, so the slow reference solvers
+built on them do not share the short-axis plans' matrices.
 """
 
 from __future__ import annotations
@@ -386,12 +384,6 @@ class HeatPlan:
         at = self.flow(values, kind)
         for tau in taus:
             yield at(tau)
-
-    def laplacian(self, values: np.ndarray, kind: str) -> np.ndarray:
-        """Spectral Laplacian over the plan's subspace (not a time stepper)."""
-        spec = self.forward(values, kind)
-        spec *= -self._layout(kind)[3]
-        return self.inverse(spec, kind)
 
     def gradient_energy(self, values: np.ndarray, kind: str) -> float:
         """Integral of |grad f|^2 over the field's lattice, the gradient taken

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .grid import (PhaseField, SpatialField, apply_sign, integrate_phase,
                    speed_grid, speed_squared_grid)
-from .heat import HeatPlan
 
 
 def _reduce_raw(vals: np.ndarray, g, weight=None) -> np.ndarray:
@@ -47,32 +46,6 @@ def speed_moment(p: PhaseField) -> SpatialField:
                         time_tag=p.time_tag, role="j")
 
 
-def _first_moment_weights(g) -> list:
-    """One weight lattice per velocity axis: that axis's cell-centre velocity."""
-    v = g.v_coords()
-    weights = []
-    for ax in range(g.dim_v):
-        expand = [1] * g.dim_v
-        expand[ax] = v.size
-        weights.append(np.ascontiguousarray(
-            np.broadcast_to(v.reshape(expand), g.velocity_shape)))
-    return weights
-
-
-def _vector_j(vals: np.ndarray, g, weights) -> tuple:
-    """(unscaled per-axis sums of v_k p, magnitude of the first moment).
-
-    The magnitude carries the cell volume; the components do not.  The
-    fixed-point drivers record the magnitude at every node through this.
-    """
-    v_axes = tuple(range(g.dim_v))
-    comps = [np.tensordot(vals, w, axes=(g.v_axes, v_axes)) for w in weights]
-    sq = None
-    for comp in comps:
-        sq = comp ** 2 if sq is None else sq + comp ** 2
-    return comps, np.sqrt(sq) * g.v_cell_volume
-
-
 def vector_speed_moment(p: PhaseField):
     """First moment vector (integral of v p) and its magnitude.
 
@@ -82,7 +55,16 @@ def vector_speed_moment(p: PhaseField):
     exceeds the scalar speed moment (triangle inequality).
     """
     g = p.grid
-    comps, mag = _vector_j(p.values, g, _first_moment_weights(g))
+    v = g.v_coords()
+    v_axes = tuple(range(g.dim_v))
+    comps = []
+    for ax in range(g.dim_v):
+        expand = [1] * g.dim_v
+        expand[ax] = v.size
+        weight = np.broadcast_to(v.reshape(expand), g.velocity_shape)
+        comps.append(np.tensordot(p.values, np.ascontiguousarray(weight),
+                                  axes=(g.v_axes, v_axes)))
+    mag = np.sqrt(sum(comp ** 2 for comp in comps)) * g.v_cell_volume
     return ([SpatialField(g, comp * g.v_cell_volume, time_tag=p.time_tag)
              for comp in comps],
             SpatialField(g, mag, time_tag=p.time_tag, role="j"))
@@ -133,21 +115,15 @@ def moments_of(p: PhaseField) -> MomentSet:
 def accumulate_time_integral(p_tilde_series, dt: float) -> np.ndarray:
     """Running trapezoid integral a(t_i, x) = integral_0^{t_i} p~(s, x) ds.
 
-    ``p_tilde_series`` is a stacked array (node, *spatial) or a sequence of
-    SpatialFields at consecutive nodes spaced ``dt`` apart.  Entries must be
-    nonnegative up to the clamping tolerance (the integrand is a marginal of
-    a density), which makes every output column nondecreasing in time.
-    Returns the stacked integral with the same leading axis.
+    ``p_tilde_series`` is a stacked array (node, *spatial) of marginals at
+    consecutive nodes spaced ``dt`` apart.  Entries must be nonnegative up
+    to the clamping tolerance (the integrand is a marginal of a density),
+    which makes every output column nondecreasing in time.  Returns the
+    stacked integral with the same leading axis.
     """
     if not dt > 0.0:
         raise ParameterError(f"dt must be positive, got {dt!r}")
-    if isinstance(p_tilde_series, np.ndarray):
-        series = np.asarray(p_tilde_series, dtype=float)
-    else:
-        fields = list(p_tilde_series)
-        if not fields:
-            raise ConfigurationError("empty marginal series")
-        series = np.stack([f.values for f in fields])
+    series = np.asarray(p_tilde_series, dtype=float)
     if series.ndim < 2:
         raise ShapeError("series must be (node, *spatial)")
     series = apply_sign(series, +1, "marginal series (leading index: node)")
@@ -166,65 +142,3 @@ def running_trapezoid(y: np.ndarray, spacing) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(spacing * (y[1:] + y[:-1]) / 2.0, axis=0, out=out[1:])
     return out
-
-
-def _uniform_spacing(times: np.ndarray) -> float:
-    gaps = np.diff(times)
-    if gaps.size == 0:
-        raise ConfigurationError("need at least two saved times for a residual")
-    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ConfigurationError(
-            "residual diagnostics need uniformly spaced saved times"
-        )
-    return float(gaps[0])
-
-
-def _residual(traj, track, sigma, weight, creation_rate):
-    """Shared core of the two reduced-equation residuals.
-
-    Checks d/dt M_w - sigma Lap_x M_w - creation_rate * p~ + (w a p)~ = 0
-    with centred time differences at interior saved snapshots, where
-    M_w = integral of w(v) p dv.  Returns the worst sup-norm residual over
-    interior times, normalised by the largest sup of M_w.
-    """
-    g = traj.grid
-    times = traj.times
-    delta = _uniform_spacing(times)
-    dt = track.schedule.dt
-    plan = HeatPlan(g, sigma, "x")
-    reduced = [_v_reduce(f, weight) for f in traj.fields]
-    marginals = [_v_reduce(f) for f in traj.fields]
-    scale = max(float(np.abs(r).max()) for r in reduced) or 1.0
-    worst = 0.0
-    for k in range(1, len(traj) - 1):
-        node = int(round((times[k] - times[0]) / dt))
-        dmdt = (reduced[k + 1] - reduced[k - 1]) / (2.0 * delta)
-        res = dmdt - sigma * plan.laplacian(reduced[k], "spatial")
-        if creation_rate:
-            res -= creation_rate * marginals[k]
-        w_arr = track.coefficient_node(node)
-        if w_arr is not None:
-            res += _reduce_raw(traj.fields[k].values * w_arr, g, weight)
-        worst = max(worst, float(np.abs(res).max()) / scale)
-    return worst
-
-
-def marginal_residual(traj, track, sigma) -> float:
-    """Residual of the marginal equation d/dt p~ = sigma Lap_x p~ - (a p)~.
-
-    The heat flow commutes exactly with taking the marginal (the zero
-    velocity mode is untouched by the velocity Laplacian), so on smooth runs
-    this is O(save_spacing^2) + O(dt^2).
-    """
-    return _residual(traj, track, sigma, None, 0.0)
-
-
-def second_moment_residual(traj, track, sigma) -> float:
-    """Residual of d/dt m = sigma Lap_x m + 2 sigma dim_v p~ - (|v|^2 a p)~.
-
-    The creation term 2*sigma*dim_v*p~ is the exact rate at which velocity
-    diffusion feeds the second moment (Lap_v |v|^2 = 2 dim_v).
-    """
-    g = traj.grid
-    return _residual(traj, track, sigma, speed_squared_grid(g),
-                     2.0 * sigma * g.dim_v)

@@ -73,10 +73,8 @@ class ModelParams:
     and ``epsilon`` (velocity profile width) must be positive; ``alpha1``
     (production ceiling) may be zero, which switches the coupling off.
     ``v0`` is the centre of the velocity profile (scalar or one value per
-    velocity axis).  ``use_vector_j=True`` drives the consumption with the
-    magnitude of the vector first moment instead of the scalar speed moment;
-    the fixed point is then no longer known to be unique, so the default
-    stays scalar.
+    velocity axis).  The consumption is driven by the scalar speed moment
+    j = integral of |v| p over v, the model whose fixed point is unique.
     """
 
     sigma: float
@@ -87,7 +85,6 @@ class ModelParams:
     c_R: float
     epsilon: float
     v0: tuple = (0.0,)
-    use_vector_j: bool = False
 
     def __post_init__(self):
         positive = {"sigma": self.sigma, "d": self.d, "gamma": self.gamma,
@@ -133,17 +130,15 @@ class IterationDiagnostics:
     phase_step_solves: int = 0
     x_step_solves: int = 0
 
-    def deltas_strictly_decreasing(self, burn_in: int = 1) -> bool:
-        """True when every window's driving deltas fall strictly after burn-in.
+    def deltas_strictly_decreasing(self) -> bool:
+        """True when every window's driving deltas fall strictly.
 
-        ``burn_in = 1`` skips no comparisons beyond the first delta (the
-        sequence starts at iterate 2, so the first comparison is iterate 3
-        against iterate 2).  A window that converged immediately (one delta)
-        passes vacuously.
+        The sequence starts at iterate 2, so the first comparison is iterate
+        3 against iterate 2.  A window that converged immediately (one
+        delta) passes vacuously.
         """
         for window in self.driving_deltas:
-            tail = window[burn_in - 1:]
-            for prev, curr in zip(tail, tail[1:]):
+            for prev, curr in zip(window, window[1:]):
                 if not curr < prev:
                     return False
         return True
@@ -381,7 +376,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         rho = velocity_profile(grid, params)
         rho_v = rho.values
         alpha_rate = params.alpha1 * rho.sup_norm
-        record = "vector_j" if params.use_vector_j else "j"
+        record = "j"
         plan_x = HeatPlan(grid, params.d, "x")
         chat_start = np.zeros(grid.spatial_shape)
         cinf_start = c0.values

@@ -199,8 +199,7 @@ def boundary_mass_fraction(p0: PhaseField, cells: int = 3) -> float:
 
 
 _GRID_KEYS = {"dim_x", "dim_v", "n_x", "n_v", "half_width_x", "half_width_v"}
-_PARAM_KEYS = {"sigma", "d", "gamma", "eta", "alpha1", "c_R", "epsilon",
-               "v0", "use_vector_j"}
+_PARAM_KEYS = {"sigma", "d", "gamma", "eta", "alpha1", "c_R", "epsilon", "v0"}
 _SCHEDULE_KEYS = {"t_end", "dt", "save_stride"}
 _PICARD_KEYS = {"k_max", "tol", "init"}
 _SCENARIO_KEYS = {"name", "driver"}
@@ -310,7 +309,6 @@ def load_scenario(source, overrides=()) -> Scenario:
             alpha1=float(p.get("alpha1", 0.0)), c_R=float(p.get("c_R", 1.0)),
             epsilon=float(p.get("epsilon", 0.25)),
             v0=_floats_list(p.get("v0", "0")),
-            use_vector_j=parser.getboolean("params", "use_vector_j", fallback=False),
         )
 
         s = _section(parser, "schedule")

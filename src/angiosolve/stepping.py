@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import GridSpec, PhaseField, SpatialField, apply_sign, speed_grid
 from .heat import HeatPlan
-from .moments import _first_moment_weights, _reduce_raw, _vector_j
+from .moments import _reduce_raw
 
 
 @dataclass(frozen=True)
@@ -247,10 +247,9 @@ class Trajectory:
     ``fields[k]`` is the saved field at ``times[k]``.  ``node_times`` lists
     every schedule node when the producing solver recorded node series;
     ``p_tilde_nodes`` then holds the velocity marginal at every node, and
-    ``j_nodes`` the speed moment (scalar, or the magnitude of the vector
-    moment); both are stacked arrays with the node as leading axis, None
-    when not recorded.  ``aux`` carries solver-specific extras (the pure
-    and coupled drivers' running integral ``a_nodes``).
+    ``j_nodes`` the speed moment; both are stacked arrays with the node as
+    leading axis, None when not recorded.  ``aux`` carries solver-specific
+    extras (the pure and coupled drivers' running integral ``a_nodes``).
     """
 
     def __init__(self, times, fields, node_times=None, p_tilde_nodes=None,
@@ -325,11 +324,10 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         is passed and equal.
     sigma : float
         Phase-space diffusivity.
-    record : {None, "j", "vector_j"}
+    record : {None, "j"}
         What to record at every node besides the saved fields (the coupled
-        fixed-point driver reads these): nothing, the velocity marginal and
-        the speed moment (weight |v| of the cell centres), or the marginal
-        and the magnitude of the vector first moment.
+        fixed-point driver reads these): nothing, or the velocity marginal
+        and the speed moment (weight |v| of the cell centres).
     saved_nodes : sequence of int, optional
         Override of the schedule's saved nodes (must contain the final node;
         without node 0 the trajectory holds no field for ``p0``); the
@@ -364,19 +362,16 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
                 "saved_nodes must contain the final node and stay in range"
             )
 
-    if record not in (None, "j", "vector_j"):
-        raise ParameterError(f"record must be None, 'j' or 'vector_j', got {record!r}")
+    if record not in (None, "j"):
+        raise ParameterError(f"record must be None or 'j', got {record!r}")
     if record is not None:
         p_tilde_rec = np.empty((n_steps + 1,) + grid.spatial_shape)
         j_rec = np.empty_like(p_tilde_rec)
-        weights = _first_moment_weights(grid) if record == "vector_j" else speed_grid(grid)
+        speed = speed_grid(grid)
 
     def _record(i, vals):
         p_tilde_rec[i] = _reduce_raw(vals, grid)
-        if record == "j":
-            j_rec[i] = _reduce_raw(vals, grid, weights)
-        else:
-            j_rec[i] = _vector_j(vals, grid, weights)[1]
+        j_rec[i] = _reduce_raw(vals, grid, speed)
 
     vals = p0.values
     t0 = p0.time_tag

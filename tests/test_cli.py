@@ -209,7 +209,8 @@ def test_check_rejects_what_run_rejects(capsys, override):
     ("pure-gaussian", "initial_p.centre_x=1.0", "centre_x"),
     ("zero", "initial_p.mass=2.0", "mass"),
     ("coupled-ramp", "initial_c.k_infty=2.0", "k_infty"),
-], ids=["scenario", "checks", "initial_p", "zero-recipe", "initial_c"])
+    ("coupled-ramp", "params.use_vector_j=yes", "use_vector_j"),
+], ids=["scenario", "checks", "initial_p", "zero-recipe", "initial_c", "params"])
 def test_check_refuses_keys_nothing_reads(capsys, config, override, key):
     # a misspelt key, or one the named recipe does not read, would silently
     # leave its default in place

@@ -8,23 +8,16 @@ from hypothesis import strategies as st
 from math import erf, exp, pi, sqrt
 
 from angiosolve import (
-    CoefficientTrack,
-    ConfigurationError,
     GridSpec,
     HeatPlan,
     ParameterError,
     PhaseField,
-    Schedule,
     ShapeError,
     SignError,
-    SpatialField,
     accumulate_time_integral,
     heat_step,
-    marginal_residual,
     moments_of,
     second_moment,
-    second_moment_residual,
-    solve_linear,
     speed_moment,
     vector_speed_moment,
     velocity_marginal,
@@ -149,10 +142,6 @@ def test_accumulate_time_integral_trapezoid_exact():
     np.testing.assert_allclose(out, 0.5 * (nodes[:, None] * dt) ** 2 * base[None, :],
                                rtol=1e-14)
 
-    # the SpatialField-sequence form must agree with the stacked-array form
-    fields = [SpatialField(g, ramp[k], time_tag=k * dt) for k in range(7)]
-    np.testing.assert_array_equal(accumulate_time_integral(fields, dt), out)
-
     # the arithmetic of scipy's cumulative trapezoid, bit for bit, down to
     # the few nodes of one iteration window
     rng = np.random.default_rng(5)
@@ -168,8 +157,6 @@ def test_accumulate_time_integral_validation():
         accumulate_time_integral(np.ones((3, 4)), 0.0)
     with pytest.raises(ParameterError):
         accumulate_time_integral(np.ones((3, 4)), -0.1)
-    with pytest.raises(ConfigurationError):
-        accumulate_time_integral([], 0.1)
     with pytest.raises(ShapeError):
         accumulate_time_integral(np.ones(5), 0.1)
 
@@ -185,41 +172,3 @@ def test_accumulate_time_integral_validation():
     out = accumulate_time_integral(noisy, 0.1)
     assert out.min() >= 0.0
     assert (np.diff(out, axis=0) >= 0.0).all()
-
-
-def test_reduced_equation_residuals_second_order(grid64):
-    """The reduced fields obey their own diffusion equations to O(dt^2).
-
-    Halving dt (with the save stride fixed, so the differencing spacing
-    halves too) should cut both residuals by about 4x.
-    """
-    p0 = gaussian_phase(grid64)
-    a = np.exp(-grid64.x_coords()[:, None] ** 2 / 8.0) * np.ones(grid64.n_v)[None, :]
-    out = {}
-    for dt in (0.02, 0.01):
-        sched = Schedule(t_end=0.4, dt=dt, save_stride=5)
-        track = CoefficientTrack(sched, grid64, a=PhaseField(grid64, a))
-        traj = solve_linear(p0, track, SIGMA)
-        out[dt] = (marginal_residual(traj, track, SIGMA),
-                   second_moment_residual(traj, track, SIGMA))
-    assert out[0.01][0] < 1e-3
-    assert out[0.01][1] < 1e-3
-    assert 3.0 < out[0.02][0] / out[0.01][0] < 4.6
-    assert 3.0 < out[0.02][1] / out[0.01][1] < 4.6
-
-
-def test_residuals_vanish_on_zero_data(grid64):
-    sched = Schedule(t_end=0.1, dt=0.01, save_stride=5)
-    track = CoefficientTrack(sched, grid64)
-    traj = solve_linear(PhaseField(grid64, np.zeros(grid64.phase_shape)), track, SIGMA)
-    assert marginal_residual(traj, track, SIGMA) == 0.0
-    assert second_moment_residual(traj, track, SIGMA) == 0.0
-
-
-def test_residuals_need_uniform_save_times(grid64):
-    p0 = gaussian_phase(grid64)
-    sched = Schedule(t_end=0.1, dt=0.01, save_stride=5)
-    track = CoefficientTrack(sched, grid64)
-    traj = solve_linear(p0, track, SIGMA, saved_nodes=[0, 3, 10])
-    with pytest.raises(ConfigurationError):
-        marginal_residual(traj, track, SIGMA)

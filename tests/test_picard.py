@@ -606,22 +606,6 @@ def test_coupled_stitching_reports_the_fields_own_time_tags(coupled_fix):
     assert np.all(np.abs(p_traj.times - nearest) <= np.spacing(nearest))
 
 
-def test_picard_coupled_vector_moment_mode(grid64):
-    # switching the consumption to the vector first moment changes c
-    # (the magnitude is strictly below the speed moment for spread data)
-    p0 = _flat_in_x(grid64)
-    c0 = _c_bump(grid64)
-    sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    _, c_scalar, _ = picard_coupled(p0, c0, _params(), sched, tol=1e-9)
-    _, c_vector, dV = picard_coupled(p0, c0, _params(use_vector_j=True), sched, tol=1e-9)
-    assert dV.converged
-    gap = max(float(np.abs(a.values - b.values).max())
-              for a, b in zip(c_vector.fields, c_scalar.fields))
-    assert gap > 1e-4
-    # weaker consumption (|vector| <= scalar j) leaves more attractant
-    assert float((c_vector.fields[-1].values - c_scalar.fields[-1].values).min()) >= 0.0
-
-
 def test_picard_coupled_validation(grid64):
     p0 = _flat_in_x(grid64)
     c0 = _c_bump(grid64)

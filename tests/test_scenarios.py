@@ -178,10 +178,8 @@ def test_load_minimal_fills_defaults():
 
 
 def test_load_parses_lists_and_flags():
-    sc = _load(overrides=("params.v0=0.8, -0.3", "params.use_vector_j=yes",
-                          "checks.names=positivity energy"))
+    sc = _load(overrides=("params.v0=0.8, -0.3", "checks.names=positivity energy"))
     assert sc.params.v0 == (0.8, -0.3)
-    assert sc.params.use_vector_j is True
     assert sc.checks == ("positivity", "energy")
 
 
