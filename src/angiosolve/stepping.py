@@ -301,6 +301,22 @@ def _strang_step(vals, half_factor, plan, dt, kind):
     return u
 
 
+def _march_phase(vals, track, plan, clamp):
+    """Yield the phase march's values after each step of the track's schedule.
+
+    Each step is one :func:`_strang_step` in ``plan``'s phase work array,
+    floored there when ``clamp``; a yielded array is overwritten by the
+    next step.
+    """
+    dt = track.schedule.dt
+    for i in range(track.schedule.n_steps):
+        vals = _strang_step(vals, track.half_factor(i, dt), plan, dt, "phase")
+        if clamp:
+            # the step's result is the march's own array: floor it in place
+            vals = apply_sign(vals, +1, f"marched density at step {i + 1}", out=vals)
+        yield vals
+
+
 def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
                  saved_nodes=None) -> Trajectory:
     """March the splitting scheme across a whole schedule.
@@ -382,15 +398,11 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     if record is not None:
         _record(0, vals)
 
-    for i in range(n_steps):
-        vals = _strang_step(vals, track.half_factor(i, dt), plan, dt, "phase")
-        if clamp:
-            # the step's result is the march's own array: floor it in place
-            vals = apply_sign(vals, +1, f"marched density at step {i + 1}", out=vals)
+    for i, vals in enumerate(_march_phase(vals, track, plan, clamp), start=1):
         if record is not None:
-            _record(i + 1, vals)
-        if (i + 1) in saved:
-            t = t0 + (i + 1) * dt
+            _record(i, vals)
+        if i in saved:
+            t = t0 + i * dt
             fields.append(PhaseField(grid, vals, time_tag=t, nonnegative=clamp))
             times.append(t)
 

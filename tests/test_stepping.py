@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angiosolve import (CoefficientTrack, ConfigurationError, HeatPlan,
-                        ParameterError, PhaseField, Schedule, ShapeError,
-                        SignError, SpatialField, heat_step, integrate_phase,
-                        solve_linear)
+from angiosolve import (CoefficientTrack, ConfigurationError, GridSpec,
+                        HeatPlan, ParameterError, PhaseField, Schedule,
+                        ShapeError, SignError, SpatialField, heat_step,
+                        integrate_phase, solve_linear, stepping)
 from angiosolve.picard import _advance_c_nodes, _c_inf_nodes, _march_marginal
 
 from conftest import gaussian_phase, small_grid
@@ -166,6 +166,43 @@ def test_solve_linear_records_moment_nodes(grid64):
     for bad in ("speed", "p_tilde", "vector_j"):
         with pytest.raises(ParameterError):
             solve_linear(p0, track, SIGMA, record=bad)
+
+
+# (dim_v, n_x, n_v): every heat path of every plan a march takes; the phase
+# flow is a circulant product when all axes have at most 64 points and an
+# FFT otherwise, and so are the x and v flows of a factored march
+_LATTICES = [(1, 32, 32), (1, 128, 16), (1, 16, 128), (2, 16, 16), (2, 128, 8),
+             (2, 8, 128)]
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(_LATTICES), st.sampled_from(["none", "constant", "per-node"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, seed):
+    # an x-only coefficient and the x flow act on the x factor alone, and
+    # the v flow on the v factor alone, so a product density marched on its
+    # factors is the phase march at every node; node 0 is p0 itself
+    dim_v, n_x, n_v = lattice
+    g = GridSpec(dim_x=1, dim_v=dim_v, n_x=n_x, n_v=n_v, half_width_x=4.0,
+                 half_width_v=4.0)
+    rng = np.random.default_rng(seed)
+    sched = Schedule(t_end=0.1, dt=0.01)
+
+    def x_sample():
+        return 4.0 * rng.random(g.spatial_shape)
+
+    a = {"none": None, "constant": x_sample(),
+         "per-node": [x_sample() for _ in range(sched.n_steps + 1)]}[coefficient]
+    track = CoefficientTrack(sched, g, a=a)
+    p0 = PhaseField(g, np.multiply.outer(0.2 + rng.random(g.spatial_shape),
+                                         0.2 + rng.random(g.velocity_shape)))
+    traj = solve_linear(p0, track, SIGMA)
+    phase = [vals.copy() for vals in
+             stepping._march_phase(p0.values, track, HeatPlan(g, SIGMA, "xv"), True)]
+    assert len(traj) == len(phase) + 1
+    assert traj.fields[0].values.tobytes() == p0.values.tobytes()
+    for field, ref in zip(traj.fields[1:], phase):
+        assert np.abs(field.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _phase_march(grid):
