@@ -206,6 +206,20 @@ class HeatPlan:
         self._spare = {}  # kind -> second array apply runs in: the spectrum,
                           # or the block buffer on a short-axis plan
         self._work = {}   # kind -> work array apply flows in place
+        self._partials = {}  # subspace -> the "x" or "v" plan of an "xv" plan
+
+    def partial(self, subspace: str) -> "HeatPlan":
+        """The plan of this lattice and diffusivity for subspace "x" or "v"
+        of this "xv" plan, built on first request and kept with it; its
+        arrays belong to the thread that marches in this plan."""
+        if self.subspace != "xv" or subspace not in _REDUCED_KINDS:
+            raise ParameterError(f"an {self.subspace!r} plan has no partial "
+                                 f"plan {subspace!r}")
+        plan = self._partials.get(subspace)
+        if plan is None:
+            plan = self._partials[subspace] = HeatPlan(self.grid, self.diffusivity,
+                                                       subspace)
+        return plan
 
     def _layout(self, kind: str):
         if kind in self._layouts:

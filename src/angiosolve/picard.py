@@ -21,10 +21,14 @@ does not depend on v, the phase heat multiplier factors into an x and a v
 part, and the v flow keeps the v-sum exactly, so the v-sum of one Strang
 step is the same step on p~ with a position-lattice plan.  Its iterates are
 therefore marched on the n_x cells of the position lattice, and each window
-marches the phase field once, with the coefficient of its last iterate.
+marches the phase field once, with the coefficient of its last iterate,
+through :func:`solve_linear`.  For product data that march runs on the
+factors, an x-lattice and a v-lattice march, and the phase field is built
+only at the saved nodes; every shipped density is a product.
 :func:`picard_coupled` switches the attractant on; its coefficient depends
-on v, so every coupled iterate marches the phase field with
-:func:`solve_linear` and then the concentration.  Every one of these
+on v and it records node moments, so every coupled iterate marches the
+phase field with :func:`solve_linear` on the phase lattice, also at
+``alpha1 = 0``, and then the concentration.  Every one of these
 marches, phase, marginal and concentration, takes the one splitting step
 :func:`~angiosolve.stepping._strang_step` in its own plan's work array;
 this module defines no step of its own.
@@ -115,9 +119,11 @@ class IterationDiagnostics:
     ``deltas_c`` likewise for the coupled driver's concentrations (empty
     for the pure one).  ``driving_deltas`` is the sequence the stopping rule
     actually used (max of the two).  ``phase_step_solves`` counts the Strang
-    steps marched on the phase lattice and ``x_step_solves`` those marched
-    on the position lattice (the pure driver's marginal iterates); both are
-    exact and deterministic.
+    steps of the phase field's marches (:func:`solve_linear`'s steps), and
+    ``factored_step_solves`` those of them that :func:`solve_linear` marched
+    on a product density's factors; ``x_step_solves`` counts the steps
+    marched on the position lattice (the pure driver's marginal iterates).
+    All are exact and deterministic.
     """
 
     deltas_p: list = field(default_factory=list)
@@ -128,6 +134,7 @@ class IterationDiagnostics:
     slab_edges: list = field(default_factory=list)
     k_per_slab: list = field(default_factory=list)
     phase_step_solves: int = 0
+    factored_step_solves: int = 0
     x_step_solves: int = 0
 
     def deltas_strictly_decreasing(self) -> bool:
@@ -381,7 +388,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         chat_start = np.zeros(grid.spatial_shape)
         cinf_start = c0.values
     else:
-        plan_pt = HeatPlan(grid, params.sigma, "x")
+        plan_pt = plan.partial("x")
 
     # a-priori bound on gamma * sup of any iterate's marginal: the damping
     # only removes mass, so the heat flow, grown at the production ceiling,
@@ -476,6 +483,8 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             diag.phase_step_solves += n_local
             traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
                                   saved_nodes=march_saved)
+            if traj_k.aux["factored"]:
+                diag.factored_step_solves += n_local
         # tag the next start with its own node time, so each window's tags
         # are one rounding from node * dt and no error builds up; the old
         # start and the track's phase-size buffer are not held while the

@@ -17,10 +17,19 @@ up to round-off, so the scheme is unconditionally positivity preserving for
 nonnegative data, exact for a = 0, and second-order accurate in dt
 otherwise.
 
-:func:`_strang_step` is the package's only splitting step: the phase march
-of :func:`solve_linear` and the position-lattice marches of
-:mod:`angiosolve.picard` (the velocity marginal and the concentration) all
-take it, each in its own plan's work array.
+When no term of a depends on v, the v part of the heat flow commutes with
+both factors E and with the x part, so a product density g(x) h(v) stays a
+product: the phase step of g (x) h is the x-lattice step of g (factors E,
+x flow) times the v flow of h.  :func:`solve_linear` marches such data on
+its factors (:func:`_march_factors`), each floored every step, and builds
+only the saved fields as outer products; any other data, a v-dependent
+coefficient or a recorded node series takes the phase march
+(:func:`_march_phase`).
+
+:func:`_strang_step` is the package's only splitting step: the phase and
+factored marches of :func:`solve_linear` and the position-lattice marches
+of :mod:`angiosolve.picard` (the velocity marginal and the concentration)
+all take it, each in its own plan's work array.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ShapeError
-from .grid import GridSpec, PhaseField, SpatialField, apply_sign, speed_grid
+from .grid import (GridSpec, PhaseField, SpatialField, apply_sign, factor_xv,
+                   speed_grid)
 from .heat import HeatPlan
 from .moments import _reduce_raw
 
@@ -164,6 +174,9 @@ class CoefficientTrack:
                 )
         self._sep_v = sep_v
         self._mid_buf = None  # phase-size: a separable midpoint and its exp
+        # no term depends on v: the half factors act on the x factor alone
+        self.x_only = sep_x is None and (
+            self._a is None or all(a.shape == grid.spatial_shape for a in self._a))
 
     # -- node access -------------------------------------------------------
 
@@ -249,7 +262,8 @@ class Trajectory:
     ``p_tilde_nodes`` then holds the velocity marginal at every node, and
     ``j_nodes`` the speed moment; both are stacked arrays with the node as
     leading axis, None when not recorded.  ``aux`` carries solver-specific
-    extras (the pure and coupled drivers' running integral ``a_nodes``).
+    extras (the pure and coupled drivers' running integral ``a_nodes``;
+    :func:`solve_linear`'s ``factored``, true when it marched factors).
     """
 
     def __init__(self, times, fields, node_times=None, p_tilde_nodes=None,
@@ -317,6 +331,36 @@ def _march_phase(vals, track, plan, clamp):
         yield vals
 
 
+def _march_factors(g, h, track, plan):
+    """Yield the factors ``(g_n, h_n)`` of a product density after each step
+    of the track's schedule, the track holding only x-only coefficients.
+
+    Each step is one :func:`_strang_step` of ``g`` with the track's half
+    factor in ``plan``'s "x" plan and one of ``h`` with none in its "v" plan,
+    each floored in its plan's work array; yielded arrays are overwritten
+    by the next step.
+    """
+    plan_x, plan_v = plan.partial("x"), plan.partial("v")
+    dt, shape = track.schedule.dt, track.grid.spatial_shape
+    for i in range(track.schedule.n_steps):
+        half = track.half_factor(i, dt)
+        g = _strang_step(g, None if half is None else half.reshape(shape), plan_x,
+                         dt, "spatial")
+        g = apply_sign(g, +1, f"x factor of the marched density at step {i + 1}",
+                       out=g)
+        h = _strang_step(h, None, plan_v, dt, "velocity")
+        h = apply_sign(h, +1, f"v factor of the marched density at step {i + 1}",
+                       out=h)
+        yield g, h
+
+
+def _outer(g, h):
+    """The read-only phase array g (x) h, which a field keeps without a copy."""
+    vals = np.multiply.outer(g, h)
+    vals.setflags(write=False)
+    return vals
+
+
 def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
                  saved_nodes=None) -> Trajectory:
     """March the splitting scheme across a whole schedule.
@@ -329,6 +373,15 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     The floor follows :func:`~angiosolve.grid.apply_sign`: a negative entry
     beyond the clamping tolerance raises :class:`SignError` naming the step
     and cell.
+
+    A nonnegative p0 that :func:`~angiosolve.grid.factor_xv` splits into
+    g (x) h, under a track with no v-dependent term (``track.x_only``) and
+    with nothing recorded, is marched on its factors: g on ``plan``'s "x"
+    plan with the track's half factors, h on its "v" plan under the plain
+    flow, each floored every step (the error names the factor, the step
+    and the factor's cell).  Saved fields after node 0 are their outer
+    products and agree with the phase march to round-off; the trajectory's
+    ``aux["factored"]`` says which march ran.
 
     Parameters
     ----------
@@ -398,11 +451,17 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     if record is not None:
         _record(0, vals)
 
-    for i, vals in enumerate(_march_phase(vals, track, plan, clamp), start=1):
+    factors = factor_xv(p0) if clamp and record is None and track.x_only else None
+    if factors is None:
+        march = _march_phase(vals, track, plan, clamp)
+    else:
+        march = _march_factors(*factors, track, plan)
+    for i, state in enumerate(march, start=1):
         if record is not None:
-            _record(i, vals)
+            _record(i, state)
         if i in saved:
             t = t0 + i * dt
+            vals = state if factors is None else _outer(*state)
             fields.append(PhaseField(grid, vals, time_tag=t, nonnegative=clamp))
             times.append(t)
 
@@ -410,4 +469,4 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     if record is not None:
         kwargs = dict(node_times=t0 + schedule.times(), p_tilde_nodes=p_tilde_rec,
                       j_nodes=j_rec)
-    return Trajectory(times, fields, **kwargs)
+    return Trajectory(times, fields, aux={"factored": factors is not None}, **kwargs)

@@ -85,10 +85,11 @@ def test_run_parallel_jobs(capsys, tiny_cfg):
 
 def test_run_outputs_are_byte_identical_inline_and_in_a_pool(capsys, tmp_path):
     # identical configs give identical files and stdout, whichever way run:
-    # coupled-ramp on the FFT path, zero and the 32^4 coupled-smoke-2d on
-    # per-axis matrix products (two scenarios a call, so --jobs 2 is a pool)
-    runs = {"ramp": ["run", "zero", "coupled-ramp", "--override", "schedule.t_end=0.02",
-                     "--override", "schedule.save_stride=5"],
+    # coupled-ramp on the FFT path, pure-gaussian marched on its factors,
+    # zero and the 32^4 coupled-smoke-2d on per-axis matrix products (two
+    # or more scenarios a call, so --jobs 2 is a pool)
+    runs = {"ramp": ["run", "zero", "coupled-ramp", "pure-gaussian", "--override",
+                     "schedule.t_end=0.02", "--override", "schedule.save_stride=5"],
             "smoke": ["run", "coupled-smoke-2d", "zero", "--override",
                       "schedule.t_end=0.004"]}
     outs = []
@@ -103,6 +104,7 @@ def test_run_outputs_are_byte_identical_inline_and_in_a_pool(capsys, tmp_path):
 
     a = files(tmp_path / "A")
     assert "ramp/coupled-ramp/report.json" in a and "ramp/zero/moments.csv" in a
+    assert "ramp/pure-gaussian/snapshots/p_0004.akf" in a
     assert "smoke/coupled-smoke-2d/report.json" in a
     assert a == files(tmp_path / "B")
     assert outs[0] == outs[1]

@@ -391,6 +391,20 @@ def test_plans_of_one_layout_share_one_k_squared_table():
     assert HeatPlan(g, SIGMA, "x")._layout("phase")[3] is not a._layout("phase")[3]
 
 
+def test_xv_plan_keeps_one_partial_plan_per_subspace():
+    # a factored march takes its x and v flows from the plans its phase plan
+    # keeps, so a run of many windows builds them once
+    g = small_grid(16, 1, 2)
+    plan = HeatPlan(g, SIGMA, "xv")
+    for subspace in ("x", "v"):
+        part = plan.partial(subspace)
+        assert part is plan.partial(subspace)
+        assert (part.grid, part.diffusivity, part.subspace) == (g, SIGMA, subspace)
+    for owner, subspace in (("xv", "xv"), ("x", "v"), ("v", "x")):
+        with pytest.raises(ParameterError):
+            HeatPlan(g, SIGMA, owner).partial(subspace)
+
+
 def test_gradient_energy_holds_no_spectrum_and_keeps_its_bits():
     # the plan keeps no array for the energy (another thread may march in
     # the plan's); on a plan with a 128-point axis the transient spectrum

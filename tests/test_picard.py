@@ -409,12 +409,14 @@ def test_drivers_count_their_step_solves_exactly(zero_fix, pure_fix, coupled_fix
     # Seeded windows converge at iterate 2; only the unseeded first one
     # takes more
     def counts(fix):
-        return fix["diag"].phase_step_solves, fix["diag"].x_step_solves
+        diag = fix["diag"]
+        return diag.phase_step_solves, diag.factored_step_solves, diag.x_step_solves
 
-    assert counts(pure_fix) == (1000, 2002)
-    assert counts(coupled_fix) == (1004, 0)
-    assert counts(smoke_fix) == (54, 0)
-    assert counts(zero_fix) == (50, 100)
+    # a pure run marches its phase field on the factors of its product data
+    assert counts(pure_fix) == (1000, 1000, 2002)
+    assert counts(coupled_fix) == (1004, 0, 0)
+    assert counts(smoke_fix) == (54, 0, 0)
+    assert counts(zero_fix) == (50, 50, 100)
 
 
 _BENCH_COUNTER = """
@@ -512,14 +514,18 @@ def test_iterate_bookkeeping_for_every_driver_and_init(grid64, coupled, init):
 
 def test_picard_coupled_without_production_reduces_to_pure(grid64):
     # alpha1 = 0 silences the only feedback of c into p, so the coupled
-    # p iterates are the pure ones verbatim
+    # p iterates are the pure ones; the coupled run marches the phase
+    # lattice and the pure one this product's factors, so they agree to
+    # round-off, not bit for bit
     p0 = _flat_in_x(grid64)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     p_traj, c_traj, _ = picard_coupled(p0, _c_bump(grid64), _params(alpha1=0.0),
                                        sched, tol=1e-10)
-    pure, _ = picard_pure(p0, _params(alpha1=0.0), sched, tol=1e-10, init="zero")
+    pure, diag = picard_pure(p0, _params(alpha1=0.0), sched, tol=1e-10, init="zero")
+    assert diag.factored_step_solves == sched.n_steps
+    assert len(p_traj) == len(pure)
     for a, b in zip(p_traj.fields, pure.fields):
-        np.testing.assert_array_equal(a.values, b.values)
+        assert np.abs(a.values - b.values).max() <= 1e-13 * np.abs(b.values).max()
 
 
 def test_coupled_drive_holds_one_saved_trajectory():

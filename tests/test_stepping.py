@@ -10,6 +10,7 @@ from angiosolve import (CoefficientTrack, ConfigurationError, GridSpec,
                         HeatPlan, ParameterError, PhaseField, Schedule,
                         ShapeError, SignError, SpatialField, heat_step,
                         integrate_phase, solve_linear, stepping)
+from angiosolve.grid import factor_xv
 from angiosolve.picard import _advance_c_nodes, _c_inf_nodes, _march_marginal
 
 from conftest import gaussian_phase, small_grid
@@ -197,6 +198,7 @@ def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, see
     p0 = PhaseField(g, np.multiply.outer(0.2 + rng.random(g.spatial_shape),
                                          0.2 + rng.random(g.velocity_shape)))
     traj = solve_linear(p0, track, SIGMA)
+    assert traj.aux["factored"]
     phase = [vals.copy() for vals in
              stepping._march_phase(p0.values, track, HeatPlan(g, SIGMA, "xv"), True)]
     assert len(traj) == len(phase) + 1
@@ -206,7 +208,19 @@ def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, see
 
 
 def _phase_march(grid):
+    # two bumps are no product, so this march stays on the phase lattice
+    two = PhaseField(grid, gaussian_phase(grid).values
+                     + gaussian_phase(grid, center_x=1.5, center_v=-1.0).values)
+    assert factor_xv(two) is None
     track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid)
+    solve_linear(two, track, SIGMA)
+
+
+def _factored_march(grid):
+    # a product under an x-only coefficient: each step marches the x factor
+    # (the fault's third flow is step 2's) and then the v factor
+    track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid,
+                             a=np.full(grid.spatial_shape, 0.3))
     solve_linear(gaussian_phase(grid), track, SIGMA)
 
 
@@ -237,15 +251,16 @@ def _concentration_march(grid):
 @pytest.mark.parametrize("march, cell, where", [
     (_phase_march, (17, 40), "marched density at step 3"),
     (_signed_phase_march, (17, 40), "marched density at step 3"),
+    (_factored_march, (17,), "x factor of the marched density at step 2"),
     (_marginal_march, (17,), "marched marginal at step 3"),
     (_concentration_march, (17,), "concentration at node 3"),
-], ids=["phase", "signed-phase", "marginal", "concentration"])
+], ids=["phase", "signed-phase", "factored", "marginal", "concentration"])
 def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch, march,
                                                       cell, where):
     # the per-step floor may only absorb round-off: a heat step that comes
     # back with an entry of -1e-3 * sup must stop the march at that cell,
-    # in the phase march (whatever the coefficient's sign) and in both
-    # position-lattice marches
+    # in the phase march (whatever the coefficient's sign), in a product's
+    # factored march and in both position-lattice marches
     clean = HeatPlan.apply
     calls = []
 
