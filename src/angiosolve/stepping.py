@@ -354,13 +354,6 @@ def _march_factors(g, h, track, plan):
         yield g, h
 
 
-def _outer(g, h):
-    """The read-only phase array g (x) h, which a field keeps without a copy."""
-    vals = np.multiply.outer(g, h)
-    vals.setflags(write=False)
-    return vals
-
-
 def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
                  saved_nodes=None) -> Trajectory:
     """March the splitting scheme across a whole schedule.
@@ -461,8 +454,10 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
             _record(i, state)
         if i in saved:
             t = t0 + i * dt
-            vals = state if factors is None else _outer(*state)
-            fields.append(PhaseField(grid, vals, time_tag=t, nonnegative=clamp))
+            if factors is not None:
+                state = np.multiply.outer(*state)
+                state.setflags(write=False)  # so the field keeps it uncopied
+            fields.append(PhaseField(grid, state, time_tag=t, nonnegative=clamp))
             times.append(t)
 
     kwargs = {}
