@@ -12,10 +12,12 @@ symmetric (Strang) splitting around the exact spectral heat flow:
 
 where H_dt is the exact heat semigroup of :mod:`angiosolve.heat` and a is
 sampled at the step midpoint (the average of the two node samples).  The
-factors E are strictly positive whatever the sign of a and H preserves signs
-up to round-off, so the scheme is unconditionally positivity preserving for
-nonnegative data, exact for a = 0, and second-order accurate in dt
-otherwise.
+factors E are strictly positive whatever the sign of a and H preserves the
+signs of spectrally resolved data up to round-off, so the scheme is
+positivity preserving for such nonnegative data at any dt, exact for a = 0,
+and second-order accurate in dt otherwise.  H rings unresolved data (lattice
+noise next to a near-zero cell) negative beyond round-off; the per-step
+floor of :func:`solve_linear` rejects that with :class:`SignError`.
 
 When no term of a depends on v, the v part of the heat flow commutes with
 both factors E and with the x part, so a product density g(x) h(v) stays a
