@@ -159,6 +159,37 @@ def test_advance_c_validation(grid64):
         _march_c(c, j, 0.05, 1.0, 0.1)
 
 
+def test_concentration_march_restarts_bit_for_bit(grid64, monkeypatch):
+    # far from a moving consumption bump the depletion comes out of a step
+    # positive by round-off and is clamped, and c is rebuilt from the clamped
+    # depletion; the next step must march that c, so a march restarted from
+    # node k's returned (c, chat) gives nodes k+1 onward bit for bit
+    plan = HeatPlan(grid64, 0.05, "x")
+    x = grid64.x_coords()
+    n, dt, eta = 8, 0.01, 1.0
+    c_inf = picard._c_inf_nodes(1.0 + np.exp(-x ** 2), plan, n, dt)
+    j = np.stack([np.exp(-(x - 1.0 - 0.1 * i) ** 2) for i in range(n + 1)])
+    clamped = []
+    clean = picard.apply_sign
+
+    def spy(values, sign, what, **kwargs):
+        out = clean(values, sign, what, **kwargs)
+        if sign < 0 and out is not values:
+            clamped.append(int(what.rsplit(" ", 1)[1]))
+        return out
+
+    monkeypatch.setattr(picard, "apply_sign", spy)
+    chat0 = np.zeros(grid64.spatial_shape)
+    full, _ = picard._advance_c_nodes(chat0, c_inf, j, eta, dt, plan)
+    assert clamped == list(range(1, n + 1))
+    for k in (1, 4, n - 1):
+        head, chat_k = picard._advance_c_nodes(chat0, c_inf[:k + 1], j[:k + 1],
+                                               eta, dt, plan)
+        assert head.tobytes() == full[:k + 1].tobytes()
+        rest, _ = picard._advance_c_nodes(chat_k, c_inf[k:], j[k:], eta, dt, plan)
+        assert rest[1:].tobytes() == full[k + 1:].tobytes()
+
+
 # --------------------------------------------------------------------------
 # slab partition
 
