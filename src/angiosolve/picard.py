@@ -29,9 +29,9 @@ only at the saved nodes; every shipped density is a product.
 on v and it records node moments, so every coupled iterate marches the
 phase field with :func:`solve_linear` on the phase lattice, also at
 ``alpha1 = 0``, and then the concentration.  Every one of these
-marches, phase, marginal and concentration, takes the one splitting step
-:func:`~angiosolve.stepping._strang_step` in its own plan's work array;
-this module defines no step of its own.
+marches, phase, marginal and concentration, is one call of the package's
+one march :func:`~angiosolve.stepping._march` in its own plan's work
+array; this module defines no step of its own.
 
 The iteration only contracts on windows with T * sqrt(M) < 1 (M an a-priori
 bound on the accumulated damping), so the proof splits long runs into slabs
@@ -64,7 +64,7 @@ from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import PhaseField, SpatialField, apply_sign
 from .heat import HeatPlan, gaussian_rho
 from .moments import _reduce_raw, accumulate_time_integral
-from .stepping import (CoefficientTrack, Schedule, Trajectory, _strang_step,
+from .stepping import (CoefficientTrack, Schedule, Trajectory, _halves, _march,
                        solve_linear)
 
 
@@ -250,31 +250,30 @@ def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
 def _advance_c_nodes(chat_start, c_inf_win, j_loc, eta, dt, plan_x):
     """March c = c_inf + chat across one window given the speed moment nodes.
 
-    Each step is :func:`~angiosolve.stepping._strang_step` with the
-    midpoint consumption eta j as damping and no source, marched in
-    ``plan_x``'s work array and floored there.  Returns (c at local nodes,
-    chat at the last node).  chat stays <= 0 and c stays >= 0 by
-    construction; both are clamped at round-off level and violations beyond
-    the tolerance raise SignError.
+    One :func:`~angiosolve.stepping._march` in ``plan_x``'s work array, with
+    the midpoint consumption eta j as damping and no source, floored every
+    step.  Returns (c at local nodes, chat at the last node).  chat stays
+    <= 0 and c stays >= 0 by construction; both are clamped at round-off
+    level and violations beyond the tolerance raise SignError.  A clamped
+    chat is written back into the march's state, so the next step marches
+    c_inf + chat.
     """
     n_local = j_loc.shape[0] - 1
     c_nodes = np.empty_like(j_loc)
     chat = chat_start
-    c = c_inf_win[0] + chat
-    c_nodes[0] = c
-    for i in range(n_local):
-        j_mid = 0.5 * (j_loc[i] + j_loc[i + 1])
-        half = np.exp((-0.5 * dt * eta) * j_mid)
-        c = _strang_step(c, half, plan_x, dt, "spatial")
-        c = apply_sign(c, +1, f"concentration at node {i + 1}", out=c)
-        chat = c - c_inf_win[i + 1]
+    c_nodes[0] = c = c_inf_win[0] + chat
+    halves = (np.exp((-0.5 * dt * eta) * (0.5 * (j_loc[i] + j_loc[i + 1])))
+              for i in range(n_local))
+    march = _march(c, halves, plan_x, dt, "spatial", "concentration at node")
+    for i, c in enumerate(march, start=1):
+        chat = c - c_inf_win[i]
         # consumption only ever lowers c below its far field
-        clamped = apply_sign(chat, -1, f"depletion at node {i + 1}",
+        clamped = apply_sign(chat, -1, f"depletion at node {i}",
                              scale=float(c.max()))
         if clamped is not chat:
             chat = clamped
-            c = c_inf_win[i + 1] + chat
-        c_nodes[i + 1] = c
+            np.add(c_inf_win[i], chat, out=c)
+        c_nodes[i] = c
     return c_nodes, chat
 
 
@@ -284,21 +283,13 @@ def _march_marginal(pt0, track, plan_x):
     ``track`` holds a position-lattice coefficient and no source, and
     ``plan_x`` is the subspace-"x" plan with the phase diffusivity.  Each
     step is the phase step's v-sum: the same
-    :func:`~angiosolve.stepping._strang_step`, marched in ``plan_x``'s work
-    array and floored there like the phase march.  Returns the stacked
-    marginal at every node.
+    :func:`~angiosolve.stepping._march`, in ``plan_x``'s work array and
+    floored there like the phase march.  Returns the stacked marginal at
+    every node.
     """
-    sched = track.schedule
-    dt = sched.dt
-    shape = track.grid.spatial_shape
-    nodes = np.empty((sched.n_steps + 1,) + shape)
-    nodes[0] = pt = pt0
-    for i in range(sched.n_steps):
-        pt = _strang_step(pt, track.half_factor(i, dt).reshape(shape), plan_x, dt,
-                          "spatial")
-        nodes[i + 1] = pt = apply_sign(pt, +1, f"marched marginal at step {i + 1}",
-                                       out=pt)
-    return nodes
+    march = _march(pt0, _halves(track, track.grid.spatial_shape), plan_x,
+                   track.schedule.dt, "spatial", "marched marginal at step")
+    return np.stack([pt0, *map(np.copy, march)])
 
 
 def _windows(edges):

@@ -23,15 +23,14 @@ When no term of a depends on v, the v part of the heat flow commutes with
 both factors E and with the x part, so a product density g(x) h(v) stays a
 product: the phase step of g (x) h is the x-lattice step of g (factors E,
 x flow) times the v flow of h.  :func:`solve_linear` marches such data on
-its factors (:func:`_march_factors`), each floored every step, and builds
-only the saved fields as outer products; any other data, a v-dependent
-coefficient or a recorded node series takes the phase march
-(:func:`_march_phase`).
+its factors, each floored every step, and builds only the saved fields as
+outer products; any other data, a v-dependent coefficient or a recorded
+node series takes the phase march.
 
-:func:`_strang_step` is the package's only splitting step: the phase and
-factored marches of :func:`solve_linear` and the position-lattice marches
-of :mod:`angiosolve.picard` (the velocity marginal and the concentration)
-all take it, each in its own plan's work array.
+:func:`_march` is the package's only march: the phase and factored marches
+of :func:`solve_linear` and the position-lattice marches of
+:mod:`angiosolve.picard` (the velocity marginal and the concentration) are
+each one call of it, in its own plan's work array.
 """
 
 from __future__ import annotations
@@ -299,61 +298,39 @@ class Trajectory:
         return self.fields[-1]
 
 
-def _strang_step(vals, half_factor, plan, dt, kind):
-    """One splitting step on raw arrays of ``kind`` (see module docstring).
-
-    ``half_factor`` is E (None for a = 0).  The step is marched in
-    ``plan.work(kind)``, which holds the result until the plan's next step;
-    ``vals`` may be that array itself.
-    """
-    u = plan.work(kind)
-    if half_factor is not None:
-        np.multiply(vals, half_factor, out=u)
-    elif vals is not u:
-        np.copyto(u, vals)
-    u = plan.apply(u, dt, kind)
-    if half_factor is not None:
-        u *= half_factor
-    return u
-
-
-def _march_phase(vals, track, plan, clamp):
-    """Yield the phase march's values after each step of the track's schedule.
-
-    Each step is one :func:`_strang_step` in ``plan``'s phase work array,
-    floored there when ``clamp``; a yielded array is overwritten by the
-    next step.
-    """
+def _halves(track, shape=None):
+    """The half factors E of the track's steps, in order, each reshaped to
+    ``shape`` when given (None stays None)."""
     dt = track.schedule.dt
-    for i in range(track.schedule.n_steps):
-        vals = _strang_step(vals, track.half_factor(i, dt), plan, dt, "phase")
-        if clamp:
-            # the step's result is the march's own array: floor it in place
-            vals = apply_sign(vals, +1, f"marched density at step {i + 1}", out=vals)
-        yield vals
+    halves = (track.half_factor(i, dt) for i in range(track.schedule.n_steps))
+    if shape is None:
+        return halves
+    return (None if half is None else half.reshape(shape) for half in halves)
 
 
-def _march_factors(g, h, track, plan):
-    """Yield the factors ``(g_n, h_n)`` of a product density after each step
-    of the track's schedule, the track holding only x-only coefficients.
+def _march(vals, halves, plan, dt, kind, what):
+    """The package's one march: a splitting step (see module docstring) on
+    raw arrays of ``kind`` for each half factor E in ``halves``.
 
-    Each step is one :func:`_strang_step` of ``g`` with the track's half
-    factor in ``plan``'s "x" plan and one of ``h`` with none in its "v" plan,
-    each floored in its plan's work array; yielded arrays are overwritten
-    by the next step.
+    Step i writes E * vals into ``plan.work(kind)`` (a copy for E = None,
+    a = 0), applies the heat flow there, multiplies by E and floors the
+    result with the message ``f"{what} {i}"`` (no floor when ``what`` is
+    None), then yields it.  The yielded array is the march's state: the next
+    step reads it, in-place edits included, and overwrites it.
     """
-    plan_x, plan_v = plan.partial("x"), plan.partial("v")
-    dt, shape = track.schedule.dt, track.grid.spatial_shape
-    for i in range(track.schedule.n_steps):
-        half = track.half_factor(i, dt)
-        g = _strang_step(g, None if half is None else half.reshape(shape), plan_x,
-                         dt, "spatial")
-        g = apply_sign(g, +1, f"x factor of the marched density at step {i + 1}",
-                       out=g)
-        h = _strang_step(h, None, plan_v, dt, "velocity")
-        h = apply_sign(h, +1, f"v factor of the marched density at step {i + 1}",
-                       out=h)
-        yield g, h
+    for i, half in enumerate(halves, start=1):
+        u = plan.work(kind)
+        if half is not None:
+            np.multiply(vals, half, out=u)
+        elif vals is not u:
+            np.copyto(u, vals)
+        u = plan.apply(u, dt, kind)
+        if half is not None:
+            u *= half
+        if what is not None:
+            u = apply_sign(u, +1, f"{what} {i}", out=u)
+        yield u
+        vals = u
 
 
 def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
@@ -448,9 +425,15 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
 
     factors = factor_xv(p0) if clamp and record is None and track.x_only else None
     if factors is None:
-        march = _march_phase(vals, track, plan, clamp)
+        march = _march(vals, _halves(track), plan, dt, "phase",
+                       "marched density at step" if clamp else None)
     else:
-        march = _march_factors(*factors, track, plan)
+        # x first: the x flow of step i, then its v flow
+        what = "factor of the marched density at step"
+        march = zip(_march(factors[0], _halves(track, grid.spatial_shape),
+                           plan.partial("x"), dt, "spatial", f"x {what}"),
+                    _march(factors[1], [None] * n_steps, plan.partial("v"), dt,
+                           "velocity", f"v {what}"))
     for i, state in enumerate(march, start=1):
         if record is not None:
             _record(i, state)
