@@ -21,7 +21,7 @@ from .picard import (IterationDiagnostics, ModelParams, alpha_of_c,
 from .scenarios import (Scenario, boundary_mass_fraction, build_initial_c,
                         build_initial_p, load_scenario, load_shipped_scenario,
                         realise, run_scenario, shipped_scenarios)
-from .snapshots import field_to_csv, load_field, save_field, write_moment_table
+from .snapshots import load_field, save_field, write_moment_table
 from .stepping import CoefficientTrack, Schedule, Trajectory, solve_linear
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "boundary_mass_fraction", "build_initial_c", "build_initial_p",
     "check_c_bounds", "check_comparison", "check_energy", "check_gronwall",
     "check_positivity", "check_speed_bound", "duhamel_reference",
-    "fd_reference", "field_to_csv", "gaussian_rho", "heat_step",
+    "fd_reference", "gaussian_rho", "heat_step",
     "integrate_phase", "load_field", "load_scenario", "load_shipped_scenario",
     "lq_norm", "moments_of", "picard_coupled", "picard_pure", "realise",
     "run_scenario", "save_field", "second_moment", "shipped_scenarios",

@@ -90,20 +90,6 @@ class MomentSet:
     def time_tag(self) -> float:
         return self.p_tilde.time_tag
 
-    def cauchy_schwarz_slack(self) -> float:
-        """Worst normalised slack of p~ * m - j^2 (negative = violation).
-
-        Normalisation is by the global maximum of p~ * m so the number is
-        comparable across snapshots; clean moments of a nonnegative density
-        stay above roughly -1e-10 (quadrature round-off only).
-        """
-        bound = self.p_tilde.values * self.m.values
-        gap = bound - self.j.values ** 2
-        scale = float(bound.max())
-        if scale <= 0.0:
-            return 0.0
-        return float(gap.min()) / scale
-
 
 def moments_of(p: PhaseField) -> MomentSet:
     """All three moments of one snapshot (three velocity reductions, one

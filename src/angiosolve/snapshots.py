@@ -11,9 +11,9 @@ The header pins everything needed to interpret a phase field; a spatial
 field deliberately stores no velocity lattice (it has none), so reloading
 one needs the run's grid.
 
-CSV output is plain text with one row per lattice point (coordinates then
-value) or one row per saved time for the reduced-quantity table; floats are
-written with repr-faithful precision so files are bit-stable across runs.
+The reduced-quantity table is plain CSV text with one row per saved time;
+floats are written with repr-faithful precision so files are bit-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -93,22 +93,6 @@ def load_field(path, grid: GridSpec = None):
     if payload.size != expected:
         raise DataError(f"{path}: payload has {payload.size} values, expected {expected}")
     return PhaseField(grid, payload.reshape(grid.phase_shape), time_tag=time_tag)
-
-
-def field_to_csv(field, path) -> None:
-    """One row per lattice point: cell-centre coordinates, then the value."""
-    g = field.grid
-    dim_v = g.dim_v if field.kind == "phase" else 0
-    axes = [g.x_coords()] * g.dim_x + [g.v_coords()] * dim_v
-    names = [f"x{i}" for i in range(g.dim_x)] + [f"v{i}" for i in range(dim_v)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["value"])
-        flat = field.values.reshape(-1)
-        for k, idx in enumerate(np.ndindex(*field.values.shape)):
-            row = [_fmt(axes[d][idx[d]]) for d in range(len(axes))]
-            row.append(_fmt(flat[k]))
-            writer.writerow(row)
 
 
 def write_moment_table(traj, moment_sets, a_nodes, path) -> None:

@@ -107,23 +107,15 @@ def test_marginal_commutes_with_heat_flow():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
-def test_cauchy_schwarz_slack_nonnegative(seed):
-    # (sum |v| p)^2 <= (sum p)(sum v^2 p) holds for the lattice sums of any
-    # nonnegative p, so the normalised slack can only go negative by round-off
+def test_speed_moment_dominates_vector_speed_moment(seed):
+    # |sum v p| <= sum |v| p for any nonnegative p (the triangle inequality),
+    # so the scalar speed moment can only fall below the vector one's
+    # magnitude by round-off
     g = GridSpec(dim_x=1, dim_v=1, n_x=16, n_v=16, half_width_x=8.0, half_width_v=8.0)
     rng = np.random.default_rng(seed)
     p = PhaseField(g, rng.random(g.phase_shape))
-    ms = moments_of(p)
-    assert ms.cauchy_schwarz_slack() >= -1e-12
-
-    comps, mag = vector_speed_moment(p)
+    _, mag = vector_speed_moment(p)
     assert float((speed_moment(p).values - mag.values).min()) >= -1e-12
-
-
-def test_cauchy_schwarz_slack_zero_field():
-    g = GridSpec(dim_x=1, dim_v=1, n_x=16, n_v=16, half_width_x=8.0, half_width_v=8.0)
-    ms = moments_of(PhaseField(g, np.zeros(g.phase_shape)))
-    assert ms.cauchy_schwarz_slack() == 0.0
 
 
 def test_accumulate_time_integral_trapezoid_exact():

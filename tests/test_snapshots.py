@@ -16,7 +16,6 @@ from angiosolve import (
     ShapeError,
     SpatialField,
     check_positivity,
-    field_to_csv,
     integrate_phase,
     load_field,
     moments_of,
@@ -133,28 +132,6 @@ def test_save_field_writes_the_payload_without_a_copy(tmp_path):
         tracemalloc.stop()
     assert peak < 2**20, peak
     np.testing.assert_array_equal(load_field(tmp_path / "big.akf").values, f.values)
-
-
-def test_field_to_csv_layout(tmp_path):
-    g = _grid16()
-    f = PhaseField(g, np.arange(256.0).reshape(16, 16), time_tag=0.0)
-    path = tmp_path / "p.csv"
-    field_to_csv(f, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x0", "v0", "value"]
-    assert len(rows) == 1 + 256
-    # first row is the (0, 0) corner: both coordinates -8, value 0
-    assert [float(c) for c in rows[1]] == [-8.0, -8.0, 0.0]
-    # last row: both coordinates at 7, value 255
-    assert [float(c) for c in rows[-1]] == [7.0, 7.0, 255.0]
-
-    c = SpatialField(g, np.linspace(0.0, 1.0, 16))
-    field_to_csv(c, tmp_path / "c.csv")
-    with open(tmp_path / "c.csv", newline="") as fh:
-        crows = list(csv.reader(fh))
-    assert crows[0] == ["x0", "value"]
-    assert len(crows) == 17
 
 
 def test_moment_table_rows_align_with_nodes(tmp_path, grid64):
