@@ -10,7 +10,9 @@ Four subcommands::
 CONFIG is either a path to an INI file or the name of a shipped scenario
 (see ``describe`` / the package's scenarios directory).  Exit codes: 0 all
 good, 2 bad configuration or arguments, 3 fixed-point iteration failed to
-converge (or its deltas were not monotone), 4 an invariant check failed.
+converge (or its deltas were not monotone), 4 an invariant check failed,
+5 a run stopped on a violated invariant (a sign beyond the clamping
+tolerance, :class:`SignError`, or unusable field data, :class:`DataError`).
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import AngiosolveError, ConfigurationError
-from .scenarios import (CHECKS, EXIT_CONFIG, boundary_mass_fraction,
-                        format_summary, load_scenario, load_shipped_scenario,
-                        realise, run_scenario, shipped_scenarios)
+from .errors import AngiosolveError, ConfigurationError, DataError, SignError
+from .scenarios import (CHECKS, EXIT_CONFIG, EXIT_INVARIANT,
+                        boundary_mass_fraction, format_summary, load_scenario,
+                        load_shipped_scenario, realise, run_scenario,
+                        shipped_scenarios)
 
 def _resolve(config: str, overrides):
     if os.path.exists(config):
@@ -165,6 +168,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
+    except (SignError, DataError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVARIANT
     except AngiosolveError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

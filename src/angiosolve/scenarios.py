@@ -620,6 +620,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_CHECK_FAILED = 4
+EXIT_INVARIANT = 5
 
 
 def format_summary(scenario: Scenario, payload: dict) -> str:

@@ -8,7 +8,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from angiosolve import cli
+from angiosolve import HeatPlan, cli
 from angiosolve.cli import main
 
 from test_scenarios import _PURE_TEXT
@@ -164,6 +164,26 @@ def test_run_propagates_check_failure(capsys, tiny_cfg):
                  "--override", "checks.names=energy"])
     assert code == 4
     assert "check energy: fail" in capsys.readouterr().out
+
+
+def test_run_stopped_on_a_violated_invariant_exits_5(capsys, monkeypatch):
+    # a heat flow that comes back with an entry of -1e-3 * sup is no
+    # round-off: the march's floor stops the run, which is neither a
+    # configuration problem (2) nor a failed check (4)
+    clean = HeatPlan.apply
+    calls = []
+
+    def faulty(self, values, tau, kind):
+        out = clean(self, values, tau, kind)
+        calls.append(tau)
+        if len(calls) == 3:
+            out = out.copy()
+            out[17] = -1e-3 * float(out.max())
+        return out
+
+    monkeypatch.setattr(HeatPlan, "apply", faulty)
+    assert main(["run", "pure-gaussian", "--override", "schedule.t_end=0.02"]) == 5
+    assert "error: marched marginal at step 1 must be >= 0" in capsys.readouterr().err
 
 
 def test_run_tol_flag_reaches_the_iteration(capsys, tiny_cfg):
