@@ -51,14 +51,11 @@ def main():
           f"{diag.phase_step_solves} phase-lattice steps)\n")
 
     print("the converged run, with its memory coefficient:")
-    a_nodes = traj.aux["a_nodes"]
-    dt = sched.dt
-    for t, f in zip(traj.times, traj.fields):
-        node = int(round(t / dt))
+    for t, f, a in zip(traj.times, traj.fields, traj.aux["a"]):
         pt = velocity_marginal(f)
         print(f"  t = {t:4.2f}  mass {integrate_phase(f):.6f}  "
               f"sup ptilde {float(pt.values.max()):.4f}  "
-              f"sup A {float(a_nodes[node].max()):.4f}")
+              f"sup A {float(a.max()):.4f}")
     print("\nmass only ever decreases and the accumulated integral A grows")
     print("monotonically: the memory term is a pure death term.")
 

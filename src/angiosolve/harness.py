@@ -7,12 +7,13 @@ where it occurs, and a pass/fail verdict against the check's tolerance.
 Slacks are normalised by a problem-scale quantity (stated per check) so the
 tolerances are dimensionless and comparable across scenarios.
 
-Each check is a fold: ``add`` reads one saved field (or moment set) and
-keeps scalars and a cell, ``finish`` turns those series into the verdict.
-A checked run feeds its folds each saved field as the drive yields it, with
-one :class:`FieldStats` of the density shared by all of them, so no check
+Each check is a fold: ``add`` reads one saved field, with its
+:class:`FieldStats` (the reductions several folds share), or one moment
+set, and keeps scalars and a cell; ``finish`` turns those series into the
+verdict.  A checked run feeds its folds each saved field as the drive
+yields it, with one :class:`FieldStats` shared by all of them, so no check
 needs the trajectory in memory; each ``check_*`` function runs its fold
-over a trajectory already held.
+over a trajectory already held, making one :class:`FieldStats` per field.
 
 The checks never repair anything; they only measure.  Feeding them corrupted
 data is the intended way to verify they would catch a regression.
@@ -63,8 +64,7 @@ class BoundCheck:
 
 
 def _finish(name, anchor, tol, times, slacks, cells) -> BoundCheck:
-    """``cells`` lists the cell at each time, or maps the worst time's
-    index to its cell when a check locates it there only."""
+    """``cells`` lists the cell at each time."""
     slacks = np.asarray(slacks, dtype=float)
     k = int(np.argmin(slacks))
     worst = float(slacks[k])
@@ -72,7 +72,7 @@ def _finish(name, anchor, tol, times, slacks, cells) -> BoundCheck:
         name=name, anchor=anchor, tolerance=float(tol),
         times=np.asarray(times, dtype=float), slacks=slacks,
         worst_slack=worst, worst_time=float(times[k]),
-        worst_cell=cells(k) if callable(cells) else cells[k],
+        worst_cell=cells[k],
         passed=bool(worst >= -tol),
     )
 
@@ -131,10 +131,10 @@ class FieldStats:
 class _Fold:
     """One check gathered one saved time at a time.
 
-    ``add`` reads one saved field and keeps only scalars and a cell (a
-    fold given each field's :class:`FieldStats` holds no field); ``finish``
-    turns the scalar series into the :class:`BoundCheck`.  Each ``check_*``
-    function runs its fold over a whole trajectory.
+    ``add`` reads one saved field and keeps only scalars and a cell, so a
+    fold holds no field; ``finish`` turns the scalar series into the
+    :class:`BoundCheck`.  Each ``check_*`` function runs its fold over a
+    whole trajectory.
     """
 
     anchor = None
@@ -143,22 +143,9 @@ class _Fold:
         self.name, self.tol = name, tol
         self.times, self.cells = [], []
 
-    def _largest_cell(self, field, stats):
-        """The cell of largest magnitude: read off ``stats`` when given,
-        else located at :meth:`finish`, and only if this time is the worst
-        (which keeps the field until then)."""
-        if stats is not None:
-            return stats.largest_cell
-        return lambda: _extreme(np.abs(field.values), "max")[1]
-
     def _check(self, slacks, tol=None) -> BoundCheck:
-        cells = self.cells
-
-        def cell_at(k):
-            return cells[k]() if callable(cells[k]) else cells[k]
-
         return _finish(self.name, self.anchor, self.tol if tol is None else tol,
-                       self.times, slacks, cell_at)
+                       self.times, slacks, self.cells)
 
 
 class PositivityFold(_Fold):
@@ -174,8 +161,7 @@ class PositivityFold(_Fold):
         super().__init__(name, tol)
         self.lows, self.scale = [], 0.0
 
-    def add(self, t, field, stats=None):
-        stats = stats if stats is not None else FieldStats(field)
+    def add(self, t, field, stats):
         self.scale = max(self.scale, stats.sup)
         self.times.append(t)
         self.lows.append(stats.low)
@@ -202,11 +188,11 @@ class ComparisonFold(_Fold):
                                  "data and weaker damping dominates cellwise")
         self.lows, self.scale, self.sup = [], 0.0, 0.0
 
-    def add(self, t, field, majorant, stats=None, scratch=False):
+    def add(self, t, field, majorant, stats, scratch=False):
         """``majorant`` is the majorant's raw array at time ``t``; with
         ``scratch`` it was made for this call, and the gap is taken in it."""
         self.scale = max(self.scale, _sup(majorant))
-        self.sup = max(self.sup, stats.sup if stats is not None else _sup(field.values))
+        self.sup = max(self.sup, stats.sup)
         gap = np.subtract(majorant, field.values, out=majorant if scratch else None)
         low, cell = _extreme(gap, "min")
         self.times.append(t)
@@ -235,8 +221,8 @@ class GronwallFold(_Fold):
         self.rate, self.q, self.norm0, self.t0 = rate, q, norm0, None
         self.slacks = []
 
-    def add(self, t, field, stats=None):
-        norm = stats.norm(self.q) if stats is not None else lq_norm(field, self.q)
+    def add(self, t, field, stats):
+        norm = stats.norm(self.q)
         if self.t0 is None:
             self.t0 = float(t)
             if self.norm0 is None:
@@ -247,7 +233,7 @@ class GronwallFold(_Fold):
         else:
             self.slacks.append((bound - norm) / bound)
         self.times.append(t)
-        self.cells.append(self._largest_cell(field, stats))
+        self.cells.append(stats.largest_cell)
 
     def finish(self) -> BoundCheck:
         return self._check(self.slacks)
@@ -280,11 +266,10 @@ class EnergyFold(_Fold):
         self.plan, self.sigma = HeatPlan(grid, sigma, "xv"), sigma
         self.e, self.d, self.fw = [], [], []
 
-    def add(self, t, field, source=None, stats=None):
+    def add(self, t, field, source, stats):
         """``source`` is the source field f at ``t`` (its work (f, p) is
         taken here), that work as a number, or None for no source."""
-        norm = stats.norm(2) if stats is not None else lq_norm(field, 2)
-        self.e.append(norm ** 2)
+        self.e.append(stats.norm(2) ** 2)
         self.d.append(self.plan.gradient_energy(field.values, "phase"))
         if source is None:
             source = 0.0
@@ -292,7 +277,7 @@ class EnergyFold(_Fold):
             source = float(np.sum(source.values * field.values)) * self.plan.grid.cell_volume
         self.fw.append(source)
         self.times.append(t)
-        self.cells.append(self._largest_cell(field, stats))
+        self.cells.append(stats.largest_cell)
 
     def finish(self) -> BoundCheck:
         times = np.asarray(self.times, dtype=float)
@@ -407,7 +392,7 @@ def check_positivity(traj, tol: float = 1e-12,
     """:class:`PositivityFold` over a trajectory."""
     fold = PositivityFold(tol, name)
     for t, f in zip(traj.times, traj.fields):
-        fold.add(t, f)
+        fold.add(t, f, FieldStats(f))
     return fold.finish()
 
 
@@ -427,7 +412,7 @@ def check_comparison(traj, majorant, tol: float = 1e-10,
         if k >= len(fields) or not (abs(times[k] - g.time_tag)
                                     <= 1e-12 + 1e-12 * abs(g.time_tag)):
             raise ConfigurationError("trajectory and majorant saved times differ")
-        fold.add(times[k], fields[k], g.values)
+        fold.add(times[k], fields[k], g.values, FieldStats(fields[k]))
         count = k + 1
     if count != len(fields):
         raise ConfigurationError("trajectory and majorant saved times differ")
@@ -440,7 +425,7 @@ def check_gronwall(traj, rate: float, q, tol: float = 1e-8,
     norm of its first field)."""
     fold = GronwallFold(rate, q, tol, norm0, name)
     for t, f in zip(traj.times, traj.fields):
-        fold.add(t, f)
+        fold.add(t, f, FieldStats(f))
     return fold.finish()
 
 
@@ -464,7 +449,7 @@ def check_energy(traj, sources, sigma: float, tol: float = None,
             src = next(samples, _MISSING)
             if src is _MISSING:
                 raise ConfigurationError("need one source sample per saved time")
-        fold.add(t, f, src)
+        fold.add(t, f, src, FieldStats(f))
     if samples is not None and next(samples, _MISSING) is not _MISSING:
         raise ConfigurationError("need one source sample per saved time")
     return fold.finish()

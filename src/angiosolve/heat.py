@@ -392,13 +392,6 @@ class HeatPlan:
 
         return at
 
-    def apply_each(self, values: np.ndarray, taus, kind: str):
-        """Yield the heat flow of one array for each time in ``taus``, as
-        :meth:`flow` gives it."""
-        at = self.flow(values, kind)
-        for tau in taus:
-            yield at(tau)
-
     def gradient_energy(self, values: np.ndarray, kind: str) -> float:
         """Integral of |grad f|^2 over the field's lattice, the gradient taken
         in the plan's subspace (spectral; exact for lattice-representable data

@@ -42,14 +42,18 @@ each restarted from the previous window's final state; the running time
 integral is carried across window boundaries so the damping coefficient
 stays the global integral.  Short windows contract faster, and a window
 after the first two steps is seeded with the quadratic continuation of the
-converged node series, so one correction usually meets the tolerance there
-(windowed waveform relaxation; Gander & Stuart, SIAM J. Sci. Comput. 19,
-1998).
+last three converged nodes, so one correction usually meets the tolerance
+there (windowed waveform relaxation; Gander & Stuart, SIAM J. Sci. Comput.
+19, 1998).
 
 A window's saved fields are final once it has converged, so the loop hands
-them out then (:class:`DriveStream`) and keeps none: a checked run reads
-each one and drops it, and :func:`collect` keeps them all for the public
-drivers' trajectories.
+them out then (:class:`DriveStream`), each with the running integral at its
+time, and keeps none.  Like the proof, which carries only int_0^t p~ ds
+across slab edges, the loop carries that integral and the last three
+converged nodes (the seed's history) from window to window, so nothing it
+holds grows with the run length: a checked run reads each field and drops
+it, and :func:`collect` keeps them all for the public drivers'
+trajectories.
 """
 
 from __future__ import annotations
@@ -243,8 +247,8 @@ def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
     exact, so evaluating each node in one shot composes exactly with the
     previous windows.
     """
-    taus = [i * dt for i in range(n_local + 1)]
-    return np.stack(list(plan_x.apply_each(c_start_vals, taus, "spatial")))
+    flow = plan_x.flow(c_start_vals, "spatial")
+    return np.stack([flow(i * dt) for i in range(n_local + 1)])
 
 
 def _advance_c_nodes(chat_start, c_inf_win, j_loc, eta, dt, plan_x):
@@ -351,10 +355,11 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     j_k, and the c change joins the stopping rule.  Every phase march starts
     nonnegative and sourceless, so :func:`solve_linear` floors each step.
 
-    A generator: each window's saved ``(t, p_field, c_field or None)`` are
-    yielded once it has converged, and it returns ``(diagnostics, a_nodes)``,
-    the running integral of the converged marginal at every node.
-    :class:`DriveStream` wraps it for consumers.
+    A generator: each window's saved ``(t, p_field, c_field or None, a)``
+    are yielded once it has converged, ``a`` the running integral of the
+    converged marginal at ``t`` (the carried offset plus the window's own
+    part), and it returns the diagnostics.  :class:`DriveStream` wraps it
+    for consumers.
     """
     validate_options(k_max, tol, init)
     coupled = c0 is not None
@@ -365,7 +370,6 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         p0 = PhaseField(grid, p0.values, time_tag=p0.time_tag, nonnegative=True)
     gamma, eta, dt = params.gamma, params.eta, schedule.dt
     n_steps = schedule.n_steps
-    n_nodes = n_steps + 1
     plan = HeatPlan(grid, params.sigma, "xv")
     rho_v, record, alpha_rate = None, None, 0.0
     if coupled:
@@ -391,9 +395,9 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     global_saved = set(schedule.saved_nodes())
 
     diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])
-    # the converged node series: the marginal (and j), which seed the windows
-    pt_nodes = np.empty((n_nodes,) + grid.spatial_shape)
-    j_nodes = np.empty_like(pt_nodes) if coupled else None
+    # the last (up to) three converged nodes of the marginal (and j), which
+    # seed the windows, and the running integral at the window start
+    hist_pt = hist_j = np.empty((0,) + grid.spatial_shape)
     a_offset = np.zeros(grid.spatial_shape)
     p_start = p0
 
@@ -412,9 +416,9 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             pt_start = _reduce_raw(p_start.values, grid)
 
         # the seed S: zero until three converged nodes exist
-        if i0 >= 2:
-            prev_pt = _seed(pt_nodes[i0 - 2:i0 + 1], n_local)
-            prev_j = _seed(j_nodes[i0 - 2:i0 + 1], n_local) if coupled else None
+        if len(hist_pt) == 3:
+            prev_pt = _seed(hist_pt, n_local)
+            prev_j = _seed(hist_j, n_local) if coupled else None
         else:
             prev_pt = prev_j = np.zeros((n_local + 1,) + grid.spatial_shape)
         # "zero" counts S as iterate 1, with c_1 marched from its j; "heat"
@@ -485,6 +489,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
 
         # yield only the schedule's own saved nodes: window edges are an
         # implementation detail and must not leak extra snapshots
+        a_win = accumulate_time_integral(pt_k, dt)
         for pos, node in enumerate(march_saved):
             if i0 + node not in global_saved:
                 continue
@@ -492,53 +497,54 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             # differ from (i0 + node) * dt in the last bit
             t = traj_k.times[pos]
             yield (t, traj_k.fields[pos],
-                   SpatialField(grid, c_cur[node], time_tag=t, role="c") if coupled else None)
-        pt_nodes[i0:i1 + 1] = pt_k
-        a_offset = a_offset + accumulate_time_integral(pt_k, dt)[-1]
+                   SpatialField(grid, c_cur[node], time_tag=t, role="c") if coupled else None,
+                   a_offset + a_win[node])
+        a_offset = a_offset + a_win[-1]
+        # a window's node 0 is the previous window's last node, restarted
+        hist_pt = np.concatenate([hist_pt[:-1], pt_k])[-3:]
         if coupled:
-            j_nodes[i0:i1 + 1] = j_k
+            hist_j = np.concatenate([hist_j[:-1], j_k])[-3:]
             chat_start = chat_cur
             cinf_start = c_inf_win[-1]
 
-    return diag, accumulate_time_integral(pt_nodes, dt)
+    return diag
 
 
 class DriveStream:
     """One fixed-point run of :func:`_drive`, handed out field by field.
 
-    Iterating it (once) runs the drive and yields ``(t, p_field, c_field)``
-    (``c_field`` None without ``c0``) for every saved time, in order, as
-    soon as the window holding that time has converged; nothing keeps a
-    field once its window is done, so a consumer that drops each field
-    holds one window of fields, not the trajectory.  When the iteration
-    ends, ``diag`` holds the run's :class:`IterationDiagnostics` and
-    ``a_nodes`` the running integral of the marginal at every node of
-    ``node_times``.
+    Iterating it (once) runs the drive and yields ``(t, p_field, c_field,
+    a)`` (``c_field`` None without ``c0``; ``a`` the running integral of the
+    marginal at ``t``) for every saved time, in order, as soon as the window
+    holding that time has converged; nothing keeps a field once its window
+    is done, so a consumer that drops each field holds one window of
+    fields, not the trajectory.  When the iteration ends, ``diag`` holds
+    the run's :class:`IterationDiagnostics`.
     """
 
     def __init__(self, p0, c0, params, schedule, k_max, tol, init):
         self.coupled = c0 is not None
-        self.node_times = schedule.times()
-        self.diag = self.a_nodes = None
+        self.diag = None
         self._drive = _drive(p0, c0, params, schedule, k_max, tol, init)
 
     def __iter__(self):
-        self.diag, self.a_nodes = yield from self._drive
+        self.diag = yield from self._drive
 
 
 def collect(stream: DriveStream):
     """Run a stream to its end, keeping every field.
 
     Returns (p_trajectory, c_trajectory or None, diagnostics); the p
-    trajectory carries the node times and ``aux["a_nodes"]``.
+    trajectory's ``aux["a"]`` stacks the running integral at its saved
+    times, one row per entry of ``times``.
     """
-    times, p_fields, c_fields = [], [], []
-    for t, p_field, c_field in stream:
+    times, p_fields, c_fields, a_rows = [], [], [], []
+    for t, p_field, c_field, a in stream:
         times.append(t)
         p_fields.append(p_field)
         c_fields.append(c_field)
-    p_traj = Trajectory(times, p_fields, node_times=stream.node_times,
-                        aux={"a_nodes": stream.a_nodes})
+        a_rows.append(a)
+    p_traj = Trajectory(times, p_fields, aux={"a": np.stack(a_rows)})
     c_traj = Trajectory(times, c_fields) if stream.coupled else None
     return p_traj, c_traj, stream.diag
 

@@ -37,8 +37,8 @@ from .heat import HeatPlan
 from .moments import MomentSet, moments_of, second_moment, velocity_marginal
 from .picard import (DriveStream, ModelParams, _alpha_raw, collect,
                      summarise_iterates, validate_options, velocity_profile)
-from .snapshots import save_field, write_moment_table
-from .stepping import Schedule, Trajectory
+from .snapshots import moment_row, save_field, write_moment_table
+from .stepping import Schedule
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,13 @@ def _fold_outer(factors):
     return vals
 
 
+def _mass(recipe) -> float:
+    mass = float(recipe.get("mass", 1.0))
+    if mass < 0.0:
+        raise ConfigurationError(f"mass must be >= 0, got {mass!r}")
+    return mass
+
+
 def build_initial_p(grid: GridSpec, recipe: dict) -> PhaseField:
     """Phase-density recipe lookup; see module docstring."""
     kind = recipe.get("recipe", "zero")
@@ -126,9 +133,7 @@ def build_initial_p(grid: GridSpec, recipe: dict) -> PhaseField:
     cv = _per_axis(recipe.get("center_v", 0.0), grid.dim_v, "center_v")
     var_x = float(recipe.get("variance_x", 0.25))
     var_v = float(recipe.get("variance_v", 0.25))
-    mass = float(recipe.get("mass", 1.0))
-    if mass < 0.0:
-        raise ConfigurationError(f"mass must be >= 0, got {mass!r}")
+    mass = _mass(recipe)
     factors = (
         _gauss_factors(grid.x_coords(), cx, var_x, grid.half_width_x, grid.h_x)
         + _gauss_factors(grid.v_coords(), cv, var_v, grid.half_width_v, grid.h_v)
@@ -144,7 +149,7 @@ def build_initial_c(grid: GridSpec, recipe: dict) -> SpatialField:
     if kind == "gaussian_bump":
         cx = _per_axis(recipe.get("center_x", 0.0), grid.dim_x, "center_x")
         var_x = float(recipe.get("variance_x", 0.25))
-        mass = float(recipe.get("mass", 1.0))
+        mass = _mass(recipe)
         factors = _gauss_factors(grid.x_coords(), cx, var_x,
                                  grid.half_width_x, grid.h_x)
         return SpatialField(grid, mass * _fold_outer(factors), role="c")
@@ -656,9 +661,9 @@ def _drive_ahead(stream: DriveStream):
     object, after the items yielded before it.  When this generator is
     closed early, or the caller raises into it, the worker is told to stop
     at its next hand-off; on every exit the worker is joined, so
-    ``stream.diag`` and ``stream.a_nodes`` are settled once it returns.
+    ``stream.diag`` is settled once it returns.
     """
-    # carries the stream's (t, p, c) items, then None at its end or the
+    # carries the stream's (t, p, c, a) items, then None at its end or the
     # exception that ended it
     handoff = queue.Queue(maxsize=1)
     stop = threading.Event()
@@ -704,12 +709,14 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
 
     The drive is streamed and pipelined: it runs on a worker thread
     (:func:`_drive_ahead`), and each saved field goes, as its window
-    converges, through the check folds, ``moments_of`` and (with
+    converges, through ``moments_of``, the check folds and (with
     ``out_dir``) the snapshot writer on the calling thread, in stream
-    order, and is then dropped.  The drive marches at most one field ahead
-    of them, so the run holds about a window's fields, never the
-    trajectory.  ``moments.csv``, ``report.json`` and ``summary.txt`` are
-    written after the last field, so a run that raises leaves none of them.
+    order, and is then dropped, leaving its six-number ``moments.csv`` row.
+    The drive marches at most one field ahead of them, so the run holds
+    about a window's fields, never the trajectory, and nothing it holds
+    grows with the run length but those rows and the folds' scalars.
+    ``moments.csv``, ``report.json`` and ``summary.txt`` are written after
+    the last field, so a run that raises leaves none of them.
 
     Returns ``(exit_code, payload)`` with the process exit convention
     0 = converged and all checks passed, 3 = the fixed point did not converge
@@ -732,20 +739,19 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
         snap_dir = os.path.join(out_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
     stream = made.stream(tol=tol)
-    # one moment set per saved field serves the checks and moments.csv
-    times, moment_sets = [], []
+    # one moment set per saved field serves the checks and its table row
+    rows = []
     with closing(_drive_ahead(stream)) as fields:
-        for i, (t, p_field, c_field) in enumerate(fields):
+        for i, (t, p_field, c_field, a) in enumerate(fields):
             ms = moments_of(p_field)
             folds.add(t, p_field, c_field, ms)
             if snap_dir is not None:
                 save_field(p_field, os.path.join(snap_dir, f"p_{i:04d}.akf"))
                 if c_field is not None:
                     save_field(c_field, os.path.join(snap_dir, f"c_{i:04d}.akf"))
-            times.append(t)
-            moment_sets.append(ms)
+            rows.append(moment_row(t, ms, a))
             # the loop names would keep this field alive through the next one
-            del p_field, c_field
+            del p_field, c_field, ms
     checks = folds.finish()
     diag = stream.diag
     monotone = diag.deltas_strictly_decreasing()
@@ -770,10 +776,7 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
         "exit_code": code,
     }
     if out_dir is not None:
-        marginals = Trajectory(times, [ms.p_tilde for ms in moment_sets],
-                               node_times=stream.node_times)
-        write_moment_table(marginals, moment_sets, stream.a_nodes,
-                           os.path.join(out_dir, "moments.csv"))
+        write_moment_table(rows, os.path.join(out_dir, "moments.csv"))
         write_report(checks, os.path.join(out_dir, "report.json"))
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write(format_summary(scenario, payload))

@@ -11,9 +11,10 @@ The header pins everything needed to interpret a phase field; a spatial
 field deliberately stores no velocity lattice (it has none), so reloading
 one needs the run's grid.
 
-The reduced-quantity table is plain CSV text with one row per saved time;
-floats are written with repr-faithful precision so files are bit-stable
-across runs.
+The reduced-quantity table is plain CSV text with one row per saved time,
+written from the numbers the caller reduced each saved field to (the
+writer reads no field); floats are written with repr-faithful precision so
+files are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -95,34 +96,20 @@ def load_field(path, grid: GridSpec = None):
     return PhaseField(grid, payload.reshape(grid.phase_shape), time_tag=time_tag)
 
 
-def write_moment_table(traj, moment_sets, a_nodes, path) -> None:
-    """Reduced-quantity table of a run, one row per saved time.
+def moment_row(t, moments, a) -> tuple:
+    """The six numbers of one saved time's table row: ``t``, the mass and
+    the sups of the velocity marginal, the speed moment and the second
+    moment (from its MomentSet ``moments``), and the sup of the running
+    time integral ``a`` at ``t``."""
+    return (t, moments.mass, float(moments.p_tilde.values.max()),
+            float(moments.j.values.max()), float(moments.m.values.max()),
+            float(a.max()))
 
-    Columns: time, mass, sup of the velocity marginal, of the speed moment,
-    of the second moment (from ``moment_sets``, the MomentSet of each saved
-    field), and of the running time integral (``a_nodes`` is the node-level
-    integral stack from the driver; rows pick the node matching each saved
-    time).  ``traj`` gives the saved times and the node times; its fields
-    are not read, so a trajectory of the run's marginals serves as well as
-    the density's own.
-    """
-    if traj.node_times is None:
-        raise ConfigurationError("trajectory carries no node times; run a driver first")
-    if len(moment_sets) != len(traj):
-        raise ConfigurationError(
-            f"need one moment set per saved field, got {len(moment_sets)} "
-            f"for {len(traj)}")
-    dt = float(traj.node_times[1] - traj.node_times[0])
-    t0 = float(traj.node_times[0])
+
+def write_moment_table(rows, path) -> None:
+    """Reduced-quantity table of a run, one :func:`moment_row` per saved
+    time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "mass", "sup_p_tilde", "sup_j", "sup_m", "sup_a"])
-        for t, ms in zip(traj.times, moment_sets):
-            node = int(round((t - t0) / dt))
-            writer.writerow([
-                _fmt(t), _fmt(ms.mass),
-                _fmt(float(ms.p_tilde.values.max())),
-                _fmt(float(ms.j.values.max())),
-                _fmt(float(ms.m.values.max())),
-                _fmt(float(a_nodes[node].max())),
-            ])
+        writer.writerows([_fmt(x) for x in row] for row in rows)

@@ -258,17 +258,16 @@ class CoefficientTrack:
 class Trajectory:
     """Snapshots of one evolution at selected times, plus node-level series.
 
-    ``fields[k]`` is the saved field at ``times[k]``.  ``node_times`` lists
-    every schedule node when the producing solver recorded node series;
-    ``p_tilde_nodes`` then holds the velocity marginal at every node, and
-    ``j_nodes`` the speed moment; both are stacked arrays with the node as
-    leading axis, None when not recorded.  ``aux`` carries solver-specific
-    extras (the pure and coupled drivers' running integral ``a_nodes``;
+    ``fields[k]`` is the saved field at ``times[k]``.  When the producing
+    solver recorded node series, ``p_tilde_nodes`` holds the velocity
+    marginal at every schedule node and ``j_nodes`` the speed moment; both
+    are stacked arrays with the node as leading axis, None when not
+    recorded.  ``aux`` carries solver-specific extras (the pure and coupled
+    drivers' running integral ``a`` at the saved times;
     :func:`solve_linear`'s ``factored``, true when it marched factors).
     """
 
-    def __init__(self, times, fields, node_times=None, p_tilde_nodes=None,
-                 j_nodes=None, aux=None):
+    def __init__(self, times, fields, p_tilde_nodes=None, j_nodes=None, aux=None):
         times = np.asarray(times, dtype=float)
         fields = list(fields)
         if times.shape != (len(fields),):
@@ -278,7 +277,6 @@ class Trajectory:
         times.setflags(write=False)
         self.times = times
         self.fields = fields
-        self.node_times = None if node_times is None else np.asarray(node_times, float)
         self.p_tilde_nodes = p_tilde_nodes
         self.j_nodes = j_nodes
         self.aux = dict(aux or {})
@@ -445,8 +443,5 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
             fields.append(PhaseField(grid, state, time_tag=t, nonnegative=clamp))
             times.append(t)
 
-    kwargs = {}
-    if record is not None:
-        kwargs = dict(node_times=t0 + schedule.times(), p_tilde_nodes=p_tilde_rec,
-                      j_nodes=j_rec)
-    return Trajectory(times, fields, aux={"factored": factors is not None}, **kwargs)
+    nodes = (None, None) if record is None else (p_tilde_rec, j_rec)
+    return Trajectory(times, fields, *nodes, aux={"factored": factors is not None})

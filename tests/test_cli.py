@@ -203,6 +203,10 @@ def test_bad_inputs_exit_2(capsys):
     assert main(["run", "zero", "--override", "grid.n_x=verymany"]) == 2
     assert main(["run", "zero", "--override", "nodots"]) == 2
     assert main(["check", "/nonexistent/path.cfg"]) == 2
+    # negative initial data are refused before anything is driven
+    for override in ("initial_p.mass=-1", "initial_c.mass=-1"):
+        assert main(["check", "coupled-smoke-2d", "--override", override]) == 2
+    assert main(["check", "coupled-ramp", "--override", "initial_c.k_inf=-1"]) == 2
 
 
 @pytest.mark.parametrize("override", ["DEFAULT.x=1", "foo .x=1",

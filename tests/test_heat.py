@@ -133,10 +133,9 @@ def test_product_flows_from_its_factors(dims, seed, tau):
     p = PhaseField(g, np.multiply.outer(rng.random(g.spatial_shape),
                                         rng.random(g.velocity_shape)))
     x_part, h = factor_xv(p)
-    taus = [0.0, tau]
-    (_, gx), (_, hv) = (HeatPlan(g, SIGMA, "x").apply_each(x_part, taus, "spatial"),
-                        HeatPlan(g, SIGMA, "v").apply_each(h, taus, "velocity"))
-    _, full = HeatPlan(g, SIGMA, "xv").apply_each(p.values, taus, "phase")
+    gx = HeatPlan(g, SIGMA, "x").flow(x_part, "spatial")(tau)
+    hv = HeatPlan(g, SIGMA, "v").flow(h, "velocity")(tau)
+    full = HeatPlan(g, SIGMA, "xv").flow(p.values, "phase")(tau)
     np.testing.assert_allclose(np.multiply.outer(gx, hv), full, rtol=0.0,
                                atol=1e-14 * float(p.values.max()))
 
@@ -145,7 +144,7 @@ def test_product_flows_from_its_factors(dims, seed, tau):
                                              ("x", "spatial"), ("v", "velocity")])
 def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
     # a stack transforms in one call with the same bits as one field at a
-    # time, and apply_each matches apply per time bit for bit; apply has the
+    # time, and flow matches apply per time bit for bit; apply has the
     # spectral bits on the 256-point plan and is within 1e-14 of them on
     # the 64-point (short-axis) plan
     for g in (grid64, small_grid(256)):
@@ -158,7 +157,8 @@ def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
             _assert_flow_matches(plan, plan.apply(stack[k], 0.3, kind), flowed[k])
         _assert_flow_matches(plan, plan.apply(stack, 0.3, kind), flowed)
         field = stack[0]
-        each = list(plan.apply_each(field, [0.0, 0.1, 0.3], kind))
+        at = plan.flow(field, kind)
+        each = [at(tau) for tau in (0.0, 0.1, 0.3)]
         assert each[0] is field and plan.apply(field, 0.0, kind) is field
         np.testing.assert_array_equal(each[1], plan.apply(field, 0.1, kind))
         np.testing.assert_array_equal(each[2], plan.apply(field, 0.3, kind))
@@ -287,7 +287,7 @@ def test_short_axis_flow_meets_criterion_01_bounds(dim_x, dim_v, n, L):
        taus=st.lists(st.floats(min_value=1e-4, max_value=5.0), min_size=1, max_size=3))
 def test_apply_flow_and_apply_each_agree_bit_for_bit(lattice, seed, taus):
     # within one plan, matrices or FFT: apply out of place and in the work
-    # array, flow(tau) and apply_each give one set of bits
+    # array and flow(tau), asked once per time, give one set of bits
     dim_x, dim_v, n = lattice
     g = small_grid(n, dim_x, dim_v)
     rng = np.random.default_rng(seed)
@@ -295,10 +295,9 @@ def test_apply_flow_and_apply_each_agree_bit_for_bit(lattice, seed, taus):
         plan = HeatPlan(g, SIGMA, subspace)
         vals = rng.random(g.shape_of(kind))
         at = plan.flow(vals, kind)
-        for tau, each in zip(taus, plan.apply_each(vals, taus, kind)):
+        for tau in taus:
             out = plan.apply(vals, tau, kind)
             np.testing.assert_array_equal(at(tau), out)
-            np.testing.assert_array_equal(each, out)
             work = plan.work(kind)
             work[...] = vals
             np.testing.assert_array_equal(plan.apply(work, tau, kind), out)

@@ -25,6 +25,7 @@ from angiosolve import (
     ShapeError,
     SignError,
     SpatialField,
+    accumulate_time_integral,
     alpha_of_c,
     heat_step,
     integrate_phase,
@@ -358,11 +359,28 @@ def test_picard_pure_multi_slab_stitching(grid64):
     np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-12)
     masses = [integrate_phase(f) for f in traj.fields]
     assert all(b > a for b, a in zip(masses, masses[1:]))  # damping only removes
-    # accumulated integral: zero at t=0, nondecreasing columns
-    a_nodes = traj.aux["a_nodes"]
-    assert a_nodes.shape == (51,) + grid64.spatial_shape
-    assert float(np.abs(a_nodes[0]).max()) == 0.0
-    assert float(np.diff(a_nodes, axis=0).min()) >= 0.0
+    # accumulated integral at the saved times: zero at t=0, nondecreasing
+    # columns
+    a = traj.aux["a"]
+    assert a.shape == (6,) + grid64.spatial_shape
+    assert float(np.abs(a[0]).max()) == 0.0
+    assert float(np.diff(a, axis=0).min()) >= 0.0
+
+
+def test_reported_integral_is_that_of_the_saved_marginals(grid64):
+    # at stride 1 every node is saved, so a driver's aux["a"], the integral
+    # it damps with, is the running trapezoid of its saved fields' own
+    # marginals, up to round-off, across every window restart
+    p0, c0 = gaussian_phase(grid64), _c_bump(grid64)
+    sched = Schedule(t_end=0.1, dt=0.01, save_stride=1)
+    pure, _ = picard_pure(p0, _params(gamma=9.0), sched, tol=1e-10)
+    coupled, _, _ = picard_coupled(p0, c0, _params(gamma=9.0), sched, tol=1e-10)
+    for traj in (pure, coupled):
+        marginals = np.stack([_reduce_raw(f.values, grid64) for f in traj.fields])
+        ref = accumulate_time_integral(marginals, sched.dt)
+        a = traj.aux["a"]
+        assert a.shape == ref.shape == (11,) + grid64.spatial_shape
+        assert float(np.abs(a - ref).max()) <= 1e-13 * float(ref.max())
 
 
 def test_picard_pure_flags_non_convergence(grid64):
@@ -563,9 +581,11 @@ def test_picard_coupled_without_production_reduces_to_pure(grid64):
 
 
 def test_coupled_drive_holds_one_saved_trajectory():
-    # the stopping rule reads node series, and an iterate's saved fields go
-    # before the next iterate is marched: at its peak the drive holds the
-    # saved trajectory, the iteration's node series and a few step arrays
+    # the stopping rule reads one window's node series, and an iterate's
+    # saved fields go before the next iterate is marched: at its peak the
+    # collected run holds the saved trajectory, its integral rows (twice,
+    # while they are stacked) and a few step arrays, and no series over
+    # the run's nodes
     g = GridSpec(dim_x=1, dim_v=1, n_x=32, n_v=128, half_width_x=8.0, half_width_v=8.0)
     p0, c0 = _flat_in_x(g), _c_bump(g)
     sched = Schedule(t_end=0.32, dt=0.005, save_stride=1)
@@ -578,8 +598,8 @@ def test_coupled_drive_holds_one_saved_trajectory():
         tracemalloc.stop()
     assert diag.converged and len(diag.k_per_slab) == 32
     traj_bytes = sum(f.values.nbytes for f in p_traj.fields)
-    series_bytes = p_traj.aux["a_nodes"].nbytes
-    assert peak <= traj_bytes + 16 * series_bytes + 8 * p0.values.nbytes
+    series_bytes = p_traj.aux["a"].nbytes
+    assert peak <= traj_bytes + 4 * series_bytes + 8 * p0.values.nbytes
 
 
 def test_picard_coupled_zero_density_leaves_c_on_heat_flow(grid64):
@@ -620,8 +640,8 @@ def test_picard_coupled_decomposition_and_signs(grid64):
     assert diag.converged and diag.deltas_strictly_decreasing()
     assert c_traj.aux == {}  # the drive keeps no depletion side series
     sup_c0 = float(c0.values.max())
-    far = HeatPlan(grid64, 0.05, "x").apply_each(c0.values, c_traj.times, "spatial")
-    chats = [cf.values - c_inf for cf, c_inf in zip(c_traj.fields, far)]
+    far = HeatPlan(grid64, 0.05, "x").flow(c0.values, "spatial")
+    chats = [cf.values - far(t) for cf, t in zip(c_traj.fields, c_traj.times)]
     for cf, chat in zip(c_traj.fields, chats):
         assert float(chat.max()) <= 1e-14 * sup_c0
         assert float(cf.values.min()) >= 0.0
@@ -641,7 +661,7 @@ def test_coupled_stitching_reports_the_fields_own_time_tags(coupled_fix):
         assert c_traj.times[k] == c_traj.fields[k].time_tag == pf.time_tag
     # each window starts from its own node time, so no rounding builds up
     # over the restarts: every tag is within one ulp of its node's time
-    nodes = p_traj.node_times
+    nodes = coupled_fix["scenario"].schedule.times()
     nearest = nodes[np.searchsorted(nodes, p_traj.times - 1e-9)]
     assert np.all(np.abs(p_traj.times - nearest) <= np.spacing(nearest))
 

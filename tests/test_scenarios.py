@@ -147,6 +147,9 @@ def test_concentration_gaussian_recipe():
                             "variance_x": "0.5", "mass": "0.4"})
     assert c.role == "c"
     assert float(c.values.sum()) * g.h_x == pytest.approx(0.4, rel=1e-12)
+    # a negative mass is refused as the density recipe refuses it
+    with pytest.raises(ConfigurationError, match="mass"):
+        build_initial_c(g, {"recipe": "gaussian_bump", "mass": "-1.0"})
 
 
 def test_boundary_mass_fraction():
@@ -321,20 +324,22 @@ def test_streamed_run_holds_a_fixed_number_of_fields(tmp_path, stride):
     # and is dropped: the peak is the drive's window (its start, two saved
     # fields, the march's work, spectrum and coefficient arrays), the field
     # being checked and the one queued behind it, p0 and a fold's
-    # temporaries, whatever the stride.  At stride 1 a collected run would
-    # hold 51 fields
-    sc = load_shipped_scenario("coupled-ramp", overrides=(
-        "schedule.t_end=0.05", f"schedule.save_stride={stride}"))
-    field_bytes = 8 * sc.grid.n_x * sc.grid.n_v
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        code, _ = run_scenario(sc, out_dir=str(tmp_path / "run"))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak <= 14 * field_bytes, peak / field_bytes
+    # temporaries, whatever the stride and the run length.  At stride 1 a
+    # collected run would hold one field per step
+    for steps in (50, 400):
+        sc = load_shipped_scenario("coupled-ramp", overrides=(
+            f"schedule.t_end={steps * 0.001!r}", f"schedule.save_stride={stride}"))
+        assert sc.schedule.n_steps == steps
+        field_bytes = 8 * sc.grid.n_x * sc.grid.n_v
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code, _ = run_scenario(sc, out_dir=str(tmp_path / f"run{steps}"))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 14 * field_bytes, (steps, peak / field_bytes)
 
 
 def test_run_that_raises_mid_stream_writes_no_report(tmp_path, monkeypatch):
@@ -557,7 +562,7 @@ def test_comparison_majorant_flows_product_data_by_its_factors(short_coupled,
 def _with_field(traj, k, vals):
     fields = list(traj.fields)
     fields[k] = PhaseField(traj.grid, vals, time_tag=fields[k].time_tag)
-    return Trajectory(traj.times, fields, node_times=traj.node_times, aux=traj.aux)
+    return Trajectory(traj.times, fields, aux=traj.aux)
 
 
 def test_planted_faults_fail_through_the_factored_paths(short_coupled):

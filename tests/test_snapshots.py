@@ -22,9 +22,11 @@ from angiosolve import (
     picard_pure,
     save_field,
     solve_linear,
+    speed_moment,
     write_moment_table,
     write_report,
 )
+from angiosolve.snapshots import moment_row
 from angiosolve.stepping import CoefficientTrack, Trajectory
 
 from conftest import gaussian_phase
@@ -135,39 +137,27 @@ def test_save_field_writes_the_payload_without_a_copy(tmp_path):
 
 
 def test_moment_table_rows_align_with_nodes(tmp_path, grid64):
+    # one row per saved time, in the order handed over, each number written
+    # repr-faithfully; the integral column is the driver's at those times
     p0 = gaussian_phase(grid64)
     sched = Schedule(t_end=0.1, dt=0.01, save_stride=5)
     traj, _ = picard_pure(p0, _params(), sched, tol=1e-9)
-    a_nodes = traj.aux["a_nodes"]
+    rows = [moment_row(t, moments_of(f), a)
+            for t, f, a in zip(traj.times, traj.fields, traj.aux["a"])]
     path = tmp_path / "moments.csv"
-    write_moment_table(traj, [moments_of(f) for f in traj.fields], a_nodes, path)
+    write_moment_table(rows, path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "mass", "sup_p_tilde", "sup_j", "sup_m", "sup_a"]
-    assert len(rows) == 1 + 3  # saves at t = 0, 0.05, 0.1
-    for row, (t, f) in zip(rows[1:], zip(traj.times, traj.fields)):
-        assert float(row[0]) == t
+        table = list(csv.reader(fh))
+    assert table[0] == ["time", "mass", "sup_p_tilde", "sup_j", "sup_m", "sup_a"]
+    assert len(table) == 1 + 3  # saves at t = 0, 0.05, 0.1
+    for written, row, f in zip(table[1:], rows, traj.fields):
         # repr-faithful floats reparse exactly
-        assert float(row[1]) == integrate_phase(f)
-        node = int(round(t / 0.01))
-        assert float(row[5]) == float(a_nodes[node].max())
+        assert [float(x) for x in written] == list(row)
+        assert float(written[1]) == integrate_phase(f)
+        assert float(written[3]) == float(speed_moment(f).values.max())
     # the integral column is nondecreasing, starting at zero
-    sup_a = [float(r[5]) for r in rows[1:]]
+    sup_a = [float(r[5]) for r in table[1:]]
     assert sup_a[0] == 0.0 and sup_a == sorted(sup_a)
-
-
-def test_moment_table_requires_node_times(tmp_path, grid64):
-    p0 = gaussian_phase(grid64)
-    sched = Schedule(t_end=0.05, dt=0.01, save_stride=5)
-    traj = solve_linear(p0, CoefficientTrack(sched, grid64), 0.05)
-    with pytest.raises(ConfigurationError):
-        write_moment_table(traj, [moments_of(f) for f in traj.fields],
-                           np.zeros((6,) + grid64.spatial_shape), tmp_path / "m.csv")
-    # and the moment sets must match the saved fields one to one
-    traj, _ = picard_pure(p0, _params(), sched, tol=1e-9)
-    with pytest.raises(ConfigurationError, match="moment set"):
-        write_moment_table(traj, [moments_of(traj.fields[0])], traj.aux["a_nodes"],
-                           tmp_path / "m.csv")
 
 
 def test_write_report_is_deterministic(tmp_path, grid64):

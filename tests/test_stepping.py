@@ -163,7 +163,7 @@ def test_solve_linear_records_moment_nodes(grid64):
     assert traj.j_nodes.min() >= 0.0
     # the other record: nothing
     plain = solve_linear(p0, track, SIGMA)
-    assert plain.node_times is None and plain.p_tilde_nodes is None
+    assert plain.p_tilde_nodes is None and plain.j_nodes is None
     for bad in ("speed", "p_tilde", "vector_j"):
         with pytest.raises(ParameterError):
             solve_linear(p0, track, SIGMA, record=bad)
