@@ -39,8 +39,9 @@ def main():
           f"{summarise_iterates(diag.k_per_slab)}\n")
 
     # the correction c_hat = c - c_free, with c_free the heat flow of c0
-    c_free = HeatPlan(g, params.d, "x").flow(c0.values, "spatial")
-    chat = [cf.values - c_free(t) for cf, t in zip(c_traj.fields, c_traj.times)]
+    plan = HeatPlan(g, params.d, "x")
+    chat = [cf.values - plan.apply(c0.values, t, "spatial")
+            for cf, t in zip(c_traj.fields, c_traj.times)]
     print("   t     mass p   sup j     sup c     min c_hat")
     for k, t in enumerate(c_traj.times):
         j = speed_moment(p_traj.fields[k])

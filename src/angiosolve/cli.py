@@ -39,10 +39,10 @@ def _resolve(config: str, overrides):
     )
 
 
-def _run_one(config, overrides, out_root, tol):
+def _run_one(config, overrides, out_root):
     scenario = _resolve(config, overrides)
     out_dir = os.path.join(out_root, scenario.name) if out_root else None
-    code, payload = run_scenario(scenario, out_dir=out_dir, tol=tol)
+    code, payload = run_scenario(scenario, out_dir=out_dir)
     return code, format_summary(scenario, payload)
 
 
@@ -56,13 +56,13 @@ def _cmd_run(args) -> int:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_one, cfg, tuple(args.override), args.out, args.tol)
+                pool.submit(_run_one, cfg, tuple(args.override), args.out)
                 for cfg in args.configs
             ]
             results = [f.result() for f in futures]
     else:
         results = [
-            _run_one(cfg, tuple(args.override), args.out, args.tol)
+            _run_one(cfg, tuple(args.override), args.out)
             for cfg in args.configs
         ]
     for code, summary in results:
@@ -139,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1,
                     help="run up to this many scenarios in parallel (capped "
                          "at the scenario and CPU counts)")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="override the fixed-point tolerance")
     add_overrides(sp)
     sp.set_defaults(func=_cmd_run)
 

@@ -359,13 +359,14 @@ class CBoundsFold(_Fold):
         self.sup_c0 = float(c0.values.max())
         if self.sup_c0 <= 0.0:
             self.sup_c0 = 1.0
-        self.far_field = HeatPlan(c0.grid, diffusivity, "x").flow(c0.values, "spatial")
+        self.c0, self.plan = c0.values, HeatPlan(c0.grid, diffusivity, "x")
         self.t0, self.slacks = None, []
 
     def add(self, t, field):
         if self.t0 is None:
             self.t0 = float(t)
-        c_inf, vals, sup_c0 = self.far_field(t - self.t0), field.values, self.sup_c0
+        c_inf = self.plan.apply(self.c0, t - self.t0, "spatial")
+        vals, sup_c0 = field.values, self.sup_c0
         low, low_cell = _extreme(vals, "min")          # (1) c >= 0
         high, high_cell = _extreme(vals, "max")        # (2) c <= sup c0
         dep, dep_cell = _extreme(vals - c_inf, "max")  # (3) depletion <= 0

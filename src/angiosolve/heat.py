@@ -18,29 +18,28 @@ axis transforms and multiplies the mean (k = 0) mode by exactly 1.0.
 
 A :class:`HeatPlan` fixes the lattice, the diffusivity and the subspace the
 Laplacian acts on ("xv" for the full phase Laplacian, "x" or "v" for the
-partial ones).  It lays out each field kind it serves once (shape,
-transformed axes, |k|^2 on the real-transform layout) and keeps one
-multiplier per kind: the last step size asked for, which is the one the
-steppers reuse.  The |k|^2 tables are read-only and shared by every live
-plan of the same lattice and subspace.  A plan also keeps, per kind, the
-second array its heat flow runs in (the spectrum, or on a short-axis plan
-a 256 KiB block buffer, since its matrix products run in place) and a work
-array a stepper may march in, so a march allocates nothing per step; both
-go with the plan and belong to the one thread that marches in it.  The
-same layout serves the semigroup's Dirichlet form,
+partial ones).  It lays out each field kind it serves once (shape and
+transformed axes), builds the |k|^2 of a kind on the real-transform layout
+the first time a multiplier or an FFT gradient energy needs it, and keeps
+one multiplier per kind: the last step size asked for, which is the one the
+steppers reuse.  Everything a plan builds it keeps to itself; the module
+holds no state.  A plan also keeps, per kind, the second array its heat
+flow runs in (the spectrum, or on a short-axis plan a 256 KiB block buffer,
+since its matrix products run in place) and a work array a stepper may
+march in, so a march allocates nothing per step; both belong to the one
+thread that marches in the plan.  :meth:`HeatPlan.apply` is the one heat
+flow; the same layout serves the semigroup's Dirichlet form,
 :meth:`HeatPlan.gradient_energy`.  Every module transforms through a plan:
 on a long-axis plan ``forward`` and ``inverse`` are the only FFT calls and
-the layouts hold the only |k|^2, and a short-axis plan adds the one-axis
-ifft and k^2 that build its matrices.  ``forward``, ``inverse`` and
-``multiplier`` stay spectral on every plan, so the slow reference solvers
-built on them do not share the short-axis plans' matrices.
+its tables the only |k|^2, and a short-axis plan adds the one-axis ifft and
+k^2 that build its matrices.  ``forward``, ``inverse`` and ``multiplier``
+stay spectral on every plan, so the slow reference solvers built on them
+do not share the short-axis plans' matrices.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +50,6 @@ from .grid import GridSpec
 _SUBSPACES = ("xv", "x", "v")
 # subspace -> the reduced field kind it serves besides "phase"
 _REDUCED_KINDS = {"x": ("spatial",), "v": ("velocity",)}
-# (grid, subspace, kind) -> read-only |k|^2 of every live plan with that
-# layout; the lock keeps two threads building plans from making two tables
-_K2_TABLES = weakref.WeakValueDictionary()
-_K2_LOCK = threading.Lock()
 # plans whose transformed axes all have at most this many points apply the
 # flow as one circulant matrix per axis; at 128 points the matrix product
 # and the FFT take about the same time, at 256 the FFT takes half
@@ -140,18 +135,6 @@ def _along(values: np.ndarray, mat: np.ndarray, axis: int, block: np.ndarray):
         yield part, np.matmul(mat, part, out=block[:part.size].reshape(part.shape))
 
 
-def _shared_k_squared(grid, subspace, kind, shape, axes, spacings) -> np.ndarray:
-    """The one |k|^2 table of a (grid, subspace, kind) layout while any plan
-    holds it, so two plans of one lattice (a run's drive and its energy
-    check) keep a single table."""
-    key = (grid, subspace, kind)
-    with _K2_LOCK:
-        k2 = _K2_TABLES.get(key)
-        if k2 is None:
-            k2 = _K2_TABLES[key] = _k_squared(shape, axes, spacings)
-    return k2
-
-
 class HeatPlan:
     """Heat semigroup and its FFT for one (grid, diffusivity, subspace) triple.
 
@@ -185,16 +168,16 @@ class HeatPlan:
         if subspace != "x":
             axes, spacings = axes + grid.v_axes, spacings + (grid.h_v,) * grid.dim_v
         # kind -> (shape of one field, transformed axes counted from the end
-        # so that stacks transform alike, their lengths, |k|^2); a reduced
-        # kind's array holds exactly the plan's axes
+        # so that stacks transform alike, their lengths); a reduced kind's
+        # array holds exactly the plan's axes
         self._layouts = {}
         for kind in ("phase",) + _REDUCED_KINDS.get(subspace, ()):
             shape = grid.shape_of(kind)
             ends = (tuple(ax - len(shape) for ax in axes) if kind == "phase"
                     else tuple(range(-len(shape), 0)))
-            self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends),
-                                   _shared_k_squared(grid, subspace, kind, shape,
-                                                     ends, spacings))
+            self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends))
+        self._spacings = spacings
+        self._k2 = {}     # kind -> read-only |k|^2, built on first use
         # (points, spacing) of each transformed axis, in the layouts' order,
         # on a short-axis plan; None on a plan that keeps the FFT
         sizes = self._layouts["phase"][2]
@@ -250,7 +233,7 @@ class HeatPlan:
         passes run in place on ``spec``, which is overwritten; the bits are
         the same either way.
         """
-        _, axes, sizes, _ = self._layout(kind)
+        _, axes, sizes = self._layout(kind)
         if out is None:
             return np.fft.irfftn(spec, s=sizes, axes=axes)
         # irfftn's passes, in its order: irfftn(..., out=out) would allocate
@@ -270,10 +253,17 @@ class HeatPlan:
         last = self._mult.get(kind)
         if last is not None and last[0] == tau:
             return last[1]
-        mult = np.exp(-self.diffusivity * tau * self._layout(kind)[3])
+        mult = np.exp(-self.diffusivity * tau * self._k2_table(kind))
         mult.setflags(write=False)
         self._mult[kind] = (tau, mult)
         return mult
+
+    def _k2_table(self, kind: str) -> np.ndarray:
+        k2 = self._k2.get(kind)
+        if k2 is None:
+            shape, axes, _ = self._layout(kind)
+            k2 = self._k2[kind] = _k_squared(shape, axes, self._spacings)
+        return k2
 
     def _axis_matrices(self, symbol) -> tuple:
         """One :func:`_circulant` per transformed axis, of ``symbol(k^2)``;
@@ -302,18 +292,6 @@ class HeatPlan:
             self._k2_mats = self._axis_matrices(lambda k2: k2)
         return self._k2_mats
 
-    def _circulant_flow(self, values, tau, kind, out, block) -> np.ndarray:
-        """The heat flow of ``values`` on a short-axis plan, in ``out`` (a
-        new C-contiguous array, or ``values`` itself): one matrix product
-        per axis, applied in place through ``block``."""
-        axes = self._fit(values, kind)[1]
-        if out is not values:
-            np.copyto(out, values)
-        for ax, mat in zip(axes, self._heat_matrices(tau)):
-            for part, product in _along(out, mat, ax, block):
-                part[...] = product
-        return out
-
     def work(self, kind: str) -> np.ndarray:
         """The plan's work array for one field of ``kind``.
 
@@ -328,30 +306,35 @@ class HeatPlan:
         return work
 
     def apply(self, values: np.ndarray, tau: float, kind: str) -> np.ndarray:
-        """Heat flow on a raw array (hot path; no field wrapping).
+        """The heat flow of ``values`` at ``tau``, on a raw array (hot path;
+        no field wrapping) of one field or a stack of fields.
 
-        The result overwrites ``values`` when that is the plan's :meth:`work`
-        array and is a new array otherwise.  On a short-axis plan that is one
+        The result is ``values`` itself at ``tau == 0``; for ``tau > 0`` it
+        overwrites ``values`` when that is the plan's :meth:`work` array and
+        is a new array otherwise.  On a short-axis plan the flow is one
         circulant matrix product per axis, in place in the result a block at
-        a time through the plan's block buffer, with the bits :meth:`flow`
-        gives, within 1e-14 of the sup of the spectral flow; on any other
-        plan one field is transformed into the plan's spectrum array, with
-        the bits of :meth:`forward`, the multiplier and :meth:`inverse`.
-        There is no ``out=`` keyword: the stepper calls
-        ``apply(values, tau, kind)``, the form that the benchmark's tracing
-        wrapper and the stepper fault test replace.
+        a time through the plan's block buffer, within 1e-14 of the sup of
+        the spectral flow; on any other plan one field is transformed into
+        the plan's spectrum array, with the bits of :meth:`forward`, the
+        multiplier and :meth:`inverse`.  There is no ``out=`` keyword: the
+        stepper calls ``apply(values, tau, kind)``, the form that the
+        benchmark's tracing wrapper and the stepper fault test replace.
         """
         if tau == 0.0:
             return values
-        single = values.shape == self._layout(kind)[0]
-        out = values if values is self._work.get(kind) else None
+        in_place = values is self._work.get(kind)
         if self._steps is not None:
-            return self._circulant_flow(
-                values, tau, kind, np.empty(values.shape) if out is None else out,
-                self._second(kind))
+            axes = self._fit(values, kind)[1]
+            out = values if in_place else np.array(values, dtype=float, order="C")
+            block = self._second(kind)
+            for ax, mat in zip(axes, self._heat_matrices(tau)):
+                for part, product in _along(out, mat, ax, block):
+                    part[...] = product
+            return out
+        single = values.shape == self._layout(kind)[0]
         spec = self.forward(values, kind, out=self._second(kind) if single else None)
         spec *= self.multiplier(tau, kind)
-        return self.inverse(spec, kind, out=out)
+        return self.inverse(spec, kind, out=values if in_place else None)
 
     def _second(self, kind: str) -> np.ndarray:
         spare = self._spare.get(kind)
@@ -362,35 +345,10 @@ class HeatPlan:
         return spare
 
     def _new_spectrum(self, kind: str) -> np.ndarray:
-        shape, axes, sizes, _ = self._layout(kind)
+        shape, axes, sizes = self._layout(kind)
         spec_shape = list(shape)
         spec_shape[axes[-1]] = sizes[-1] // 2 + 1
         return np.empty(spec_shape, dtype=complex)
-
-    def flow(self, values: np.ndarray, kind: str):
-        """The heat flow of one array as a function of time.
-
-        ``flow(tau)`` gives the flow at ``tau`` with the bits :meth:`apply`
-        gives, in a new array; ``flow(0)`` is ``values`` itself.  On a
-        short-axis plan each call runs the per-axis matrices in its result
-        through a block buffer of its own; on any other the array is
-        transformed on the first ``tau > 0`` asked for, its spectrum kept,
-        and inverted once per call.
-        """
-        spec = None
-
-        def at(tau):
-            nonlocal spec
-            if tau == 0.0:
-                return values
-            if self._steps is not None:
-                return self._circulant_flow(values, tau, kind, np.empty(values.shape),
-                                            _block_for(values.size))
-            if spec is None:
-                spec = self.forward(values, kind)
-            return self.inverse(spec * self.multiplier(tau, kind), kind)
-
-        return at
 
     def gradient_energy(self, values: np.ndarray, kind: str) -> float:
         """Integral of |grad f|^2 over the field's lattice, the gradient taken
@@ -417,13 +375,13 @@ class HeatPlan:
                     product *= part
                     total += float(product.sum())
             return total * self.grid.cell_volume_of(kind)
-        _, axes, sizes, k2 = self._layout(kind)
+        _, axes, sizes = self._layout(kind)
         spec = self.forward(values, kind, out=self._new_spectrum(kind))
         parts = spec.view(float)
         np.square(parts, out=parts)
         power = parts[..., 0::2] + parts[..., 1::2]
         del spec, parts
-        power *= k2
+        power *= self._k2_table(kind)
         # each interior column of the halved axis stands for the pair +-k
         inner = [slice(None)] * power.ndim
         inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)

@@ -247,8 +247,8 @@ def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
     exact, so evaluating each node in one shot composes exactly with the
     previous windows.
     """
-    flow = plan_x.flow(c_start_vals, "spatial")
-    return np.stack([flow(i * dt) for i in range(n_local + 1)])
+    return np.stack([plan_x.apply(c_start_vals, i * dt, "spatial")
+                     for i in range(n_local + 1)])
 
 
 def _advance_c_nodes(chat_start, c_inf_win, j_loc, eta, dt, plan_x):
@@ -271,7 +271,11 @@ def _advance_c_nodes(chat_start, c_inf_win, j_loc, eta, dt, plan_x):
     march = _march(c, halves, plan_x, dt, "spatial", "concentration at node")
     for i, c in enumerate(march, start=1):
         chat = c - c_inf_win[i]
-        # consumption only ever lowers c below its far field
+        # consumption only ever lowers c below its far field.  The march
+        # and the one-shot far field round apart a little every step, and
+        # without this clamp the drift builds up: 150 steps of the 2+2
+        # smoke run then lift c above c_inf by 2.1e-12 of sup c0, beyond
+        # the c_bounds check's 1e-12
         clamped = apply_sign(chat, -1, f"depletion at node {i}",
                              scale=float(c.max()))
         if clamped is not chat:

@@ -466,23 +466,27 @@ def _majorant(run):
     The phase heat flow is the product of the x and the v flows, so for a
     product p0 = g (x) h (:func:`~angiosolve.grid.factor_xv`) it is the outer
     product of the position- and velocity-lattice flows of g and h; any
-    other p0 takes phase-lattice flows (:meth:`HeatPlan.flow`).  Each
-    tau > 0 gets a new array, which the caller may overwrite; tau = 0 may
-    give p0's own values.
+    other p0 takes phase-lattice flows.  Each tau > 0 gets a new array,
+    which the caller may overwrite; tau = 0 may give p0's own values.
     """
     p0, sigma, rate = run.p0, run.scenario.params.sigma, run.rate
     factors = factor_xv(p0)
     if factors is None:
-        flow = HeatPlan(p0.grid, sigma, "xv").flow(p0.values, "phase")
-        return lambda tau: math.exp(rate * tau) * flow(tau) if rate else flow(tau)
+        plan = HeatPlan(p0.grid, sigma, "xv")
+
+        def flow(tau):
+            flowed = plan.apply(p0.values, tau, "phase")
+            return math.exp(rate * tau) * flowed if rate else flowed
+
+        return flow
     g, h = factors
-    flow_x = HeatPlan(p0.grid, sigma, "x").flow(g, "spatial")
-    flow_v = HeatPlan(p0.grid, sigma, "v").flow(h, "velocity")
+    plan_x, plan_v = HeatPlan(p0.grid, sigma, "x"), HeatPlan(p0.grid, sigma, "v")
 
     def at(tau):
         if tau == 0.0:
             return p0.values
-        return np.multiply.outer(math.exp(rate * tau) * flow_x(tau), flow_v(tau))
+        return np.multiply.outer(math.exp(rate * tau) * plan_x.apply(g, tau, "spatial"),
+                                 plan_v.apply(h, tau, "velocity"))
 
     return at
 
@@ -704,7 +708,7 @@ def _drive_ahead(stream: DriveStream):
         worker.join()
 
 
-def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
+def run_scenario(scenario: Scenario, out_dir=None) -> tuple:
     """Run a scenario end to end: drive, check, optionally write outputs.
 
     The drive is streamed and pipelined: it runs on a worker thread
@@ -738,7 +742,7 @@ def run_scenario(scenario: Scenario, out_dir=None, tol=None) -> tuple:
     if out_dir is not None:
         snap_dir = os.path.join(out_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
-    stream = made.stream(tol=tol)
+    stream = made.stream()
     # one moment set per saved field serves the checks and its table row
     rows = []
     with closing(_drive_ahead(stream)) as fields:

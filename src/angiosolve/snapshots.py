@@ -20,6 +20,7 @@ files are bit-stable across runs.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 
 import numpy as np
@@ -67,7 +68,13 @@ def load_field(path, grid: GridSpec = None):
         magic, dim_x, dim_v, n_x, n_v, l_x, l_v, time_tag = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        if not math.isfinite(time_tag):
+            raise DataError(f"{path}: time tag {time_tag!r} is not finite")
+        raw = fh.read()
+    if len(raw) % 8:
+        raise DataError(f"{path}: payload of {len(raw)} bytes is not a whole "
+                        "number of float64 values")
+    payload = np.frombuffer(raw, dtype="<f8")
     if dim_v == 0:
         if grid is None:
             raise ConfigurationError(

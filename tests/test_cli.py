@@ -186,7 +186,7 @@ def test_run_stopped_on_a_violated_invariant_exits_5(capsys, monkeypatch):
     assert "error: marched marginal at step 1 must be >= 0" in capsys.readouterr().err
 
 
-def test_run_tol_flag_reaches_the_iteration(capsys, tiny_cfg):
+def test_run_tol_override_reaches_the_iteration(capsys, tiny_cfg):
     import re
 
     def iterations(*argv):
@@ -194,7 +194,7 @@ def test_run_tol_flag_reaches_the_iteration(capsys, tiny_cfg):
         return int(re.search(r"after (\d+) iterations",
                              capsys.readouterr().out).group(1))
 
-    assert iterations("--tol", "0.5") < iterations()
+    assert iterations("--override", "picard.tol=0.5") < iterations()
 
 
 def test_bad_inputs_exit_2(capsys):

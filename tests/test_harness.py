@@ -354,8 +354,9 @@ def test_c_bounds_catches_depletion_gain_behind_clamped_aux(runs):
     c0 = c_traj.fields[0]
     sup_c0 = float(c0.values.max())
     k, cell = 2, (40,)
-    flow = HeatPlan(c0.grid, 0.05, "x").flow(c0.values, "spatial")
-    far = [flow(float(t - c_traj.times[0])) for t in c_traj.times]
+    plan = HeatPlan(c0.grid, 0.05, "x")
+    far = [plan.apply(c0.values, float(t - c_traj.times[0]), "spatial")
+           for t in c_traj.times]
     fields = list(c_traj.fields)
     vals = fields[k].values.copy()
     vals[cell] = far[k][cell] + 1e-9 * sup_c0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from angiosolve import (GridSpec, HeatPlan, ParameterError, PhaseField,
                         ResolutionError, ShapeError, SpatialField, gaussian_rho,
                         heat_step, integrate_phase, lq_norm)
+from angiosolve import heat
 from angiosolve.grid import factor_xv
 from angiosolve.heat import _BLOCK
 
@@ -133,9 +134,9 @@ def test_product_flows_from_its_factors(dims, seed, tau):
     p = PhaseField(g, np.multiply.outer(rng.random(g.spatial_shape),
                                         rng.random(g.velocity_shape)))
     x_part, h = factor_xv(p)
-    gx = HeatPlan(g, SIGMA, "x").flow(x_part, "spatial")(tau)
-    hv = HeatPlan(g, SIGMA, "v").flow(h, "velocity")(tau)
-    full = HeatPlan(g, SIGMA, "xv").flow(p.values, "phase")(tau)
+    gx = HeatPlan(g, SIGMA, "x").apply(x_part, tau, "spatial")
+    hv = HeatPlan(g, SIGMA, "v").apply(h, tau, "velocity")
+    full = HeatPlan(g, SIGMA, "xv").apply(p.values, tau, "phase")
     np.testing.assert_allclose(np.multiply.outer(gx, hv), full, rtol=0.0,
                                atol=1e-14 * float(p.values.max()))
 
@@ -144,9 +145,10 @@ def test_product_flows_from_its_factors(dims, seed, tau):
                                              ("x", "spatial"), ("v", "velocity")])
 def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
     # a stack transforms in one call with the same bits as one field at a
-    # time, and flow matches apply per time bit for bit; apply has the
-    # spectral bits on the 256-point plan and is within 1e-14 of them on
-    # the 64-point (short-axis) plan
+    # time, and apply gives one field the same bits again on a second call
+    # (its spectrum or block buffer reused); apply has the spectral bits on
+    # the 256-point plan and is within 1e-14 of them on the 64-point
+    # (short-axis) plan
     for g in (grid64, small_grid(256)):
         plan = HeatPlan(g, SIGMA, subspace)
         assert (plan._steps is None) == (g is not grid64)
@@ -157,8 +159,7 @@ def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
             _assert_flow_matches(plan, plan.apply(stack[k], 0.3, kind), flowed[k])
         _assert_flow_matches(plan, plan.apply(stack, 0.3, kind), flowed)
         field = stack[0]
-        at = plan.flow(field, kind)
-        each = [at(tau) for tau in (0.0, 0.1, 0.3)]
+        each = [plan.apply(field, tau, kind) for tau in (0.0, 0.1, 0.3)]
         assert each[0] is field and plan.apply(field, 0.0, kind) is field
         np.testing.assert_array_equal(each[1], plan.apply(field, 0.1, kind))
         np.testing.assert_array_equal(each[2], plan.apply(field, 0.3, kind))
@@ -285,19 +286,18 @@ def test_short_axis_flow_meets_criterion_01_bounds(dim_x, dim_v, n, L):
 @given(lattice=st.sampled_from([(1, 1, 32), (1, 2, 16), (2, 2, 16), (1, 1, 256)]),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        taus=st.lists(st.floats(min_value=1e-4, max_value=5.0), min_size=1, max_size=3))
-def test_apply_flow_and_apply_each_agree_bit_for_bit(lattice, seed, taus):
+def test_apply_out_of_place_and_in_the_work_array_agree_bit_for_bit(lattice, seed,
+                                                                     taus):
     # within one plan, matrices or FFT: apply out of place and in the work
-    # array and flow(tau), asked once per time, give one set of bits
+    # array give one set of bits
     dim_x, dim_v, n = lattice
     g = small_grid(n, dim_x, dim_v)
     rng = np.random.default_rng(seed)
     for subspace, kind in _PLAN_KINDS:
         plan = HeatPlan(g, SIGMA, subspace)
         vals = rng.random(g.shape_of(kind))
-        at = plan.flow(vals, kind)
         for tau in taus:
             out = plan.apply(vals, tau, kind)
-            np.testing.assert_array_equal(at(tau), out)
             work = plan.work(kind)
             work[...] = vals
             np.testing.assert_array_equal(plan.apply(work, tau, kind), out)
@@ -382,12 +382,29 @@ def test_gradient_energy_phase_field_both_axes():
     assert energy == pytest.approx(expect, rel=1e-12)
 
 
-def test_plans_of_one_layout_share_one_k_squared_table():
-    g = small_grid(16, 2, 2)
-    a, b = HeatPlan(g, SIGMA, "xv"), HeatPlan(g, 2.0 * SIGMA, "xv")
-    assert a._layout("phase")[3] is b._layout("phase")[3]
-    assert not a._layout("phase")[3].flags.writeable
-    assert HeatPlan(g, SIGMA, "x")._layout("phase")[3] is not a._layout("phase")[3]
+def test_fft_plan_builds_its_k_squared_table_once_at_its_first_multiplier(monkeypatch):
+    # a plan builds the |k|^2 of a kind when a multiplier first needs it,
+    # keeps it read-only and reuses it for every later multiplier and for
+    # the FFT gradient energy; another plan of the layout builds its own
+    built = []
+    clean = heat._k_squared
+
+    def spy(*args):
+        built.append(clean(*args))
+        return built[-1]
+
+    monkeypatch.setattr(heat, "_k_squared", spy)
+    g = _long_grid((1, 1), "xv")
+    plan = HeatPlan(g, SIGMA, "xv")
+    assert plan._steps is None and built == []
+    plan.multiplier(0.1, "phase")
+    assert len(built) == 1 and not built[0].flags.writeable
+    plan.multiplier(0.2, "phase")
+    plan.apply(np.ones(g.phase_shape), 0.3, "phase")
+    plan.gradient_energy(np.ones(g.phase_shape), "phase")
+    assert len(built) == 1 and plan._k2_table("phase") is built[0]
+    HeatPlan(g, SIGMA, "xv").multiplier(0.1, "phase")
+    assert len(built) == 2 and built[1] is not built[0]
 
 
 def test_xv_plan_keeps_one_partial_plan_per_subspace():
@@ -415,7 +432,8 @@ def test_gradient_energy_holds_no_spectrum_and_keeps_its_bits():
         plan = HeatPlan(g, SIGMA, "xv")
         energy = plan.gradient_energy(vals, "phase")
         assert plan._spare == {} and plan._work == {}
-        _, axes, sizes, k2 = plan._layout("phase")
+        _, axes, sizes = plan._layout("phase")
+        k2 = plan._k2_table("phase")
         spec = np.fft.rfftn(vals, axes=axes)
         power = np.square(spec.real)
         power += np.square(spec.imag)

@@ -35,6 +35,7 @@ from angiosolve import (
     solve_linear,
 )
 from angiosolve.moments import _reduce_raw
+from angiosolve.scenarios import load_shipped_scenario, run_scenario
 
 from conftest import gaussian_phase
 
@@ -189,6 +190,19 @@ def test_concentration_march_restarts_bit_for_bit(grid64, monkeypatch):
         assert head.tobytes() == full[:k + 1].tobytes()
         rest, _ = picard._advance_c_nodes(chat_k, c_inf[k:], j[k:], eta, dt, plan)
         assert rest[1:].tobytes() == full[k + 1:].tobytes()
+
+
+def test_depletion_clamp_keeps_a_long_2d_run_below_its_far_field():
+    # the march and the one-shot far field round apart a little every step;
+    # the clamp written back into the march repairs that before it builds
+    # up, and without it 150 steps of the 2+2 smoke run lift c above its
+    # far field by 2e-12 of sup c0, beyond c_bounds' 1e-12
+    sc = load_shipped_scenario("coupled-smoke-2d", overrides=(
+        "schedule.t_end=0.3", "schedule.save_stride=50"))
+    code, payload = run_scenario(sc)
+    (c_bounds,) = [c for c in payload["checks"] if c["name"] == "c_bounds"]
+    assert c_bounds["verdict"] == "pass", c_bounds
+    assert code == 0
 
 
 # --------------------------------------------------------------------------
@@ -640,8 +654,9 @@ def test_picard_coupled_decomposition_and_signs(grid64):
     assert diag.converged and diag.deltas_strictly_decreasing()
     assert c_traj.aux == {}  # the drive keeps no depletion side series
     sup_c0 = float(c0.values.max())
-    far = HeatPlan(grid64, 0.05, "x").flow(c0.values, "spatial")
-    chats = [cf.values - far(t) for cf, t in zip(c_traj.fields, c_traj.times)]
+    plan = HeatPlan(grid64, 0.05, "x")
+    chats = [cf.values - plan.apply(c0.values, t, "spatial")
+             for cf, t in zip(c_traj.fields, c_traj.times)]
     for cf, chat in zip(c_traj.fields, chats):
         assert float(chat.max()) <= 1e-14 * sup_c0
         assert float(cf.values.min()) >= 0.0

@@ -18,6 +18,7 @@ from angiosolve import (ConfigurationError, PhaseField, ResolutionError, SignErr
                         moments, scenarios, snapshots)
 from angiosolve.grid import GridSpec, integrate_phase
 from angiosolve.harness import write_report
+from angiosolve import heat
 from angiosolve.heat import HeatPlan
 from angiosolve.scenarios import (
     boundary_mass_fraction,
@@ -548,15 +549,33 @@ def test_comparison_majorant_flows_product_data_by_its_factors(short_coupled,
     counts = _count_transforms(monkeypatch)
     (check,) = build_checks(sc, made.p0, p_traj, c_traj=c_traj, c0=made.c0)
     assert check.passed
-    # one transform each of g and h, and one inverse per saved time after 0
+    # one flow each of g and h per saved time after 0, each one transform
+    # and one inverse, and no phase-lattice transform
     n = len(p_traj) - 1
-    assert counts == {("forward", "spatial"): 1, ("forward", "velocity"): 1,
+    assert counts == {("forward", "spatial"): n, ("forward", "velocity"): n,
                       ("inverse", "spatial"): n, ("inverse", "velocity"): n}
     # data that are no product take the phase-lattice flows of p0
     counts.clear()
     vals = made.p0.values + np.roll(made.p0.values, (40, 40), axis=(0, 1))
     build_checks(sc, PhaseField(made.grid, vals), p_traj, c_traj=c_traj, c0=made.c0)
-    assert counts == {("forward", "phase"): 1, ("inverse", "phase"): n}
+    assert counts == {("forward", "phase"): n, ("inverse", "phase"): n}
+
+
+def test_short_axis_run_builds_no_k_squared_table(monkeypatch):
+    # on 32^4 every plan of a checked run flows, and takes its gradient
+    # energy, through per-axis matrices, so no plan asks for a multiplier
+    # and none builds a |k|^2 table
+    built = []
+    clean = heat._k_squared
+
+    def spy(*args):
+        built.append(args[0])
+        return clean(*args)
+
+    monkeypatch.setattr(heat, "_k_squared", spy)
+    code, _ = run_scenario(load_shipped_scenario(
+        "coupled-smoke-2d", overrides=("schedule.save_stride=1",)))
+    assert code == 0 and built == []
 
 
 def _with_field(traj, k, vals):

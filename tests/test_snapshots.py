@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,19 @@ def test_load_rejects_corrupt_files(tmp_path):
     padded.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(DataError, match="payload"):
         load_field(padded)
+
+    # no whole number of float64 values: a DataError naming the file, not
+    # numpy's bare ValueError
+    ragged = tmp_path / "ragged.akf"
+    ragged.write_bytes(blob + b"\x00" * 3)
+    with pytest.raises(DataError, match="ragged.akf.*payload"):
+        load_field(ragged)
+
+    for tag in (float("nan"), float("inf")):
+        untimed = tmp_path / "untimed.akf"
+        untimed.write_bytes(blob[:52] + struct.pack("<d", tag) + blob[60:])
+        with pytest.raises(DataError, match="untimed.akf.*time tag"):
+            load_field(untimed)
 
 
 def test_save_rejects_bare_arrays(tmp_path):
