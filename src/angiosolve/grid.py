@@ -12,8 +12,9 @@ Both share one validated base: each names its lattice ``kind`` ("phase" or
 "spatial", the strings :class:`~angiosolve.heat.HeatPlan` lays out by) and
 its cell volume, so code that serves both reads the field instead of its
 class.  Raw arrays on the velocity lattice alone (the v factor of a product
-density, see :func:`factor_xv`) are of kind "velocity"; no container holds
-them.  Both are immutable: values are validated once at construction
+density, see :func:`factor_xv`) are of kind "velocity"; no field holds
+them, only a :class:`Product`, which keeps a product density as its two
+factors.  All are immutable: values are validated once at construction
 (finiteness, shape, and -- when requested -- sign up to a relative clamping
 tolerance) and the underlying array is made read-only.
 """
@@ -315,6 +316,50 @@ class SpatialField(_Field):
     def like(self, values, time_tag):
         """A spatial field holding ``values`` under this field's role."""
         return SpatialField(self.grid, values, time_tag, role=self.role)
+
+
+@dataclass(frozen=True, eq=False)
+class Product:
+    """A nonnegative product density g (x) h on the phase lattice of ``grid``,
+    held as its factors: ``g`` on the position lattice, ``h`` on the
+    velocity lattice.
+
+    Each factor is checked once, in O(n_x + n_v): shape, finiteness and
+    sign (>= 0 up to the clamping tolerance of :func:`apply_sign`), and is
+    stored read-only (a writeable array is copied).  ``time_tag`` is the
+    time the density belongs to, as on a :class:`PhaseField`.
+    """
+
+    grid: GridSpec
+    g: np.ndarray
+    h: np.ndarray
+    time_tag: float = 0.0
+
+    def __post_init__(self):
+        for name, kind in (("g", "spatial"), ("h", "velocity")):
+            vals = np.asarray(getattr(self, name), dtype=float)
+            shape = self.grid.shape_of(kind)
+            if vals.shape != shape:
+                raise ShapeError(f"{kind} factor shape {vals.shape} does not match "
+                                 f"lattice {shape}")
+            _check_finite(vals, f"{kind} factor")
+            vals = apply_sign(vals, +1, f"{kind} factor")
+            if vals.flags.writeable:
+                vals = vals.copy()
+            vals.setflags(write=False)
+            object.__setattr__(self, name, vals)
+        object.__setattr__(self, "time_tag", float(self.time_tag))
+
+    def marginal(self) -> np.ndarray:
+        """The velocity marginal g * (sum of h) * v cell volume, a raw array."""
+        return self.g * (float(self.h.sum()) * self.grid.v_cell_volume)
+
+    def field(self) -> PhaseField:
+        """The density itself: the outer product of the factors as a
+        :class:`PhaseField` at ``time_tag``."""
+        vals = np.multiply.outer(self.g, self.h)
+        vals.setflags(write=False)  # so the field keeps it uncopied
+        return PhaseField(self.grid, vals, time_tag=self.time_tag, nonnegative=True)
 
 
 def factor_xv(field):

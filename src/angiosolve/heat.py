@@ -309,22 +309,26 @@ class HeatPlan:
         """The heat flow of ``values`` at ``tau``, on a raw array (hot path;
         no field wrapping) of one field or a stack of fields.
 
-        The result is ``values`` itself at ``tau == 0``; for ``tau > 0`` it
-        overwrites ``values`` when that is the plan's :meth:`work` array and
-        is a new array otherwise.  On a short-axis plan the flow is one
-        circulant matrix product per axis, in place in the result a block at
-        a time through the plan's block buffer, within 1e-14 of the sup of
-        the spectral flow; on any other plan one field is transformed into
-        the plan's spectrum array, with the bits of :meth:`forward`, the
-        multiplier and :meth:`inverse`.  There is no ``out=`` keyword: the
+        The kind and the shape are checked first, then ``tau``, which must
+        be finite and >= 0 (:class:`ParameterError` otherwise: the backward
+        flow is ill-posed).  The result is ``values`` itself at
+        ``tau == 0``; for ``tau > 0`` it overwrites ``values`` when that is
+        the plan's :meth:`work` array and is a new array otherwise.  On a
+        short-axis plan the flow is one circulant matrix product per axis,
+        in place in the result a block at a time through the plan's block
+        buffer, within 1e-14 of the sup of the spectral flow; on any other
+        plan one field is transformed into the plan's spectrum array, with
+        the bits of :meth:`forward`, the multiplier and :meth:`inverse`.  There is no ``out=`` keyword: the
         stepper calls ``apply(values, tau, kind)``, the form that the
         benchmark's tracing wrapper and the stepper fault test replace.
         """
+        axes = self._fit(values, kind)[1]
+        if not 0.0 <= tau < math.inf:
+            raise ParameterError(f"heat flow time must be finite and >= 0, got {tau!r}")
         if tau == 0.0:
             return values
         in_place = values is self._work.get(kind)
         if self._steps is not None:
-            axes = self._fit(values, kind)[1]
             out = values if in_place else np.array(values, dtype=float, order="C")
             block = self._second(kind)
             for ax, mat in zip(axes, self._heat_matrices(tau)):

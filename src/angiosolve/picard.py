@@ -22,9 +22,13 @@ part, and the v flow keeps the v-sum exactly, so the v-sum of one Strang
 step is the same step on p~ with a position-lattice plan.  Its iterates are
 therefore marched on the n_x cells of the position lattice, and each window
 marches the phase field once, with the coefficient of its last iterate,
-through :func:`solve_linear`.  For product data that march runs on the
-factors, an x-lattice and a v-lattice march, and the phase field is built
-only at the saved nodes; every shipped density is a product.
+through :func:`solve_linear`.  A product p0 is factored once; each window
+then starts from the :class:`~angiosolve.grid.Product` of factors the last
+one handed back, takes its start marginal from them, and its march runs on
+the factors, an x-lattice and a v-lattice march that builds the phase field
+only at the schedule's saved times, so no phase field is made at a window
+edge; every shipped density is a product.  Any other p0 restarts each
+window from the last one's final phase field.
 :func:`picard_coupled` switches the attractant on; its coefficient depends
 on v and it records node moments, so every coupled iterate marches the
 phase field with :func:`solve_linear` on the phase lattice, also at
@@ -38,7 +42,8 @@ bound on the accumulated damping), so the proof splits long runs into slabs
 of length min(T, 0.5 / sqrt(M)) (:func:`slab_partition`).  The discrete fixed
 point does not depend on where the time axis is cut, so the loop iterates on
 shorter windows still, of at most ``_WINDOW_STEPS`` steps inside those slabs,
-each restarted from the previous window's final state; the running time
+each restarted from the previous window's final state, tagged p0's own time
+plus the node time of the restart; the running time
 integral is carried across window boundaries so the damping coefficient
 stays the global integral.  Short windows contract faster, and a window
 after the first two steps is seeded with the quadratic continuation of the
@@ -65,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ShapeError
-from .grid import PhaseField, SpatialField, apply_sign
+from .grid import PhaseField, Product, SpatialField, apply_sign, factor_xv
 from .heat import HeatPlan, gaussian_rho
 from .moments import _reduce_raw, accumulate_time_integral
 from .stepping import (CoefficientTrack, Schedule, Trajectory, _halves, _march,
@@ -353,10 +358,12 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     previous c, so that pass has no production term, is strict and takes no
     delta.  Without ``c0`` the state is the marginal, marched on the
     x-lattice, and the phase field is marched once per window with the
-    last iterate's coefficient.  Passing ``c0`` couples the attractant in:
-    the state is the phase field, the coefficient gains
-    -alpha(c_{k-1}) rho(v), c_k is marched with the current speed moment
-    j_k, and the c change joins the stopping rule.  Every phase march starts
+    last iterate's coefficient, on a product p0's factors from window to
+    window (only the saved fields are built, node 0's being p0 itself).
+    Passing ``c0`` couples the attractant in: the state is the phase
+    field, the coefficient gains -alpha(c_{k-1}) rho(v), c_k is marched
+    with the current speed moment j_k, and the c change joins the stopping
+    rule.  Every phase march starts
     nonnegative and sourceless, so :func:`solve_linear` floors each step.
 
     A generator: each window's saved ``(t, p_field, c_field or None, a)``
@@ -376,6 +383,8 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     n_steps = schedule.n_steps
     plan = HeatPlan(grid, params.sigma, "xv")
     rho_v, record, alpha_rate = None, None, 0.0
+    origin = p0.time_tag
+    p_start = p0
     if coupled:
         if c0.role != "c":
             c0 = SpatialField(grid, c0.values, time_tag=c0.time_tag, role="c")
@@ -388,6 +397,10 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         cinf_start = c0.values
     else:
         plan_pt = plan.partial("x")
+        # factored once: a product p0 restarts every window from its factors
+        factors = factor_xv(p0)
+        if factors is not None:
+            p_start = Product(grid, *factors, time_tag=origin)
 
     # a-priori bound on gamma * sup of any iterate's marginal: the damping
     # only removes mass, so the heat flow, grown at the production ceiling,
@@ -403,7 +416,6 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     # seed the windows, and the running integral at the window start
     hist_pt = hist_j = np.empty((0,) + grid.spatial_shape)
     a_offset = np.zeros(grid.spatial_shape)
-    p_start = p0
 
     for s in range(len(edges) - 1):
         i0, i1 = edges[s], edges[s + 1]
@@ -414,10 +426,15 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         # node 0 joins the stopping rule in every window, but its field is
         # the previous window's last one: only the first window saves it
         march_saved = local_saved if s == 0 else local_saved[1:]
+        product = isinstance(p_start, Product)
+        if product:
+            # only the schedule's own saved fields are built; the run's node
+            # 0 is p0's own field
+            march_saved = [n for n in march_saved if n > 0 and i0 + n in global_saved]
         if coupled:
             c_inf_win = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
         else:
-            pt_start = _reduce_raw(p_start.values, grid)
+            pt_start = p_start.marginal() if product else _reduce_raw(p_start.values, grid)
 
         # the seed S: zero until three converged nodes exist
         if len(hist_pt) == 3:
@@ -482,23 +499,28 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             diag.phase_step_solves += n_local
             traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
                                   saved_nodes=march_saved)
-            if traj_k.aux["factored"]:
-                diag.factored_step_solves += n_local
-        # tag the next start with its own node time, so each window's tags
-        # are one rounding from node * dt and no error builds up; the old
-        # start and the track's phase-size buffer are not held while the
-        # consumer reads this window's fields
-        p_start = traj_k.fields[-1].like(traj_k.fields[-1].values, i1 * dt)
-        track = None
+        # tag the next start with its own node time from the run's origin,
+        # so each window's tags are one rounding from origin + node * dt and
+        # no error builds up; the old start and the track's phase-size
+        # buffer are not held while the consumer reads this window's fields
+        end, t_next = traj_k.aux["end"], origin + i1 * dt
+        if isinstance(end, Product):
+            diag.factored_step_solves += n_local
+            p_start = Product(grid, end.g, end.h, time_tag=t_next)
+        else:
+            p_start = end.like(end.values, t_next)
+        track = end = None
 
         # yield only the schedule's own saved nodes: window edges are an
         # implementation detail and must not leak extra snapshots
         a_win = accumulate_time_integral(pt_k, dt)
+        if product and s == 0:
+            yield origin, p0, None, a_offset + a_win[0]  # p0's own field
         for pos, node in enumerate(march_saved):
             if i0 + node not in global_saved:
                 continue
-            # the fields' own tags (i0 * dt + local node * dt), which can
-            # differ from (i0 + node) * dt in the last bit
+            # the fields' own tags (window start + local node * dt), which
+            # can differ from origin + (i0 + node) * dt in the last bit
             t = traj_k.times[pos]
             yield (t, traj_k.fields[pos],
                    SpatialField(grid, c_cur[node], time_tag=t, role="c") if coupled else None,

@@ -24,8 +24,11 @@ both factors E and with the x part, so a product density g(x) h(v) stays a
 product: the phase step of g (x) h is the x-lattice step of g (factors E,
 x flow) times the v flow of h.  :func:`solve_linear` marches such data on
 its factors, each floored every step, and builds only the saved fields as
-outer products; any other data, a v-dependent coefficient or a recorded
-node series takes the phase march.
+outer products; it takes the data either as a :class:`~angiosolve.grid.Product`
+or as a phase field that :func:`~angiosolve.grid.factor_xv` splits, and
+hands back the final node's factors, so a march restarted from them never
+builds a phase field at the restart.  Any other data, a v-dependent
+coefficient or a recorded node series takes the phase march.
 
 :func:`_march` is the package's only march: the phase and factored marches
 of :func:`solve_linear` and the position-lattice marches of
@@ -41,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ShapeError
-from .grid import (GridSpec, PhaseField, SpatialField, apply_sign, factor_xv,
-                   speed_grid)
+from .grid import (GridSpec, PhaseField, Product, SpatialField, apply_sign,
+                   factor_xv, speed_grid)
 from .heat import HeatPlan
 from .moments import _reduce_raw
 
@@ -264,7 +267,7 @@ class Trajectory:
     are stacked arrays with the node as leading axis, None when not
     recorded.  ``aux`` carries solver-specific extras (the pure and coupled
     drivers' running integral ``a`` at the saved times;
-    :func:`solve_linear`'s ``factored``, true when it marched factors).
+    :func:`solve_linear`'s ``end``, the state at its final node).
     """
 
     def __init__(self, times, fields, p_tilde_nodes=None, j_nodes=None, aux=None):
@@ -344,18 +347,20 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     beyond the clamping tolerance raises :class:`SignError` naming the step
     and cell.
 
-    A nonnegative p0 that :func:`~angiosolve.grid.factor_xv` splits into
-    g (x) h, under a track with no v-dependent term (``track.x_only``) and
-    with nothing recorded, is marched on its factors: g on ``plan``'s "x"
-    plan with the track's half factors, h on its "v" plan under the plain
-    flow, each floored every step (the error names the factor, the step
-    and the factor's cell).  Saved fields after node 0 are their outer
-    products and agree with the phase march to round-off; the trajectory's
-    ``aux["factored"]`` says which march ran.
+    A :class:`~angiosolve.grid.Product` p0, or a nonnegative phase field
+    that :func:`~angiosolve.grid.factor_xv` splits into g (x) h, under a
+    track with no v-dependent term (``track.x_only``) and with nothing
+    recorded, is marched on its factors: g on ``plan``'s "x" plan with the
+    track's half factors, h on its "v" plan under the plain flow, each
+    floored every step (the error names the factor, the step and the
+    factor's cell).  Saved fields are their outer products and agree with
+    the phase march to round-off; node 0 of a phase-field p0 is p0's own
+    values.  A product p0 under a v-dependent track or with a record is
+    refused.
 
     Parameters
     ----------
-    p0 : PhaseField
+    p0 : PhaseField or Product
         Initial data; its ``time_tag`` is kept as the origin of the reported
         times (node i is tagged ``p0.time_tag + i*dt``).
     track : CoefficientTrack
@@ -368,14 +373,18 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         fixed-point driver reads these): nothing, or the velocity marginal
         and the speed moment (weight |v| of the cell centres).
     saved_nodes : sequence of int, optional
-        Override of the schedule's saved nodes (must contain the final node;
-        without node 0 the trajectory holds no field for ``p0``); the
-        fixed-point drivers use this to pin window boundaries.
+        Override of the schedule's saved nodes, in range (without node 0
+        the trajectory holds no field for ``p0``); the fixed-point drivers
+        use this to pin window boundaries.  A phase-field p0 must save the
+        final node; a product p0 may save none.
 
     Returns
     -------
     Trajectory
-        Snapshots at the saved nodes.
+        Snapshots at the saved nodes; ``aux["end"]`` is the state at the
+        final node, a :class:`~angiosolve.grid.Product` tagged
+        ``p0.time_tag + n_steps*dt`` when the march ran on factors and the
+        final saved field otherwise, so it is also which march ran.
     """
     if schedule is None:
         schedule = track.schedule
@@ -391,18 +400,24 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
 
     dt = schedule.dt
     n_steps = schedule.n_steps
-    clamp = float(p0.values.min()) >= 0.0
+    product = isinstance(p0, Product)
+    clamp = product or float(p0.values.min()) >= 0.0
     if saved_nodes is None:
         saved = set(schedule.saved_nodes())
     else:
         saved = set(int(i) for i in saved_nodes)
-        if n_steps not in saved or min(saved) < 0 or max(saved) > n_steps:
+        if not (product or n_steps in saved) or any(not 0 <= i <= n_steps for i in saved):
             raise ConfigurationError(
-                "saved_nodes must contain the final node and stay in range"
+                "saved_nodes must stay in range and, for a phase field, "
+                "contain the final node"
             )
 
     if record not in (None, "j"):
         raise ParameterError(f"record must be None or 'j', got {record!r}")
+    if product and (record is not None or not track.x_only):
+        raise ConfigurationError(
+            "a product start needs a track with no v-dependent term and no record"
+        )
     if record is not None:
         p_tilde_rec = np.empty((n_steps + 1,) + grid.spatial_shape)
         j_rec = np.empty_like(p_tilde_rec)
@@ -412,36 +427,43 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         p_tilde_rec[i] = _reduce_raw(vals, grid)
         j_rec[i] = _reduce_raw(vals, grid, speed)
 
-    vals = p0.values
     t0 = p0.time_tag
     fields, times = [], []
     if 0 in saved:
-        fields.append(PhaseField(grid, vals, time_tag=t0, nonnegative=clamp))
+        fields.append(p0.field() if product
+                      else PhaseField(grid, p0.values, time_tag=t0, nonnegative=clamp))
         times.append(t0)
     if record is not None:
-        _record(0, vals)
+        _record(0, p0.values)
 
-    factors = factor_xv(p0) if clamp and record is None and track.x_only else None
-    if factors is None:
-        march = _march(vals, _halves(track), plan, dt, "phase",
+    start = p0 if product else None
+    if start is None and clamp and record is None and track.x_only:
+        factors = factor_xv(p0)
+        start = None if factors is None else Product(grid, *factors, time_tag=t0)
+    if start is None:
+        march = _march(p0.values, _halves(track), plan, dt, "phase",
                        "marched density at step" if clamp else None)
     else:
         # x first: the x flow of step i, then its v flow
         what = "factor of the marched density at step"
-        march = zip(_march(factors[0], _halves(track, grid.spatial_shape),
+        march = zip(_march(start.g, _halves(track, grid.spatial_shape),
                            plan.partial("x"), dt, "spatial", f"x {what}"),
-                    _march(factors[1], [None] * n_steps, plan.partial("v"), dt,
+                    _march(start.h, [None] * n_steps, plan.partial("v"), dt,
                            "velocity", f"v {what}"))
     for i, state in enumerate(march, start=1):
         if record is not None:
             _record(i, state)
         if i in saved:
             t = t0 + i * dt
-            if factors is not None:
-                state = np.multiply.outer(*state)
-                state.setflags(write=False)  # so the field keeps it uncopied
-            fields.append(PhaseField(grid, state, time_tag=t, nonnegative=clamp))
+            vals = state
+            if start is not None:
+                vals = np.multiply.outer(*state)
+                vals.setflags(write=False)  # so the field keeps it uncopied
+            fields.append(PhaseField(grid, vals, time_tag=t, nonnegative=clamp))
             times.append(t)
 
+    # a phase march saves its final node; a factored one hands back its factors
+    end = fields[-1] if start is None else Product(grid, *state,
+                                                    time_tag=t0 + n_steps * dt)
     nodes = (None, None) if record is None else (p_tilde_rec, j_rec)
-    return Trajectory(times, fields, *nodes, aux={"factored": factors is not None})
+    return Trajectory(times, fields, *nodes, aux={"end": end})

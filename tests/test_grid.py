@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from angiosolve import (GridSpec, ParameterError, PhaseField, ShapeError,
+from angiosolve import (DataError, GridSpec, ParameterError, PhaseField, ShapeError,
                         SignError, SpatialField, integrate_phase, lq_norm,
                         speed_grid, speed_squared_grid)
-from angiosolve.grid import FACTOR_REL, factor_xv
+from angiosolve.grid import FACTOR_REL, Product, factor_xv
 from angiosolve.scenarios import build_initial_p
 
 from conftest import gaussian_phase, small_grid
@@ -158,6 +158,58 @@ def test_factor_xv_recognises_random_products(dims, seed):
     assert float(h.sum()) == pytest.approx(1.0, rel=1e-14)
     gap = np.abs(np.multiply.outer(x_part, h) - p.values).max()
     assert gap <= FACTOR_REL * p.values.max()
+
+
+def test_factor_xv_takes_a_product_up_to_factor_rel_of_its_sup():
+    # the edge of the acceptance test: one cell off by half of FACTOR_REL of
+    # the sup is still taken for the product, twice that is not, and so
+    # neither is 1e-11 of the sup, the size of a loosened tolerance's
+    # errors.  The cell sits in the tails, where the factors hardly absorb
+    # the change, so the gap is the perturbation itself
+    g = small_grid(64)
+    p = gaussian_phase(g).values
+    sup = float(p.max())
+    x_part, h = factor_xv(PhaseField(g, p))
+    assert np.abs(np.multiply.outer(x_part, h) - p).max() <= 1e-15 * sup
+
+    def nudged(rel):
+        vals = p.copy()
+        vals[3, 60] += rel * sup
+        return factor_xv(PhaseField(g, vals))
+
+    assert nudged(0.5 * FACTOR_REL) is not None
+    assert nudged(2.0 * FACTOR_REL) is None
+    assert nudged(1e-11) is None
+
+
+def test_product_validates_its_factors_and_builds_the_outer_product():
+    g = small_grid(16)
+    x_part = np.linspace(0.0, 1.0, 16)
+    h = np.full(16, 0.25)
+    prod = Product(g, x_part, h, time_tag=2)
+    assert prod.time_tag == 2.0 and isinstance(prod.time_tag, float)
+    # the writeable inputs were copied, and the stored factors are read-only
+    x_part[0] = 9.0
+    assert prod.g[0] == 0.0 and not prod.g.flags.writeable
+    field = prod.field()
+    assert field.time_tag == 2.0
+    np.testing.assert_array_equal(field.values, np.multiply.outer(prod.g, h))
+    np.testing.assert_array_equal(prod.marginal(),
+                                  field.values.sum(axis=1) * g.v_cell_volume)
+    # round-off below zero is clamped, anything worse is refused
+    nearly = prod.g.copy()
+    nearly[0] = -1e-14
+    assert Product(g, nearly, h).g[0] == 0.0
+    with pytest.raises(SignError, match="velocity factor"):
+        Product(g, prod.g, -h)
+    with pytest.raises(ShapeError):
+        Product(g, np.ones(8), h)
+    with pytest.raises(ShapeError):
+        Product(g, prod.g, np.ones((16, 16)))
+    bad = h.copy()
+    bad[3] = np.nan
+    with pytest.raises(DataError):
+        Product(g, prod.g, bad)
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])

@@ -64,6 +64,29 @@ def test_tau_zero_is_identity(grid64):
     np.testing.assert_array_equal(out.values, f.values)
 
 
+@pytest.mark.parametrize("n", [16, 128], ids=["matrix", "fft"])
+def test_apply_checks_kind_shape_and_time_before_flowing(n):
+    # the backward flow blows lattice data up (tau -0.5 took data in [0, 1)
+    # to a sup of 6e11 on a 128-point plan) and a NaN or infinite time
+    # gives no flow at all, so apply refuses them; kind and shape are
+    # checked at every tau, 0 included, and before the time
+    g = small_grid(n)
+    plan = HeatPlan(g, SIGMA, "xv")
+    vals = np.random.default_rng(3).random(g.phase_shape)
+    for tau in (-0.5, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            plan.apply(vals, tau, "phase")
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            plan.apply(plan.work("phase"), tau, "phase")
+    for tau in (0.0, 0.3, -0.5):
+        with pytest.raises(ShapeError):
+            plan.apply(np.zeros((3, 5)), tau, "phase")
+        with pytest.raises(ParameterError, match="unknown field kind"):
+            plan.apply(vals, tau, "nonsense")
+    assert plan.apply(vals, 0.0, "phase") is vals
+    assert plan.apply(vals, -0.0, "phase") is vals
+
+
 def test_gaussian_evolves_to_wider_gaussian(grid64):
     # oracle: variance s^2 -> s^2 + 2 sigma tau, then periodized by images
     tau = 0.8

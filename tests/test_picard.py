@@ -35,7 +35,7 @@ from angiosolve import (
     solve_linear,
 )
 from angiosolve.moments import _reduce_raw
-from angiosolve.scenarios import load_shipped_scenario, run_scenario
+from angiosolve.scenarios import load_shipped_scenario, realise, run_scenario
 
 from conftest import gaussian_phase
 
@@ -415,6 +415,59 @@ def test_picard_pure_validation(grid64):
         picard_pure(p0, _params(), sched, k_max=1)
     with pytest.raises(ParameterError):
         picard_pure(p0, _params(), sched, tol=1.5)
+
+
+@pytest.mark.parametrize("case", ["pure-product", "pure-phase", "coupled"])
+def test_saved_times_count_from_p0s_own_tag(grid64, case):
+    # every window restarts at p0's tag plus its node time, so the saved
+    # times run on from p0's tag across the restarts and never fall back
+    # to node * dt; a product p0 restarts from its factors, any other p0
+    # and every coupled run from a phase field
+    one = gaussian_phase(grid64).values
+    vals = one if case != "pure-phase" else (
+        one + gaussian_phase(grid64, center_x=1.5, center_v=-1.0).values)
+    p0 = PhaseField(grid64, vals, time_tag=5.0)
+    sched = Schedule(t_end=0.1, dt=0.01, save_stride=1)
+    if case == "coupled":
+        p_traj, c_traj, diag = picard_coupled(p0, _c_bump(grid64), _params(), sched)
+        assert np.array_equal(c_traj.times, p_traj.times)
+    else:
+        p_traj, diag = picard_pure(p0, _params(gamma=9.0), sched)
+        assert diag.factored_step_solves == (10 if case == "pure-product" else 0)
+    assert diag.converged and len(diag.k_per_slab) == 5
+    times = p_traj.times
+    assert np.all(np.diff(times) > 0.0)
+    expected = 5.0 + np.arange(11) * 0.01
+    assert np.all(np.abs(times - expected) <= 4 * np.spacing(expected))
+    assert [f.time_tag for f in p_traj.fields] == times.tolist()
+
+
+def test_pure_drive_carries_a_products_factors(monkeypatch):
+    # a product p0 is factored once and every window restarts from the
+    # factors the last one handed back, so the drive builds a phase field
+    # only at a saved time after node 0, whose field is p0's own
+    from angiosolve import grid, stepping
+    made = realise(load_shipped_scenario("pure-gaussian"))
+    calls = {"factor_xv": 0, "PhaseField": 0}
+    factor, init = grid.factor_xv, grid.PhaseField.__init__
+
+    def counting_factor(*args, **kwargs):
+        calls["factor_xv"] += 1
+        return factor(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["PhaseField"] += 1
+        init(self, *args, **kwargs)
+
+    for module in (grid, stepping, picard):
+        monkeypatch.setattr(module, "factor_xv", counting_factor)
+    monkeypatch.setattr(grid.PhaseField, "__init__", counting_init)
+    traj, _, diag = made.drive()
+    assert calls["factor_xv"] == 1
+    assert len(traj) == len(made.scenario.schedule.saved_nodes()) == 21
+    assert traj.fields[0] is made.p0
+    assert calls["PhaseField"] == len(traj) - 1
+    assert diag.factored_step_solves == diag.phase_step_solves == 1000
 
 
 def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):

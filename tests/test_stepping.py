@@ -10,7 +10,7 @@ from angiosolve import (CoefficientTrack, ConfigurationError, GridSpec,
                         HeatPlan, ParameterError, PhaseField, Schedule,
                         ShapeError, SignError, SpatialField, heat_step,
                         integrate_phase, solve_linear)
-from angiosolve.grid import factor_xv
+from angiosolve.grid import Product, factor_xv
 from angiosolve.picard import _advance_c_nodes, _c_inf_nodes, _march_marginal
 
 from conftest import gaussian_phase, small_grid
@@ -182,30 +182,56 @@ _LATTICES = [(1, 32, 32), (1, 128, 16), (1, 16, 128), (2, 16, 16), (2, 128, 8),
 def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, seed):
     # an x-only coefficient and the x flow act on the x factor alone, and
     # the v flow on the v factor alone, so a product density marched on its
-    # factors is the phase march at every node; node 0 is p0 itself
+    # factors is the phase march at every node; node 0 is p0 itself.  The
+    # end factors restart the march: split over two calls, the second
+    # started from the first's Product, it is still the one phase march
     dim_v, n_x, n_v = lattice
     g = GridSpec(dim_x=1, dim_v=dim_v, n_x=n_x, n_v=n_v, half_width_x=4.0,
                  half_width_v=4.0)
     rng = np.random.default_rng(seed)
-    sched = Schedule(t_end=0.1, dt=0.01)
+    dt, n_first = 0.01, 4
+    sched = Schedule(t_end=10 * dt, dt=dt)
 
     def x_sample():
         return 4.0 * rng.random(g.spatial_shape)
 
     a = {"none": None, "constant": x_sample(),
          "per-node": [x_sample() for _ in range(sched.n_steps + 1)]}[coefficient]
-    track = CoefficientTrack(sched, g, a=a)
+
+    def track_of(n_steps, nodes):
+        part = a if not isinstance(a, list) else a[nodes]
+        return CoefficientTrack(Schedule(t_end=n_steps * dt, dt=dt), g, a=part)
+
+    track = track_of(10, slice(None))
     p0 = PhaseField(g, np.multiply.outer(0.2 + rng.random(g.spatial_shape),
                                          0.2 + rng.random(g.velocity_shape)))
     traj = solve_linear(p0, track, SIGMA)
-    assert traj.aux["factored"]
+    assert isinstance(traj.aux["end"], Product)
     # a recorded march stays on the phase lattice
     phase = solve_linear(p0, track, SIGMA, record="j")
-    assert not phase.aux["factored"]
+    assert phase.aux["end"] is phase.final
     assert len(traj) == len(phase)
     assert traj.fields[0].values.tobytes() == p0.values.tobytes()
+    scale = np.abs(phase.final.values).max()
     for field, ref in zip(traj.fields[1:], phase.fields[1:]):
         assert np.abs(field.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+    end = traj.aux["end"]
+    assert end.time_tag == traj.times[-1]
+    assert np.abs(end.field().values - phase.final.values).max() <= 1e-13 * scale
+
+    first = solve_linear(p0, track_of(n_first, slice(0, n_first + 1)), SIGMA)
+    restart = first.aux["end"]
+    assert isinstance(restart, Product) and restart.time_tag == first.times[-1]
+    second = solve_linear(restart, track_of(10 - n_first, slice(n_first, None)), SIGMA,
+                          saved_nodes=range(1, 10 - n_first + 1))
+    assert isinstance(second.aux["end"], Product)
+    split = first.fields[1:] + second.fields
+    assert len(split) == len(phase) - 1
+    for field, ref in zip(split, phase.fields[1:]):
+        assert abs(field.time_tag - ref.time_tag) <= 2 * np.spacing(ref.time_tag)
+        assert np.abs(field.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+    assert (np.abs(second.aux["end"].field().values - phase.final.values).max()
+            <= 1e-13 * scale)
 
 
 def _phase_march(grid):
@@ -283,7 +309,10 @@ def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch, march,
 
 
 def test_solve_linear_saves_only_the_nodes_asked_for(grid64):
-    # without node 0 the trajectory holds no field for p0, only the march
+    # without node 0 the trajectory holds no field for p0, only the march;
+    # a phase-field start must save its final node, which is also the end
+    # it hands back, while a product start hands back its final factors
+    # and may save no field at all
     p0 = gaussian_phase(grid64)
     track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid64)
     traj = solve_linear(p0, track, SIGMA, saved_nodes=[5])
@@ -292,6 +321,26 @@ def test_solve_linear_saves_only_the_nodes_asked_for(grid64):
     assert np.array_equal(traj.final.values, full.final.values)
     with pytest.raises(ConfigurationError):
         solve_linear(p0, track, SIGMA, saved_nodes=[0, 3])  # no final node
+    start = Product(grid64, *factor_xv(p0), time_tag=0.5)
+    middle = solve_linear(start, track, SIGMA, saved_nodes=[2])
+    assert middle.times.tolist() == [0.5 + 2 * 0.01]
+    assert np.array_equal(middle.final.values, full.fields[2].values)
+    assert np.array_equal(middle.aux["end"].field().values, full.final.values)
+    assert middle.aux["end"].time_tag == 0.5 + 5 * 0.01
+    none = solve_linear(start, track, SIGMA, saved_nodes=[])
+    assert len(none) == 0
+    assert np.array_equal(none.aux["end"].g, middle.aux["end"].g)
+    assert np.array_equal(none.aux["end"].h, middle.aux["end"].h)
+    for bad in ([-1], [6]):
+        with pytest.raises(ConfigurationError):
+            solve_linear(start, track, SIGMA, saved_nodes=bad)
+    # a product start takes only the factored march
+    with pytest.raises(ConfigurationError):
+        solve_linear(start, track, SIGMA, record="j")
+    signed = CoefficientTrack(track.schedule, grid64, sep_x=np.ones(grid64.spatial_shape),
+                              sep_v=np.ones(grid64.velocity_shape), strict=False)
+    with pytest.raises(ConfigurationError):
+        solve_linear(start, signed, SIGMA)
 
 
 def test_coefficient_track_validation(grid64):
