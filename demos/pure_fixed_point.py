@@ -34,8 +34,8 @@ def main():
 
     print(f"gamma = {params.gamma}: strong memory damping")
     print(f"time axis iterated on {summarise_iterates(diag.k_per_slab)}")
-    print("(windows of at most two steps, inside slabs short enough that")
-    print(" freezing the memory coefficient is a contraction; each window")
+    print("(windows of at most two steps, each short enough that freezing")
+    print(" the memory coefficient is a contraction; each window")
     print(" restarts from the previous one's converged state, carries its")
     print(" accumulated integral and is seeded by the quadratic continuation")
     print(" of the converged marginal)\n")

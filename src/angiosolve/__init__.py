@@ -17,7 +17,7 @@ from .moments import (MomentSet, accumulate_time_integral, moments_of,
 from .oracles import (VolterraResult, duhamel_reference, fd_reference,
                       uniqueness_probe, volterra_fundamental)
 from .picard import (IterationDiagnostics, ModelParams, alpha_of_c,
-                     picard_coupled, picard_pure, slab_partition)
+                     picard_coupled, picard_pure)
 from .scenarios import (Scenario, boundary_mass_fraction, build_initial_c,
                         build_initial_p, load_scenario, load_shipped_scenario,
                         realise, run_scenario, shipped_scenarios)
@@ -40,7 +40,7 @@ __all__ = [
     "integrate_phase", "load_field", "load_scenario", "load_shipped_scenario",
     "lq_norm", "moments_of", "picard_coupled", "picard_pure", "realise",
     "run_scenario", "save_field", "second_moment", "shipped_scenarios",
-    "slab_partition", "solve_linear", "speed_grid", "speed_moment",
+    "solve_linear", "speed_grid", "speed_moment",
     "speed_squared_grid", "uniqueness_probe", "vector_speed_moment",
     "velocity_marginal", "volterra_fundamental", "write_moment_table",
     "write_report",

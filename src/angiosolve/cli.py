@@ -39,8 +39,7 @@ def _resolve(config: str, overrides):
     )
 
 
-def _run_one(config, overrides, out_root):
-    scenario = _resolve(config, overrides)
+def _run_one(scenario, out_root):
     out_dir = os.path.join(out_root, scenario.name) if out_root else None
     code, payload = run_scenario(scenario, out_dir=out_dir)
     return code, format_summary(scenario, payload)
@@ -52,19 +51,22 @@ def _cmd_run(args) -> int:
     # a fork-started pool starts every worker at once: never more than
     # there are scenarios to run or CPUs to run them on
     workers = min(args.jobs, len(args.configs), os.cpu_count() or 1)
+    scenarios = [_resolve(cfg, tuple(args.override)) for cfg in args.configs]
+    names = [scenario.name for scenario in scenarios]
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if args.out and clashes:
+        # each run writes under <out>/<name>: two of one name would overwrite
+        raise ConfigurationError(
+            f"scenario name(s) {', '.join(clashes)} occur more than once; "
+            "with --out every run needs a name of its own")
     worst = 0
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_one, cfg, tuple(args.override), args.out)
-                for cfg in args.configs
-            ]
+            futures = [pool.submit(_run_one, scenario, args.out)
+                       for scenario in scenarios]
             results = [f.result() for f in futures]
     else:
-        results = [
-            _run_one(cfg, tuple(args.override), args.out)
-            for cfg in args.configs
-        ]
+        results = [_run_one(scenario, args.out) for scenario in scenarios]
     for code, summary in results:
         sys.stdout.write(summary + "\n")
         worst = max(worst, code)

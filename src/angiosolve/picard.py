@@ -38,12 +38,13 @@ one march :func:`~angiosolve.stepping._march` in its own plan's work
 array; this module defines no step of its own.
 
 The iteration only contracts on windows with T * sqrt(M) < 1 (M an a-priori
-bound on the accumulated damping), so the proof splits long runs into slabs
-of length min(T, 0.5 / sqrt(M)) (:func:`slab_partition`).  The discrete fixed
-point does not depend on where the time axis is cut, so the loop iterates on
-shorter windows still, of at most ``_WINDOW_STEPS`` steps inside those slabs,
-each restarted from the previous window's final state, tagged p0's own time
-plus the node time of the restart; the running time
+bound on the accumulated damping), so the proof iterates on slabs of length
+at most 0.5 / sqrt(M), where the fixed-point map contracts with factor
+<= 1/4.  The discrete fixed point does not depend on where the time axis is
+cut, so the loop iterates on shorter windows still: :func:`_windows` cuts
+the axis into windows of at most ``_WINDOW_STEPS`` steps and never longer
+than that slab, each restarted from the previous window's final state,
+tagged p0's own time plus the node time of the restart; the running time
 integral is carried across window boundaries so the damping coefficient
 stays the global integral.  Short windows contract faster, and a window
 after the first two steps is seeded with the quadratic continuation of the
@@ -199,29 +200,25 @@ def _alpha_raw(c_vals: np.ndarray, alpha1: float, c_R: float, what: str) -> np.n
 
 
 # --------------------------------------------------------------------------
-# slab partition and iteration windows
+# iteration windows
 
-# the longest window the fixed point is iterated on; slab_partition's slabs
-# only bound it from above
+# the longest window the fixed point is iterated on
 _WINDOW_STEPS = 2
 
 
-def slab_partition(n_steps: int, dt: float, sup_m: float):
-    """Split [0, n_steps*dt] into contraction windows.
+def _windows(n_steps: int, dt: float, sup_m: float):
+    """Node indices of the window edges of [0, n_steps*dt], from 0 to n_steps.
 
     ``sup_m`` is the a-priori bound M on gamma times the largest marginal
-    the iterates can reach; windows of length min(T, 0.5/sqrt(M)) keep the
-    fixed-point map a contraction with factor <= 1/4.  Returns the node
-    indices of the slab edges (starting at 0, ending at n_steps).
+    the iterates can reach; windows no longer than 0.5/sqrt(M) keep the
+    fixed-point map a contraction with factor <= 1/4.  Every window has
+    min(``_WINDOW_STEPS``, floor(0.5/(sqrt(M) dt))) steps, at least one and
+    ``_WINDOW_STEPS`` for M = 0; the last may be shorter.
     """
-    if sup_m <= 0.0:
-        slab_steps = n_steps
-    else:
-        t_hat = 0.5 / math.sqrt(sup_m)
-        slab_steps = int(t_hat / dt + 1e-9)
-        slab_steps = max(1, min(n_steps, slab_steps))
-    edges = list(range(0, n_steps, slab_steps)) + [n_steps]
-    return edges
+    steps = _WINDOW_STEPS
+    if sup_m > 0.0:
+        steps = max(1, min(steps, int(0.5 / math.sqrt(sup_m) / dt + 1e-9)))
+    return list(range(0, n_steps, steps)) + [n_steps]
 
 
 def _relative_delta(fields_a, fields_b) -> float:
@@ -305,15 +302,6 @@ def _march_marginal(pt0, track, plan_x):
     return np.stack([pt0, *map(np.copy, march)])
 
 
-def _windows(edges):
-    """Cut every slab between ``edges`` into windows of at most
-    ``_WINDOW_STEPS`` steps (the last window of a slab may be shorter)."""
-    out = [0]
-    for i0, i1 in zip(edges, edges[1:]):
-        out += list(range(i0 + _WINDOW_STEPS, i1, _WINDOW_STEPS)) + [i1]
-    return out
-
-
 def _seed(history, n_local):
     """Quadratic continuation of the last three converged nodes.
 
@@ -343,10 +331,9 @@ def validate_options(k_max, tol, init):
 def _drive(p0, c0, params, schedule, k_max, tol, init):
     """The windowed fixed point behind both public drivers.
 
-    The slabs of :func:`slab_partition` are cut into windows of at most
-    ``_WINDOW_STEPS`` steps, and each window is iterated to its own fixed
-    point and restarted from the previous one's final state.  Per window,
-    iterate k marches the state under the linear problem with coefficient
+    Each window of :func:`_windows` is iterated to its own fixed point and
+    restarted from the previous one's final state.  Per window, iterate k
+    marches the state under the linear problem with coefficient
     gamma A_{k-1} (A the running integral of the previous iterate's
     marginal, continued across windows by the carried offset), until
     successive marginals agree to ``tol`` at every saved time.
@@ -408,7 +395,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     sup_pt0 = float(_reduce_raw(p0.values, grid).max())
     big_m = gamma * sup_pt0 * math.exp(alpha_rate * schedule.t_end)
 
-    edges = _windows(slab_partition(n_steps, dt, big_m))
+    edges = _windows(n_steps, dt, big_m)
     global_saved = set(schedule.saved_nodes())
 
     diag = IterationDiagnostics(slab_edges=[e * dt for e in edges])

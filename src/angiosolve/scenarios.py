@@ -293,6 +293,11 @@ def load_scenario(source, overrides=()) -> Scenario:
         meta = _section(parser, "scenario")
         _known_keys(meta, _SCENARIO_KEYS, "scenario")
         name = meta.get("name", "unnamed")
+        # run --out writes under <root>/<name>: the name must stay one entry
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigurationError(
+                f"scenario name {name!r} must be one path component, "
+                "not empty, '.' or '..'")
         driver = meta.get("driver", "pure")
         if driver not in ("pure", "coupled"):
             raise ConfigurationError(f"driver must be 'pure' or 'coupled', got {driver!r}")

@@ -22,13 +22,13 @@ floor of :func:`solve_linear` rejects that with :class:`SignError`.
 When no term of a depends on v, the v part of the heat flow commutes with
 both factors E and with the x part, so a product density g(x) h(v) stays a
 product: the phase step of g (x) h is the x-lattice step of g (factors E,
-x flow) times the v flow of h.  :func:`solve_linear` marches such data on
-its factors, each floored every step, and builds only the saved fields as
-outer products; it takes the data either as a :class:`~angiosolve.grid.Product`
-or as a phase field that :func:`~angiosolve.grid.factor_xv` splits, and
-hands back the final node's factors, so a march restarted from them never
-builds a phase field at the restart.  Any other data, a v-dependent
-coefficient or a recorded node series takes the phase march.
+x flow) times the v flow of h.  :func:`solve_linear` marches data handed
+to it as a :class:`~angiosolve.grid.Product` on its factors, each floored
+every step, builds only the saved fields as outer products and hands back
+the final node's factors, so a march restarted from them never builds a
+phase field at the restart.  A phase field takes the phase march, whether
+or not it is a product; splitting it is the caller's choice
+(:func:`~angiosolve.grid.factor_xv`).
 
 :func:`_march` is the package's only march: the phase and factored marches
 of :func:`solve_linear` and the position-lattice marches of
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import (GridSpec, PhaseField, Product, SpatialField, apply_sign,
-                   factor_xv, speed_grid)
+                   speed_grid)
 from .heat import HeatPlan
 from .moments import _reduce_raw
 
@@ -347,16 +347,14 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     beyond the clamping tolerance raises :class:`SignError` naming the step
     and cell.
 
-    A :class:`~angiosolve.grid.Product` p0, or a nonnegative phase field
-    that :func:`~angiosolve.grid.factor_xv` splits into g (x) h, under a
-    track with no v-dependent term (``track.x_only``) and with nothing
-    recorded, is marched on its factors: g on ``plan``'s "x" plan with the
-    track's half factors, h on its "v" plan under the plain flow, each
-    floored every step (the error names the factor, the step and the
-    factor's cell).  Saved fields are their outer products and agree with
-    the phase march to round-off; node 0 of a phase-field p0 is p0's own
-    values.  A product p0 under a v-dependent track or with a record is
-    refused.
+    A :class:`~angiosolve.grid.Product` p0 = g (x) h is marched on its
+    factors: g on ``plan``'s "x" plan with the track's half factors, h on
+    its "v" plan under the plain flow, each floored every step (the error
+    names the factor, the step and the factor's cell).  Saved fields are
+    their outer products and agree with the phase march to round-off.  A
+    product p0 needs a track with no v-dependent term (``track.x_only``)
+    and nothing recorded, and is refused otherwise.  A phase-field p0 takes
+    the phase march, also when it is a product.
 
     Parameters
     ----------
@@ -436,34 +434,29 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     if record is not None:
         _record(0, p0.values)
 
-    start = p0 if product else None
-    if start is None and clamp and record is None and track.x_only:
-        factors = factor_xv(p0)
-        start = None if factors is None else Product(grid, *factors, time_tag=t0)
-    if start is None:
-        march = _march(p0.values, _halves(track), plan, dt, "phase",
-                       "marched density at step" if clamp else None)
-    else:
+    if product:
         # x first: the x flow of step i, then its v flow
         what = "factor of the marched density at step"
-        march = zip(_march(start.g, _halves(track, grid.spatial_shape),
+        march = zip(_march(p0.g, _halves(track, grid.spatial_shape),
                            plan.partial("x"), dt, "spatial", f"x {what}"),
-                    _march(start.h, [None] * n_steps, plan.partial("v"), dt,
+                    _march(p0.h, [None] * n_steps, plan.partial("v"), dt,
                            "velocity", f"v {what}"))
+    else:
+        march = _march(p0.values, _halves(track), plan, dt, "phase",
+                       "marched density at step" if clamp else None)
     for i, state in enumerate(march, start=1):
         if record is not None:
             _record(i, state)
         if i in saved:
             t = t0 + i * dt
             vals = state
-            if start is not None:
+            if product:
                 vals = np.multiply.outer(*state)
                 vals.setflags(write=False)  # so the field keeps it uncopied
             fields.append(PhaseField(grid, vals, time_tag=t, nonnegative=clamp))
             times.append(t)
 
     # a phase march saves its final node; a factored one hands back its factors
-    end = fields[-1] if start is None else Product(grid, *state,
-                                                    time_tag=t0 + n_steps * dt)
+    end = Product(grid, *state, time_tag=t0 + n_steps * dt) if product else fields[-1]
     nodes = (None, None) if record is None else (p_tilde_rec, j_rec)
     return Trajectory(times, fields, *nodes, aux={"end": end})

@@ -110,6 +110,40 @@ def test_run_outputs_are_byte_identical_inline_and_in_a_pool(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("name", ["../escaped", "ABSOLUTE", "a/b", "..", ".", ""],
+                         ids=["parent", "absolute", "nested", "dotdot", "dot", "empty"])
+def test_a_name_that_is_no_single_path_entry_is_refused(capsys, tmp_path, name):
+    # run --out writes under <root>/<name>: a name that climbs out of the
+    # root, replaces it or nests inside it is a configuration error for
+    # every subcommand, and the refused run writes nothing anywhere
+    name = str(tmp_path / "escaped") if name == "ABSOLUTE" else name
+    cfg = tmp_path / "cfgs" / "bad.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(_PURE_TEXT.replace("name = tiny", f"name = {name}"))
+    root = tmp_path / "cfgs" / "runs"
+    for argv in (["run", str(cfg), "--out", str(root)], ["check", str(cfg)],
+                 ["describe", str(cfg)]):
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg", "cfgs"]
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "pool"])
+def test_run_out_refuses_two_scenarios_of_one_name(capsys, tmp_path, jobs):
+    # two nameless configs are both "unnamed" and would write one directory;
+    # the call is refused before any run starts
+    configs = []
+    for stem in ("a", "b"):
+        path = tmp_path / f"{stem}.cfg"
+        path.write_text(_PURE_TEXT.replace("name = tiny\n", ""))
+        configs.append(str(path))
+    root = tmp_path / "runs"
+    assert main(["run", *configs, "--out", str(root), *jobs]) == 2
+    captured = capsys.readouterr()
+    assert "unnamed" in captured.err and captured.out == ""
+    assert not root.exists()
+
+
 class _RecordingPool:
     """Stands in for the process pool: records its size, runs inline."""
 

@@ -31,7 +31,6 @@ from angiosolve import (
     integrate_phase,
     picard_coupled,
     picard_pure,
-    slab_partition,
     solve_linear,
 )
 from angiosolve.moments import _reduce_raw
@@ -206,23 +205,30 @@ def test_depletion_clamp_keeps_a_long_2d_run_below_its_far_field():
 
 
 # --------------------------------------------------------------------------
-# slab partition
+# iteration windows
 
 
-def test_slab_partition_windows():
-    assert slab_partition(100, 0.01, 0.0) == [0, 100]
-    assert slab_partition(100, 0.01, 4.0) == [0, 25, 50, 75, 100]
-    assert slab_partition(10, 0.1, 1.0) == [0, 5, 10]
-    # non-divisor window: the last slab is simply shorter
-    assert slab_partition(10, 0.1, 1.2) == [0, 4, 8, 10]
-    # absurdly strong damping still leaves one step per slab
-    assert slab_partition(10, 0.1, 1e9) == list(range(11))
+def test_windows_are_the_shorter_of_two_steps_and_the_contraction_bound():
+    # no damping bound: windows of _WINDOW_STEPS, the last one shorter
+    assert picard._windows(10, 0.1, 0.0) == [0, 2, 4, 6, 8, 10]
+    assert picard._windows(9, 0.1, 0.0) == [0, 2, 4, 6, 8, 9]
+    # a bound of 5 steps (0.5 / sqrt(1) / 0.1) or more leaves two
+    assert picard._windows(9, 0.1, 1.0) == [0, 2, 4, 6, 8, 9]
+    assert picard._windows(9, 0.01, 4.0) == [0, 2, 4, 6, 8, 9]
+    # a bound of exactly one step (0.5 / sqrt(25) / 0.1 = 1), and absurdly
+    # strong damping, still leave one step per window
+    assert picard._windows(3, 0.1, 25.0) == [0, 1, 2, 3]
+    assert picard._windows(3, 0.1, 1e9) == [0, 1, 2, 3]
+    assert picard._windows(1, 0.1, 0.0) == [0, 1]
 
 
-def test_windows_cut_each_slab_into_steps_of_two():
-    assert picard._windows([0, 5, 10]) == [0, 2, 4, 5, 7, 9, 10]
-    assert picard._windows([0, 1, 2]) == [0, 1, 2]
-    assert picard._windows([0, 4]) == [0, 2, 4]
+def test_shipped_runs_iterate_on_windows_of_two_steps(pure_fix, coupled_fix, smoke_fix):
+    # every shipped bound allows two steps or more, so each run's time axis
+    # is cut in twos
+    for fix, n_windows in ((pure_fix, 500), (coupled_fix, 500), (smoke_fix, 25)):
+        sched, diag = fix["scenario"].schedule, fix["diag"]
+        assert len(diag.k_per_slab) == n_windows
+        assert diag.slab_edges == [i * sched.dt for i in range(0, sched.n_steps + 1, 2)]
 
 
 def test_seed_continues_a_quadratic_and_floors_at_zero():
@@ -258,7 +264,7 @@ def paper_partition_runs():
     p0, c0 = _flat_in_x(g), _c_bump(g)
     params = _params(gamma=9.0)
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
-    # windows as long as the run leave the paper's slabs uncut
+    # with no step cap the windows are the paper's slabs themselves
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(picard, "_WINDOW_STEPS", sched.n_steps)
         pure, d_pure = picard_pure(p0, params, sched, tol=_PARTITION_TOL)
@@ -283,12 +289,12 @@ def test_fixed_point_does_not_depend_on_slab_partition(paper_partition_runs, len
                                                        init):
     (p0, c0, params, sched), pure_ref, (p_ref, c_ref) = paper_partition_runs
 
-    def windows(edges):
+    def windows(n_steps, dt, sup_m):
         out = [0]
         for length in itertools.cycle(lengths):
-            if out[-1] == edges[-1]:
+            if out[-1] == n_steps:
                 return out
-            out.append(min(edges[-1], out[-1] + length))
+            out.append(min(n_steps, out[-1] + length))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(picard, "_windows", windows)
@@ -297,7 +303,7 @@ def test_fixed_point_does_not_depend_on_slab_partition(paper_partition_runs, len
         p_c, c_c, d_c = picard_coupled(p0, c0, params, sched, tol=_PARTITION_TOL,
                                        init=init)
     assert d_pure.converged and d_c.converged
-    assert len(d_pure.k_per_slab) == len(d_c.k_per_slab) == len(windows([0, 50])) - 1
+    assert len(d_pure.k_per_slab) == len(d_c.k_per_slab) == len(windows(50, 0.01, 0.0)) - 1
     assert _max_relative_gap(pure, pure_ref) <= 10 * _PARTITION_TOL
     assert _max_relative_gap(p_c, p_ref) <= 10 * _PARTITION_TOL
     assert _max_relative_gap(c_c, c_ref) <= 10 * _PARTITION_TOL
@@ -442,32 +448,55 @@ def test_saved_times_count_from_p0s_own_tag(grid64, case):
     assert [f.time_tag for f in p_traj.fields] == times.tolist()
 
 
+def _count_factor_xv(monkeypatch):
+    # the drive factors p0 itself; solve_linear never tries to
+    from angiosolve import grid, stepping
+    assert not hasattr(stepping, "factor_xv")
+    calls = []
+    factor = grid.factor_xv
+
+    def counting_factor(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    for module in (grid, picard):
+        monkeypatch.setattr(module, "factor_xv", counting_factor)
+    return calls
+
+
 def test_pure_drive_carries_a_products_factors(monkeypatch):
     # a product p0 is factored once and every window restarts from the
     # factors the last one handed back, so the drive builds a phase field
     # only at a saved time after node 0, whose field is p0's own
-    from angiosolve import grid, stepping
+    from angiosolve import grid
     made = realise(load_shipped_scenario("pure-gaussian"))
-    calls = {"factor_xv": 0, "PhaseField": 0}
-    factor, init = grid.factor_xv, grid.PhaseField.__init__
-
-    def counting_factor(*args, **kwargs):
-        calls["factor_xv"] += 1
-        return factor(*args, **kwargs)
+    calls = {"PhaseField": 0}
+    init = grid.PhaseField.__init__
 
     def counting_init(self, *args, **kwargs):
         calls["PhaseField"] += 1
         init(self, *args, **kwargs)
 
-    for module in (grid, stepping, picard):
-        monkeypatch.setattr(module, "factor_xv", counting_factor)
+    factor_calls = _count_factor_xv(monkeypatch)
     monkeypatch.setattr(grid.PhaseField, "__init__", counting_init)
     traj, _, diag = made.drive()
-    assert calls["factor_xv"] == 1
+    assert len(factor_calls) == 1
     assert len(traj) == len(made.scenario.schedule.saved_nodes()) == 21
     assert traj.fields[0] is made.p0
     assert calls["PhaseField"] == len(traj) - 1
     assert diag.factored_step_solves == diag.phase_step_solves == 1000
+
+
+def test_pure_drive_tries_to_factor_other_data_once(grid64, monkeypatch):
+    # two bumps are no product: the drive's one attempt fails and every
+    # window takes the phase march, with no further attempt
+    p0 = PhaseField(grid64, gaussian_phase(grid64).values
+                    + gaussian_phase(grid64, center_x=1.5, center_v=-1.0).values)
+    calls = _count_factor_xv(monkeypatch)
+    _, diag = picard_pure(p0, _params(gamma=9.0), Schedule(t_end=0.1, dt=0.01))
+    assert len(calls) == 1 and calls[0][0] is p0
+    assert len(diag.k_per_slab) == 5
+    assert diag.phase_step_solves == 10 and diag.factored_step_solves == 0
 
 
 def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):

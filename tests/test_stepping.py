@@ -181,10 +181,10 @@ _LATTICES = [(1, 32, 32), (1, 128, 16), (1, 16, 128), (2, 16, 16), (2, 128, 8),
        st.integers(0, 2 ** 32 - 1))
 def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, seed):
     # an x-only coefficient and the x flow act on the x factor alone, and
-    # the v flow on the v factor alone, so a product density marched on its
-    # factors is the phase march at every node; node 0 is p0 itself.  The
-    # end factors restart the march: split over two calls, the second
-    # started from the first's Product, it is still the one phase march
+    # the v flow on the v factor alone, so a Product marched on its factors
+    # is the phase march of its field at every node; node 0 is the field
+    # itself.  The end factors restart the march: split over two calls, the
+    # second started from the first's Product, it is still the one phase march
     dim_v, n_x, n_v = lattice
     g = GridSpec(dim_x=1, dim_v=dim_v, n_x=n_x, n_v=n_v, half_width_x=4.0,
                  half_width_v=4.0)
@@ -203,12 +203,13 @@ def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, see
         return CoefficientTrack(Schedule(t_end=n_steps * dt, dt=dt), g, a=part)
 
     track = track_of(10, slice(None))
-    p0 = PhaseField(g, np.multiply.outer(0.2 + rng.random(g.spatial_shape),
-                                         0.2 + rng.random(g.velocity_shape)))
-    traj = solve_linear(p0, track, SIGMA)
+    start = Product(g, 0.2 + rng.random(g.spatial_shape),
+                    0.2 + rng.random(g.velocity_shape))
+    p0 = start.field()
+    traj = solve_linear(start, track, SIGMA)
     assert isinstance(traj.aux["end"], Product)
-    # a recorded march stays on the phase lattice
-    phase = solve_linear(p0, track, SIGMA, record="j")
+    # the same density handed over as a phase field takes the phase march
+    phase = solve_linear(p0, track, SIGMA)
     assert phase.aux["end"] is phase.final
     assert len(traj) == len(phase)
     assert traj.fields[0].values.tobytes() == p0.values.tobytes()
@@ -219,7 +220,7 @@ def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, see
     assert end.time_tag == traj.times[-1]
     assert np.abs(end.field().values - phase.final.values).max() <= 1e-13 * scale
 
-    first = solve_linear(p0, track_of(n_first, slice(0, n_first + 1)), SIGMA)
+    first = solve_linear(start, track_of(n_first, slice(0, n_first + 1)), SIGMA)
     restart = first.aux["end"]
     assert isinstance(restart, Product) and restart.time_tag == first.times[-1]
     second = solve_linear(restart, track_of(10 - n_first, slice(n_first, None)), SIGMA,
@@ -235,20 +236,17 @@ def test_factored_march_is_the_phase_march_on_products(lattice, coefficient, see
 
 
 def _phase_march(grid):
-    # two bumps are no product, so this march stays on the phase lattice
-    two = PhaseField(grid, gaussian_phase(grid).values
-                     + gaussian_phase(grid, center_x=1.5, center_v=-1.0).values)
-    assert factor_xv(two) is None
+    # a phase field takes the phase march, also when it is a product
     track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid)
-    solve_linear(two, track, SIGMA)
+    solve_linear(gaussian_phase(grid), track, SIGMA)
 
 
 def _factored_march(grid):
-    # a product under an x-only coefficient: each step marches the x factor
+    # a Product under an x-only coefficient: each step marches the x factor
     # (the fault's third flow is step 2's) and then the v factor
     track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid,
                              a=np.full(grid.spatial_shape, 0.3))
-    solve_linear(gaussian_phase(grid), track, SIGMA)
+    solve_linear(Product(grid, *factor_xv(gaussian_phase(grid))), track, SIGMA)
 
 
 def _signed_phase_march(grid):
@@ -322,10 +320,11 @@ def test_solve_linear_saves_only_the_nodes_asked_for(grid64):
     with pytest.raises(ConfigurationError):
         solve_linear(p0, track, SIGMA, saved_nodes=[0, 3])  # no final node
     start = Product(grid64, *factor_xv(p0), time_tag=0.5)
+    factored = solve_linear(start, track, SIGMA)
     middle = solve_linear(start, track, SIGMA, saved_nodes=[2])
     assert middle.times.tolist() == [0.5 + 2 * 0.01]
-    assert np.array_equal(middle.final.values, full.fields[2].values)
-    assert np.array_equal(middle.aux["end"].field().values, full.final.values)
+    assert np.array_equal(middle.final.values, factored.fields[2].values)
+    assert np.array_equal(middle.aux["end"].field().values, factored.final.values)
     assert middle.aux["end"].time_tag == 0.5 + 5 * 0.01
     none = solve_linear(start, track, SIGMA, saved_nodes=[])
     assert len(none) == 0
