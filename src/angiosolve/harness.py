@@ -208,9 +208,11 @@ class GronwallFold(_Fold):
     """Exponential norm envelope ||f(t)||_q <= ||f(0)||_q * exp(rate * t).
 
     Slack is (bound - norm)/bound per time, with t and ``norm0`` (default:
-    the norm of the first field added) taken at the first time.  The worst
-    cell is the cell of largest magnitude at the worst time (the one
-    carrying the norm).
+    the norm of the first field added) taken at the first time.  A zero
+    ``norm0`` bounds by zero at every time (0 * e^x = 0, however large x),
+    and an envelope beyond the largest float holds, with slack 1, for any
+    finite norm.  The worst cell is the cell of largest magnitude at the
+    worst time (the one carrying the norm).
     """
 
     def __init__(self, rate: float, q, tol: float = 1e-8, norm0: float = None,
@@ -227,9 +229,14 @@ class GronwallFold(_Fold):
             self.t0 = float(t)
             if self.norm0 is None:
                 self.norm0 = norm
-        bound = self.norm0 * float(np.exp(self.rate * (t - self.t0)))
+        bound = 0.0
+        if self.norm0 != 0.0:
+            with np.errstate(over="ignore"):
+                bound = self.norm0 * float(np.exp(self.rate * (t - self.t0)))
         if bound == 0.0:
             self.slacks.append(0.0 if norm == 0.0 else -np.inf)
+        elif bound == np.inf:
+            self.slacks.append(1.0)
         else:
             self.slacks.append((bound - norm) / bound)
         self.times.append(t)

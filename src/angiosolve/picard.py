@@ -22,13 +22,11 @@ part, and the v flow keeps the v-sum exactly, so the v-sum of one Strang
 step is the same step on p~ with a position-lattice plan.  Its iterates are
 therefore marched on the n_x cells of the position lattice, and each window
 marches the phase field once, with the coefficient of its last iterate,
-through :func:`solve_linear`.  A product p0 is factored once; each window
-then starts from the :class:`~angiosolve.grid.Product` of factors the last
-one handed back, takes its start marginal from them, and its march runs on
-the factors, an x-lattice and a v-lattice march that builds the phase field
-only at the schedule's saved times, so no phase field is made at a window
-edge; every shipped density is a product.  Any other p0 restarts each
-window from the last one's final phase field.
+through :func:`solve_linear`.  A product p0 is factored once, and each
+window then starts from the :class:`~angiosolve.grid.Product` of factors
+the last one handed back and marches them, on the x- and the v-lattice,
+building the phase field only at the schedule's saved times; every shipped
+density is a product.
 :func:`picard_coupled` switches the attractant on; its coefficient depends
 on v and it records node moments, so every coupled iterate marches the
 phase field with :func:`solve_linear` on the phase lattice, also at
@@ -52,14 +50,16 @@ last three converged nodes, so one correction usually meets the tolerance
 there (windowed waveform relaxation; Gander & Stuart, SIAM J. Sci. Comput.
 19, 1998).
 
-A window's saved fields are final once it has converged, so the loop hands
-them out then (:class:`DriveStream`), each with the running integral at its
-time, and keeps none.  Like the proof, which carries only int_0^t p~ ds
-across slab edges, the loop carries that integral and the last three
-converged nodes (the seed's history) from window to window, so nothing it
-holds grows with the run length: a checked run reads each field and drops
-it, and :func:`collect` keeps them all for the public drivers'
-trajectories.
+Node 0 is the data themselves and is handed out first.  A window's march
+is asked only for the run's saved nodes after the window start, and hands
+back its final state for the restart.  Its fields are final once the window
+has converged, so the loop hands them all out then (:class:`DriveStream`),
+each with the running integral at its time, and keeps none.  Like the
+proof, which carries only int_0^t p~ ds across slab edges, the loop carries
+that integral and the last three converged nodes (the seed's history) from
+window to window, so nothing it holds grows with the run length: a checked
+run reads each field and drops it, and :func:`collect` keeps them all for
+the public drivers' trajectories.
 """
 
 from __future__ import annotations
@@ -221,6 +221,17 @@ def _windows(n_steps: int, dt: float, sup_m: float):
     return list(range(0, n_steps, steps)) + [n_steps]
 
 
+def production_growth(rate: float, t_end: float) -> float:
+    """exp(rate * t_end), the growth at the production ceiling ``rate`` =
+    alpha1 sup rho in the a-priori bound M; :class:`ParameterError` where
+    it overflows a float (no window length follows)."""
+    try:
+        return math.exp(rate * t_end)
+    except OverflowError:
+        raise ParameterError(f"the production bound exp(alpha1 * sup rho * t_end) = "
+                             f"exp({rate * t_end:.6g}) overflows a float") from None
+
+
 def _relative_delta(fields_a, fields_b) -> float:
     """max_t sup|a - b| over the shared saved times, relative to the larger
     of the two trajectories' sup norms (0/0 -> 0)."""
@@ -233,13 +244,6 @@ def _relative_delta(fields_a, fields_b) -> float:
     for fa, fb in zip(fields_a, fields_b):
         worst = max(worst, float(np.abs(fa - fb).max()))
     return worst / scale
-
-
-def _local_saved_nodes(i0, i1, global_saved):
-    local = {g - i0 for g in global_saved if i0 <= g <= i1}
-    local.add(0)
-    local.add(i1 - i0)
-    return sorted(local)
 
 
 def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
@@ -346,18 +350,19 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     delta.  Without ``c0`` the state is the marginal, marched on the
     x-lattice, and the phase field is marched once per window with the
     last iterate's coefficient, on a product p0's factors from window to
-    window (only the saved fields are built, node 0's being p0 itself).
-    Passing ``c0`` couples the attractant in: the state is the phase
-    field, the coefficient gains -alpha(c_{k-1}) rho(v), c_k is marched
-    with the current speed moment j_k, and the c change joins the stopping
-    rule.  Every phase march starts
-    nonnegative and sourceless, so :func:`solve_linear` floors each step.
+    window.  Passing ``c0`` couples the attractant in: the state is the
+    phase field, the coefficient gains -alpha(c_{k-1}) rho(v), c_k is
+    marched with the current speed moment j_k, and the c change joins the
+    stopping rule.  Every phase march starts nonnegative and sourceless, so
+    :func:`solve_linear` floors each step.
 
-    A generator: each window's saved ``(t, p_field, c_field or None, a)``
-    are yielded once it has converged, ``a`` the running integral of the
-    converged marginal at ``t`` (the carried offset plus the window's own
-    part), and it returns the diagnostics.  :class:`DriveStream` wraps it
-    for consumers.
+    A generator of ``(t, p_field, c_field or None, a)``, ``a`` the running
+    integral of the converged marginal at ``t``: first node 0, the data
+    themselves (``p0``, ``c0`` as role ``"c"`` at p0's time, a zero
+    integral), then, once each window has converged, every field its march
+    returned (``a`` the carried offset plus the window's own part).  It
+    returns the diagnostics; :class:`DriveStream` wraps it for consumers.
+    An a-priori bound that overflows raises :class:`ParameterError`.
     """
     validate_options(k_max, tol, init)
     coupled = c0 is not None
@@ -373,8 +378,8 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     origin = p0.time_tag
     p_start = p0
     if coupled:
-        if c0.role != "c":
-            c0 = SpatialField(grid, c0.values, time_tag=c0.time_tag, role="c")
+        # node 0's concentration, at p0's time
+        c0 = SpatialField(grid, c0.values, time_tag=origin, role="c")
         rho = velocity_profile(grid, params)
         rho_v = rho.values
         alpha_rate = params.alpha1 * rho.sup_norm
@@ -393,7 +398,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     # only removes mass, so the heat flow, grown at the production ceiling,
     # dominates every iterate's marginal
     sup_pt0 = float(_reduce_raw(p0.values, grid).max())
-    big_m = gamma * sup_pt0 * math.exp(alpha_rate * schedule.t_end)
+    big_m = gamma * sup_pt0 * production_growth(alpha_rate, schedule.t_end)
 
     edges = _windows(n_steps, dt, big_m)
     global_saved = set(schedule.saved_nodes())
@@ -404,24 +409,21 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     hist_pt = hist_j = np.empty((0,) + grid.spatial_shape)
     a_offset = np.zeros(grid.spatial_shape)
 
-    for s in range(len(edges) - 1):
-        i0, i1 = edges[s], edges[s + 1]
+    # node 0 is the data themselves; every window yields its later nodes
+    yield origin, p0, c0, np.zeros(grid.spatial_shape)
+    for i0, i1 in zip(edges, edges[1:]):
         n_local = i1 - i0
         # stride 1: solve_linear gets the window's saved nodes explicitly
         local_sched = Schedule(t_end=n_local * dt, dt=dt, save_stride=1)
-        local_saved = _local_saved_nodes(i0, i1, global_saved)
-        # node 0 joins the stopping rule in every window, but its field is
-        # the previous window's last one: only the first window saves it
-        march_saved = local_saved if s == 0 else local_saved[1:]
-        product = isinstance(p_start, Product)
-        if product:
-            # only the schedule's own saved fields are built; the run's node
-            # 0 is p0's own field
-            march_saved = [n for n in march_saved if n > 0 and i0 + n in global_saved]
+        # the run's saved nodes after the window start, counted from it; the
+        # stopping rule reads them and the window's two edges
+        saved = [n for n in range(1, n_local + 1) if i0 + n in global_saved]
+        compared = sorted({0, n_local, *saved})
         if coupled:
             c_inf_win = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
         else:
-            pt_start = p_start.marginal() if product else _reduce_raw(p_start.values, grid)
+            pt_start = (p_start.marginal() if isinstance(p_start, Product)
+                        else _reduce_raw(p_start.values, grid))
 
         # the seed S: zero until three converged nodes exist
         if len(hist_pt) == 3:
@@ -454,7 +456,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             if coupled:
                 diag.phase_step_solves += n_local
                 traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                      record=record, saved_nodes=march_saved)
+                                      record=record, saved_nodes=saved)
                 pt_k, j_k = traj_k.p_tilde_nodes, traj_k.j_nodes
                 c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_win, j_k, eta, dt, plan_x)
             else:
@@ -462,10 +464,10 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
                 pt_k = _march_marginal(pt_start, track, plan_pt)
             diag.iterations += 1
             if k > 1:
-                delta = _relative_delta(pt_k[local_saved], prev_pt[local_saved])
+                delta = _relative_delta(pt_k[compared], prev_pt[compared])
                 deltas_p.append(delta)
                 if coupled:
-                    d_c = _relative_delta(c_cur[local_saved], c_prev[local_saved])
+                    d_c = _relative_delta(c_cur[compared], c_prev[compared])
                     deltas_c.append(d_c)
                     delta = max(delta, d_c)
                 driving.append(delta)
@@ -485,7 +487,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             # the marginal fixed the coefficient; march the density once
             diag.phase_step_solves += n_local
             traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                  saved_nodes=march_saved)
+                                  saved_nodes=saved)
         # tag the next start with its own node time from the run's origin,
         # so each window's tags are one rounding from origin + node * dt and
         # no error builds up; the old start and the track's phase-size
@@ -498,18 +500,11 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
             p_start = end.like(end.values, t_next)
         track = end = None
 
-        # yield only the schedule's own saved nodes: window edges are an
-        # implementation detail and must not leak extra snapshots
         a_win = accumulate_time_integral(pt_k, dt)
-        if product and s == 0:
-            yield origin, p0, None, a_offset + a_win[0]  # p0's own field
-        for pos, node in enumerate(march_saved):
-            if i0 + node not in global_saved:
-                continue
-            # the fields' own tags (window start + local node * dt), which
-            # can differ from origin + (i0 + node) * dt in the last bit
-            t = traj_k.times[pos]
-            yield (t, traj_k.fields[pos],
+        # each at its field's own tag (window start + local node * dt), which
+        # can differ from origin + (i0 + node) * dt in the last bit
+        for node, t, p_field in zip(saved, traj_k.times, traj_k.fields):
+            yield (t, p_field,
                    SpatialField(grid, c_cur[node], time_tag=t, role="c") if coupled else None,
                    a_offset + a_win[node])
         a_offset = a_offset + a_win[-1]

@@ -22,6 +22,7 @@ import io
 import math
 import os
 import queue
+import re
 import threading
 from contextlib import closing
 from dataclasses import dataclass
@@ -36,7 +37,8 @@ from .harness import (CBoundsFold, ComparisonFold, EnergyFold, FieldStats,
 from .heat import HeatPlan
 from .moments import MomentSet, moments_of, second_moment, velocity_marginal
 from .picard import (DriveStream, ModelParams, _alpha_raw, collect,
-                     summarise_iterates, validate_options, velocity_profile)
+                     production_growth, summarise_iterates, validate_options,
+                     velocity_profile)
 from .snapshots import moment_row, save_field, write_moment_table
 from .stepping import Schedule
 
@@ -325,6 +327,14 @@ def load_scenario(source, overrides=()) -> Scenario:
         _known_keys(s, _SCHEDULE_KEYS, "schedule")
         schedule = Schedule(t_end=float(s["t_end"]), dt=float(s["dt"]),
                             save_stride=int(s.get("save_stride", 1)))
+        if driver == "coupled":
+            # the drive's a-priori bound, with the analytic sup of rho that
+            # VelocityProfile.sup_norm holds, must stay a float
+            sup_rho = (math.pi * params.epsilon) ** (-grid.dim_v / 2.0)
+            try:
+                production_growth(params.alpha1 * sup_rho, schedule.t_end)
+            except ParameterError as exc:
+                raise ConfigurationError(f"[params] {exc}") from exc
 
         pk = _section(parser, "picard", required=False)
         _known_keys(pk, _PICARD_KEYS, "picard")
@@ -713,6 +723,25 @@ def _drive_ahead(stream: DriveStream):
         worker.join()
 
 
+# what a run writes under its output directory, by the package's own names
+_TABLES = ("moments.csv", "report.json", "summary.txt")
+_SNAPSHOT = re.compile(r"[pc]_[0-9]{4,}\.akf")
+
+
+def _clear_outputs(out_dir):
+    """Remove what an earlier run wrote to ``out_dir``: its tables and its
+    ``snapshots/[pc]_NNNN.akf`` files, and nothing else."""
+    snap_dir = os.path.join(out_dir, "snapshots")
+    names = os.listdir(snap_dir) if os.path.isdir(snap_dir) else []
+    paths = [os.path.join(out_dir, name) for name in _TABLES] + [
+        os.path.join(snap_dir, name) for name in names if _SNAPSHOT.fullmatch(name)]
+    for path in paths:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+
+
 def run_scenario(scenario: Scenario, out_dir=None) -> tuple:
     """Run a scenario end to end: drive, check, optionally write outputs.
 
@@ -725,7 +754,10 @@ def run_scenario(scenario: Scenario, out_dir=None) -> tuple:
     about a window's fields, never the trajectory, and nothing it holds
     grows with the run length but those rows and the folds' scalars.
     ``moments.csv``, ``report.json`` and ``summary.txt`` are written after
-    the last field, so a run that raises leaves none of them.
+    the last field, so a run that raises leaves none of them.  Before its
+    first write, a run removes what an earlier run left in ``out_dir``
+    under those names and the snapshot names, and nothing else, so the
+    directory never mixes two runs.
 
     Returns ``(exit_code, payload)`` with the process exit convention
     0 = converged and all checks passed, 3 = the fixed point did not converge
@@ -746,6 +778,7 @@ def run_scenario(scenario: Scenario, out_dir=None) -> tuple:
     snap_dir = None
     if out_dir is not None:
         snap_dir = os.path.join(out_dir, "snapshots")
+        _clear_outputs(out_dir)
         os.makedirs(snap_dir, exist_ok=True)
     stream = made.stream()
     # one moment set per saved field serves the checks and its table row

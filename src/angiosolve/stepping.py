@@ -371,18 +371,18 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         fixed-point driver reads these): nothing, or the velocity marginal
         and the speed moment (weight |v| of the cell centres).
     saved_nodes : sequence of int, optional
-        Override of the schedule's saved nodes, in range (without node 0
-        the trajectory holds no field for ``p0``); the fixed-point drivers
-        use this to pin window boundaries.  A phase-field p0 must save the
-        final node; a product p0 may save none.
+        Override of the schedule's saved nodes, each in range and possibly
+        none (without node 0 the trajectory holds no field for ``p0``); the
+        fixed-point drivers ask each window's march for the run's own saved
+        nodes only.
 
     Returns
     -------
     Trajectory
-        Snapshots at the saved nodes; ``aux["end"]`` is the state at the
-        final node, a :class:`~angiosolve.grid.Product` tagged
-        ``p0.time_tag + n_steps*dt`` when the march ran on factors and the
-        final saved field otherwise, so it is also which march ran.
+        Snapshots at the saved nodes; ``aux["end"]`` is the final node's
+        state, tagged ``p0.time_tag + n_steps*dt``, whichever nodes were
+        saved: a :class:`~angiosolve.grid.Product` after a march on factors
+        (so it is also which march ran), else that node's phase field.
     """
     if schedule is None:
         schedule = track.schedule
@@ -404,11 +404,8 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         saved = set(schedule.saved_nodes())
     else:
         saved = set(int(i) for i in saved_nodes)
-        if not (product or n_steps in saved) or any(not 0 <= i <= n_steps for i in saved):
-            raise ConfigurationError(
-                "saved_nodes must stay in range and, for a phase field, "
-                "contain the final node"
-            )
+        if any(not 0 <= i <= n_steps for i in saved):
+            raise ConfigurationError(f"saved_nodes must stay in [0, {n_steps}]")
 
     if record not in (None, "j"):
         raise ParameterError(f"record must be None or 'j', got {record!r}")
@@ -456,7 +453,10 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
             fields.append(PhaseField(grid, vals, time_tag=t, nonnegative=clamp))
             times.append(t)
 
-    # a phase march saves its final node; a factored one hands back its factors
-    end = Product(grid, *state, time_tag=t0 + n_steps * dt) if product else fields[-1]
+    if product:
+        end = Product(grid, *state, time_tag=t0 + n_steps * dt)
+    else:  # the final node's field, built once
+        end = fields[-1] if n_steps in saved else PhaseField(
+            grid, state, time_tag=t0 + n_steps * dt, nonnegative=clamp)
     nodes = (None, None) if record is None else (p_tilde_rec, j_rec)
     return Trajectory(times, fields, *nodes, aux={"end": end})

@@ -144,6 +144,101 @@ def test_run_out_refuses_two_scenarios_of_one_name(capsys, tmp_path, jobs):
     assert not root.exists()
 
 
+def _two_configs(tmp_path):
+    configs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(_PURE_TEXT.replace("name = tiny", f"name = {name}"))
+        configs.append(str(path))
+    return configs
+
+
+def _outputs(run_dir):
+    return sorted(p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
+                  if p.is_file())
+
+
+def _plant_keepers(run_dir):
+    # files a run never writes under these names are left alone
+    for name in ("notes.txt", "snapshots/p_0001.akf.bak", "snapshots/q_0001.akf"):
+        (run_dir / name).write_text("kept")
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "pool"])
+def test_a_rerun_into_one_out_directory_keeps_none_of_the_last_runs_outputs(
+        capsys, tmp_path, jobs):
+    # a run at stride 1 leaves 11 snapshots; a rerun at the shipped stride
+    # writes 3, and the stride-1 ones must not stay beside its 3-row table
+    configs, root = _two_configs(tmp_path), tmp_path / "runs"
+    stride_one = ["--override", "schedule.save_stride=1"]
+    assert main(["run", *configs, "--out", str(root), *stride_one, *jobs]) == 0
+    for name in ("a", "b"):
+        assert len(list((root / name / "snapshots").iterdir())) == 11
+        _plant_keepers(root / name)
+    assert main(["run", *configs, "--out", str(root), *jobs]) == 0
+    for name in ("a", "b"):
+        run_dir = root / name
+        assert _outputs(run_dir) == sorted(
+            ["moments.csv", "notes.txt", "report.json", "summary.txt",
+             "snapshots/p_0001.akf.bak", "snapshots/q_0001.akf"]
+            + [f"snapshots/p_{i:04d}.akf" for i in range(3)])
+        assert len((run_dir / "moments.csv").read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "pool"])
+def test_a_rerun_stopped_on_a_violated_invariant_leaves_no_earlier_tables(
+        capsys, monkeypatch, tmp_path, jobs):
+    # the rerun stops mid-stream (exit 5) after writing some snapshots of
+    # its own: the earlier run's verdicts, tables and snapshots are gone,
+    # so nothing in the directory claims "exit code: 0".  Pool workers are
+    # forked, so they inherit the planted fault
+    configs, root = _two_configs(tmp_path), tmp_path / "runs"
+    assert main(["run", *configs, "--out", str(root), "--override",
+                 "schedule.save_stride=1", *jobs]) == 0
+    for name in ("a", "b"):
+        _plant_keepers(root / name)
+    clean, calls = HeatPlan.apply, []
+
+    def faulty(self, values, tau, kind):
+        out = clean(self, values, tau, kind)
+        calls.append(tau)
+        if len(calls) == 40:
+            out = out.copy()
+            out[17] = -1e-3 * float(out.max())
+        return out
+
+    monkeypatch.setattr(HeatPlan, "apply", faulty)
+    assert main(["run", *configs, "--out", str(root), "--override",
+                 "schedule.save_stride=1", *jobs]) == 5
+    assert "must be >= 0" in capsys.readouterr().err
+    # a serial call stops at its first scenario; the pool runs both
+    for name in ("a", "b") if jobs else ("a",):
+        files = _outputs(root / name)
+        snaps = [f for f in files if f.startswith("snapshots/p_") and f.endswith(".akf")]
+        assert 1 <= len(snaps) < 11
+        assert snaps == [f"snapshots/p_{i:04d}.akf" for i in range(len(snaps))]
+        assert sorted(set(files) - set(snaps)) == [
+            "notes.txt", "snapshots/p_0001.akf.bak", "snapshots/q_0001.akf"]
+
+
+@pytest.mark.parametrize("alpha1, code", [("1000", 2), ("600", 0)])
+def test_a_production_bound_beyond_the_largest_float_is_refused(capsys, tmp_path,
+                                                                alpha1, code):
+    # exp(alpha1 * sup rho * t_end) is about exp(1128) at alpha1 = 1000 and
+    # exp(677) at 600: the first is refused at load by every subcommand and
+    # writes nothing, the second is admitted
+    override = ["--override", f"params.alpha1={alpha1}"]
+    assert main(["check", "coupled-ramp", *override]) == code
+    assert main(["describe", "coupled-ramp", *override]) == code
+    if code:
+        root = tmp_path / "runs"
+        assert main(["run", "coupled-ramp", *override, "--out", str(root)]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not root.exists()
+    else:
+        assert "coupled-ramp: ok" in capsys.readouterr().out
+
+
 class _RecordingPool:
     """Stands in for the process pool: records its size, runs inline."""
 

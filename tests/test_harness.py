@@ -27,7 +27,9 @@ from angiosolve import (
     picard_coupled,
     solve_linear,
 )
-from angiosolve.harness import ComparisonFold, FieldStats, _energy_residual
+from angiosolve.harness import (ComparisonFold, FieldStats, GronwallFold,
+                                _energy_residual)
+from angiosolve.scenarios import load_shipped_scenario, run_scenario
 from angiosolve.stepping import Trajectory
 
 from conftest import gaussian_phase
@@ -178,6 +180,27 @@ def test_gronwall_zero_data_edge_cases(grid64):
     lively = solve_linear(gaussian_phase(grid64), CoefficientTrack(sched, grid64), SIGMA)
     check = check_gronwall(lively, rate=1.0, q=2, norm0=0.0)
     assert not check.passed
+
+
+def test_gronwall_envelope_of_zero_or_overflowing_size_is_no_nan(grid64):
+    # 0 * e^x = 0 however large x, and an envelope beyond the largest float
+    # holds for any finite norm; neither may warn (warnings are errors here)
+    zero = PhaseField(grid64, np.zeros(grid64.phase_shape))
+    lively = gaussian_phase(grid64)
+    for field, norm0, slacks in ((zero, None, [0.0, 0.0, 0.0]),
+                                 (lively, None, [0.0, 1.0, 1.0]),
+                                 (lively, 0.0, [-np.inf] * 3)):
+        fold = GronwallFold(1e4, 2, norm0=norm0)
+        for t in (0.0, 0.05, 0.1):  # exp(0), exp(500) and exp(1000) > max float
+            fold.add(t, field, FieldStats(field))
+        check = fold.finish()
+        assert check.slacks.tolist() == slacks
+        assert check.passed == (slacks[0] == 0.0)
+    # a zero density at a diffusivity whose second-moment envelope overflows
+    code, payload = run_scenario(load_shipped_scenario("zero", ("params.sigma=4000",)))
+    assert code == 0
+    assert all(c["worst_slack"] == 0.0 for c in payload["checks"]
+               if c["name"].startswith("gronwall"))
 
 
 @pytest.mark.parametrize("check", ["gronwall", "energy"])

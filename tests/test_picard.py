@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from math import cosh, sqrt
+from math import cosh, exp, sqrt
 from pathlib import Path
 
 from angiosolve import picard
@@ -33,6 +33,7 @@ from angiosolve import (
     picard_pure,
     solve_linear,
 )
+from angiosolve.grid import Product
 from angiosolve.moments import _reduce_raw
 from angiosolve.scenarios import load_shipped_scenario, realise, run_scenario
 
@@ -448,6 +449,68 @@ def test_saved_times_count_from_p0s_own_tag(grid64, case):
     assert [f.time_tag for f in p_traj.fields] == times.tolist()
 
 
+@pytest.mark.parametrize("case", ["pure-product", "pure-phase", "coupled"])
+@pytest.mark.parametrize("stride", [3, 7])
+@pytest.mark.parametrize("init", ["heat", "zero"])
+def test_drive_yields_each_saved_node_once_from_marches_that_hand_back_their_end(
+        grid64, monkeypatch, case, stride, init):
+    # node 0 is the data themselves, and each window's march is asked only
+    # for the run's saved nodes after its start: every field it returns is
+    # handed out, and the window restarts from the end state the march
+    # hands back, which is the final field that march would have saved
+    one = gaussian_phase(grid64).values
+    vals = one if case != "pure-phase" else (
+        one + gaussian_phase(grid64, center_x=1.5, center_v=-1.0).values)
+    p0 = PhaseField(grid64, vals, time_tag=5.0)
+    c0 = _c_bump(grid64) if case == "coupled" else None
+    sched = Schedule(t_end=0.1, dt=0.01, save_stride=stride)
+    solve, ends = picard.solve_linear, []
+
+    def checking_solve(start, track, sigma, **kwargs):
+        traj = solve(start, track, sigma, **kwargs)
+        n = track.schedule.n_steps
+        if n not in kwargs["saved_nodes"]:
+            full = solve(start, track, sigma, **{**kwargs, "saved_nodes": [n]})
+            end = traj.aux["end"]
+            if isinstance(end, Product):
+                assert np.array_equal(end.field().values, full.final.values)
+            else:
+                assert np.array_equal(end.values, full.final.values)
+            assert end.time_tag == full.final.time_tag
+            ends.append(type(end))
+        return traj
+
+    monkeypatch.setattr(picard, "solve_linear", checking_solve)
+    params = _params() if c0 is not None else _params(gamma=9.0)
+    items = list(picard.DriveStream(p0, c0, params, sched, 20, 1e-8, init))
+    nodes = sched.saved_nodes()
+    assert len(items) == len(nodes)
+    expected = 5.0 + np.array(nodes) * 0.01
+    times = np.array([item[0] for item in items])
+    assert np.all(np.abs(times - expected) <= 4 * np.spacing(expected))
+    t0, first, c_first, a_first = items[0]
+    assert t0 == 5.0 and first is p0 and not a_first.any()
+    for t, p_field, c_field, _ in items:
+        assert p_field.time_tag == t
+        assert c_field is None if c0 is None else c_field.time_tag == t
+    if c0 is not None:
+        assert c_first.role == "c" and np.array_equal(c_first.values, c0.values)
+    # the windows of two steps end on an unsaved node somewhere at either stride
+    march = Product if case == "pure-product" else PhaseField
+    assert ends and set(ends) == {march}
+
+
+def test_an_overflowing_production_bound_is_a_parameter_error(grid64):
+    # exp(alpha1 * sup rho * t_end) beyond the largest float leaves no
+    # window length; the drive says so before it hands out anything
+    sup_rho = picard.velocity_profile(grid64, _params()).sup_norm
+    sched = Schedule(t_end=0.1, dt=0.01)
+    with pytest.raises(ParameterError, match="overflows"):
+        picard_coupled(_flat_in_x(grid64), _c_bump(grid64),
+                       _params(alpha1=720.0 / (sup_rho * 0.1)), sched)
+    assert picard.production_growth(700.0 / 0.1, 0.1) == exp(700.0)
+
+
 def _count_factor_xv(monkeypatch):
     # the drive factors p0 itself; solve_linear never tries to
     from angiosolve import grid, stepping
@@ -627,6 +690,41 @@ def test_benchmark_step_counter_is_the_drivers_phase_count(tmp_path):
     for name, counted, phase, _ in rows[2:]:
         assert int(counted) == int(phase) > 0, name
     assert int(rows[2][3]) > 0  # the pure run did march on the x-lattice
+
+
+_BENCH_HOOKS = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+from angiosolve import scenarios
+import tracing
+
+tracer = tracing.Tracer(record=True)
+tracing.install(tracer)
+for name, t_end, out in (("zero", "0.01", {zero!r}),
+                         ("coupled-smoke-2d", "0.004", {smoke!r})):
+    solves, spans = tracer.step_solves, len(tracer.spans)
+    scenario = scenarios.load_shipped_scenario(name, ("schedule.t_end=" + t_end,))
+    code, _ = scenarios.run_scenario(scenario, out_dir=out)
+    print(name, code, tracer.step_solves - solves, len(tracer.spans) - spans)
+"""
+
+
+def test_benchmark_hooks_still_find_what_they_wrap(tmp_path):
+    # the benchmark installs its tracer over package functions by name and
+    # counts step-solves through solve_linear's positional parameters, as
+    # perfbench/child.py does; a renamed function or a moved parameter must
+    # fail here, not only in the benchmark.  perfbench/ is only read
+    root = Path(__file__).resolve().parent.parent
+    script = _BENCH_HOOKS.format(src=str(root / "src"), bench=str(root / "perfbench"),
+                                 zero=str(tmp_path / "zero"),
+                                 smoke=str(tmp_path / "smoke"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["zero", "coupled-smoke-2d"]
+    for name, code, solves, spans in rows:
+        assert code == "0" and int(solves) > 0 and int(spans) > 0, name
 
 
 @pytest.mark.parametrize("coupled", [False, True], ids=["pure", "coupled"])

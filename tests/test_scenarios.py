@@ -16,10 +16,11 @@ import pytest
 
 from angiosolve import (ConfigurationError, PhaseField, ResolutionError, SignError,
                         moments, scenarios, snapshots)
-from angiosolve.grid import GridSpec, integrate_phase
+from angiosolve.grid import GridSpec, SpatialField, factor_xv, integrate_phase
 from angiosolve.harness import write_report
 from angiosolve import heat
 from angiosolve.heat import HeatPlan
+from angiosolve.picard import velocity_profile
 from angiosolve.scenarios import (
     boundary_mass_fraction,
     build_checks,
@@ -604,6 +605,116 @@ def test_planted_faults_fail_through_the_factored_paths(short_coupled):
                             c_traj=c_traj, c0=made.c0)
     assert not check.passed
     assert check.worst_time == p_traj.times[k]
+
+
+# --------------------------------------------------------------------------
+# each check pinned at its bound: a field planted at slack -1.5 tol fails
+# and one at -0.5 tol passes, tol being the check's catalogue tolerance
+
+
+def _catalogue(name, check):
+    """The shipped scenario ``name`` realised, with the catalogue's folds of
+    ``check`` alone, and their tolerance."""
+    made = realise(load_shipped_scenario(name, (f"checks.names={check}",)))
+    checks = scenarios._Checks(made.scenario, made.p0, made.c0)
+    (tol,) = {fold.tol for folds, _ in checks._folds for fold in folds}
+    return made, checks, tol
+
+
+def _production_rate(made):
+    sc = made.scenario
+    return sc.params.alpha1 * velocity_profile(sc.grid, sc.params).sup_norm
+
+
+@pytest.mark.parametrize("excess, passed", [(1.5, False), (0.5, True)])
+def test_positivity_is_pinned_at_its_tolerance(excess, passed):
+    made, checks, tol = _catalogue("pure-gaussian", "positivity")
+    p0 = made.p0
+    vals = p0.values.copy()
+    cell = np.unravel_index(np.argmax(vals), vals.shape)
+    vals[cell] = -excess * tol * float(vals.max())
+    planted = PhaseField(made.grid, vals, time_tag=0.1)
+    for field in (p0, planted):
+        checks.add(field.time_tag, field, None, moments.moments_of(field))
+    (check,) = checks.finish()
+    assert check.passed is passed
+    assert check.worst_slack == pytest.approx(-excess * tol, rel=1e-12)
+    assert check.worst_cell == tuple(int(i) for i in cell)
+
+
+@pytest.mark.parametrize("excess, passed", [(1.5, False), (0.5, True)])
+def test_speed_bound_is_pinned_at_cauchy_schwarz(excess, passed):
+    # p~ = 1, m = 9 and j = 6 = 2 sqrt(p~ m) everywhere but one cell, where
+    # j = 2 (1 + 1e-6) sqrt(p~ m) on data small enough that the gap is
+    # excess * tol of the largest j
+    made, checks, tol = _catalogue("pure-gaussian", "speed_bound")
+    size = excess * tol / 1e-6
+    pt, m, j = (np.full(made.grid.spatial_shape, v) for v in (1.0, 9.0, 6.0))
+    cell = (100,)
+    pt[cell], m[cell] = size, 9.0 * size
+    j[cell] = 2.0 * (1.0 + 1e-6) * np.sqrt(pt[cell] * m[cell])
+    ms = moments.MomentSet(*(SpatialField(made.grid, v, time_tag=0.1) for v in (pt, j, m)))
+    checks.add(0.1, made.p0, None, ms)
+    (check,) = checks.finish()
+    assert check.passed is passed
+    assert check.worst_slack == pytest.approx(-excess * tol, rel=1e-6)
+    assert check.worst_cell == cell
+
+
+@pytest.mark.parametrize("excess, passed", [(1.5, False), (0.5, True)])
+def test_gronwall_is_pinned_at_its_production_rate(excess, passed):
+    # p0 scaled by exp(rate t) (1 + excess tol): the density's and its
+    # marginal's envelopes grow at rate = alpha1 sup rho > 0 and are missed
+    # by excess tol; the second moment's grows faster and is met
+    made, checks, tol = _catalogue("coupled-ramp", "gronwall")
+    rate, t = _production_rate(made), 0.1
+    assert rate > 0.0
+    grown = PhaseField(made.grid, made.p0.values
+                       * (np.exp(rate * t) * (1.0 + excess * tol)), time_tag=t)
+    for time, field in ((0.0, made.p0), (t, grown)):
+        checks.add(time, field, made.c0, moments.moments_of(field))
+    failed = {c.name for c in checks.finish() if not c.passed}
+    assert failed == (set() if passed else {
+        f"gronwall_{what}_{q}" for what in ("p", "pt") for q in ("q1", "q2", "qinf")})
+    for c in checks.finish():
+        if not c.name.startswith("gronwall_m"):
+            assert c.worst_slack == pytest.approx(-excess * tol, rel=1e-6)
+
+
+@pytest.mark.parametrize("excess, passed", [(1.5, False), (0.5, True)])
+def test_comparison_is_pinned_at_a_products_majorant(excess, passed):
+    # coupled-ramp's p0 is a product, so the check flows its majorant
+    # exp(rate t) heat(p0, t) by the factors; the planted field is that
+    # majorant, flowed here on the phase lattice, with one cell lifted by
+    # excess tol of the majorant's largest sup
+    made, checks, tol = _catalogue("coupled-ramp", "comparison")
+    p0, rate, t = made.p0, _production_rate(made), 0.1
+    assert rate > 0.0 and factor_xv(p0) is not None
+    plan = HeatPlan(made.grid, made.scenario.params.sigma, "xv")
+    vals = np.exp(rate * t) * plan.apply(p0.values, t, "phase")
+    scale = max(float(p0.values.max()), float(vals.max()))
+    cell = np.unravel_index(np.argmax(vals), vals.shape)
+    vals[cell] += excess * tol * scale
+    planted = PhaseField(made.grid, vals, time_tag=t)
+    for time, field in ((0.0, p0), (t, planted)):
+        checks.add(time, field, made.c0, moments.moments_of(field))
+    (check,) = checks.finish()
+    assert check.passed is passed
+    assert check.worst_slack == pytest.approx(-excess * tol, rel=1e-4)
+    assert check.worst_cell == tuple(int(i) for i in cell)
+
+
+@pytest.mark.parametrize("width, admitted", [(2.4, False), (2.6, True)])
+@pytest.mark.parametrize("axis", ["x", "v"])
+def test_gaussian_bump_guard_is_pinned_at_two_and_a_half_cells(width, admitted, axis):
+    grid = _grid()  # h = 0.25 on both axes
+    recipe = {"recipe": "gaussian_bump", "variance_x": 0.5, "variance_v": 0.5,
+              f"variance_{axis}": (width * 0.25) ** 2}
+    if admitted:
+        build_initial_p(grid, recipe)
+    else:
+        with pytest.raises(ResolutionError, match="gaussian_bump is unresolved"):
+            build_initial_p(grid, recipe)
 
 
 def test_format_summary_lines():

@@ -308,17 +308,22 @@ def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch, march,
 
 def test_solve_linear_saves_only_the_nodes_asked_for(grid64):
     # without node 0 the trajectory holds no field for p0, only the march;
-    # a phase-field start must save its final node, which is also the end
-    # it hands back, while a product start hands back its final factors
-    # and may save no field at all
+    # every start hands back its final state whichever nodes it saved: a
+    # phase-field start its final field (the saved one when the final node
+    # was asked for), a product start its final factors
     p0 = gaussian_phase(grid64)
     track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid64)
     traj = solve_linear(p0, track, SIGMA, saved_nodes=[5])
     assert len(traj) == 1 and traj.times.tolist() == [0.05]
     full = solve_linear(p0, track, SIGMA)
     assert np.array_equal(traj.final.values, full.final.values)
-    with pytest.raises(ConfigurationError):
-        solve_linear(p0, track, SIGMA, saved_nodes=[0, 3])  # no final node
+    assert traj.aux["end"] is traj.final
+    for nodes in ([0, 3], []):
+        part = solve_linear(p0, track, SIGMA, saved_nodes=nodes)
+        assert part.times.tolist() == [full.times[i] for i in nodes]
+        end = part.aux["end"]
+        assert isinstance(end, PhaseField) and end.time_tag == full.final.time_tag
+        assert np.array_equal(end.values, full.final.values)
     start = Product(grid64, *factor_xv(p0), time_tag=0.5)
     factored = solve_linear(start, track, SIGMA)
     middle = solve_linear(start, track, SIGMA, saved_nodes=[2])
