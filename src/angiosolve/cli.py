@@ -13,6 +13,10 @@ good, 2 bad configuration or arguments, 3 fixed-point iteration failed to
 converge (or its deltas were not monotone), 4 an invariant check failed,
 5 a run stopped on a violated invariant (a sign beyond the clamping
 tolerance, :class:`SignError`, or unusable field data, :class:`DataError`).
+
+``run`` refuses the whole call when a config does not resolve; else it runs
+every config, also past one that raises (``error: <name>: <message>`` on
+stderr), prints the summaries in config order and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -40,9 +44,16 @@ def _resolve(config: str, overrides):
 
 
 def _run_one(scenario, out_root):
+    """(exit code, text, whether it raised) of one run: its summary, or the
+    error line of a run that raised, which exits 5 on a violated invariant
+    and 2 on any other package error."""
     out_dir = os.path.join(out_root, scenario.name) if out_root else None
-    code, payload = run_scenario(scenario, out_dir=out_dir)
-    return code, format_summary(scenario, payload)
+    try:
+        code, payload = run_scenario(scenario, out_dir=out_dir)
+    except AngiosolveError as exc:
+        code = EXIT_INVARIANT if isinstance(exc, (SignError, DataError)) else EXIT_CONFIG
+        return code, f"error: {scenario.name}: {exc}", True
+    return code, format_summary(scenario, payload), False
 
 
 def _cmd_run(args) -> int:
@@ -59,7 +70,6 @@ def _cmd_run(args) -> int:
         raise ConfigurationError(
             f"scenario name(s) {', '.join(clashes)} occur more than once; "
             "with --out every run needs a name of its own")
-    worst = 0
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, scenario, args.out)
@@ -67,10 +77,9 @@ def _cmd_run(args) -> int:
             results = [f.result() for f in futures]
     else:
         results = [_run_one(scenario, args.out) for scenario in scenarios]
-    for code, summary in results:
-        sys.stdout.write(summary + "\n")
-        worst = max(worst, code)
-    return worst
+    for _, text, raised in results:
+        (sys.stderr if raised else sys.stdout).write(text + "\n")
+    return max(code for code, _, _ in results)
 
 
 def _cmd_check(args) -> int:

@@ -17,24 +17,25 @@ way.  Such a plan keeps the mean only to round-off; a plan with a longer
 axis transforms and multiplies the mean (k = 0) mode by exactly 1.0.
 
 A :class:`HeatPlan` fixes the lattice, the diffusivity and the subspace the
-Laplacian acts on ("xv" for the full phase Laplacian, "x" or "v" for the
-partial ones).  It lays out each field kind it serves once (shape and
-transformed axes), builds the |k|^2 of a kind on the real-transform layout
-the first time a multiplier or an FFT gradient energy needs it, and keeps
-one multiplier per kind: the last step size asked for, which is the one the
-steppers reuse.  Everything a plan builds it keeps to itself; the module
-holds no state.  A plan also keeps, per kind, the second array its heat
-flow runs in (the spectrum, or on a short-axis plan a 256 KiB block buffer,
-since its matrix products run in place) and a work array a stepper may
-march in, so a march allocates nothing per step; both belong to the one
-thread that marches in the plan.  :meth:`HeatPlan.apply` is the one heat
-flow; the same layout serves the semigroup's Dirichlet form,
-:meth:`HeatPlan.gradient_energy`.  Every module transforms through a plan:
-on a long-axis plan ``forward`` and ``inverse`` are the only FFT calls and
-its tables the only |k|^2, and a short-axis plan adds the one-axis ifft and
-k^2 that build its matrices.  ``forward``, ``inverse`` and ``multiplier``
-stay spectral on every plan, so the slow reference solvers built on them
-do not share the short-axis plans' matrices.
+Laplacian acts on, and a plan serves one lattice: "xv" flows phase fields,
+"x" position-lattice arrays and "v" velocity-lattice arrays, each along
+every axis (a product g (x) h flows as its factors, each on its own plan).
+It builds its |k|^2 on the real-transform layout the first time a
+multiplier or an FFT gradient energy needs it, and keeps one multiplier:
+the last step size asked for, which is the one the steppers reuse.
+Everything a plan builds it keeps to itself; the module holds no state.  A
+plan also keeps the second array its heat flow runs in (the spectrum, or on
+a short-axis plan a 256 KiB block buffer, since its matrix products run in
+place) and a work array a stepper may march in, so a march allocates
+nothing per step; both belong to the one thread that marches in the plan.
+:meth:`HeatPlan.apply` is the one heat flow; the same layout serves the
+semigroup's Dirichlet form, :meth:`HeatPlan.gradient_energy`.  Every module
+transforms through a plan: on a long-axis plan ``forward`` and ``inverse``
+are the only FFT calls and its table the only |k|^2, and a short-axis plan
+adds the one-axis ifft and k^2 that build its matrices.  ``forward``,
+``inverse`` and ``multiplier`` stay spectral on every plan, so the slow
+reference solvers built on them do not share the short-axis plans'
+matrices.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ import numpy as np
 from .errors import ParameterError, ResolutionError, ShapeError
 from .grid import GridSpec
 
-_SUBSPACES = ("xv", "x", "v")
-# subspace -> the reduced field kind it serves besides "phase"
-_REDUCED_KINDS = {"x": ("spatial",), "v": ("velocity",)}
+# subspace -> the one field kind a plan of it serves
+_KINDS = {"xv": "phase", "x": "spatial", "v": "velocity"}
 # plans whose transformed axes all have at most this many points apply the
 # flow as one circulant matrix per axis; at 128 points the matrix product
 # and the FFT take about the same time, at 256 the FFT takes half
@@ -65,18 +65,15 @@ def _block_for(size: int) -> np.ndarray:
     return np.empty(min(_BLOCK, size))
 
 
-def _k_squared(shape, axes, spacings) -> np.ndarray:
-    """|k|^2 over the transformed axes, broadcastable to the spectral array.
-
-    ``axes`` are the transformed axes of an array of the given (physical)
-    shape; the final one is halved, as in the real transform (rfftn).
-    """
-    ndim = len(shape)
+def _k_squared(shape, spacings) -> np.ndarray:
+    """|k|^2 over every axis of an array of the given (physical) shape,
+    broadcastable to its spectrum; the last axis is halved, as in the real
+    transform (rfftn)."""
     k2 = None
-    for pos, ax in enumerate(axes):
-        freq = np.fft.rfftfreq if pos == len(axes) - 1 else np.fft.fftfreq
-        k = 2.0 * math.pi * freq(shape[ax], d=spacings[pos])
-        expand = [1] * ndim
+    for ax, (n, h) in enumerate(zip(shape, spacings)):
+        freq = np.fft.rfftfreq if ax == len(shape) - 1 else np.fft.fftfreq
+        k = 2.0 * math.pi * freq(n, d=h)
+        expand = [1] * len(shape)
         expand[ax] = k.size
         term = (k ** 2).reshape(expand)
         k2 = term if k2 is None else k2 + term
@@ -138,9 +135,11 @@ def _along(values: np.ndarray, mat: np.ndarray, axis: int, block: np.ndarray):
 class HeatPlan:
     """Heat semigroup and its FFT for one (grid, diffusivity, subspace) triple.
 
-    When every transformed axis has at most ``_CIRCULANT_MAX_N`` points, the
-    flow and the gradient energy go through one circulant matrix per axis (a
-    short-axis plan); otherwise through the FFT.
+    A plan serves one lattice: the arrays of one field kind (``plan.kind``),
+    every axis of which the Laplacian differentiates.  When each of those
+    axes has at most ``_CIRCULANT_MAX_N`` points, the flow and the gradient
+    energy go through one circulant matrix per axis (a short-axis plan);
+    otherwise through the FFT.
 
     Parameters
     ----------
@@ -148,54 +147,45 @@ class HeatPlan:
     diffusivity : float
         sigma > 0 in exp(tau * sigma * Lap).
     subspace : {"xv", "x", "v"}
-        Which block of coordinates the Laplacian differentiates.  Plans with
-        subspace "x" apply to phase and spatial fields, plans with subspace
-        "v" to phase and velocity-lattice ("velocity") arrays; "xv" requires
-        phase fields.
+        Which block of coordinates the Laplacian differentiates: "xv" serves
+        phase fields, "x" position-lattice ("spatial") arrays and "v"
+        velocity-lattice ("velocity") arrays.  Every method takes the kind
+        of its array and refuses any other kind with :class:`ShapeError`.
     """
 
     def __init__(self, grid: GridSpec, diffusivity: float, subspace: str = "xv"):
         if not (float(diffusivity) > 0.0 and math.isfinite(float(diffusivity))):
             raise ParameterError(f"diffusivity must be positive, got {diffusivity!r}")
-        if subspace not in _SUBSPACES:
-            raise ParameterError(f"subspace must be one of {_SUBSPACES}, got {subspace!r}")
+        if subspace not in _KINDS:
+            raise ParameterError(f"subspace must be one of {tuple(_KINDS)}, got {subspace!r}")
         self.grid = grid
         self.diffusivity = float(diffusivity)
         self.subspace = subspace
-        axes, spacings = (), ()
-        if subspace != "v":
-            axes, spacings = grid.x_axes, (grid.h_x,) * grid.dim_x
-        if subspace != "x":
-            axes, spacings = axes + grid.v_axes, spacings + (grid.h_v,) * grid.dim_v
-        # kind -> (shape of one field, transformed axes counted from the end
-        # so that stacks transform alike, their lengths); a reduced kind's
-        # array holds exactly the plan's axes
-        self._layouts = {}
-        for kind in ("phase",) + _REDUCED_KINDS.get(subspace, ()):
-            shape = grid.shape_of(kind)
-            ends = (tuple(ax - len(shape) for ax in axes) if kind == "phase"
-                    else tuple(range(-len(shape), 0)))
-            self._layouts[kind] = (shape, ends, tuple(shape[ax] for ax in ends))
-        self._spacings = spacings
-        self._k2 = {}     # kind -> read-only |k|^2, built on first use
-        # (points, spacing) of each transformed axis, in the layouts' order,
-        # on a short-axis plan; None on a plan that keeps the FFT
-        sizes = self._layouts["phase"][2]
-        self._steps = (tuple(zip(sizes, spacings))
-                       if max(sizes) <= _CIRCULANT_MAX_N else None)
-        self._mult = {}   # kind -> (tau, multiplier) of the last request
+        self.kind = _KINDS[subspace]
+        # one field's shape; every axis is transformed, counted from the end
+        # so that stacks on leading axes transform alike
+        self._shape = grid.shape_of(self.kind)
+        self._axes = tuple(range(-len(self._shape), 0))
+        x_steps, v_steps = (grid.h_x,) * grid.dim_x, (grid.h_v,) * grid.dim_v
+        self._spacings = {"xv": x_steps + v_steps, "x": x_steps, "v": v_steps}[subspace]
+        # (points, spacing) of each axis on a short-axis plan; None on a
+        # plan that keeps the FFT
+        self._steps = (tuple(zip(self._shape, self._spacings))
+                       if max(self._shape) <= _CIRCULANT_MAX_N else None)
+        self._k2 = None     # read-only |k|^2, built on first use
+        self._mult = None   # (tau, multiplier) of the last request
         self._heat_mats = None   # (tau, per-axis heat matrices) of the last request
         self._k2_mats = None     # per-axis matrices of k^2, built on first use
-        self._spare = {}  # kind -> second array apply runs in: the spectrum,
-                          # or the block buffer on a short-axis plan
-        self._work = {}   # kind -> work array apply flows in place
+        self._spare = None  # second array apply runs in: the spectrum, or
+                            # the block buffer on a short-axis plan
+        self._work = None   # work array apply flows in place
         self._partials = {}  # subspace -> the "x" or "v" plan of an "xv" plan
 
     def partial(self, subspace: str) -> "HeatPlan":
         """The plan of this lattice and diffusivity for subspace "x" or "v"
         of this "xv" plan, built on first request and kept with it; its
         arrays belong to the thread that marches in this plan."""
-        if self.subspace != "xv" or subspace not in _REDUCED_KINDS:
+        if self.subspace != "xv" or subspace not in ("x", "v"):
             raise ParameterError(f"an {self.subspace!r} plan has no partial "
                                  f"plan {subspace!r}")
         plan = self._partials.get(subspace)
@@ -204,27 +194,28 @@ class HeatPlan:
                                                        subspace)
         return plan
 
-    def _layout(self, kind: str):
-        if kind in self._layouts:
-            return self._layouts[kind]
-        if kind in ("spatial", "velocity"):
+    def _own(self, kind: str) -> None:
+        """Refuse any kind but the plan's."""
+        if kind == self.kind:
+            return
+        if kind in _KINDS.values():
             raise ShapeError(f"a subspace-{self.subspace!r} plan cannot act on "
                              f"a {kind} field")
         raise ParameterError(f"unknown field kind {kind!r}")
 
-    def _fit(self, values: np.ndarray, kind: str):
-        """The layout of ``kind``, once ``values`` is checked to be one field
-        of it or a stack of them on leading axes."""
-        layout = self._layout(kind)
-        shape = layout[0]
+    def _fit(self, values: np.ndarray, kind: str) -> None:
+        """Check that ``values`` is one field of the plan's kind or a stack of
+        them on leading axes."""
+        self._own(kind)
+        shape = self._shape
         if values.shape[values.ndim - len(shape):] != shape:
             raise ShapeError(f"array shape {values.shape} does not match plan lattice {shape}")
-        return layout
 
     def forward(self, values: np.ndarray, kind: str, out=None) -> np.ndarray:
         """Real FFT of one field, or of a stack of fields on a leading axis,
         written into ``out`` when given."""
-        return np.fft.rfftn(values, axes=self._fit(values, kind)[1], out=out)
+        self._fit(values, kind)
+        return np.fft.rfftn(values, axes=self._axes, out=out)
 
     def inverse(self, spec: np.ndarray, kind: str, out=None) -> np.ndarray:
         """Inverse of :meth:`forward` (stacks included).
@@ -233,7 +224,8 @@ class HeatPlan:
         passes run in place on ``spec``, which is overwritten; the bits are
         the same either way.
         """
-        _, axes, sizes = self._layout(kind)
+        self._own(kind)
+        axes, sizes = self._axes, self._shape
         if out is None:
             return np.fft.irfftn(spec, s=sizes, axes=axes)
         # irfftn's passes, in its order: irfftn(..., out=out) would allocate
@@ -244,26 +236,25 @@ class HeatPlan:
         return np.fft.irfft(spec, n=sizes[-1], axis=axes[-1], out=out)
 
     def multiplier(self, tau: float, kind: str) -> np.ndarray:
-        """exp(-sigma |k|^2 tau) laid out for the spectral array of ``kind``.
+        """exp(-sigma |k|^2 tau) laid out for the plan's spectral array.
 
-        Only the last one of each kind is kept (memory bounded by the
-        lattice); callers reusing many times keep their own list.
+        Only the last one is kept (memory bounded by the lattice); callers
+        reusing many times keep their own list.
         """
+        self._own(kind)
         tau = float(tau)
-        last = self._mult.get(kind)
+        last = self._mult
         if last is not None and last[0] == tau:
             return last[1]
-        mult = np.exp(-self.diffusivity * tau * self._k2_table(kind))
+        mult = np.exp(-self.diffusivity * tau * self._k2_table())
         mult.setflags(write=False)
-        self._mult[kind] = (tau, mult)
+        self._mult = (tau, mult)
         return mult
 
-    def _k2_table(self, kind: str) -> np.ndarray:
-        k2 = self._k2.get(kind)
-        if k2 is None:
-            shape, axes, _ = self._layout(kind)
-            k2 = self._k2[kind] = _k_squared(shape, axes, self._spacings)
-        return k2
+    def _k2_table(self) -> np.ndarray:
+        if self._k2 is None:
+            self._k2 = _k_squared(self._shape, self._spacings)
+        return self._k2
 
     def _axis_matrices(self, symbol) -> tuple:
         """One :func:`_circulant` per transformed axis, of ``symbol(k^2)``;
@@ -293,17 +284,17 @@ class HeatPlan:
         return self._k2_mats
 
     def work(self, kind: str) -> np.ndarray:
-        """The plan's work array for one field of ``kind``.
+        """The plan's work array for one field of its kind.
 
         :meth:`apply` handed this array overwrites it in place, so a stepper
         that marches in it allocates nothing per step.  Its contents belong
         to whoever marches in it last; copy anything that must outlive the
         next step.
         """
-        work = self._work.get(kind)
-        if work is None:
-            work = self._work[kind] = np.empty(self._layout(kind)[0])
-        return work
+        self._own(kind)
+        if self._work is None:
+            self._work = np.empty(self._shape)
+        return self._work
 
     def apply(self, values: np.ndarray, tau: float, kind: str) -> np.ndarray:
         """The heat flow of ``values`` at ``tau``, on a raw array (hot path;
@@ -322,42 +313,36 @@ class HeatPlan:
         stepper calls ``apply(values, tau, kind)``, the form that the
         benchmark's tracing wrapper and the stepper fault test replace.
         """
-        axes = self._fit(values, kind)[1]
+        self._fit(values, kind)
         if not 0.0 <= tau < math.inf:
             raise ParameterError(f"heat flow time must be finite and >= 0, got {tau!r}")
         if tau == 0.0:
             return values
-        in_place = values is self._work.get(kind)
+        in_place = values is self._work
         if self._steps is not None:
             out = values if in_place else np.array(values, dtype=float, order="C")
-            block = self._second(kind)
-            for ax, mat in zip(axes, self._heat_matrices(tau)):
+            block = self._second()
+            for ax, mat in zip(self._axes, self._heat_matrices(tau)):
                 for part, product in _along(out, mat, ax, block):
                     part[...] = product
             return out
-        single = values.shape == self._layout(kind)[0]
-        spec = self.forward(values, kind, out=self._second(kind) if single else None)
+        single = values.shape == self._shape
+        spec = self.forward(values, kind, out=self._second() if single else None)
         spec *= self.multiplier(tau, kind)
         return self.inverse(spec, kind, out=values if in_place else None)
 
-    def _second(self, kind: str) -> np.ndarray:
-        spare = self._spare.get(kind)
-        if spare is None:
-            spare = self._spare[kind] = (
-                _block_for(math.prod(self._layout(kind)[0])) if self._steps is not None
-                else self._new_spectrum(kind))
-        return spare
+    def _second(self) -> np.ndarray:
+        if self._spare is None:
+            self._spare = (_block_for(math.prod(self._shape)) if self._steps is not None
+                           else self._new_spectrum())
+        return self._spare
 
-    def _new_spectrum(self, kind: str) -> np.ndarray:
-        shape, axes, sizes = self._layout(kind)
-        spec_shape = list(shape)
-        spec_shape[axes[-1]] = sizes[-1] // 2 + 1
-        return np.empty(spec_shape, dtype=complex)
+    def _new_spectrum(self) -> np.ndarray:
+        return np.empty(self._shape[:-1] + (self._shape[-1] // 2 + 1,), dtype=complex)
 
     def gradient_energy(self, values: np.ndarray, kind: str) -> float:
-        """Integral of |grad f|^2 over the field's lattice, the gradient taken
-        in the plan's subspace (spectral; exact for lattice-representable data
-        by Parseval).
+        """Integral of |grad f|^2 over the field's lattice (spectral; exact
+        for lattice-representable data by Parseval).
 
         On a short-axis plan it is the sum over axes a of (f, L_a f) times
         the cell volume, L_a the circulant of k_a^2, summed a block at a time
@@ -368,30 +353,29 @@ class HeatPlan:
         touched, so a plan may serve it while another thread marches in the
         plan's arrays.
         """
+        self._fit(values, kind)
+        volume = self.grid.cell_volume_of(kind)
         if self._steps is not None:
-            axes = self._fit(values, kind)[1]
             block = _block_for(values.size)
             total = 0.0
-            for ax, mat in zip(axes, self._k2_matrices()):
+            for ax, mat in zip(self._axes, self._k2_matrices()):
                 for part, product in _along(values, mat, ax, block):
                     # numpy's own sum, not vdot: BLAS's threaded dot would
                     # make the bits depend on the BLAS thread count
                     product *= part
                     total += float(product.sum())
-            return total * self.grid.cell_volume_of(kind)
-        _, axes, sizes = self._layout(kind)
-        spec = self.forward(values, kind, out=self._new_spectrum(kind))
+            return total * volume
+        spec = self.forward(values, kind, out=self._new_spectrum())
         parts = spec.view(float)
         np.square(parts, out=parts)
         power = parts[..., 0::2] + parts[..., 1::2]
         del spec, parts
-        power *= self._k2_table(kind)
-        # each interior column of the halved axis stands for the pair +-k
-        inner = [slice(None)] * power.ndim
-        inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)
-        total = float(power.sum()) + float(power[tuple(inner)].sum())
+        power *= self._k2_table()
+        # each interior column of the halved (last) axis stands for the pair +-k
+        n = self._shape[-1]
+        total = float(power.sum()) + float(power[..., 1:(n + 1) // 2].sum())
         # the transform is unnormalised: sum_k |fhat|^2 = N * sum_cells |f|^2
-        return total * self.grid.cell_volume_of(kind) / math.prod(sizes)
+        return total * volume / math.prod(self._shape)
 
 
 def heat_step(field, tau: float, plan: HeatPlan):
@@ -446,7 +430,7 @@ def gaussian_rho(grid: GridSpec, epsilon: float, v0=0.0) -> VelocityProfile:
         )
     if np.any(np.abs(v0_arr) >= grid.half_width_v):
         raise ParameterError(
-            f"v0 = {tuple(v0_arr)} lies outside the open velocity box "
+            f"v0 = {tuple(v0_arr.tolist())} lies outside the open velocity box "
             f"(-{grid.half_width_v}, {grid.half_width_v})"
         )
     if math.sqrt(epsilon) < 2.0 * grid.h_v:

@@ -274,7 +274,7 @@ def _advance_c_nodes(chat_start, c_inf_win, j_loc, eta, dt, plan_x):
     c_nodes[0] = c = c_inf_win[0] + chat
     halves = (np.exp((-0.5 * dt * eta) * (0.5 * (j_loc[i] + j_loc[i + 1])))
               for i in range(n_local))
-    march = _march(c, halves, plan_x, dt, "spatial", "concentration at node")
+    march = _march(c, halves, plan_x, dt, "concentration at node")
     for i, c in enumerate(march, start=1):
         chat = c - c_inf_win[i]
         # consumption only ever lowers c below its far field.  The march
@@ -302,7 +302,7 @@ def _march_marginal(pt0, track, plan_x):
     every node.
     """
     march = _march(pt0, _halves(track, track.grid.spatial_shape), plan_x,
-                   track.schedule.dt, "spatial", "marched marginal at step")
+                   track.schedule.dt, "marched marginal at step")
     return np.stack([pt0, *map(np.copy, march)])
 
 

@@ -328,12 +328,12 @@ def load_scenario(source, overrides=()) -> Scenario:
         schedule = Schedule(t_end=float(s["t_end"]), dt=float(s["dt"]),
                             save_stride=int(s.get("save_stride", 1)))
         if driver == "coupled":
-            # the drive's a-priori bound, with the analytic sup of rho that
-            # VelocityProfile.sup_norm holds, must stay a float
-            sup_rho = (math.pi * params.epsilon) ** (-grid.dim_v / 2.0)
+            # the drive's velocity profile must sample on the lattice and its
+            # a-priori bound stay a float, or every run would refuse it
             try:
-                production_growth(params.alpha1 * sup_rho, schedule.t_end)
-            except ParameterError as exc:
+                rho = velocity_profile(grid, params)
+                production_growth(params.alpha1 * rho.sup_norm, schedule.t_end)
+            except (ParameterError, ResolutionError) as exc:
                 raise ConfigurationError(f"[params] {exc}") from exc
 
         pk = _section(parser, "picard", required=False)

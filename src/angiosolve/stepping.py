@@ -309,23 +309,25 @@ def _halves(track, shape=None):
     return (None if half is None else half.reshape(shape) for half in halves)
 
 
-def _march(vals, halves, plan, dt, kind, what):
+def _march(vals, halves, plan, dt, what):
     """The package's one march: a splitting step (see module docstring) on
-    raw arrays of ``kind`` for each half factor E in ``halves``.
+    raw arrays of the plan's kind for each half factor E in ``halves``.
 
-    Step i writes E * vals into ``plan.work(kind)`` (a copy for E = None,
-    a = 0), applies the heat flow there, multiplies by E and floors the
-    result with the message ``f"{what} {i}"`` (no floor when ``what`` is
-    None), then yields it.  The yielded array is the march's state: the next
-    step reads it, in-place edits included, and overwrites it.
+    A plan serves one lattice, so the march runs on the lattice of ``plan``:
+    step i writes E * vals into ``plan.work(plan.kind)`` (a copy for
+    E = None, a = 0), applies the heat flow there, multiplies by E and
+    floors the result with the message ``f"{what} {i}"`` (no floor when
+    ``what`` is None), then yields it.  The yielded array is the march's
+    state: the next step reads it, in-place edits included, and overwrites
+    it.
     """
     for i, half in enumerate(halves, start=1):
-        u = plan.work(kind)
+        u = plan.work(plan.kind)
         if half is not None:
             np.multiply(vals, half, out=u)
         elif vals is not u:
             np.copyto(u, vals)
-        u = plan.apply(u, dt, kind)
+        u = plan.apply(u, dt, plan.kind)
         if half is not None:
             u *= half
         if what is not None:
@@ -435,22 +437,19 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         # x first: the x flow of step i, then its v flow
         what = "factor of the marched density at step"
         march = zip(_march(p0.g, _halves(track, grid.spatial_shape),
-                           plan.partial("x"), dt, "spatial", f"x {what}"),
+                           plan.partial("x"), dt, f"x {what}"),
                     _march(p0.h, [None] * n_steps, plan.partial("v"), dt,
-                           "velocity", f"v {what}"))
+                           f"v {what}"))
     else:
-        march = _march(p0.values, _halves(track), plan, dt, "phase",
+        march = _march(p0.values, _halves(track), plan, dt,
                        "marched density at step" if clamp else None)
     for i, state in enumerate(march, start=1):
         if record is not None:
             _record(i, state)
         if i in saved:
             t = t0 + i * dt
-            vals = state
-            if product:
-                vals = np.multiply.outer(*state)
-                vals.setflags(write=False)  # so the field keeps it uncopied
-            fields.append(PhaseField(grid, vals, time_tag=t, nonnegative=clamp))
+            fields.append(Product(grid, *state, time_tag=t).field() if product
+                          else PhaseField(grid, state, time_tag=t, nonnegative=clamp))
             times.append(t)
 
     if product:

@@ -211,7 +211,8 @@ def test_a_rerun_stopped_on_a_violated_invariant_leaves_no_earlier_tables(
     assert main(["run", *configs, "--out", str(root), "--override",
                  "schedule.save_stride=1", *jobs]) == 5
     assert "must be >= 0" in capsys.readouterr().err
-    # a serial call stops at its first scenario; the pool runs both
+    # serially the 40th flow falls in a's run; each pool worker counts its
+    # own flows, so there both runs stop
     for name in ("a", "b") if jobs else ("a",):
         files = _outputs(root / name)
         snaps = [f for f in files if f.startswith("snapshots/p_") and f.endswith(".akf")]
@@ -219,6 +220,65 @@ def test_a_rerun_stopped_on_a_violated_invariant_leaves_no_earlier_tables(
         assert snaps == [f"snapshots/p_{i:04d}.akf" for i in range(len(snaps))]
         assert sorted(set(files) - set(snaps)) == [
             "notes.txt", "snapshots/p_0001.akf.bak", "snapshots/q_0001.akf"]
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "pool"])
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-last"])
+def test_a_run_that_stops_costs_the_call_its_code_not_the_other_runs(
+        capsys, monkeypatch, tmp_path, jobs, bad_first):
+    # a fault planted in the flows of the bad config's diffusivity alone
+    # stops that run (exit 5); zero still runs in either order, serially or
+    # in the pool (whose forked workers inherit the fault), writes all its
+    # outputs and prints its summary, and the error line names the run
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(_PURE_TEXT.replace("name = tiny", "name = bad")
+                   .replace("sigma = 0.05", "sigma = 0.07"))
+    clean = HeatPlan.apply
+
+    def faulty(self, values, tau, kind):
+        out = clean(self, values, tau, kind)
+        if self.diffusivity == 0.07 and tau > 0.0:
+            out = out.copy()
+            out[17] = -1e-3 * float(out.max())
+        return out
+
+    monkeypatch.setattr(HeatPlan, "apply", faulty)
+    configs = [str(bad), "zero"] if bad_first else ["zero", str(bad)]
+    root = tmp_path / "runs"
+    assert main(["run", *configs, "--out", str(root), *jobs]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad: ") and "must be >= 0" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out.startswith("scenario zero (pure driver)")
+    assert captured.out.count("exit code:") == 1
+    assert (root / "zero" / "summary.txt").read_text() + "\n" == captured.out
+    assert {"moments.csv", "report.json"} <= set(_outputs(root / "zero"))
+    assert not (root / "bad" / "report.json").exists()
+    # a config that does not resolve still refuses the call before any run
+    other = tmp_path / "other"
+    assert main(["run", "zero", str(tmp_path / "missing.cfg"), "--out", str(other),
+                 *jobs]) == 2
+    assert capsys.readouterr().out == "" and not other.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("params.epsilon=0.001", "below two cell widths"),
+    ("params.v0=9", "v0 = (9.0,) lies outside the open velocity box")],
+    ids=["narrow", "outside"])
+def test_every_subcommand_refuses_a_velocity_profile_run_refuses(capsys, tmp_path,
+                                                                 override, message):
+    # rho_eps is sampled when the config is loaded, so the dry run and
+    # describe cannot admit a profile the lattice cannot hold; nothing is
+    # written
+    argv = ["coupled-ramp", "--override", override]
+    root = tmp_path / "runs"
+    for command in (["check"], ["describe"], ["run", "--out", str(root)]):
+        assert main(command + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: [params] ")
+        assert message in captured.err
+    assert not root.exists()
 
 
 @pytest.mark.parametrize("alpha1, code", [("1000", 2), ("600", 0)])
@@ -312,7 +372,8 @@ def test_run_stopped_on_a_violated_invariant_exits_5(capsys, monkeypatch):
 
     monkeypatch.setattr(HeatPlan, "apply", faulty)
     assert main(["run", "pure-gaussian", "--override", "schedule.t_end=0.02"]) == 5
-    assert "error: marched marginal at step 1 must be >= 0" in capsys.readouterr().err
+    assert ("error: pure-gaussian: marched marginal at step 1 must be >= 0"
+            in capsys.readouterr().err)
 
 
 def test_run_tol_override_reaches_the_iteration(capsys, tiny_cfg):

@@ -117,32 +117,22 @@ def test_lq_contraction(grid64):
         assert lq_norm(out, q) <= lq_norm(p, q) * (1 + 1e-13)
 
 
-def test_subspace_plans_commute_with_structure(grid64):
-    # an x-only flow must act on the x factor of a separable field alone
-    p = gaussian_phase(grid64, var_x=0.5, var_v=0.45)
-    out = heat_step(p, 0.5, HeatPlan(grid64, SIGMA, "x"))
-    gx = periodized_gaussian(grid64.x_coords(), -1.0, 0.5 + 2 * SIGMA * 0.5, 8.0)
-    gv = periodized_gaussian(grid64.v_coords(), 1.3, 0.45, 8.0)
-    expect = np.multiply.outer(gx, gv)
-    assert np.max(np.abs(out.values - expect)) < 1e-9 * expect.max()
-    # and the xv plan is the composition of the x and v plans
-    both = heat_step(heat_step(p, 0.5, HeatPlan(grid64, SIGMA, "x")),
-                     0.5, HeatPlan(grid64, SIGMA, "v"))
-    full = heat_step(p, 0.5, HeatPlan(grid64, SIGMA, "xv"))
-    np.testing.assert_allclose(both.values, full.values, rtol=0,
-                               atol=1e-13 * full.values.max())
-
-
 def test_spatial_fields_use_x_plan(grid64):
     c = SpatialField(grid64, periodized_gaussian(grid64.x_coords(), 0.0, 1.0, 8.0))
     out = heat_step(c, 1.0, HeatPlan(grid64, 0.05, "x"))
     expect = periodized_gaussian(grid64.x_coords(), 0.0, 1.1, 8.0)
     assert np.max(np.abs(out.values - expect)) < 1e-10 * expect.max()
-    # each reduced kind has the one plan that differentiates its axes
+    # a plan serves one lattice: each kind has the one plan that
+    # differentiates all of its axes, and a partial plan refuses phase arrays
     for subspace, kind in (("xv", "spatial"), ("v", "spatial"),
-                           ("xv", "velocity"), ("x", "velocity")):
+                           ("xv", "velocity"), ("x", "velocity"),
+                           ("x", "phase"), ("v", "phase")):
+        plan = HeatPlan(grid64, SIGMA, subspace)
+        vals = np.zeros(grid64.shape_of(kind))
         with pytest.raises(ShapeError, match=kind):
-            HeatPlan(grid64, SIGMA, subspace).forward(np.zeros(64), kind)
+            plan.forward(vals, kind)
+        with pytest.raises(ShapeError, match=kind):
+            plan.apply(vals, 0.3, kind)
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
@@ -164,8 +154,8 @@ def test_product_flows_from_its_factors(dims, seed, tau):
                                atol=1e-14 * float(p.values.max()))
 
 
-@pytest.mark.parametrize("subspace, kind", [("xv", "phase"), ("x", "phase"),
-                                             ("x", "spatial"), ("v", "velocity")])
+@pytest.mark.parametrize("subspace, kind", [("xv", "phase"), ("x", "spatial"),
+                                             ("v", "velocity")])
 def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
     # a stack transforms in one call with the same bits as one field at a
     # time, and apply gives one field the same bits again on a second call
@@ -194,9 +184,8 @@ def test_stacked_transform_matches_apply_bit_for_bit(grid64, subspace, kind):
 
 
 @pytest.mark.parametrize("dims, subspace, kind", [
-    ((1, 1), "xv", "phase"), ((2, 2), "xv", "phase"), ((1, 2), "v", "phase"),
-    ((2, 1), "x", "phase"), ((2, 2), "x", "spatial"), ((2, 1), "v", "velocity"),
-    ((1, 2), "v", "velocity")])
+    ((1, 1), "xv", "phase"), ((2, 2), "xv", "phase"), ((2, 2), "x", "spatial"),
+    ((2, 1), "v", "velocity"), ((1, 2), "v", "velocity")])
 def test_apply_flows_the_work_array_in_place(dims, subspace, kind):
     # the plan's work array is flowed in place, any other array is left
     # alone; both with one plan's bits, which are those of forward,
@@ -232,7 +221,7 @@ def test_short_axis_march_flows_in_place_through_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert plan._spare["phase"].size == _BLOCK < work.size
+    assert plan._spare.size == _BLOCK < work.size
     assert peak < work.nbytes // 8
 
 
@@ -240,8 +229,7 @@ def test_short_axis_march_flows_in_place_through_one_block():
 # per-axis circulant matrices
 _SHORT_LATTICES = [(1, 1, 8), (1, 1, 16), (1, 1, 32), (1, 1, 64), (1, 2, 16),
                    (1, 2, 32), (2, 2, 16), (2, 2, 32)]
-_PLAN_KINDS = [("xv", "phase"), ("x", "phase"), ("v", "phase"), ("x", "spatial"),
-               ("v", "velocity")]
+_PLAN_KINDS = [("xv", "phase"), ("x", "spatial"), ("v", "velocity")]
 
 
 @settings(max_examples=20, deadline=None)
@@ -342,24 +330,21 @@ def test_long_axis_apply_keeps_the_spectral_bits(seed, sigma, tau):
                                       _spectral_flow(plan, vals, tau, kind))
 
 
-def test_plan_keeps_one_multiplier_per_kind(grid64):
+def test_plan_keeps_one_multiplier(grid64):
     # 500 distinct step sizes must not pile up 500 spectral arrays
-    plan = HeatPlan(grid64, SIGMA, "x")
-    phase_bytes = plan.multiplier(0.0, "phase").nbytes
-    spatial_bytes = plan.multiplier(0.0, "spatial").nbytes
-    full = HeatPlan(grid64, SIGMA, "xv")
-    full_bytes = full.multiplier(0.0, "phase").nbytes
+    plans = [HeatPlan(grid64, SIGMA, subspace) for subspace in ("xv", "x", "v")]
+    held = sum(plan.multiplier(0.0, plan.kind).nbytes for plan in plans)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(1, 501):
-            full.multiplier(i * 1e-3, "phase")
-            plan.multiplier(i * 1e-3, "phase")
-            plan.multiplier(i * 1e-3, "spatial")
+            for plan in plans:
+                plan.multiplier(i * 1e-3, plan.kind)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept <= full_bytes + phase_bytes + spatial_bytes + 4096
+    assert kept <= held + 4096
+    full = plans[0]
     last = full.multiplier(0.5, "phase")
     assert full.multiplier(0.5, "phase") is last   # the step size in use is reused
 
@@ -406,7 +391,7 @@ def test_gradient_energy_phase_field_both_axes():
 
 
 def test_fft_plan_builds_its_k_squared_table_once_at_its_first_multiplier(monkeypatch):
-    # a plan builds the |k|^2 of a kind when a multiplier first needs it,
+    # a plan builds its |k|^2 when a multiplier first needs it,
     # keeps it read-only and reuses it for every later multiplier and for
     # the FFT gradient energy; another plan of the layout builds its own
     built = []
@@ -425,7 +410,7 @@ def test_fft_plan_builds_its_k_squared_table_once_at_its_first_multiplier(monkey
     plan.multiplier(0.2, "phase")
     plan.apply(np.ones(g.phase_shape), 0.3, "phase")
     plan.gradient_energy(np.ones(g.phase_shape), "phase")
-    assert len(built) == 1 and plan._k2_table("phase") is built[0]
+    assert len(built) == 1 and plan._k2_table() is built[0]
     HeatPlan(g, SIGMA, "xv").multiplier(0.1, "phase")
     assert len(built) == 2 and built[1] is not built[0]
 
@@ -435,10 +420,12 @@ def test_xv_plan_keeps_one_partial_plan_per_subspace():
     # keeps, so a run of many windows builds them once
     g = small_grid(16, 1, 2)
     plan = HeatPlan(g, SIGMA, "xv")
+    g_kind = {"x": "spatial", "v": "velocity"}
     for subspace in ("x", "v"):
         part = plan.partial(subspace)
         assert part is plan.partial(subspace)
-        assert (part.grid, part.diffusivity, part.subspace) == (g, SIGMA, subspace)
+        assert ((part.grid, part.diffusivity, part.subspace, part.kind)
+                == (g, SIGMA, subspace, g_kind[subspace]))
     for owner, subspace in (("xv", "xv"), ("x", "v"), ("v", "x")):
         with pytest.raises(ParameterError):
             HeatPlan(g, SIGMA, owner).partial(subspace)
@@ -454,15 +441,16 @@ def test_gradient_energy_holds_no_spectrum_and_keeps_its_bits():
         vals = np.random.default_rng(3).standard_normal(g.phase_shape)
         plan = HeatPlan(g, SIGMA, "xv")
         energy = plan.gradient_energy(vals, "phase")
-        assert plan._spare == {} and plan._work == {}
-        _, axes, sizes = plan._layout("phase")
-        k2 = plan._k2_table("phase")
-        spec = np.fft.rfftn(vals, axes=axes)
+        assert plan._spare is None and plan._work is None
+        sizes = g.phase_shape
+        k2 = plan._k2_table()
+        spec = np.fft.rfftn(vals)
         power = np.square(spec.real)
         power += np.square(spec.imag)
         power *= k2
+        # the real transform halves the last axis
         inner = [slice(None)] * power.ndim
-        inner[axes[-1]] = slice(1, (sizes[-1] + 1) // 2)
+        inner[-1] = slice(1, (sizes[-1] + 1) // 2)
         total = float(power.sum()) + float(power[tuple(inner)].sum())
         parseval = total * g.cell_volume / math.prod(sizes)
         if plan._steps is None:

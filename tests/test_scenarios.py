@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from angiosolve import (ConfigurationError, PhaseField, ResolutionError, SignError,
-                        moments, scenarios, snapshots)
+                        harness, moments, scenarios, snapshots)
 from angiosolve.grid import GridSpec, SpatialField, factor_xv, integrate_phase
 from angiosolve.harness import write_report
 from angiosolve import heat
@@ -702,6 +702,72 @@ def test_comparison_is_pinned_at_a_products_majorant(excess, passed):
     assert check.passed is passed
     assert check.worst_slack == pytest.approx(-excess * tol, rel=1e-4)
     assert check.worst_cell == tuple(int(i) for i in cell)
+
+
+@pytest.mark.parametrize("excess, passed", [(1.5, False), (0.5, True)])
+def test_c_bounds_is_pinned_at_its_tolerance(excess, passed):
+    # the far field c_inf itself, with one cell of it (no role, so it may
+    # be negative) at -excess tol sup c0: the depletion is zero elsewhere
+    # and c stays below sup c0, so that cell is the worst slack
+    made, checks, tol = _catalogue("coupled-ramp", "c_bounds")
+    c0, t = made.c0, 0.1
+    vals = HeatPlan(made.grid, made.scenario.params.d, "x").apply(c0.values, t, "spatial")
+    cell = (int(np.argmin(vals)),)
+    vals[cell] = -excess * tol * float(c0.values.max())
+    for time, c in ((0.0, c0), (t, SpatialField(made.grid, vals, time_tag=t))):
+        checks.add(time, made.p0, c, None)
+    (check,) = checks.finish()
+    assert check.passed is passed
+    assert check.worst_slack == pytest.approx(-excess * tol, rel=1e-12)
+    assert (check.worst_time, check.worst_cell) == (t, cell)
+
+
+@pytest.fixture(scope="module")
+def pure_gaussian_run():
+    """pure-gaussian as shipped, checking energy alone: (made, p_traj)."""
+    made = realise(load_shipped_scenario("pure-gaussian", ("checks.names=energy",)))
+    p_traj, _, diag = made.drive()
+    assert diag.converged and len(p_traj) == 21
+    return made, p_traj
+
+
+@pytest.mark.parametrize("excess, passed", [(1.5, False), (0.5, True)])
+def test_energy_is_pinned_at_its_calibrated_tolerance(pure_gaussian_run, excess,
+                                                      passed):
+    # a constant kappa added to one odd-indexed saved field lifts its energy
+    # by vol (2 kappa sum p + kappa^2 N) and leaves its gradient energy
+    # alone; odd times are off the thinned grid the tolerance is calibrated
+    # on, so the tolerance stays put.  kappa makes the balance miss by
+    # excess tol of the largest energy at that time
+    made, traj = pure_gaussian_run
+    k, vol = 7, made.grid.cell_volume
+
+    def energy(planted=None):
+        checks = scenarios._Checks(made.scenario, made.p0, made.c0)
+        (fold,), _ = checks._folds[0]
+        for i, (t, field) in enumerate(zip(traj.times, traj.fields)):
+            checks.add(t, field if planted is None or i != k else planted, None, None)
+        (check,) = checks.finish()
+        return check, fold
+
+    clean, fold = energy()
+    # the calibration rule: twice the largest gap, over the even-indexed
+    # times, between the residual on every time and on every second one
+    times, e, d, fw = (np.array(v, dtype=float) for v in (fold.times, fold.e, fold.d,
+                                                          fold.fw))
+    res = harness._energy_residual(times, e, d, fw, fold.sigma)
+    thin = harness._energy_residual(times[::2], e[::2], d[::2], fw[::2], fold.sigma)
+    tol = max(1e-10, 2.0 * float(np.max(np.abs(res[::2] - thin))) / e.max())
+    assert clean.passed and clean.tolerance == tol > 1e-10
+    lift = (clean.slacks[k] + excess * tol) * e.max()
+    vals = traj.fields[k].values
+    a, b = vol * vals.size, 2.0 * vol * float(vals.sum())
+    kappa = (-b + np.sqrt(b * b + 4.0 * a * lift)) / (2.0 * a)
+    check, _ = energy(PhaseField(made.grid, vals + kappa, time_tag=traj.times[k]))
+    assert check.tolerance == pytest.approx(tol, rel=1e-9)
+    assert check.passed is passed
+    assert check.worst_slack == pytest.approx(-excess * tol, rel=1e-3)
+    assert check.worst_time == traj.times[k]
 
 
 @pytest.mark.parametrize("width, admitted", [(2.4, False), (2.6, True)])

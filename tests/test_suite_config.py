@@ -1,5 +1,6 @@
 """The test suite's own configuration."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,3 +37,20 @@ def test_failing_property_test_does_not_end_the_session(tmp_path):
     assert "INTERNALERROR" not in out, out
     assert proc.returncode == 1, out
     assert "1 failed, 1 passed" in out, out
+
+
+def test_every_mutant_names_text_that_occurs_once():
+    # tools/mutants.py edits each mutant's text in a copy of src/; an edit
+    # to src/ that removed or repeated that text would orphan the mutant
+    spec = importlib.util.spec_from_file_location(
+        "mutants", os.path.join(ROOT, "tools", "mutants.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    names = [m.name for m in module.MUTANTS]
+    assert len(names) == len(set(names)) == 15
+    for mutant in module.MUTANTS:
+        with open(os.path.join(ROOT, mutant.path)) as fh:
+            assert fh.read().count(mutant.original) == 1, mutant.name
+        assert mutant.replacement != mutant.original
+        assert mutant.targets and all(
+            os.path.isfile(os.path.join(ROOT, target)) for target in mutant.targets)
