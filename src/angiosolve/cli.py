@@ -15,8 +15,9 @@ converge (or its deltas were not monotone), 4 an invariant check failed,
 tolerance, :class:`SignError`, or unusable field data, :class:`DataError`).
 
 ``run`` refuses the whole call when a config does not resolve; else it runs
-every config, also past one that raises (``error: <name>: <message>`` on
-stderr), prints the summaries in config order and exits with the worst code.
+every config, also past one that raises (``error: <name>: <message>``, or
+``configuration error: <name>: <message>``, on stderr), prints the
+summaries in config order and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ def _resolve(config: str, overrides):
 
 def _run_one(scenario, out_root):
     """(exit code, text, whether it raised) of one run: its summary, or the
-    error line of a run that raised, which exits 5 on a violated invariant
-    and 2 on any other package error."""
+    error line of a run that raised, labelled as ``main`` labels it, which
+    exits 5 on a violated invariant and 2 on any other package error."""
     out_dir = os.path.join(out_root, scenario.name) if out_root else None
     try:
         code, payload = run_scenario(scenario, out_dir=out_dir)
+    except ConfigurationError as exc:
+        return EXIT_CONFIG, f"configuration error: {scenario.name}: {exc}", True
     except AngiosolveError as exc:
         code = EXIT_INVARIANT if isinstance(exc, (SignError, DataError)) else EXIT_CONFIG
         return code, f"error: {scenario.name}: {exc}", True

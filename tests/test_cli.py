@@ -224,15 +224,26 @@ def test_a_rerun_stopped_on_a_violated_invariant_leaves_no_earlier_tables(
 
 @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "pool"])
 @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-last"])
+@pytest.mark.parametrize("fault, code, label, message", [
+    ("sign", 5, "error: bad: ", "must be >= 0"),
+    ("config", 2, "configuration error: bad: ", "mean square speed >= 1")])
 def test_a_run_that_stops_costs_the_call_its_code_not_the_other_runs(
-        capsys, monkeypatch, tmp_path, jobs, bad_first):
-    # a fault planted in the flows of the bad config's diffusivity alone
-    # stops that run (exit 5); zero still runs in either order, serially or
-    # in the pool (whose forked workers inherit the fault), writes all its
+        capsys, monkeypatch, tmp_path, jobs, bad_first, fault, code, label, message):
+    # the bad run stops on a fault planted in the flows of its diffusivity
+    # alone (exit 5), or on the gronwall check's refusal of initial data
+    # centred at speed 0, which only the run finds (exit 2, labelled as a
+    # configuration error); zero still runs in either order, serially or in
+    # the pool (whose forked workers inherit the fault), writes all its
     # outputs and prints its summary, and the error line names the run
     bad = tmp_path / "bad.cfg"
-    bad.write_text(_PURE_TEXT.replace("name = tiny", "name = bad")
-                   .replace("sigma = 0.05", "sigma = 0.07"))
+    text = _PURE_TEXT.replace("name = tiny", "name = bad")
+    if fault == "sign":
+        text = text.replace("sigma = 0.05", "sigma = 0.07")
+    else:
+        text = text.replace("center_v = 1.3", "center_v = 0.0")
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == 0
+    capsys.readouterr()
     clean = HeatPlan.apply
 
     def faulty(self, values, tau, kind):
@@ -245,9 +256,9 @@ def test_a_run_that_stops_costs_the_call_its_code_not_the_other_runs(
     monkeypatch.setattr(HeatPlan, "apply", faulty)
     configs = [str(bad), "zero"] if bad_first else ["zero", str(bad)]
     root = tmp_path / "runs"
-    assert main(["run", *configs, "--out", str(root), *jobs]) == 5
+    assert main(["run", *configs, "--out", str(root), *jobs]) == code
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: bad: ") and "must be >= 0" in captured.err
+    assert captured.err.startswith(label) and message in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out.startswith("scenario zero (pure driver)")
     assert captured.out.count("exit code:") == 1

@@ -13,8 +13,7 @@ first) or survived (with its targets), and exits 1 when any mutant
 survived or could not be run.  It takes minutes, so it is not part of the tier-1
 suite::
 
-    python tools/mutants.py              # every mutant
-    python tools/mutants.py clamp_rel    # only the named ones
+    python tools/mutants.py
 """
 
 from __future__ import annotations
@@ -132,22 +131,16 @@ def _pytest(targets, mutant=None):
     return proc.returncode, failed[0] if failed else ""
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        sys.stderr.write(f"unknown mutant(s): {', '.join(sorted(unknown))}\n")
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     # a failure is a kill only where the unmutated copy passes
-    targets = sorted({t for m in chosen for t in m.targets})
+    targets = sorted({t for m in MUTANTS for t in m.targets})
     code, failed = _pytest(targets)
     if code != 0:
         sys.stderr.write(f"the unmutated copy fails {failed or ' '.join(targets)}\n")
         return 2
-    width = max(len(m.name) for m in chosen)
+    width = max(len(m.name) for m in MUTANTS)
     outcomes = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         code, failed = _pytest(mutant.targets, mutant)
         outcome = {0: "survived", 1: "killed"}.get(code, "error")
@@ -157,8 +150,8 @@ def main(argv=None) -> int:
                          f"{failed or ' '.join(mutant.targets)}\n")
         sys.stdout.flush()
     killed = outcomes.count("killed")
-    sys.stdout.write(f"{killed} of {len(chosen)} killed\n")
-    return 0 if killed == len(chosen) else 1
+    sys.stdout.write(f"{killed} of {len(MUTANTS)} killed\n")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
