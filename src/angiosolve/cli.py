@@ -34,7 +34,9 @@ from .scenarios import (CHECKS, EXIT_CONFIG, EXIT_INVARIANT,
                         shipped_scenarios)
 
 def _resolve(config: str, overrides):
-    if os.path.exists(config):
+    # a directory is never a config: ``run zero --out .`` leaves one named
+    # after the shipped scenario
+    if os.path.exists(config) and not os.path.isdir(config):
         return load_scenario(config, overrides=overrides)
     if os.sep not in config and config in shipped_scenarios():
         return load_shipped_scenario(config, overrides=overrides)

@@ -21,9 +21,7 @@ import configparser
 import io
 import math
 import os
-import queue
 import re
-import threading
 from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
@@ -674,53 +672,32 @@ def format_summary(scenario: Scenario, payload: dict) -> str:
 def _drive_ahead(stream: DriveStream):
     """Iterate ``stream`` on a worker thread and yield its items here.
 
-    The worker hands each item over through a one-slot queue, so it marches
-    the next window while the caller reads the last one, and runs at most
-    one item ahead.  An exception of the drive is re-raised here, the same
-    object, after the items yielded before it.  When this generator is
-    closed early, or the caller raises into it, the worker is told to stop
-    at its next hand-off; on every exit the worker is joined, so
-    ``stream.diag`` is settled once it returns.
+    Two requests for the stream's next item are outstanding at any time,
+    and each item handed out is the oldest one's result: the worker marches
+    the next window while the caller reads the last one, and holds at most
+    one finished item plus the one it is making.  An exception of the drive
+    is re-raised here, the same object, after the items yielded before it.
+    On every exit, also when this generator is closed early or the caller
+    raises into it, the request not yet started is cancelled and the worker
+    joined before the stream is closed, so ``stream.diag`` is settled once
+    it returns.
     """
-    # carries the stream's (t, p, c, a) items, then None at its end or the
-    # exception that ended it
-    handoff = queue.Queue(maxsize=1)
-    stop = threading.Event()
+    # a checked run is the one user of the executor; ``import angiosolve``
+    # does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def drive():
-        items = iter(stream)
+    items = iter(stream)
+    with closing(items), ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="angiosolve-drive") as worker:
+        ahead = [worker.submit(next, items, None) for _ in range(2)]
         try:
-            for item in items:
-                handoff.put(item)
-                del item  # the caller decides how long a field lives
-                if stop.is_set():
-                    return
-            handoff.put(None)
-        except BaseException as exc:  # raised again by the caller, whatever it is,
-            handoff.put(exc)  # so it never waits on a dead worker
+            while (item := ahead.pop(0).result()) is not None:
+                ahead.append(worker.submit(next, items, None))
+                yield item
+                item = None  # not held while the next one is waited for
         finally:
-            items.close()
-
-    worker = threading.Thread(target=drive, name="angiosolve-drive", daemon=True)
-    worker.start()
-    try:
-        while True:
-            item = handoff.get()
-            if item is None:
-                return
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-            item = None  # not held while the next one is waited for
-    finally:
-        stop.set()
-        # a stopped worker puts at most once more, so one drain frees it
-        try:
-            while True:
-                handoff.get_nowait()
-        except queue.Empty:
-            pass
-        worker.join()
+            for request in ahead:
+                request.cancel()
 
 
 # what a run writes under its output directory, by the package's own names
@@ -745,14 +722,15 @@ def _clear_outputs(out_dir):
 def run_scenario(scenario: Scenario, out_dir=None) -> tuple:
     """Run a scenario end to end: drive, check, optionally write outputs.
 
-    The drive is streamed and pipelined: it runs on a worker thread
-    (:func:`_drive_ahead`), and each saved field goes, as its window
+    The drive is streamed and pipelined: it runs on the one worker thread
+    of :func:`_drive_ahead`, and each saved field goes, as its window
     converges, through ``moments_of``, the check folds and (with
     ``out_dir``) the snapshot writer on the calling thread, in stream
     order, and is then dropped, leaving its six-number ``moments.csv`` row.
-    The drive marches at most one field ahead of them, so the run holds
-    about a window's fields, never the trajectory, and nothing it holds
-    grows with the run length but those rows and the folds' scalars.
+    The drive marches at most one field ahead of them (one finished, one
+    in the making) and is joined on every exit, so the run holds about a
+    window's fields, never the trajectory, and nothing it holds grows with
+    the run length but those rows and the folds' scalars.
     ``moments.csv``, ``report.json`` and ``summary.txt`` are written after
     the last field, so a run that raises leaves none of them.  Before its
     first write, a run removes what an earlier run left in ``out_dir``

@@ -56,8 +56,9 @@ class Schedule:
 
     ``t_end`` must be an integer multiple of ``dt`` to within half an ulp of
     the product; anything looser silently shifts every node and is rejected
-    as a configuration error.  Saved nodes are every ``save_stride``-th node
-    plus always the final one.
+    as a configuration error, and so is a ratio ``t_end / dt`` too large to
+    be a float.  Saved nodes are every ``save_stride``-th node plus always
+    the final one.
     """
 
     t_end: float
@@ -69,7 +70,13 @@ class Schedule:
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ParameterError(f"t_end must be positive, got {self.t_end!r}")
-        n = int(round(self.t_end / self.dt))
+        steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise ConfigurationError(
+                f"t_end = {self.t_end!r} over dt = {self.dt!r} is no finite "
+                "number of steps"
+            )
+        n = int(round(steps))
         if n < 1 or abs(n * self.dt - self.t_end) > 0.5 * np.spacing(
             max(self.t_end, n * self.dt)
         ):

@@ -310,6 +310,38 @@ def test_a_production_bound_beyond_the_largest_float_is_refused(capsys, tmp_path
         assert "coupled-ramp: ok" in capsys.readouterr().out
 
 
+def test_every_subcommand_refuses_a_step_count_beyond_the_largest_float(
+        capsys, tmp_path):
+    # 0.1 / 1e-320 overflows to inf: one line on stderr, exit 2, nothing
+    # written
+    override = ["--override", "schedule.dt=1e-320"]
+    root = tmp_path / "runs"
+    for command in (["check"], ["describe"], ["run", "--out", str(root)]):
+        assert main(command + ["zero", *override]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: t_end = 0.1 ")
+        assert "dt = 1e-320" in captured.err
+        assert captured.err.count("\n") == 1
+    assert not root.exists()
+
+
+def test_an_output_directory_does_not_hide_the_shipped_scenario(
+        capsys, tmp_path, monkeypatch):
+    # ``run zero --out .`` leaves a directory named zero; the name still
+    # means the shipped scenario, never that directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "zero", "--out", "."]) == 0
+    assert (tmp_path / "zero").is_dir()
+    capsys.readouterr()
+    assert main(["run", "zero"]) == 0
+    assert "zero" in capsys.readouterr().out
+    assert main(["check", "zero"]) == 0
+    assert capsys.readouterr().out.startswith("zero: ok (pure driver, 50 steps")
+    assert main(["describe", "zero"]) == 0
+    assert capsys.readouterr().out.startswith("name: zero\n")
+
+
 class _RecordingPool:
     """Stands in for the process pool: records its size, runs inline."""
 

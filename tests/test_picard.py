@@ -109,6 +109,20 @@ def test_alpha_of_c_validation(grid64):
         alpha_of_c(SpatialField(grid64, dirty), 0.5, 1.0)
 
 
+def test_production_rate_takes_its_concentration_under_the_sign_rule():
+    # the coupled iterate's track and the energy source read the raw rate,
+    # with no field check after it: a concentration below zero by round-off
+    # gives a rate of exactly zero there, and one beyond the clamping
+    # tolerance (1e-12 of sup c) is refused
+    c = np.linspace(0.0, 2.0, 64)
+    c[5] = -1e-14
+    rate = picard._alpha_raw(c, 0.5, 1.0, "probe")
+    assert rate[5] == 0.0 and rate.min() == 0.0
+    c[5] = -3e-12
+    with pytest.raises(SignError, match="probe concentration"):
+        picard._alpha_raw(c, 0.5, 1.0, "probe")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.0, 1e6), st.floats(0.0, 1e6))
 def test_alpha_of_c_is_lipschitz(c1, c2):

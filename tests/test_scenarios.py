@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -445,12 +446,41 @@ def test_handoff_keeps_order_under_fast_thread_switches():
     assert threading.active_count() == threads
 
 
+def test_drive_runs_at_most_two_items_ahead_and_stops_when_closed():
+    # however slowly the items are read, the worker holds at most the one
+    # waiting to be handed out and the one it is making; once the reader
+    # closes the pipeline it pulls nothing more, and the stream is closed
+    pulls, closed = [], []
+
+    def stream():
+        try:
+            for i in range(50):
+                pulls.append(i)
+                yield (i, None, None)
+        finally:
+            closed.append(True)
+
+    fields = scenarios._drive_ahead(stream())
+    for handed in range(1, 11):
+        assert next(fields)[0] == handed - 1
+        time.sleep(0.02)
+        assert len(pulls) <= handed + 2, (handed, len(pulls))
+    fields.close()
+    assert closed == [True]
+    pulled = len(pulls)
+    assert pulled <= 12
+    time.sleep(0.05)
+    assert len(pulls) == pulled
+
+
 def test_checked_run_never_imports_scipy():
     # scipy serves the referees only; importing it would cost a checked run
-    # about half a second and 50 MB
+    # about half a second and 50 MB.  Nor does the import load the drive
+    # thread's executor, which only a checked run needs
     script = (
         "import sys\n"
         "import angiosolve\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "sc = angiosolve.load_shipped_scenario('coupled-ramp', "
         "overrides=('schedule.t_end=0.01',))\n"
         "assert angiosolve.run_scenario(sc)[0] == 0\n"

@@ -34,6 +34,10 @@ def test_schedule_validation():
         Schedule(t_end=0.0, dt=1e-3)
     with pytest.raises(ParameterError):
         Schedule(t_end=1.0, dt=1e-3, save_stride=0)
+    # t_end / dt overflows to inf: no integer step count exists
+    for t_end, dt in ((0.1, 1e-320), (1e300, 1e-300)):
+        with pytest.raises(ConfigurationError, match=r"t_end = .* dt = .* no finite"):
+            Schedule(t_end=t_end, dt=dt)
 
 
 def test_schedule_saved_nodes_include_final_partial_stride():

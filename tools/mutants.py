@@ -1,4 +1,4 @@
-"""One-line mutants of the solver's bounds and rules, each run against the
+"""Small mutants of the solver's bounds and rules, each run against the
 tests that should catch it.
 
 Each mutant replaces one piece of text, which must occur exactly once in
@@ -89,6 +89,38 @@ MUTANTS = (
     Mutant("energy_tol_twenty_est", "src/angiosolve/harness.py",
            "tol = max(1e-10, 2.0 * est)", "tol = max(1e-10, 20.0 * est)",
            ("tests/test_scenarios.py",)),
+    Mutant("drive_three_requests_ahead", "src/angiosolve/scenarios.py",
+           "for _ in range(2)]", "for _ in range(3)]",
+           ("tests/test_scenarios.py",)),
+    # one per call of the sign rule: the call replaced by its input
+    Mutant("no_sign_rule_field_data", "src/angiosolve/grid.py",
+           "apply_sign(values, sign, what)", "values",
+           ("tests/test_grid.py",)),
+    Mutant("no_sign_rule_product_factor", "src/angiosolve/grid.py",
+           'apply_sign(vals, +1, f"{kind} factor")', "vals",
+           ("tests/test_grid.py",)),
+    Mutant("no_sign_rule_marginal_series", "src/angiosolve/moments.py",
+           'apply_sign(series, +1, "marginal series (leading index: node)")',
+           "series",
+           ("tests/test_moments.py",)),
+    Mutant("no_sign_rule_oracle_coefficient", "src/angiosolve/oracles.py",
+           "apply_sign(a_vals, +1, \"the oracle's coefficient\")", "a_vals",
+           ("tests/test_oracles.py",)),
+    Mutant("no_sign_rule_production_rate", "src/angiosolve/picard.py",
+           'apply_sign(c_vals, +1, f"{what} concentration")', "c_vals",
+           ("tests/test_picard.py",)),
+    Mutant("no_sign_rule_depletion", "src/angiosolve/picard.py",
+           'apply_sign(chat, -1, f"depletion at node {i}",\n'
+           "                             scale=float(c.max()))", "chat",
+           ("tests/test_picard.py",)),
+    Mutant("no_sign_rule_strict_track", "src/angiosolve/stepping.py",
+           'apply_sign(arr, +1, f"strict track: {what} sample {k} "\n'
+           '                                      "(use strict=False for signed '
+           'coefficients)")', "arr",
+           ("tests/test_stepping.py",)),
+    Mutant("no_sign_rule_march_floor", "src/angiosolve/stepping.py",
+           'apply_sign(u, +1, f"{what} {i}", out=u)', "u",
+           ("tests/test_stepping.py",)),
 )
 
 
