@@ -49,6 +49,11 @@ from .grid import (GridSpec, PhaseField, Product, SpatialField, apply_sign,
 from .heat import HeatPlan
 from .moments import _reduce_raw
 
+# the most steps a schedule may have: a run holds its window edges, node
+# times and saved node indices in arrays as long as the run, about 80 MB at
+# this count
+MAX_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -57,8 +62,8 @@ class Schedule:
     ``t_end`` must be an integer multiple of ``dt`` to within half an ulp of
     the product; anything looser silently shifts every node and is rejected
     as a configuration error, and so is a ratio ``t_end / dt`` too large to
-    be a float.  Saved nodes are every ``save_stride``-th node plus always
-    the final one.
+    be a float or above ``MAX_STEPS`` steps.  Saved nodes are every
+    ``save_stride``-th node plus always the final one.
     """
 
     t_end: float
@@ -77,6 +82,11 @@ class Schedule:
                 "number of steps"
             )
         n = int(round(steps))
+        if n > MAX_STEPS:
+            raise ConfigurationError(
+                f"t_end = {self.t_end!r} over dt = {self.dt!r} is {steps:.6g} "
+                f"steps, more than the {MAX_STEPS} a run may take"
+            )
         if n < 1 or abs(n * self.dt - self.t_end) > 0.5 * np.spacing(
             max(self.t_end, n * self.dt)
         ):

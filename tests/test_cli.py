@@ -1,6 +1,7 @@
 """The command line front end: subcommands, exit codes, artifacts."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from concurrent.futures import Future
 
 import pytest
 
+import angiosolve
 from angiosolve import HeatPlan, cli
 from angiosolve.cli import main
 
@@ -310,19 +312,24 @@ def test_a_production_bound_beyond_the_largest_float_is_refused(capsys, tmp_path
         assert "coupled-ramp: ok" in capsys.readouterr().out
 
 
-def test_every_subcommand_refuses_a_step_count_beyond_the_largest_float(
-        capsys, tmp_path):
-    # 0.1 / 1e-320 overflows to inf: one line on stderr, exit 2, nothing
-    # written
-    override = ["--override", "schedule.dt=1e-320"]
+@pytest.mark.parametrize("dt, reason", [
+    # 0.1 / 1e-320 overflows to inf: no integer step count exists
+    ("1e-320", "is no finite number of steps"),
+    # 0.1 / 1e-300 is a finite count far past the bound
+    ("1e-300", "is 1e+299 steps, more than the 1000000 a run may take"),
+], ids=["overflow", "bound"])
+def test_every_subcommand_refuses_a_step_count_no_run_can_take(capsys, tmp_path,
+                                                               dt, reason):
+    # refused before any run starts (check first, so that a copy that
+    # admitted the count would stop before ``run``): one line on stderr,
+    # exit 2, nothing written
+    override = ["--override", f"schedule.dt={dt}"]
     root = tmp_path / "runs"
     for command in (["check"], ["describe"], ["run", "--out", str(root)]):
         assert main(command + ["zero", *override]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("configuration error: t_end = 0.1 ")
-        assert "dt = 1e-320" in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"configuration error: t_end = 0.1 over dt = {dt} {reason}\n"
     assert not root.exists()
 
 
@@ -485,6 +492,33 @@ def test_console_script_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "name: pure-gaussian" in proc.stdout
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a short coupled 2+2 run, whose heat flows and gradient energies are
+    # BLAS matrix products, in two processes: one BLAS thread, and BLAS's
+    # default pool (one thread per CPU); every output file keeps its bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(angiosolve.__file__)))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, base.get("PYTHONPATH"))))
+    outs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"threads-{len(threads)}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "angiosolve.cli", "run", "coupled-smoke-2d",
+             "--override", "schedule.t_end=0.01", "--override", "schedule.save_stride=1",
+             "--out", str(out)],
+            env={**base, **threads}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out / "coupled-smoke-2d")
+    one, pool = outs
+    names = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(pool) for p in pool.rglob("*") if p.is_file())
+    assert {"report.json", "moments.csv"} <= {str(n) for n in names}
+    assert sum(n.parts[0] == "snapshots" for n in names) == 12   # p and c, 6 nodes
+    for name in names:
+        assert (one / name).read_bytes() == (pool / name).read_bytes(), name
 
 
 def test_module_entry_smoke():

@@ -314,6 +314,27 @@ def test_apply_out_of_place_and_in_the_work_array_agree_bit_for_bit(lattice, see
             np.testing.assert_array_equal(plan.apply(work, tau, kind), out)
 
 
+@settings(max_examples=12, deadline=None)
+@given(lattice=st.sampled_from([(1, 1, 16), (1, 1, 256), (2, 2, 8), (2, 2, 16)]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       stack=st.sampled_from([None, 1, 3]))
+def test_forward_keeps_the_bits_of_rfftn(lattice, seed, stack):
+    # forward runs rfftn's passes itself: the same bits on every plan kind,
+    # for one field or a stack, into a new array or into ``out``
+    dim_x, dim_v, n = lattice
+    g = small_grid(n, dim_x, dim_v)
+    rng = np.random.default_rng(seed)
+    for subspace, kind in _PLAN_KINDS:
+        plan = HeatPlan(g, SIGMA, subspace)
+        lead = () if stack is None else (stack,)
+        vals = rng.random(lead + g.shape_of(kind))
+        ref = np.fft.rfftn(vals, axes=plan._axes)
+        np.testing.assert_array_equal(plan.forward(vals, kind), ref)
+        out = np.empty_like(ref)
+        assert plan.forward(vals, kind, out=out) is out
+        np.testing.assert_array_equal(out, ref)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        sigma=st.floats(min_value=1e-3, max_value=1.0),

@@ -637,11 +637,26 @@ def test_drivers_count_their_step_solves_exactly(zero_fix, pure_fix, coupled_fix
         diag = fix["diag"]
         return diag.phase_step_solves, diag.factored_step_solves, diag.x_step_solves
 
-    # a pure run marches its phase field on the factors of its product data
-    assert counts(pure_fix) == (1000, 1000, 2002)
+    # a pure run marches its phase field on the factors of its product data;
+    # at init = zero (pure-gaussian) a seeded window marches its marginal
+    # once, at init = heat (zero) twice
+    assert counts(pure_fix) == (1000, 1000, 1004)
+    assert picard.summarise_iterates(pure_fix["diag"].k_per_slab) == (
+        "500 window(s): 499x2, 1x4")
     assert counts(coupled_fix) == (1004, 0, 0)
     assert counts(smoke_fix) == (54, 0, 0)
     assert counts(zero_fix) == (50, 50, 100)
+
+
+def test_a_pure_run_at_init_heat_marches_each_marginal_twice():
+    # the init = heat path, which only zero ships, on pure-gaussian: the
+    # first marched iterate is iterate 1, so every window marches one more
+    _, _, diag = realise(load_shipped_scenario(
+        "pure-gaussian", overrides=("picard.init=heat",))).drive()
+    assert (diag.phase_step_solves, diag.factored_step_solves,
+            diag.x_step_solves) == (1000, 1000, 2002)
+    assert picard.summarise_iterates(diag.k_per_slab) == "500 window(s): 499x2, 1x3"
+    assert diag.converged and diag.deltas_strictly_decreasing()
 
 
 _BENCH_COUNTER = """

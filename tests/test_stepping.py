@@ -40,6 +40,17 @@ def test_schedule_validation():
             Schedule(t_end=t_end, dt=dt)
 
 
+def test_schedule_refuses_more_steps_than_a_run_may_take():
+    # at most 10^6 steps, the bound README states; a finite count above it
+    # is refused without building anything as long as the run
+    assert Schedule(t_end=1e6, dt=1.0).n_steps == 10 ** 6
+    assert Schedule(t_end=1.0, dt=1e-6).n_steps == 10 ** 6
+    for t_end, dt in ((1e6 + 1.0, 1.0), (0.1, 1e-300), (1e300, 1e-7)):
+        with pytest.raises(ConfigurationError,
+                           match=r"t_end = .* dt = .* more than the 1000000 a run"):
+            Schedule(t_end=t_end, dt=dt)
+
+
 def test_schedule_saved_nodes_include_final_partial_stride():
     s = Schedule(t_end=0.1, dt=1e-3, save_stride=30)
     assert s.saved_nodes() == (0, 30, 60, 90, 100)

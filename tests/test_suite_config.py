@@ -47,7 +47,7 @@ def test_every_mutant_names_text_that_occurs_once():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     names = [m.name for m in module.MUTANTS]
-    assert len(names) == len(set(names)) == 24
+    assert len(names) == len(set(names)) == 27
     for mutant in module.MUTANTS:
         with open(os.path.join(ROOT, mutant.path)) as fh:
             assert fh.read().count(mutant.original) == 1, mutant.name

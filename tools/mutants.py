@@ -89,6 +89,16 @@ MUTANTS = (
     Mutant("energy_tol_twenty_est", "src/angiosolve/harness.py",
            "tol = max(1e-10, 2.0 * est)", "tol = max(1e-10, 20.0 * est)",
            ("tests/test_scenarios.py",)),
+    Mutant("positivity_scale_ten_sup", "src/angiosolve/harness.py",
+           "self.scale = max(self.scale, stats.sup)",
+           "self.scale = max(self.scale, 10.0 * stats.sup)",
+           ("tests/test_scenarios.py",)),
+    Mutant("step_bound_ten_times", "src/angiosolve/stepping.py",
+           "MAX_STEPS = 10 ** 6", "MAX_STEPS = 10 ** 7",
+           ("tests/test_stepping.py",)),
+    Mutant("forward_passes_reversed", "src/angiosolve/heat.py",
+           "for ax in axes[-2::-1]:", "for ax in axes[:-1]:",
+           ("tests/test_heat.py",)),
     Mutant("drive_three_requests_ahead", "src/angiosolve/scenarios.py",
            "for _ in range(2)]", "for _ in range(3)]",
            ("tests/test_scenarios.py",)),
