@@ -196,13 +196,27 @@ def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0,
     ``CLAMP_REL * max(scale, max|values|)`` are set to zero in a new array
     (or in ``out``, which may be ``values`` itself); anything beyond raises
     :class:`SignError` naming the worst cell.  When no entry is on the wrong
-    side, ``values`` itself is returned.
+    side, ``values`` itself is returned.  A NaN, or an infinity when some
+    entry is on the wrong side, raises :class:`DataError` naming the cell:
+    a NaN fails no comparison, and an infinity would widen the tolerance
+    without bound.  Finiteness is tested only past the early return, from
+    the two extremes the clamp reads anyway, so data that need no clamp
+    keep their bits and their cost, an infinity on the right side included.
     """
     if sign > 0:
         worst = float(values.min())
         if worst >= 0.0:
             return values
-        limit = CLAMP_REL * max(scale, float(values.max()), -worst)
+        bottom, top = worst, float(values.max())
+    else:
+        worst = float(values.max())
+        if worst <= 0.0:
+            return values
+        bottom, top = float(values.min()), worst
+    if not (math.isfinite(bottom) and math.isfinite(top)):
+        _check_finite(values, what)
+    limit = CLAMP_REL * max(scale, top, -bottom)
+    if sign > 0:
         if worst < -limit:
             idx = tuple(int(i) for i in np.unravel_index(values.argmin(), values.shape))
             raise SignError(
@@ -210,10 +224,6 @@ def apply_sign(values: np.ndarray, sign: int, what: str, scale: float = 0.0,
                 f"is below the clamping tolerance {-limit:.3e}"
             )
         return np.maximum(values, 0.0, out=out)
-    worst = float(values.max())
-    if worst <= 0.0:
-        return values
-    limit = CLAMP_REL * max(scale, worst, -float(values.min()))
     if worst > limit:
         idx = tuple(int(i) for i in np.unravel_index(values.argmax(), values.shape))
         raise SignError(

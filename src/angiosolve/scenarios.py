@@ -669,8 +669,22 @@ def format_summary(scenario: Scenario, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a checked run drives ahead on a worker thread only when one phase field has
+# more than this many cells.  Below it the checks of a saved field are small
+# and Python-bound, and beside the drive they only contend for the GIL: a
+# 256^2 run made about 3,700 voluntary context switches and a third more user
+# CPU pipelined than serially, and took about 25% longer at stride 50 or 1.
+# At 16^4, the same size, neither side wins; at 512^2 and 32^4 the pipeline
+# does (about 40% on a 32^4 run at stride 1)
+_DRIVE_AHEAD_CELLS = 1 << 16
+
+
 def _drive_ahead(stream: DriveStream):
     """Iterate ``stream`` on a worker thread and yield its items here.
+
+    :func:`run_scenario` pipelines a run this way only above
+    ``_DRIVE_AHEAD_CELLS`` cells per phase field, where checking and writing
+    a field costs about as much as marching it.
 
     Two requests for the stream's next item are outstanding at any time,
     and each item handed out is the oldest one's result: the worker marches
@@ -682,8 +696,8 @@ def _drive_ahead(stream: DriveStream):
     joined before the stream is closed, so ``stream.diag`` is settled once
     it returns.
     """
-    # a checked run is the one user of the executor; ``import angiosolve``
-    # does not pay for it
+    # a checked run on a large lattice is the one user of the executor;
+    # ``import angiosolve`` and smaller runs do not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
     items = iter(stream)
@@ -722,15 +736,18 @@ def _clear_outputs(out_dir):
 def run_scenario(scenario: Scenario, out_dir=None) -> tuple:
     """Run a scenario end to end: drive, check, optionally write outputs.
 
-    The drive is streamed and pipelined: it runs on the one worker thread
-    of :func:`_drive_ahead`, and each saved field goes, as its window
-    converges, through ``moments_of``, the check folds and (with
-    ``out_dir``) the snapshot writer on the calling thread, in stream
-    order, and is then dropped, leaving its six-number ``moments.csv`` row.
-    The drive marches at most one field ahead of them (one finished, one
-    in the making) and is joined on every exit, so the run holds about a
-    window's fields, never the trajectory, and nothing it holds grows with
-    the run length but those rows and the folds' scalars.
+    The drive is streamed: each saved field goes, as its window converges,
+    through ``moments_of``, the check folds and (with ``out_dir``) the
+    snapshot writer on the calling thread, in stream order, and is then
+    dropped, leaving its six-number ``moments.csv`` row.  Where one phase
+    field has more than ``_DRIVE_AHEAD_CELLS`` cells the drive is also
+    pipelined: it runs on the one worker thread of :func:`_drive_ahead`,
+    at most one field ahead of the checks (one finished, one in the
+    making), and is joined on every exit.  On smaller lattices the calling
+    thread runs the drive itself between fields, and no thread is started.
+    Either way the run holds about a window's fields, never the trajectory,
+    and nothing it holds grows with the run length but those rows and the
+    folds' scalars.
     ``moments.csv``, ``report.json`` and ``summary.txt`` are written after
     the last field, so a run that raises leaves none of them.  Before its
     first write, a run removes what an earlier run left in ``out_dir``
@@ -761,7 +778,8 @@ def run_scenario(scenario: Scenario, out_dir=None) -> tuple:
     stream = made.stream()
     # one moment set per saved field serves the checks and its table row
     rows = []
-    with closing(_drive_ahead(stream)) as fields:
+    ahead = math.prod(scenario.grid.phase_shape) > _DRIVE_AHEAD_CELLS
+    with closing(_drive_ahead(stream) if ahead else iter(stream)) as fields:
         for i, (t, p_field, c_field, a) in enumerate(fields):
             ms = moments_of(p_field)
             folds.add(t, p_field, c_field, ms)

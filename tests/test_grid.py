@@ -9,7 +9,7 @@ from scipy.special import erf
 from angiosolve import (DataError, GridSpec, ParameterError, PhaseField, ShapeError,
                         SignError, SpatialField, integrate_phase, lq_norm,
                         speed_grid, speed_squared_grid)
-from angiosolve.grid import FACTOR_REL, Product, factor_xv
+from angiosolve.grid import FACTOR_REL, Product, apply_sign, factor_xv
 from angiosolve.scenarios import build_initial_p
 
 from conftest import gaussian_phase, small_grid
@@ -61,6 +61,23 @@ def test_nonnegative_clamp_and_sign_error(grid64):
     with pytest.raises(SignError) as err:
         PhaseField(grid64, vals, nonnegative=True)
     assert "(3, 5)" in str(err.value)
+
+
+@pytest.mark.parametrize("sign, bad", [(+1, np.nan), (-1, np.nan),
+                                       (+1, -np.inf), (-1, np.inf)])
+def test_sign_rule_reports_non_finite_entries(sign, bad):
+    # a NaN slips past every comparison and an infinity on the wrong side
+    # widens the clamping tolerance to infinity: neither may be repaired
+    vals = sign * np.array([1.0, 2.0, 0.0, 0.5])
+    vals[2] = bad
+    with pytest.raises(DataError, match=r"marched density has non-finite "
+                                        r"entry .* at cell \(2,\)"):
+        apply_sign(vals, sign, "marched density")
+    # finite data on either side of the rule keep their bits
+    vals[2] = -sign * 1e-13
+    assert apply_sign(vals, sign, "marched density")[2] == 0.0
+    vals[2] = sign * 3.0
+    assert apply_sign(vals, sign, "marched density") is vals
 
 
 def test_integrate_phase_zero_and_constant(grid64):

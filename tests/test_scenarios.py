@@ -345,7 +345,22 @@ def test_streamed_run_holds_a_fixed_number_of_fields(tmp_path, stride):
         assert peak <= 14 * field_bytes, (steps, peak / field_bytes)
 
 
-def test_run_that_raises_mid_stream_writes_no_report(tmp_path, monkeypatch):
+# short coupled runs, every node saved, one on each side of the drive-ahead
+# rule: a 256^2 run drives on the calling thread, a 32^4 run on a worker
+_SHORT_RUNS = {
+    "coupled-ramp": ("schedule.t_end=0.02", "schedule.save_stride=1"),
+    "coupled-smoke-2d": ("schedule.t_end=0.01", "schedule.save_stride=1"),
+}
+
+
+def _short_run(name):
+    return load_shipped_scenario(name, overrides=_SHORT_RUNS[name])
+
+
+@pytest.mark.parametrize("name, call, cell", [
+    ("coupled-ramp", 12, (17, 40)), ("coupled-smoke-2d", 6, (14, 17, 21, 16))])
+def test_run_that_raises_mid_stream_writes_no_report(tmp_path, monkeypatch, name,
+                                                     call, cell):
     # the snapshots of the windows done so far are on disk, but the tables
     # and the verdicts are written only once the stream has ended
     clean, calls = HeatPlan.apply, []
@@ -354,24 +369,24 @@ def test_run_that_raises_mid_stream_writes_no_report(tmp_path, monkeypatch):
         out = clean(self, values, tau, kind)
         if kind == "phase":
             calls.append(tau)
-            if len(calls) == 12:
+            if len(calls) == call:
                 out = out.copy()
-                out[17, 40] = -1e-3 * float(out.max())
+                out[cell] = -1e-3 * float(out.max())
         return out
 
     monkeypatch.setattr(HeatPlan, "apply", faulty)
-    sc = load_shipped_scenario("coupled-ramp", overrides=(
-        "schedule.t_end=0.02", "schedule.save_stride=1"))
+    sc = _short_run(name)
     out = tmp_path / "run"
     with pytest.raises(SignError, match="marched density"):
         run_scenario(sc, out_dir=str(out))
     assert len(os.listdir(out / "snapshots")) >= 2
-    for name in ("report.json", "summary.txt", "moments.csv"):
-        assert not (out / name).exists(), name
+    for table in ("report.json", "summary.txt", "moments.csv"):
+        assert not (out / table).exists(), table
 
 
-def test_run_whose_writer_raises_stops_the_drive(tmp_path, monkeypatch):
-    # an error of the caller's side surfaces as itself; the drive thread,
+@pytest.mark.parametrize("name", _SHORT_RUNS)
+def test_run_whose_writer_raises_stops_the_drive(tmp_path, monkeypatch, name):
+    # an error of the caller's side surfaces as itself; a drive thread,
     # which may be a window ahead, is stopped and joined, and no table or
     # verdict is written
     clean, calls, fault = snapshots.save_field, [], OSError("disk full")
@@ -383,8 +398,7 @@ def test_run_whose_writer_raises_stops_the_drive(tmp_path, monkeypatch):
         clean(field, path)
 
     monkeypatch.setattr(scenarios, "save_field", faulty)
-    sc = load_shipped_scenario("coupled-ramp", overrides=(
-        "schedule.t_end=0.02", "schedule.save_stride=1"))
+    sc = _short_run(name)
     out = tmp_path / "run"
     threads = threading.active_count()
     with pytest.raises(OSError) as raised:
@@ -392,13 +406,29 @@ def test_run_whose_writer_raises_stops_the_drive(tmp_path, monkeypatch):
     assert raised.value is fault
     assert threading.active_count() == threads
     assert sorted(os.listdir(out / "snapshots")) == ["c_0000.akf", "p_0000.akf"]
-    for name in ("report.json", "summary.txt", "moments.csv"):
-        assert not (out / name).exists(), name
+    for table in ("report.json", "summary.txt", "moments.csv"):
+        assert not (out / table).exists(), table
+
+
+@pytest.mark.parametrize("name, drive_threads", [
+    ("coupled-ramp", []), ("coupled-smoke-2d", ["angiosolve-drive_0"])])
+def test_only_a_large_lattice_drives_ahead(monkeypatch, name, drive_threads):
+    # a 256^2 field (2^16 cells) is checked in less time than a worker
+    # thread takes to hand it over; a 32^4 field is not
+    clean, started = threading.Thread.start, []
+
+    def spy(self):
+        started.append(self.name)
+        clean(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    code, _ = run_scenario(_short_run(name))
+    assert code == 0
+    assert started == drive_threads
 
 
 def test_drive_left_early_is_stopped_and_joined():
-    made = realise(load_shipped_scenario("coupled-ramp", overrides=(
-        "schedule.t_end=0.02", "schedule.save_stride=1")))
+    made = realise(_short_run("coupled-ramp"))
     threads = threading.active_count()
     stream = made.stream()
     fields = scenarios._drive_ahead(stream)
@@ -475,8 +505,9 @@ def test_drive_runs_at_most_two_items_ahead_and_stops_when_closed():
 
 def test_checked_run_never_imports_scipy():
     # scipy serves the referees only; importing it would cost a checked run
-    # about half a second and 50 MB.  Nor does the import load the drive
-    # thread's executor, which only a checked run needs
+    # about half a second and 50 MB.  Nor does the import, or a checked run
+    # of a 256^2 lattice, load the drive thread's executor, which only a run
+    # on a larger lattice needs
     script = (
         "import sys\n"
         "import angiosolve\n"
@@ -484,6 +515,7 @@ def test_checked_run_never_imports_scipy():
         "sc = angiosolve.load_shipped_scenario('coupled-ramp', "
         "overrides=('schedule.t_end=0.01',))\n"
         "assert angiosolve.run_scenario(sc)[0] == 0\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ)
@@ -496,21 +528,25 @@ def test_checked_run_never_imports_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.fixture(scope="module")
-def short_coupled():
-    """coupled-ramp cut to 20 steps, every node saved: (scenario, made, p, c)."""
-    sc = load_shipped_scenario("coupled-ramp", overrides=(
-        "schedule.t_end=0.02", "schedule.save_stride=1"))
+def _collected(name):
+    sc = _short_run(name)
     made = realise(sc)
     p_traj, c_traj, diag = made.drive()
     assert diag.converged
     return sc, made, p_traj, c_traj
 
 
-def test_pipelined_run_writes_what_a_collected_run_gives(short_coupled, tmp_path):
-    # the drive runs on its own thread, but the checks and the snapshots
-    # see the fields of a collected drive, in order, bit for bit
-    sc, made, p_traj, c_traj = short_coupled
+@pytest.fixture(scope="module")
+def short_coupled():
+    """coupled-ramp cut to 20 steps, every node saved: (scenario, made, p, c)."""
+    return _collected("coupled-ramp")
+
+
+@pytest.mark.parametrize("name", _SHORT_RUNS)
+def test_streamed_run_writes_what_a_collected_run_gives(tmp_path, name):
+    # on the calling thread or pipelined, the checks and the snapshots see
+    # the fields of a collected drive, in order, bit for bit
+    sc, made, p_traj, c_traj = _collected(name)
     code, _ = run_scenario(sc, out_dir=str(tmp_path / "run"))
     assert code == 0
     ref = tmp_path / "ref"
@@ -520,7 +556,7 @@ def test_pipelined_run_writes_what_a_collected_run_gives(short_coupled, tmp_path
     assert (tmp_path / "run" / "report.json").read_bytes() \
         == (ref / "report.json").read_bytes()
     snaps = tmp_path / "run" / "snapshots"
-    assert len(os.listdir(snaps)) == 2 * len(p_traj) == 42
+    assert len(os.listdir(snaps)) == 2 * len(p_traj) == 2 * (sc.schedule.n_steps + 1)
     for i, (p_field, c_field) in enumerate(zip(p_traj.fields, c_traj.fields)):
         for tag, field in (("p", p_field), ("c", c_field)):
             snapshots.save_field(field, str(ref / f"{tag}.akf"))

@@ -102,6 +102,12 @@ MUTANTS = (
     Mutant("drive_three_requests_ahead", "src/angiosolve/scenarios.py",
            "for _ in range(2)]", "for _ in range(3)]",
            ("tests/test_scenarios.py",)),
+    Mutant("drive_ahead_on_every_lattice", "src/angiosolve/scenarios.py",
+           "_DRIVE_AHEAD_CELLS = 1 << 16", "_DRIVE_AHEAD_CELLS = 0",
+           ("tests/test_scenarios.py",)),
+    Mutant("sign_rule_passes_non_finite", "src/angiosolve/grid.py",
+           "if not (math.isfinite(bottom) and math.isfinite(top)):", "if False:",
+           ("tests/test_grid.py",)),
     # one per call of the sign rule: the call replaced by its input
     Mutant("no_sign_rule_field_data", "src/angiosolve/grid.py",
            "apply_sign(values, sign, what)", "values",
