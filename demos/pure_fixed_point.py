@@ -4,9 +4,9 @@ The density obeys  dp/dt = sigma Lap p - gamma * A(t,x) * p  where
 A(t,x) = int_0^t ptilde(s,x) ds  is built from the solution's own past.
 The driver freezes A from the previous iterate, solves the resulting
 linear problem, and repeats, window by window; A does not depend on v,
-so the iterates are marginals, marched on the position lattice, and each
-window marches the density once at the end.  This script prints the
-contraction at work.
+so a product density stays one, and each iterate marches the density's
+factors once, recording the marginal that fixes the next iterate's A.
+This script prints the contraction at work.
 Run as ``python3 demos/pure_fixed_point.py``.
 """
 
@@ -47,8 +47,8 @@ def main():
     seeded = [deltas[-1] for deltas in diag.deltas_p[1:]]
     print(f"seeded windows: largest final deviation {max(seeded):.3e}")
     print(f"converged: {diag.converged} after {diag.iterations} iterates "
-          f"({diag.x_step_solves} position-lattice and "
-          f"{diag.phase_step_solves} phase-lattice steps)\n")
+          f"({diag.phase_step_solves} steps of the density, "
+          f"{diag.factored_step_solves} of them on its factors)\n")
 
     print("the converged run, with its memory coefficient:")
     for t, f, a in zip(traj.times, traj.fields, traj.aux["a"]):

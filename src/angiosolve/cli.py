@@ -65,8 +65,11 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     # a fork-started pool starts every worker at once: never more than
-    # there are scenarios to run or CPUs to run them on
-    workers = min(args.jobs, len(args.configs), os.cpu_count() or 1)
+    # there are scenarios to run or CPUs this process may run them on (its
+    # affinity set, which taskset narrows, where the platform has one)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, len(args.configs), cpus)
     scenarios = [_resolve(cfg, tuple(args.override)) for cfg in args.configs]
     names = [scenario.name for scenario in scenarios]
     clashes = sorted({name for name in names if names.count(name) > 1})

@@ -360,9 +360,16 @@ class Product:
             object.__setattr__(self, name, vals)
         object.__setattr__(self, "time_tag", float(self.time_tag))
 
+    def at(self, time_tag) -> "Product":
+        """This density tagged ``time_tag``, sharing the factors: they were
+        checked once and are read-only, so nothing is scanned again."""
+        out = object.__new__(Product)
+        out.__dict__.update(vars(self), time_tag=float(time_tag))
+        return out
+
     def marginal(self) -> np.ndarray:
         """The velocity marginal g * (sum of h) * v cell volume, a raw array."""
-        return self.g * (float(self.h.sum()) * self.grid.v_cell_volume)
+        return product_marginal(self.grid, self.g, self.h)
 
     def field(self) -> PhaseField:
         """The density itself: the outer product of the factors as a
@@ -370,6 +377,12 @@ class Product:
         vals = np.multiply.outer(self.g, self.h)
         vals.setflags(write=False)  # so the field keeps it uncopied
         return PhaseField(self.grid, vals, time_tag=self.time_tag, nonnegative=True)
+
+
+def product_marginal(grid, g, h) -> np.ndarray:
+    """The velocity marginal of the product density g (x) h on ``grid``:
+    g * (sum of h) * v cell volume, for raw factor arrays."""
+    return g * (float(h.sum()) * grid.v_cell_volume)
 
 
 def factor_xv(field):

@@ -15,25 +15,24 @@ until successive marginals agree in relative sup norm at every saved time
 (on coupled runs the concentrations must agree as well); ``init`` only
 chooses where the loop starts.
 
-The uncoupled problem (:func:`picard_pure`) is that loop without the
-attractant, and its state is the marginal alone: the coefficient gamma A(x)
-does not depend on v, the phase heat multiplier factors into an x and a v
-part, and the v flow keeps the v-sum exactly, so the v-sum of one Strang
-step is the same step on p~ with a position-lattice plan.  Its iterates are
-therefore marched on the n_x cells of the position lattice, and each window
-marches the phase field once, with the coefficient of its last iterate,
-through :func:`solve_linear`.  A product p0 is factored once, and each
-window then starts from the :class:`~angiosolve.grid.Product` of factors
-the last one handed back and marches them, on the x- and the v-lattice,
-building the phase field only at the schedule's saved times; every shipped
-density is a product.
-:func:`picard_coupled` switches the attractant on; its coefficient depends
-on v and it records node moments, so every coupled iterate marches the
-phase field with :func:`solve_linear` on the phase lattice, also at
-``alpha1 = 0``, and then the concentration.  Every one of these
-marches, phase, marginal and concentration, is one call of the package's
-one march :func:`~angiosolve.stepping._march` in its own plan's work
-array; this module defines no step of its own.
+Every iterate either driver marches is one :func:`solve_linear` march of
+the density, which records the node series the next coefficient and the
+stopping rule read; the last iterate's march supplies the window's saved
+fields and its end state.  The uncoupled problem (:func:`picard_pure`) is
+that loop without the attractant, recording the marginal alone: its
+coefficient gamma A(x) does not depend on v, so a product p0 = g (x) h
+stays a product.  It is factored once, and every iterate marches the
+:class:`~angiosolve.grid.Product` of factors the last window handed back,
+on the x- and the v-lattice, recording the marginal g * (sum of h) * v cell
+volume at each node and building the phase field only at the schedule's
+saved times; every shipped density is a product, and any other p0 takes
+the phase march on every iterate.  :func:`picard_coupled` switches the
+attractant on; its coefficient depends on v and it records the speed
+moment too, so every coupled iterate marches the phase field on the phase
+lattice, also at ``alpha1 = 0``, and then the concentration.  Every one of
+these marches, phase, factored and concentration, is one call of the
+package's one march :func:`~angiosolve.stepping._march` in its own plan's
+work array; this module defines no step of its own.
 
 The iteration only contracts on windows with T * sqrt(M) < 1 (M an a-priori
 bound on the accumulated damping), so the proof iterates on slabs of length
@@ -74,8 +73,7 @@ from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import PhaseField, Product, SpatialField, apply_sign, factor_xv
 from .heat import HeatPlan, gaussian_rho
 from .moments import _reduce_raw, accumulate_time_integral
-from .stepping import (CoefficientTrack, Schedule, Trajectory, _halves, _march,
-                       solve_linear)
+from .stepping import CoefficientTrack, Schedule, Trajectory, _march, solve_linear
 
 
 @dataclass(frozen=True)
@@ -129,11 +127,10 @@ class IterationDiagnostics:
     ``deltas_c`` likewise for the coupled driver's concentrations (empty
     for the pure one).  ``driving_deltas`` is the sequence the stopping rule
     actually used (max of the two).  ``phase_step_solves`` counts the Strang
-    steps of the phase field's marches (:func:`solve_linear`'s steps), and
-    ``factored_step_solves`` those of them that :func:`solve_linear` marched
-    on a product density's factors; ``x_step_solves`` counts the steps
-    marched on the position lattice (the pure driver's marginal iterates).
-    All are exact and deterministic.
+    steps of the density's marches, one :func:`solve_linear` call per
+    marched iterate on either driver, and ``factored_step_solves`` those of
+    them that :func:`solve_linear` marched on a product density's factors
+    (the pure driver's on product data).  Both are exact and deterministic.
     """
 
     deltas_p: list = field(default_factory=list)
@@ -145,7 +142,6 @@ class IterationDiagnostics:
     k_per_slab: list = field(default_factory=list)
     phase_step_solves: int = 0
     factored_step_solves: int = 0
-    x_step_solves: int = 0
 
     def deltas_strictly_decreasing(self) -> bool:
         """True when every window's driving deltas fall strictly.
@@ -234,16 +230,16 @@ def production_growth(rate: float, t_end: float) -> float:
 
 def _relative_delta(fields_a, fields_b) -> float:
     """max_t sup|a - b| over the shared saved times, relative to the larger
-    of the two trajectories' sup norms (0/0 -> 0)."""
-    scale = 0.0
-    for fa, fb in zip(fields_a, fields_b):
-        scale = max(scale, float(np.abs(fa).max()), float(np.abs(fb).max()))
+    of the two trajectories' sup norms (0/0 -> 0).  Each side is a stack
+    with the time as leading axis, or a sequence of arrays (stacked here);
+    each stack is read in one pass, and so is their difference."""
+    n = min(len(fields_a), len(fields_b))
+    a, b = np.asarray(fields_a[:n]), np.asarray(fields_b[:n])
+    scale = max(float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
     if scale == 0.0:
         return 0.0
-    worst = 0.0
-    for fa, fb in zip(fields_a, fields_b):
-        worst = max(worst, float(np.abs(fa - fb).max()))
-    return worst / scale
+    diff = np.subtract(a, b)
+    return float(np.abs(diff, out=diff).max()) / scale
 
 
 def _c_inf_nodes(c_start_vals, plan_x, n_local, dt):
@@ -291,21 +287,6 @@ def _advance_c_nodes(chat_start, c_inf_win, j_loc, eta, dt, plan_x):
     return c_nodes, chat
 
 
-def _march_marginal(pt0, track, plan_x):
-    """The velocity marginal of :func:`solve_linear`'s march, on the x-lattice.
-
-    ``track`` holds a position-lattice coefficient and no source, and
-    ``plan_x`` is the subspace-"x" plan with the phase diffusivity.  Each
-    step is the phase step's v-sum: the same
-    :func:`~angiosolve.stepping._march`, in ``plan_x``'s work array and
-    floored there like the phase march.  Returns the stacked marginal at
-    every node.
-    """
-    march = _march(pt0, _halves(track, track.grid.spatial_shape), plan_x,
-                   track.schedule.dt, "marched marginal at step")
-    return np.stack([pt0, *map(np.copy, march)])
-
-
 def _seed(history, n_local):
     """Quadratic continuation of the last three converged nodes.
 
@@ -347,14 +328,15 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     chooses where: ``"zero"`` counts S as iterate 1 (c marched from its
     speed moment) and starts at k = 2; ``"heat"`` starts at k = 1 with no
     previous c, so that pass has no production term, is strict and takes no
-    delta.  Without ``c0`` the state is the marginal, marched on the
-    x-lattice, and the phase field is marched once per window with the
-    last iterate's coefficient, on a product p0's factors from window to
-    window.  Passing ``c0`` couples the attractant in: the state is the
-    phase field, the coefficient gains -alpha(c_{k-1}) rho(v), c_k is
-    marched with the current speed moment j_k, and the c change joins the
-    stopping rule.  Every phase march starts nonnegative and sourceless, so
-    :func:`solve_linear` floors each step.
+    delta.  Every marched iterate is one :func:`solve_linear` march of the
+    density from the window start, and the last one supplies the window's fields
+    and end.  Without ``c0`` it records the marginal, and a product p0 is
+    marched on its factors from window to window.  Passing ``c0`` couples
+    the attractant in: the march records the speed moment too, the
+    coefficient gains -alpha(c_{k-1}) rho(v), c_k is marched with the
+    current speed moment j_k, and the c change joins the stopping rule.
+    Every march starts nonnegative and sourceless, so :func:`solve_linear`
+    floors each step.
 
     A generator of ``(t, p_field, c_field or None, a)``, ``a`` the running
     integral of the converged marginal at ``t``: first node 0, the data
@@ -374,7 +356,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
     gamma, eta, dt = params.gamma, params.eta, schedule.dt
     n_steps = schedule.n_steps
     plan = HeatPlan(grid, params.sigma, "xv")
-    rho_v, record, alpha_rate = None, None, 0.0
+    rho_v, record, alpha_rate = None, "p_tilde", 0.0
     origin = p0.time_tag
     p_start = p0
     if coupled:
@@ -388,8 +370,7 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         chat_start = np.zeros(grid.spatial_shape)
         cinf_start = c0.values
     else:
-        plan_pt = plan.partial("x")
-        # factored once: a product p0 restarts every window from its factors
+        # factored once: a product p0 marches every iterate on its factors
         factors = factor_xv(p0)
         if factors is not None:
             p_start = Product(grid, *factors, time_tag=origin)
@@ -421,9 +402,6 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         compared = sorted({0, n_local, *saved})
         if coupled:
             c_inf_win = _c_inf_nodes(cinf_start, plan_x, n_local, dt)
-        else:
-            pt_start = (p_start.marginal() if isinstance(p_start, Product)
-                        else _reduce_raw(p_start.values, grid))
 
         # the seed S: zero until three converged nodes exist
         if len(hist_pt) == 3:
@@ -453,15 +431,14 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
                                      sep_x=sep_x, sep_v=None if sep_x is None else rho_v,
                                      strict=sep_x is None)
             traj_k = None  # the previous iterate's fields are not needed again
+            diag.phase_step_solves += n_local
+            if isinstance(p_start, Product):
+                diag.factored_step_solves += n_local
+            traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
+                                  record=record, saved_nodes=saved)
+            pt_k, j_k = traj_k.p_tilde_nodes, traj_k.j_nodes
             if coupled:
-                diag.phase_step_solves += n_local
-                traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                      record=record, saved_nodes=saved)
-                pt_k, j_k = traj_k.p_tilde_nodes, traj_k.j_nodes
                 c_cur, chat_cur = _advance_c_nodes(chat_start, c_inf_win, j_k, eta, dt, plan_x)
-            else:
-                diag.x_step_solves += n_local
-                pt_k = _march_marginal(pt_start, track, plan_pt)
             diag.iterations += 1
             if k > 1:
                 delta = _relative_delta(pt_k[compared], prev_pt[compared])
@@ -483,21 +460,14 @@ def _drive(p0, c0, params, schedule, k_max, tol, init):
         diag.k_per_slab.append(k if converged_win else k_max)
         if not converged_win:
             diag.converged = False
-        if not coupled:
-            # the marginal fixed the coefficient; march the density once
-            diag.phase_step_solves += n_local
-            traj_k = solve_linear(p_start, track, params.sigma, plan=plan,
-                                  saved_nodes=saved)
-        # tag the next start with its own node time from the run's origin,
+        # the last iterate's march supplies the window's fields and end.
+        # Tag the next start with its own node time from the run's origin,
         # so each window's tags are one rounding from origin + node * dt and
         # no error builds up; the old start and the track's phase-size
         # buffer are not held while the consumer reads this window's fields
         end, t_next = traj_k.aux["end"], origin + i1 * dt
-        if isinstance(end, Product):
-            diag.factored_step_solves += n_local
-            p_start = Product(grid, end.g, end.h, time_tag=t_next)
-        else:
-            p_start = end.like(end.values, t_next)
+        p_start = (end.at(t_next) if isinstance(end, Product)
+                   else end.like(end.values, t_next))
         track = end = None
 
         a_win = accumulate_time_integral(pt_k, dt)
@@ -564,11 +534,11 @@ def picard_pure(p0: PhaseField, params: ModelParams, schedule: Schedule,
     Iterates  p_k = solve of  dp/dt = sigma Lap p - gamma A_{k-1} p  with
     A_{k-1}(t) the running integral of the previous iterate's marginal
     (continued across windows by the carried offset), window by window.
-    The coefficient does not depend on v, so only the marginal is iterated,
-    on the x-lattice: p~_k solves  dp~/dt = sigma Lap_x p~ - gamma A_{k-1} p~
-    with the same Strang step, and the stopping rule compares successive
-    marginals at the saved times.  Each window then marches the phase field
-    once, with the coefficient of its last iterate.
+    Each iterate is one march of the density that records its marginal at
+    every node, on a product p0's factors (the coefficient does not depend
+    on v, so a product stays one), and the stopping rule compares
+    successive marginals at the saved times.  The last iterate's march
+    supplies the window's saved fields.
 
     Each window's loop starts from its seed S: zero in the first window,
     and once three converged nodes exist, their quadratic continuation over

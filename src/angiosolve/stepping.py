@@ -31,9 +31,9 @@ or not it is a product; splitting it is the caller's choice
 (:func:`~angiosolve.grid.factor_xv`).
 
 :func:`_march` is the package's only march: the phase and factored marches
-of :func:`solve_linear` and the position-lattice marches of
-:mod:`angiosolve.picard` (the velocity marginal and the concentration) are
-each one call of it, in its own plan's work array.
+of :func:`solve_linear` and the concentration march of
+:mod:`angiosolve.picard` are each one call of it, in its own plan's work
+array.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ShapeError
 from .grid import (GridSpec, PhaseField, Product, SpatialField, apply_sign,
-                   speed_grid)
+                   product_marginal, speed_grid)
 from .heat import HeatPlan
 from .moments import _reduce_raw
 
@@ -372,8 +372,8 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     names the factor, the step and the factor's cell).  Saved fields are
     their outer products and agree with the phase march to round-off.  A
     product p0 needs a track with no v-dependent term (``track.x_only``)
-    and nothing recorded, and is refused otherwise.  A phase-field p0 takes
-    the phase march, also when it is a product.
+    and records no speed moment, and is refused otherwise.  A phase-field
+    p0 takes the phase march, also when it is a product.
 
     Parameters
     ----------
@@ -385,10 +385,13 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         is passed and equal.
     sigma : float
         Phase-space diffusivity.
-    record : {None, "j"}
-        What to record at every node besides the saved fields (the coupled
-        fixed-point driver reads these): nothing, or the velocity marginal
-        and the speed moment (weight |v| of the cell centres).
+    record : {None, "p_tilde", "j"}
+        What to record at every node besides the saved fields (the
+        fixed-point drivers read these): nothing, the velocity marginal (the
+        pure driver; a product's is g * (sum of h) * v cell volume, as
+        :meth:`~angiosolve.grid.Product.marginal` computes it), or the
+        marginal and the speed moment (weight |v| of the cell centres; the
+        coupled driver).
     saved_nodes : sequence of int, optional
         Override of the schedule's saved nodes, each in range and possibly
         none (without node 0 the trajectory holds no field for ``p0``); the
@@ -426,20 +429,25 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
         if any(not 0 <= i <= n_steps for i in saved):
             raise ConfigurationError(f"saved_nodes must stay in [0, {n_steps}]")
 
-    if record not in (None, "j"):
-        raise ParameterError(f"record must be None or 'j', got {record!r}")
-    if product and (record is not None or not track.x_only):
-        raise ConfigurationError(
-            "a product start needs a track with no v-dependent term and no record"
-        )
+    if record not in (None, "p_tilde", "j"):
+        raise ParameterError(f"record must be None, 'p_tilde' or 'j', got {record!r}")
+    if product and (record == "j" or not track.x_only):
+        raise ConfigurationError("a product start needs a track with no "
+                                 "v-dependent term and records no speed moment")
+    p_tilde_rec = j_rec = None
     if record is not None:
         p_tilde_rec = np.empty((n_steps + 1,) + grid.spatial_shape)
+    if record == "j":
         j_rec = np.empty_like(p_tilde_rec)
         speed = speed_grid(grid)
 
-    def _record(i, vals):
-        p_tilde_rec[i] = _reduce_raw(vals, grid)
-        j_rec[i] = _reduce_raw(vals, grid, speed)
+    def _record(i, state):
+        if product:
+            p_tilde_rec[i] = product_marginal(grid, *state)
+            return
+        p_tilde_rec[i] = _reduce_raw(state, grid)
+        if j_rec is not None:
+            j_rec[i] = _reduce_raw(state, grid, speed)
 
     t0 = p0.time_tag
     fields, times = [], []
@@ -448,7 +456,7 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
                       else PhaseField(grid, p0.values, time_tag=t0, nonnegative=clamp))
         times.append(t0)
     if record is not None:
-        _record(0, p0.values)
+        _record(0, (p0.g, p0.h) if product else p0.values)
 
     if product:
         # x first: the x flow of step i, then its v flow
@@ -474,5 +482,4 @@ def solve_linear(p0, track, sigma, schedule=None, plan=None, record=None,
     else:  # the final node's field, built once
         end = fields[-1] if n_steps in saved else PhaseField(
             grid, state, time_tag=t0 + n_steps * dt, nonnegative=clamp)
-    nodes = (None, None) if record is None else (p_tilde_rec, j_rec)
-    return Trajectory(times, fields, *nodes, aux={"end": end})
+    return Trajectory(times, fields, p_tilde_rec, j_rec, aux={"end": end})

@@ -204,7 +204,9 @@ def test_a_rerun_stopped_on_a_violated_invariant_leaves_no_earlier_tables(
     def faulty(self, values, tau, kind):
         out = clean(self, values, tau, kind)
         calls.append(tau)
-        if len(calls) == 40:
+        # the 41st flow is the x flow of the fourth window's first step,
+        # after three windows' fields were written
+        if len(calls) == 41:
             out = out.copy()
             out[17] = -1e-3 * float(out.max())
         return out
@@ -213,7 +215,7 @@ def test_a_rerun_stopped_on_a_violated_invariant_leaves_no_earlier_tables(
     assert main(["run", *configs, "--out", str(root), "--override",
                  "schedule.save_stride=1", *jobs]) == 5
     assert "must be >= 0" in capsys.readouterr().err
-    # serially the 40th flow falls in a's run; each pool worker counts its
+    # serially the 41st flow falls in a's run; each pool worker counts its
     # own flows, so there both runs stop
     for name in ("a", "b") if jobs else ("a",):
         files = _outputs(root / name)
@@ -369,17 +371,37 @@ class _RecordingPool:
         return fut
 
 
+def _cpus(monkeypatch, machine, usable):
+    # the machine's CPU count and the affinity set of this process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: machine)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                        raising=False)
+
+
 def test_run_jobs_capped_by_scenarios_and_cpus(capsys, monkeypatch, tiny_cfg):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    _cpus(monkeypatch, 4, 3)
     assert main(["run", "zero", tiny_cfg, "--jobs", "8"]) == 0  # 2 scenarios
     assert main(["run", "zero", tiny_cfg, "zero", tiny_cfg, "--jobs", "8"]) == 0
     assert _RecordingPool.sizes == [2, 3]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    _cpus(monkeypatch, 4, 1)
     assert main(["run", "zero", tiny_cfg, "--jobs", "2"]) == 0  # runs inline
     assert _RecordingPool.sizes == [2, 3]
     assert capsys.readouterr().out.count("exit code: 0") == 8
+
+
+def test_run_jobs_capped_by_the_cpus_this_process_may_use(capsys, monkeypatch,
+                                                          tiny_cfg):
+    # under taskset -c 0 the machine still counts two CPUs, but this process
+    # may use one: two jobs run inline, not in a pool of two on one CPU
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["run", "zero", tiny_cfg, "--jobs", "2"]) == 0
+    assert _RecordingPool.sizes == []
+    assert capsys.readouterr().out.count("exit code: 0") == 2
 
 
 def test_run_rejects_jobs_below_one(capsys):
@@ -422,8 +444,10 @@ def test_run_stopped_on_a_violated_invariant_exits_5(capsys, monkeypatch):
 
     monkeypatch.setattr(HeatPlan, "apply", faulty)
     assert main(["run", "pure-gaussian", "--override", "schedule.t_end=0.02"]) == 5
-    assert ("error: pure-gaussian: marched marginal at step 1 must be >= 0"
-            in capsys.readouterr().err)
+    # the third flow is the x flow of the first iterate's step 2 (each step
+    # flows the x factor, then the v factor)
+    assert ("error: pure-gaussian: x factor of the marched density at step 2 "
+            "must be >= 0" in capsys.readouterr().err)
 
 
 def test_run_tol_override_reaches_the_iteration(capsys, tiny_cfg):

@@ -229,6 +229,32 @@ def test_product_validates_its_factors_and_builds_the_outer_product():
         Product(g, prod.g, bad)
 
 
+def test_a_retagged_product_shares_its_read_only_factors(monkeypatch):
+    # Product.at restarts a window from checked factors without scanning
+    # them again: the arrays are the same objects, still read-only, and
+    # only the tag differs
+    from angiosolve import grid as grid_module
+    g = small_grid(16)
+    prod = Product(g, np.linspace(0.0, 1.0, 16), np.full(16, 0.25), time_tag=2)
+    scans = []
+    monkeypatch.setattr(grid_module, "apply_sign",
+                        lambda *args, **kwargs: scans.append(args))
+    monkeypatch.setattr(grid_module, "_check_finite",
+                        lambda *args, **kwargs: scans.append(args))
+    later = prod.at(np.float64(3.5))
+    monkeypatch.undo()
+    assert scans == []
+    assert type(later) is Product and later.grid is g
+    assert later.time_tag == 3.5 and type(later.time_tag) is float
+    assert prod.time_tag == 2.0
+    assert later.g is prod.g and later.h is prod.h
+    assert not later.g.flags.writeable and not later.h.flags.writeable
+    with pytest.raises(ValueError):
+        later.g[0] = 1.0
+    np.testing.assert_array_equal(later.field().values, prod.field().values)
+    assert later.marginal().tobytes() == prod.marginal().tobytes()
+
+
 @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
 def test_factor_xv_refuses_two_bumps_and_zeros_a_zero_field(dims):
     g = small_grid(16, *dims)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from math import cosh, exp, sqrt
 from pathlib import Path
 
-from angiosolve import picard
+from angiosolve import picard, stepping
 from angiosolve import (
     CoefficientTrack,
     ConfigurationError,
@@ -454,7 +454,8 @@ def test_saved_times_count_from_p0s_own_tag(grid64, case):
         assert np.array_equal(c_traj.times, p_traj.times)
     else:
         p_traj, diag = picard_pure(p0, _params(gamma=9.0), sched)
-        assert diag.factored_step_solves == (10 if case == "pure-product" else 0)
+        assert diag.factored_step_solves == (
+            diag.phase_step_solves if case == "pure-product" else 0)
     assert diag.converged and len(diag.k_per_slab) == 5
     times = p_traj.times
     assert np.all(np.diff(times) > 0.0)
@@ -542,9 +543,10 @@ def _count_factor_xv(monkeypatch):
 
 
 def test_pure_drive_carries_a_products_factors(monkeypatch):
-    # a product p0 is factored once and every window restarts from the
-    # factors the last one handed back, so the drive builds a phase field
-    # only at a saved time after node 0, whose field is p0's own
+    # a product p0 is factored once and every iterate marches the factors
+    # the last window handed back, so the drive builds a phase field only
+    # at a saved time after node 0, whose field is p0's own (no window with
+    # a saved node marches more than its one seeded iterate)
     from angiosolve import grid
     made = realise(load_shipped_scenario("pure-gaussian"))
     calls = {"PhaseField": 0}
@@ -561,24 +563,27 @@ def test_pure_drive_carries_a_products_factors(monkeypatch):
     assert len(traj) == len(made.scenario.schedule.saved_nodes()) == 21
     assert traj.fields[0] is made.p0
     assert calls["PhaseField"] == len(traj) - 1
-    assert diag.factored_step_solves == diag.phase_step_solves == 1000
+    assert diag.factored_step_solves == diag.phase_step_solves == 1004
 
 
 def test_pure_drive_tries_to_factor_other_data_once(grid64, monkeypatch):
     # two bumps are no product: the drive's one attempt fails and every
-    # window takes the phase march, with no further attempt
+    # iterate takes the phase march, with no further attempt
     p0 = PhaseField(grid64, gaussian_phase(grid64).values
                     + gaussian_phase(grid64, center_x=1.5, center_v=-1.0).values)
     calls = _count_factor_xv(monkeypatch)
     _, diag = picard_pure(p0, _params(gamma=9.0), Schedule(t_end=0.1, dt=0.01))
     assert len(calls) == 1 and calls[0][0] is p0
     assert len(diag.k_per_slab) == 5
-    assert diag.phase_step_solves == 10 and diag.factored_step_solves == 0
+    # init = heat marches every iterate, each over its window's two steps
+    assert diag.phase_step_solves == 2 * sum(diag.k_per_slab)
+    assert diag.factored_step_solves == 0
 
 
-def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):
-    # the marginal fixes every pure iterate, so each window marches the
-    # phase field once, records no node series and takes no stepper reduction
+def test_pure_run_marches_each_iterate_once_on_its_factors(grid64, monkeypatch):
+    # every pure iterate is one march that records the marginal alone; on
+    # product data it marches the factors and takes the marginal from them,
+    # so the stepper makes no reduction of a phase field
     from angiosolve import stepping
     counts = {"reductions": 0}
     records = []
@@ -597,64 +602,128 @@ def test_pure_run_marches_the_phase_field_once_per_slab(grid64, monkeypatch):
     sched = Schedule(t_end=0.5, dt=0.01, save_stride=10)
     _, diag = picard_pure(_flat_in_x(grid64), _params(gamma=9.0), sched)
     assert diag.converged and len(diag.k_per_slab) == 25
-    assert records == [None] * 25
+    assert records == ["p_tilde"] * sum(diag.k_per_slab)
     assert counts["reductions"] == 0
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_marginal_march_is_the_v_sum_of_the_phase_march(dim_v, constant, seed):
-    # an x-only coefficient commutes with the velocity sum and the v flow
-    # keeps that sum, so the marginal of every node of the phase march is
-    # the x-lattice march of the marginal: the pure driver iterates on this
-    g = GridSpec(dim_x=1, dim_v=dim_v, n_x=16, n_v=8, half_width_x=4.0, half_width_v=4.0)
+def _marginal_march_drive(monkeypatch):
+    """Make the pure iterate's record the marginal marched on the position
+    lattice: the same Strang steps of the start's marginal in the "x" plan
+    of the iterate's own plan, as the drive iterated it before each pure
+    iterate became one march of the density.  The last iterate's fields,
+    marched with the coefficient the marginals fixed, are then the density
+    march that drive made once per window after its iterates."""
+    solve = picard.solve_linear
+
+    def marginal_solve(start, track, sigma, *, plan, record, saved_nodes):
+        assert record == "p_tilde"
+        traj = solve(start, track, sigma, plan=plan, saved_nodes=saved_nodes)
+        grid = start.grid
+        pt0 = (start.marginal() if isinstance(start, Product)
+               else _reduce_raw(start.values, grid))
+        march = stepping._march(pt0, stepping._halves(track, grid.spatial_shape),
+                                plan.partial("x"), track.schedule.dt,
+                                "marched marginal at step")
+        traj.p_tilde_nodes = np.stack([pt0, *map(np.copy, march)])
+        return traj
+
+    monkeypatch.setattr(picard, "solve_linear", marginal_solve)
+
+
+@pytest.mark.parametrize("case", ["pure-gaussian", "product", "phase"])
+@pytest.mark.parametrize("init", ["heat", "zero"])
+def test_pure_fields_are_the_marginal_iterations_density_march(grid64, monkeypatch,
+                                                               case, init):
+    # recording the marginal off each iterate's own march, instead of
+    # marching it on the position lattice, moves the iterates by round-off:
+    # every saved field stays within 1e-14 of the sup of the density march
+    # the marginal iteration fixed, and the windows take the same iterates
+    if case == "pure-gaussian":
+        made = realise(load_shipped_scenario(
+            "pure-gaussian", overrides=(f"picard.init={init}",)))
+
+        def run():
+            traj, _, diag = made.drive()
+            return traj, diag
+    else:
+        one = gaussian_phase(grid64).values
+        vals = one if case == "product" else (
+            one + gaussian_phase(grid64, center_x=1.5, center_v=-1.0).values)
+        p0 = PhaseField(grid64, vals)
+
+        def run():
+            return picard_pure(p0, _params(gamma=9.0),
+                               Schedule(t_end=0.1, dt=0.01, save_stride=3), init=init)
+
+    traj, diag = run()
+    _marginal_march_drive(monkeypatch)
+    ref, ref_diag = run()
+    assert diag.k_per_slab == ref_diag.k_per_slab
+    assert diag.phase_step_solves == ref_diag.phase_step_solves
+    assert np.array_equal(traj.times, ref.times) and len(traj) > 2
+    scale = max(float(np.abs(f.values).max()) for f in ref.fields)
+    for field, ref_field in zip(traj.fields, ref.fields):
+        assert np.abs(field.values - ref_field.values).max() <= 1e-14 * scale
+
+
+def _relative_delta_per_node(fields_a, fields_b):
+    # the per-node loop _relative_delta replaced, kept as its reference
+    scale = 0.0
+    for fa, fb in zip(fields_a, fields_b):
+        scale = max(scale, float(np.abs(fa).max()), float(np.abs(fb).max()))
+    if scale == 0.0:
+        return 0.0
+    worst = 0.0
+    for fa, fb in zip(fields_a, fields_b):
+        worst = max(worst, float(np.abs(fa - fb).max()))
+    return worst / scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.sampled_from([(8,), (4, 4)]),
+       st.sampled_from(["random", "zero", "equal"]), st.integers(0, 2 ** 32 - 1))
+def test_relative_delta_reads_stacks_as_the_per_node_loop(n_a, n_b, shape, kind, seed):
+    # one pass per stack and one for the difference, bit for bit the loop
+    # over the shared nodes; lists of arrays (the uniqueness probe's) too
     rng = np.random.default_rng(seed)
-    sched = Schedule(t_end=0.1, dt=0.01)
-    n_nodes = sched.n_steps + 1
-
-    def x_sample():
-        return 4.0 * rng.random(g.spatial_shape)
-
-    a = x_sample() if constant else [x_sample() for _ in range(n_nodes)]
-    track = CoefficientTrack(sched, g, a=a)
-    # lattice noise is not spectrally representable: the flow rings it
-    # negative next to a near-zero cell, past the marches' floor, so the
-    # noise sits on an offset; both marches are linear, so that loses nothing
-    p0 = PhaseField(g, 0.2 + rng.random(g.phase_shape))
-    phase = solve_linear(p0, track, SIGMA, record="j").p_tilde_nodes
-    marginal = picard._march_marginal(_reduce_raw(p0.values, g), track,
-                                      HeatPlan(g, SIGMA, "x"))
-    assert np.abs(marginal - phase).max() <= 1e-13 * np.abs(phase).max()
+    a = rng.standard_normal((n_a,) + shape) * 10.0 ** rng.integers(-300, 300)
+    b = rng.standard_normal((n_b,) + shape)
+    if kind == "zero":
+        a, b = np.zeros_like(a), np.zeros_like(b)
+    elif kind == "equal":
+        b = a[:n_b].copy() if n_b <= n_a else np.concatenate([a, b[n_a:]])
+    expected = _relative_delta_per_node(list(a), list(b))
+    assert picard._relative_delta(a, b) == expected
+    assert picard._relative_delta(list(a), list(b)) == expected
+    assert picard._relative_delta(list(a), b) == expected
 
 
 def test_drivers_count_their_step_solves_exactly(zero_fix, pure_fix, coupled_fix,
                                                  smoke_fix):
-    # a pure run iterates on the x-lattice and marches the phase field once
-    # per step; a coupled run marches every iterate on the phase lattice.
-    # Seeded windows converge at iterate 2; only the unseeded first one
-    # takes more
+    # every marched iterate is one march of the density, a pure run's on
+    # the factors of its product data, a coupled run's on the phase
+    # lattice.  Seeded windows converge at iterate 2; only the unseeded
+    # first one takes more
     def counts(fix):
         diag = fix["diag"]
-        return diag.phase_step_solves, diag.factored_step_solves, diag.x_step_solves
+        return diag.phase_step_solves, diag.factored_step_solves
 
-    # a pure run marches its phase field on the factors of its product data;
-    # at init = zero (pure-gaussian) a seeded window marches its marginal
-    # once, at init = heat (zero) twice
-    assert counts(pure_fix) == (1000, 1000, 1004)
+    # at init = zero (pure-gaussian) a seeded window marches once, at
+    # init = heat (zero) twice
+    assert counts(pure_fix) == (1004, 1004)
     assert picard.summarise_iterates(pure_fix["diag"].k_per_slab) == (
         "500 window(s): 499x2, 1x4")
-    assert counts(coupled_fix) == (1004, 0, 0)
-    assert counts(smoke_fix) == (54, 0, 0)
-    assert counts(zero_fix) == (50, 50, 100)
+    assert counts(coupled_fix) == (1004, 0)
+    assert counts(smoke_fix) == (54, 0)
+    assert counts(zero_fix) == (100, 100)
 
 
-def test_a_pure_run_at_init_heat_marches_each_marginal_twice():
+def test_a_pure_run_at_init_heat_marches_each_window_twice():
     # the init = heat path, which only zero ships, on pure-gaussian: the
     # first marched iterate is iterate 1, so every window marches one more
     _, _, diag = realise(load_shipped_scenario(
         "pure-gaussian", overrides=("picard.init=heat",))).drive()
-    assert (diag.phase_step_solves, diag.factored_step_solves,
-            diag.x_step_solves) == (1000, 1000, 2002)
+    assert (diag.phase_step_solves, diag.factored_step_solves) == (2002, 2002)
     assert picard.summarise_iterates(diag.k_per_slab) == "500 window(s): 499x2, 1x3"
     assert diag.converged and diag.deltas_strictly_decreasing()
 
@@ -690,17 +759,16 @@ for name in ("pure-gaussian", "coupled-ramp"):
         name, ("schedule.t_end=0.05", "schedule.save_stride=5")))
     before = tracer.step_solves
     _, _, diag = made.drive()
-    print(name, tracer.step_solves - before, diag.phase_step_solves,
-          diag.x_step_solves)
+    print(name, tracer.step_solves - before, diag.phase_step_solves)
 """
 
 
 def test_benchmark_step_counter_is_the_drivers_phase_count(tmp_path):
     # the benchmark runs scenarios.run_scenario(..., out_dir) and counts a
     # step-solve per step of every solve_linear call it wraps; that must be
-    # the drivers' own phase count, with the pure driver's x-lattice marches
-    # left out, and tracing must not change a byte of the report.  The
-    # tracer replaces package functions, so it runs in a process of its own
+    # the drivers' own count of marched iterate steps, and tracing must not
+    # change a byte of the report.  The tracer replaces package functions,
+    # so it runs in a process of its own
     root = Path(__file__).resolve().parent.parent
     plain, traced = tmp_path / "plain", tmp_path / "traced"
     script = _BENCH_COUNTER.format(src=str(root / "src"), bench=str(root / "perfbench"),
@@ -716,9 +784,8 @@ def test_benchmark_step_counter_is_the_drivers_phase_count(tmp_path):
     assert int(counted) == int(phase) > 0 and spans == "True"
     for name in ("report.json", "summary.txt"):
         assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
-    for name, counted, phase, _ in rows[2:]:
+    for name, counted, phase in rows[2:]:
         assert int(counted) == int(phase) > 0, name
-    assert int(rows[2][3]) > 0  # the pure run did march on the x-lattice
 
 
 _BENCH_HOOKS = """
@@ -777,10 +844,7 @@ def test_iterate_bookkeeping_for_every_driver_and_init(grid64, coupled, init):
         assert len(diag.deltas_p[w]) == k - 1
         assert len(diag.deltas_c[w]) == (k - 1 if coupled else 0)
     marched = sum((k - (init == "zero")) * n for k, n in zip(diag.k_per_slab, steps))
-    if coupled:
-        assert (diag.phase_step_solves, diag.x_step_solves) == (marched, 0)
-    else:
-        assert (diag.phase_step_solves, diag.x_step_solves) == (sched.n_steps, marched)
+    assert diag.phase_step_solves == marched
 
 
 # --------------------------------------------------------------------------
@@ -797,7 +861,7 @@ def test_picard_coupled_without_production_reduces_to_pure(grid64):
     p_traj, c_traj, _ = picard_coupled(p0, _c_bump(grid64), _params(alpha1=0.0),
                                        sched, tol=1e-10)
     pure, diag = picard_pure(p0, _params(alpha1=0.0), sched, tol=1e-10, init="zero")
-    assert diag.factored_step_solves == sched.n_steps
+    assert diag.factored_step_solves == diag.phase_step_solves
     assert len(p_traj) == len(pure)
     for a, b in zip(p_traj.fields, pure.fields):
         assert np.abs(a.values - b.values).max() <= 1e-13 * np.abs(b.values).max()

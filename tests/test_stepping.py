@@ -11,7 +11,7 @@ from angiosolve import (CoefficientTrack, ConfigurationError, GridSpec,
                         ShapeError, SignError, SpatialField, heat_step,
                         integrate_phase, solve_linear)
 from angiosolve.grid import Product, factor_xv
-from angiosolve.picard import _advance_c_nodes, _c_inf_nodes, _march_marginal
+from angiosolve.picard import _advance_c_nodes, _c_inf_nodes
 
 from conftest import gaussian_phase, small_grid
 
@@ -176,12 +176,58 @@ def test_solve_linear_records_moment_nodes(grid64):
     # moments are nonnegative throughout
     assert traj.p_tilde_nodes.min() >= 0.0
     assert traj.j_nodes.min() >= 0.0
+    # the marginal alone is the same series, bit for bit, and no j
+    marginal = solve_linear(p0, track, SIGMA, record="p_tilde")
+    assert marginal.p_tilde_nodes.tobytes() == traj.p_tilde_nodes.tobytes()
+    assert marginal.j_nodes is None
     # the other record: nothing
     plain = solve_linear(p0, track, SIGMA)
     assert plain.p_tilde_nodes is None and plain.j_nodes is None
-    for bad in ("speed", "p_tilde", "vector_j"):
+    for bad in ("speed", "m", "vector_j"):
         with pytest.raises(ParameterError):
             solve_linear(p0, track, SIGMA, record=bad)
+
+
+def _random_product_run(grid, seed, n_steps=10, dt=0.01):
+    """A product start with factors on an offset (spectrally representable
+    noise), a random x-only per-node coefficient and its track."""
+    rng = np.random.default_rng(seed)
+    a = [4.0 * rng.random(grid.spatial_shape) for _ in range(n_steps + 1)]
+    start = Product(grid, 0.2 + rng.random(grid.spatial_shape),
+                    0.2 + rng.random(grid.velocity_shape))
+    return start, a, dt
+
+
+def test_product_marginal_record_is_the_products_marginal_at_every_node(grid64):
+    # the record of a factored march at node n is the marginal of the
+    # Product that a march of n steps hands back, bit for bit
+    start, a, dt = _random_product_run(grid64, 3)
+    track = CoefficientTrack(Schedule(t_end=10 * dt, dt=dt), grid64, a=a)
+    record = solve_linear(start, track, SIGMA, record="p_tilde").p_tilde_nodes
+    assert record.shape == (11,) + grid64.spatial_shape
+    assert record[0].tobytes() == start.marginal().tobytes()
+    for n in range(1, 11):
+        part = CoefficientTrack(Schedule(t_end=n * dt, dt=dt), grid64, a=a[:n + 1])
+        end = solve_linear(start, part, SIGMA, saved_nodes=[]).aux["end"]
+        assert record[n].tobytes() == end.marginal().tobytes(), n
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(16, 8), (32, 32), (16, 128), (128, 16)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_product_marginal_record_is_the_v_sum_of_the_phase_march(lattice, seed):
+    # an x-only coefficient commutes with the velocity sum and the v flow
+    # keeps that sum, so the marginal recorded on a product's factors is
+    # the v-sum of the phase march of its field at every node: the pure
+    # driver iterates on this
+    n_x, n_v = lattice
+    g = GridSpec(dim_x=1, dim_v=1, n_x=n_x, n_v=n_v, half_width_x=4.0,
+                 half_width_v=4.0)
+    start, a, dt = _random_product_run(g, seed)
+    track = CoefficientTrack(Schedule(t_end=10 * dt, dt=dt), g, a=a)
+    factored = solve_linear(start, track, SIGMA, record="p_tilde").p_tilde_nodes
+    phase = solve_linear(start.field(), track, SIGMA, record="p_tilde").p_tilde_nodes
+    assert np.abs(factored - phase).max() <= 1e-14 * np.abs(phase).max()
 
 
 # (dim_v, n_x, n_v): every heat path of every plan a march takes; the phase
@@ -273,11 +319,12 @@ def _signed_phase_march(grid):
     solve_linear(gaussian_phase(grid), track, SIGMA)
 
 
-def _marginal_march(grid):
-    sched = Schedule(t_end=0.05, dt=0.01)
-    track = CoefficientTrack(sched, grid, a=np.full(grid.spatial_shape, 0.3))
-    pt0 = gaussian_phase(grid).values.sum(axis=1) * grid.h_v
-    _march_marginal(pt0, track, HeatPlan(grid, SIGMA, "x"))
+def _recorded_factored_march(grid):
+    # the pure driver's iterate: a factored march recording its marginal
+    track = CoefficientTrack(Schedule(t_end=0.05, dt=0.01), grid,
+                             a=np.full(grid.spatial_shape, 0.3))
+    solve_linear(Product(grid, *factor_xv(gaussian_phase(grid))), track, SIGMA,
+                 record="p_tilde")
 
 
 def _concentration_march(grid):
@@ -292,17 +339,17 @@ def _concentration_march(grid):
     (_phase_march, (17, 40), "marched density at step 3"),
     (_signed_phase_march, (17, 40), "marched density at step 3"),
     (_factored_march, (17,), "x factor of the marched density at step 2"),
-    (_marginal_march, (17,), "marched marginal at step 3"),
+    (_recorded_factored_march, (17,), "x factor of the marched density at step 2"),
     (_concentration_march, (17,), "concentration at node 3"),
-], ids=["phase", "signed-phase", "factored", "marginal", "concentration"])
+], ids=["phase", "signed-phase", "factored", "recorded-factored", "concentration"])
 def test_planted_stepper_fault_is_caught_and_located(grid64, monkeypatch, march,
                                                       cell, where):
     # the per-step floor may only absorb round-off: a heat step that comes
     # back with an entry of -1e-3 * sup must stop the march at that cell,
     # in the phase march (whatever the coefficient's sign), in a product's
-    # factored march and in both position-lattice marches; only the
-    # marches' own flows count, which run in their plans' work arrays (the
-    # concentration's far field is flowed out of place)
+    # factored march, recording or not, and in the concentration march; only
+    # the marches' own flows count, which run in their plans' work arrays
+    # (the concentration's far field is flowed out of place)
     clean = HeatPlan.apply
     calls = []
 

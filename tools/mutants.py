@@ -86,6 +86,32 @@ MUTANTS = (
            "self.sup_c0 = float(c0.values.max())",
            "self.sup_c0 = 10.0 * float(c0.values.max())",
            ("tests/test_scenarios.py",)),
+    # one per fold's slack scale, killed in test_scenarios by
+    # test_comparison_is_pinned_at_a_products_majorant,
+    # test_gronwall_is_pinned_at_its_production_rate,
+    # test_run_scenario_exit4_on_uncertifiable_energy (and the energy
+    # check's pinned pair) and test_speed_bound_is_pinned_at_cauchy_schwarz
+    Mutant("comparison_scale_ten_sup", "src/angiosolve/harness.py",
+           "self.scale = max(self.scale, _sup(majorant))",
+           "self.scale = max(self.scale, 10.0 * _sup(majorant))",
+           ("tests/test_scenarios.py",)),
+    Mutant("gronwall_scale_ten_bound", "src/angiosolve/harness.py",
+           "self.slacks.append((bound - norm) / bound)",
+           "self.slacks.append((bound - norm) / (10.0 * bound))",
+           ("tests/test_scenarios.py",)),
+    Mutant("energy_scale_ten_max", "src/angiosolve/harness.py",
+           "scale = float(e.max()) or 1.0", "scale = 10.0 * float(e.max()) or 1.0",
+           ("tests/test_scenarios.py",)),
+    Mutant("speed_bound_scale_ten_sup", "src/angiosolve/harness.py",
+           "self.scale = max(self.scale, float(j.max()))",
+           "self.scale = max(self.scale, 10.0 * float(j.max()))",
+           ("tests/test_scenarios.py",)),
+    # the pure iterate's record; killed by
+    # test_product_marginal_record_is_the_v_sum_of_the_phase_march
+    Mutant("product_marginal_without_v_cell_volume", "src/angiosolve/grid.py",
+           "return g * (float(h.sum()) * grid.v_cell_volume)",
+           "return g * float(h.sum())",
+           ("tests/test_stepping.py",)),
     Mutant("energy_tol_twenty_est", "src/angiosolve/harness.py",
            "tol = max(1e-10, 2.0 * est)", "tol = max(1e-10, 20.0 * est)",
            ("tests/test_scenarios.py",)),
